@@ -17,8 +17,20 @@ system.  The generator builds such systems constructively:
   * one closing pair at the fixed-point radius beta(n+1) identifies the
     inner value with the annulus value, making W = (n+1) * anchor.
 
+Every step above combines set equations with integer coefficients, so the
+generator also emits one integer multiplier per set: with R the rows of the
+system (a 1 per point of the set, -1 in the W column), R^T lambda equals
+e_x - e_y.  Each resolved point p keeps the combination proving
+f(p) = f(anchor) (outer points) or f(p) + n*f(anchor) = W (inner points):
+a hop adds +1 and -1 on its two sets, a lemma or step set takes +1 on
+itself minus its companions' combinations, and the closing pair supplies
+W = (n+1)*f(anchor).
+
 The checker is generation-agnostic: it re-validates every set numerically
-and tests the claim by a least-squares row-space residual.
+in one vectorized pass, then accepts the claim when the integer
+accumulation of the multipliers equals e_x - e_y exactly.  Certificates
+without multipliers (version 1) are tested by a least-squares row-space
+residual instead.
 """
 from __future__ import annotations
 
@@ -38,7 +50,7 @@ from .errors import (
 )
 from .gamma import gamma, gamma1_link
 from .geometry import DEFAULT_TOL, Tolerance, as_point, section2d
-from .simplex import EquilateralSet, alpha, beta, cap_extension, embed_in_frame
+from .simplex import EquilateralSet, alpha, beta, cap_extension, distance_errors, embed_in_frame
 from .enlarge import enlarge_to_maximal
 from .weights import (
     BISECTION_TOL,
@@ -52,8 +64,9 @@ from .weights import (
     SKELETON_CYCLE,
 )
 
-CERT_VERSION = 1
+CERT_VERSION = 2
 MAX_CERT_SETS = 5000
+INT64_MAX = int(np.iinfo(np.int64).max)
 # Band-edge slack used when matching a norm against the step schedule.
 BAND_EDGE_SLACK = 5e-10
 INNER_EDGE = 1e-9
@@ -145,8 +158,7 @@ def constant_lemma_relation(z, rho0: float, n: int,
         rho = 0.5 * (lo + hi)
     companions = cap_extension(z, rho, tol)
     full = EquilateralSet(np.vstack([z, companions.points]))
-    wide = Tolerance(eps_eq=10 * tol.eps_eq, eps_rank=tol.eps_rank, grid_step=tol.grid_step)
-    full.validate(in_ball=True, tol=wide)
+    full.validate(in_ball=True, tol=tol.widened())
     return full, companions.points
 
 
@@ -156,7 +168,12 @@ def constant_lemma_relation(z, rho0: float, n: int,
 
 @dataclass
 class Certificate:
-    """Point table, maximal-set index tuples, claim pair, generator metadata."""
+    """Point table, maximal-set index tuples, claim pair, generator metadata.
+
+    `multipliers`, when present, holds one integer per set whose combination
+    of the set equations is the claim; None sends the checker to its
+    least-squares path.
+    """
 
     n: int
     points: np.ndarray
@@ -164,6 +181,25 @@ class Certificate:
     claim: tuple
     generator_params: dict = field(default_factory=dict)
     version: int = CERT_VERSION
+    multipliers: list[int] | None = None
+
+
+def _checked_multipliers(multipliers, set_count: int, n: int) -> list[int]:
+    """The multipliers as Python ints, or MalformedCertificate.
+
+    Rejects a length other than one per set, entries that are not integers
+    (booleans included), and magnitudes for which the checker's int64
+    accumulation of set_count * (n+1) terms could overflow.
+    """
+    if not isinstance(multipliers, (list, tuple)) or len(multipliers) != set_count:
+        raise MalformedCertificate(f"multipliers must be a list of {set_count} integers")
+    if not all(isinstance(m, (int, np.integer)) and not isinstance(m, (bool, np.bool_))
+               for m in multipliers):
+        raise MalformedCertificate("multipliers must be integers")
+    values = [int(m) for m in multipliers]
+    if values and set_count * (n + 1) * max(map(abs, values)) >= INT64_MAX:
+        raise MalformedCertificate("multipliers are too large for exact int64 checking")
+    return values
 
 
 def _dumps(obj) -> str:
@@ -193,6 +229,8 @@ def certificate_to_json(cert: Certificate, tol: Tolerance = DEFAULT_TOL) -> str:
         "claim": [int(cert.claim[0]), int(cert.claim[1])],
         "generator_params": cert.generator_params,
     }
+    if cert.multipliers is not None:
+        doc["multipliers"] = [int(m) for m in cert.multipliers]
     return _dumps(doc)
 
 
@@ -207,13 +245,19 @@ def certificate_from_json(text: str) -> Certificate:
     points = np.asarray(doc["points"], dtype=float)
     if points.ndim != 2:
         raise MalformedCertificate("points must be a list of coordinate arrays")
+    n = int(doc["n"])
+    sets = [tuple(int(i) for i in s) for s in doc["sets"]]
+    multipliers = doc.get("multipliers")
+    if multipliers is not None:
+        multipliers = _checked_multipliers(multipliers, len(sets), n)
     return Certificate(
-        n=int(doc["n"]),
+        n=n,
         points=points,
-        sets=[tuple(int(i) for i in s) for s in doc["sets"]],
+        sets=sets,
         claim=(int(doc["claim"][0]), int(doc["claim"][1])),
         generator_params=doc.get("generator_params", {}),
-        version=int(doc.get("version", CERT_VERSION)),
+        version=int(doc.get("version", 1)),
+        multipliers=multipliers,
     )
 
 
@@ -231,12 +275,40 @@ class CheckReport:
     point_count: int = 0
 
 
+def _set_table(sets, width: int, count: int) -> np.ndarray | int:
+    """The sets as an (S, width) int64 array of ids in [0, count), or the
+    index of the first set that is not such a tuple."""
+    try:
+        ids = np.asarray(sets, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        ids = None
+    if ids is not None and ids.shape == (len(sets), width):
+        bad = np.flatnonzero(((ids < 0) | (ids >= count)).any(axis=1))
+        return int(bad[0]) if bad.size else ids
+    if len(sets) == 0:
+        return np.empty((0, width), dtype=np.int64)
+
+    def is_id_tuple(s) -> bool:
+        try:
+            return len(s) == width and all(0 <= int(i) < count for i in s)
+        except (TypeError, ValueError, OverflowError):
+            return False
+
+    return next((idx for idx, s in enumerate(sets) if not is_id_tuple(s)), 0)
+
+
 def check_certificate(cert: Certificate, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """Independently verify a certificate; never consults how it was generated.
 
-    Re-checks every set (pairwise distances 1, norms <= 1, size n+1) and
-    accepts iff e_x - e_y lies in the row space of the sum equations, via
-    the least-squares residual of the transposed system.
+    Re-checks every set (pairwise distances 1, norms <= 1, size n+1) in one
+    vectorized pass and reports the first failing set as SetInvalid.  With
+    multipliers, accepts iff their int64 accumulation over the sum equations
+    equals e_x - e_y exactly (residual 0.0; otherwise the residual is the
+    norm of the integer difference).  Without them, accepts iff e_x - e_y
+    lies in the row space of the sum equations, via the least-squares
+    residual of the transposed system.  Past the shape checks, `detail`
+    carries the worst distance error and norm excess: of the failing set on
+    SetInvalid, over all sets otherwise.
     """
     n = cert.n
     pts = np.asarray(cert.points, dtype=float)
@@ -248,48 +320,68 @@ def check_certificate(cert: Certificate, tol: Tolerance = DEFAULT_TOL) -> CheckR
     if len(claim) != 2 or not all(0 <= int(i) < max(count, 1) for i in claim):
         return CheckReport(accepted=False, failure="MalformedCertificate",
                            detail={"reason": "claim indices out of range"})
-    for idx, s in enumerate(cert.sets):
-        if len(s) != n + 1 or any(not (0 <= int(i) < count) for i in s):
+    set_count = len(cert.sets)
+    ids = _set_table(cert.sets, n + 1, count)
+    if isinstance(ids, int):
+        return CheckReport(accepted=False, failure="MalformedCertificate",
+                           detail={"reason": f"set {ids} is not an (n+1)-tuple of valid ids"},
+                           set_count=set_count, point_count=count)
+    multipliers = cert.multipliers
+    if multipliers is not None:
+        try:
+            multipliers = _checked_multipliers(multipliers, set_count, n)
+        except MalformedCertificate as exc:
             return CheckReport(accepted=False, failure="MalformedCertificate",
-                               detail={"reason": f"set {idx} is not an (n+1)-tuple of valid ids"},
-                               set_count=len(cert.sets), point_count=count)
-    for idx, s in enumerate(cert.sets):
-        coords = pts[list(s)]
-        worst_dist = 0.0
-        for i in range(n + 1):
-            for j in range(i + 1, n + 1):
-                d = float(np.linalg.norm(coords[i] - coords[j]))
-                worst_dist = max(worst_dist, abs(d - 1.0))
-        worst_norm = float(np.max(np.linalg.norm(coords, axis=1))) - 1.0
-        if worst_dist > tol.eps_eq or worst_norm > tol.eps_eq:
-            return CheckReport(
-                accepted=False, failure="SetInvalid",
-                detail={"set_index": idx,
-                        "worst_distance_error": worst_dist,
-                        "worst_norm_excess": max(worst_norm, 0.0)},
-                set_count=len(cert.sets), point_count=count)
+                               detail={"reason": str(exc)},
+                               set_count=set_count, point_count=count)
+    coords = pts[ids]
+    dist_err = distance_errors(coords).max(axis=-1)
+    norm_excess = np.linalg.norm(coords, axis=-1).max(axis=-1) - 1.0
+    bad = np.flatnonzero((dist_err > tol.eps_eq) | (norm_excess > tol.eps_eq))
+    if bad.size:
+        idx = int(bad[0])
+        return CheckReport(
+            accepted=False, failure="SetInvalid",
+            detail={"set_index": idx,
+                    "worst_distance_error": float(dist_err[idx]),
+                    "worst_norm_excess": max(float(norm_excess[idx]), 0.0)},
+            set_count=set_count, point_count=count)
+    margins = {"worst_distance_error": float(dist_err.max(initial=0.0)),
+               "worst_norm_excess": float(norm_excess.max(initial=0.0))}
     if int(claim[0]) == int(claim[1]):
-        return CheckReport(accepted=True, residual=0.0,
-                           set_count=len(cert.sets), point_count=count)
+        return CheckReport(accepted=True, residual=0.0, detail=margins,
+                           set_count=set_count, point_count=count)
     if not cert.sets:
         return CheckReport(accepted=False, failure="ClaimNotImplied",
-                           residual=math.sqrt(2.0),
+                           residual=math.sqrt(2.0), detail=margins,
                            set_count=0, point_count=count)
+    target = np.zeros(count + 1, dtype=np.int64)
+    target[int(claim[0])] = 1
+    target[int(claim[1])] = -1
+    if multipliers is not None:
+        lam = np.array(multipliers, dtype=np.int64)
+        combined = np.zeros(count + 1, dtype=np.int64)
+        np.add.at(combined, ids.ravel(), np.repeat(lam, n + 1))
+        combined[count] = -lam.sum()
+        miss = combined - target
+        if not miss.any():
+            return CheckReport(accepted=True, residual=0.0, detail=margins,
+                               set_count=set_count, point_count=count)
+        return CheckReport(accepted=False, failure="ClaimNotImplied",
+                           residual=float(np.linalg.norm(miss)), detail=margins,
+                           set_count=set_count, point_count=count)
     rows = np.zeros((len(cert.sets), count + 1))
     for r, s in enumerate(cert.sets):
         for i in s:
             rows[r, int(i)] += 1.0
         rows[r, count] = -1.0
-    target = np.zeros(count + 1)
-    target[int(claim[0])] = 1.0
-    target[int(claim[1])] = -1.0
     solution, *_ = np.linalg.lstsq(rows.T, target, rcond=None)
     residual = float(np.linalg.norm(rows.T @ solution - target))
     if residual < tol.eps_rank:
-        return CheckReport(accepted=True, residual=residual,
+        return CheckReport(accepted=True, residual=residual, detail=margins,
                            set_count=len(cert.sets), point_count=count)
     return CheckReport(accepted=False, failure="ClaimNotImplied", residual=residual,
-                       set_count=len(cert.sets), point_count=count)
+                       detail=margins, set_count=len(cert.sets), point_count=count)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +398,7 @@ class _Builder:
         self.points: list[np.ndarray] = []
         self.index: dict[bytes, int] = {}
         self.sets: list[tuple] = []
-        self.set_keys: set[tuple] = set()
+        self.set_index: dict[tuple, int] = {}
 
     def point_id(self, p: np.ndarray) -> int:
         key = np.round(np.asarray(p, dtype=float), 12).tobytes()
@@ -317,21 +409,23 @@ class _Builder:
         self.index[key] = pid
         return pid
 
-    def add_set(self, s: EquilateralSet, stage: str) -> None:
+    def add_set(self, s: EquilateralSet, stage: str) -> int:
+        """Index of the set in the certificate, adding it unless already present."""
         ids = tuple(sorted(self.point_id(p) for p in s.points))
         if len(set(ids)) != self.n + 1:
             raise GenerationFailure(stage, "set collapsed under point deduplication")
-        if ids in self.set_keys:
-            return
+        if ids in self.set_index:
+            return self.set_index[ids]
         if len(self.sets) >= MAX_CERT_SETS:
             raise GenerationFailure(stage, f"certificate exceeded {MAX_CERT_SETS} sets")
-        self.set_keys.add(ids)
+        self.set_index[ids] = len(self.sets)
         self.sets.append(ids)
+        return self.set_index[ids]
 
-    def add_link(self, p: np.ndarray, q: np.ndarray, stage: str) -> None:
+    def add_link(self, p: np.ndarray, q: np.ndarray, stage: str) -> list[tuple[int, int]]:
+        """The hop's two sets as (index, coefficient) terms summing to e_p - e_q."""
         set_a, set_b = gamma1_link(p, q, self.tol)
-        self.add_set(set_a, stage)
-        self.add_set(set_b, stage)
+        return [(self.add_set(set_a, stage), 1), (self.add_set(set_b, stage), -1)]
 
 
 def _fold(delta: float, period: float) -> float:
@@ -454,8 +548,13 @@ class _Generator:
         self.schedule = self._build_schedule()
         self.anchor = np.zeros(n)
         self.anchor[0] = (self.lam + 1.0) / 2.0
-        self.memo: dict[bytes, str] = {}
-        self.closed = False
+        # Value class and combination node of every point met so far.
+        self.memo: dict[bytes, tuple[str, int | None]] = {}
+        # Integer combinations, one node per resolved point: (set terms,
+        # node terms), each a list of (index, coefficient).  A node is made
+        # after every node it refers to, so the list is in topological order.
+        self.nodes: list[tuple[list, list]] = []
+        self.exact = True
 
     def _build_schedule(self) -> list[float]:
         rho = mu_inverse(self.n, self.lam - self.epsilon, self.tol)
@@ -473,10 +572,11 @@ class _Generator:
 
     # -- linking mechanics ---------------------------------------------------
 
-    def _chain_to_anchor(self, p: np.ndarray) -> None:
-        """Emit gamma1 pairs along a circuit chain from p to the anchor."""
+    def _chain_to_anchor(self, p: np.ndarray) -> list[tuple[int, int]]:
+        """Emit gamma1 pairs along a circuit chain from p to the anchor;
+        returns their terms, which sum to e_p - e_anchor."""
         if self._key(p) == self._key(self.anchor):
-            return
+            return []
         frame = section2d(self.anchor, p, self.tol)
         anchor_local = frame.basis @ self.anchor
         p_local = frame.basis @ p
@@ -488,8 +588,8 @@ class _Generator:
         for w in waypoints[1:]:
             if float(np.linalg.norm(w - cleaned[-1])) > 1e-12:
                 cleaned.append(w)
-        for a, b in zip(cleaned, cleaned[1:]):
-            self.builder.add_link(a, b, "shell-link")
+        return [term for a, b in zip(cleaned, cleaned[1:])
+                for term in self.builder.add_link(a, b, "shell-link")]
 
     def _bridge_partner(self, p: np.ndarray) -> np.ndarray | None:
         """A shell point at hop distance from p with verified clearance."""
@@ -523,74 +623,100 @@ class _Generator:
         return len(self.schedule) - 2
 
     # -- resolution ----------------------------------------------------------
+    #
+    # The node of an OUTER point p combines sets to e_p - e_anchor, that of
+    # an INNER point to e_p + n*e_anchor - e_W, and the closing node to
+    # (n+1)*e_anchor - e_W.
 
-    def resolve(self, p: np.ndarray) -> str:
-        """Emit relations tying f(p) to the anchor; returns the value class."""
+    def _node(self, sets: list, nodes: list) -> int:
+        if any(node is None for node, _ in nodes):
+            self.exact = False  # refers to a point still being resolved
+        self.nodes.append((sets, nodes))
+        return len(self.nodes) - 1
+
+    def resolve(self, p: np.ndarray) -> tuple[str, int | None]:
+        """Emit relations tying f(p) to the anchor; returns the value class and
+        the node of its combination (None while p is still being resolved)."""
         key = self._key(p)
         if key in self.memo:
             return self.memo[key]
-        self.memo[key] = OUTER  # breaks accidental cycles; overwritten below
+        self.memo[key] = OUTER, None  # breaks accidental cycles; overwritten below
         s = float(np.linalg.norm(p))
         if key == self._key(self.anchor):
-            cls = OUTER
+            cls, node = OUTER, self._node([], [])
         elif s >= self.lam - 1e-12:
-            self._chain_to_anchor(p)
-            cls = OUTER
+            cls, node = OUTER, self._node(self._chain_to_anchor(p), [])
         elif s < self.beta_next - INNER_EDGE:
-            cls = self._resolve_inner(p)
+            cls, node = self._resolve_inner(p)
         elif s >= self.bridge_floor:
             partner = self._bridge_partner(p)
             if partner is not None:
-                self.builder.add_link(p, partner, "bridge")
-                self.resolve(partner)
-                cls = OUTER
+                link = self.builder.add_link(p, partner, "bridge")
+                _, sub = self.resolve(partner)
+                cls, node = OUTER, self._node(link, [(sub, 1)])
             else:
-                cls = self._resolve_band(p, s)
+                cls, node = self._resolve_band(p, s)
         else:
-            cls = self._resolve_band(p, s)
-        self.memo[key] = cls
-        return cls
+            cls, node = self._resolve_band(p, s)
+        self.memo[key] = cls, node
+        return cls, node
 
-    def _resolve_inner(self, p: np.ndarray) -> str:
+    def _subtract(self, p: np.ndarray, cls: str, stage: str, failure: str) -> tuple[int | None, int]:
+        """Resolve p, which the construction puts in class cls; its node, negated."""
+        got, node = self.resolve(p)
+        if got != cls:
+            raise GenerationFailure(stage, failure)
+        return node, -1
+
+    def _resolve_inner(self, p: np.ndarray) -> tuple[str, int]:
         full, companions = constant_lemma_relation(p, self.beta_next, self.n, self.tol)
-        self.builder.add_set(full, "inner-lemma")
-        for c in companions:
-            if self.resolve(c) != OUTER:
-                raise GenerationFailure("inner-lemma", "companion did not resolve to the annulus")
-        return INNER
+        own = self.builder.add_set(full, "inner-lemma")
+        subs = [self._subtract(c, OUTER, "inner-lemma", "companion did not resolve to the annulus")
+                for c in companions]
+        return INNER, self._node([(own, 1)], subs)
 
-    def _resolve_band(self, p: np.ndarray, s: float) -> str:
+    def _step_node(self, rel: StepRelation, stage: str) -> int:
+        own = self.builder.add_set(rel.set, stage)
+        subs = [self._subtract(rel.v, INNER, stage, "antipodal point did not resolve inner")]
+        subs += [self._subtract(c, OUTER, stage, "companion did not resolve to the annulus")
+                 for c in rel.companions]
+        return self._node([(own, 1)], subs)
+
+    def _resolve_band(self, p: np.ndarray, s: float) -> tuple[str, int]:
         m = self._band_index(s)
         rel = theorem_step_relation(p, self.schedule[m], self.n, self.tol)
-        self.builder.add_set(rel.set, "annulus-step")
-        if self.resolve(rel.v) != INNER:
-            raise GenerationFailure("annulus-step", "antipodal point did not resolve inner")
-        for c in rel.companions:
-            if self.resolve(c) != OUTER:
-                raise GenerationFailure("annulus-step", "companion did not resolve to the annulus")
-        return OUTER
+        return OUTER, self._step_node(rel, "annulus-step")
 
-    def _emit_closing(self) -> None:
-        """Identify the inner value with the annulus value at the fixed point."""
-        if self.closed:
-            return
-        self.closed = True
+    def _emit_closing(self) -> int:
+        """Identify the inner value with the annulus value at the fixed point;
+        returns the closing node, lemma minus step."""
         z = np.zeros(self.n)
         z[0] = self.beta_next
         m = self._band_index(self.beta_next)
         rel = theorem_step_relation(z, self.schedule[m], self.n, self.tol)
-        self.builder.add_set(rel.set, "closing")
-        if self.resolve(rel.v) != INNER:
-            raise GenerationFailure("closing", "antipodal point did not resolve inner")
-        for c in rel.companions:
-            if self.resolve(c) != OUTER:
-                raise GenerationFailure("closing", "companion did not resolve to the annulus")
-        self.memo[self._key(z)] = OUTER
+        step = self._step_node(rel, "closing")
+        self.memo[self._key(z)] = OUTER, step
         full, companions = constant_lemma_relation(z, self.beta_next, self.n, self.tol)
-        self.builder.add_set(full, "closing")
-        for c in companions:
-            if self.resolve(c) != OUTER:
-                raise GenerationFailure("closing", "fixed-point companion did not resolve")
+        lemma = self.builder.add_set(full, "closing")
+        subs = [self._subtract(c, OUTER, "closing", "fixed-point companion did not resolve")
+                for c in companions]
+        return self._node([(lemma, 1)], subs + [(step, -1)])
+
+    def _multipliers(self, root: int) -> list[int]:
+        """Per-set coefficients of a node, expanded through the node graph
+        from the newest node down."""
+        weight = [0] * len(self.nodes)
+        weight[root] = 1
+        lam = [0] * len(self.builder.sets)
+        for j in range(len(self.nodes) - 1, -1, -1):
+            w = weight[j]
+            if w:
+                sets, nodes = self.nodes[j]
+                for i, coef in sets:
+                    lam[i] += w * coef
+                for k, coef in nodes:
+                    weight[k] += w * coef
+        return lam
 
     def run(self, x: np.ndarray, y: np.ndarray) -> Certificate:
         id_x = self.builder.point_id(x)
@@ -598,17 +724,21 @@ class _Generator:
         params = {"epsilon": self.epsilon, "shell_rho_schedule": list(self.schedule)}
         if id_x == id_y:
             return Certificate(n=self.n, points=np.array([self.builder.points[id_x]]),
-                               sets=[], claim=(id_x, id_x), generator_params=params)
-        cls_x = self.resolve(x)
-        cls_y = self.resolve(y)
+                               sets=[], claim=(id_x, id_x), generator_params=params,
+                               multipliers=[])
+        cls_x, node_x = self.resolve(x)
+        cls_y, node_y = self.resolve(y)
+        terms = [(node_x, 1), (node_y, -1)]
         if cls_x != cls_y:
-            self._emit_closing()
+            terms.append((self._emit_closing(), -1 if cls_x == INNER else 1))
+        claim = self._node([], terms)
         return Certificate(
             n=self.n,
             points=np.array(self.builder.points),
             sets=list(self.builder.sets),
             claim=(id_x, id_y),
             generator_params=params,
+            multipliers=self._multipliers(claim) if self.exact else None,
         )
 
 

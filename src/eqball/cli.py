@@ -31,7 +31,7 @@ from .enlarge import enlarge_to_maximal
 from .errors import EqBallError, ExpressionError
 from .expr import compile_weight_expression
 from .geometry import DEFAULT_TOL, Frame, Tolerance
-from .simplex import EquilateralSet, alpha, beta
+from .simplex import EquilateralSet, alpha, beta, distance_errors
 from .verify import run_verification_suites
 from .weights import WeightFn, eta, falsify, lambda_shell, nu, shell_circuit
 from . import __version__
@@ -128,14 +128,12 @@ def cmd_enlarge(args) -> int:
 
 def _name_worst_violation(pts: np.ndarray) -> str:
     worst = ""
-    worst_err = 0.0
-    k = pts.shape[0]
-    for i in range(k):
-        for j in range(i + 1, k):
-            err = abs(float(np.linalg.norm(pts[i] - pts[j])) - 1.0)
-            if err > worst_err:
-                worst_err = err
-                worst = f" (worst pair ({i}, {j}) distance error {err:.3e})"
+    errs = np.nan_to_num(distance_errors(pts), nan=0.0, posinf=np.inf)
+    worst_err = float(errs.max(initial=0.0))
+    if worst_err > 0.0:
+        pair = int(errs.argmax())
+        i, j = np.triu_indices(pts.shape[0], 1)
+        worst = f" (worst pair ({i[pair]}, {j[pair]}) distance error {worst_err:.3e})"
     norms = np.linalg.norm(pts, axis=1)
     if norms.size and float(norms.max()) - 1.0 > worst_err:
         worst = f" (worst norm: point {int(norms.argmax())} has norm {float(norms.max()):.12f})"

@@ -60,8 +60,7 @@ def enlarge_step(s: EquilateralSet, tol: Tolerance = DEFAULT_TOL) -> tuple[Equil
     new_point = c + u
     out = EquilateralSet(np.vstack([s.points, new_point]))
     # Inputs that are in-ball only within eps get the widened output tolerance.
-    wide = Tolerance(eps_eq=10 * tol.eps_eq, eps_rank=tol.eps_rank, grid_step=tol.grid_step)
-    out.validate(in_ball=True, tol=wide)
+    out.validate(in_ball=True, tol=tol.widened())
     return out, EnlargeStep(k=k, subspace_dim=hull_dirs.shape[0], a=a, u=u, new_point=new_point)
 
 

@@ -158,7 +158,7 @@ def gamma1_link(a, b, tol: Tolerance = DEFAULT_TOL) -> tuple[EquilateralSet, Equ
         raise NotInBall("a shared point left the ball; clearance check was too tight")
     set_a = EquilateralSet(np.vstack([a, shared]))
     set_b = EquilateralSet(np.vstack([b, shared]))
-    wide = Tolerance(eps_eq=10 * tol.eps_eq, eps_rank=tol.eps_rank, grid_step=tol.grid_step)
+    wide = tol.widened()
     set_a.validate(in_ball=True, tol=wide)
     set_b.validate(in_ball=True, tol=wide)
     return set_a, set_b

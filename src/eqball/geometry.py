@@ -6,7 +6,7 @@ function on immutable values.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,6 +36,14 @@ class Tolerance:
             raise ValueError("tolerances must be strictly positive")
         if not self.eps_eq < self.grid_step:
             raise ValueError("eps_eq must be smaller than grid_step")
+
+    def widened(self) -> Tolerance:
+        """This tolerance with eps_eq ten times looser.
+
+        Re-checks a set constructed from inputs that were themselves only
+        within eps_eq of their constraints.
+        """
+        return replace(self, eps_eq=10 * self.eps_eq)
 
 
 DEFAULT_TOL = Tolerance()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,6 +52,23 @@ def alpha(m: int) -> float:
     return math.sqrt(m / (2.0 * (m - 1)))
 
 
+@lru_cache(maxsize=None)
+def _pair_indices(k: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.triu_indices(k, 1)
+
+
+def distance_errors(points) -> np.ndarray:
+    """|‖p_i - p_j‖ - 1| for every pair i < j of each stacked point set.
+
+    `points` has shape (..., k, n) and the result (..., k(k-1)/2), pairs in
+    np.triu_indices(k, 1) order, so one call re-checks a single set or a
+    whole (S, n+1, n) stack of them.
+    """
+    pts = np.asarray(points, dtype=float)
+    i, j = _pair_indices(pts.shape[-2])
+    return np.abs(np.linalg.norm(pts[..., i, :] - pts[..., j, :], axis=-1) - 1.0)
+
+
 @dataclass
 class EquilateralSet:
     """A list of k points in R^n with pairwise distances 1 (within tolerance)."""
@@ -75,12 +93,7 @@ class EquilateralSet:
 
     def pairwise_distance_error(self) -> float:
         """Largest deviation of a pairwise distance from 1 (0.0 for singletons)."""
-        worst = 0.0
-        for i in range(self.k):
-            for j in range(i + 1, self.k):
-                d = float(np.linalg.norm(self.points[i] - self.points[j]))
-                worst = max(worst, abs(d - 1.0))
-        return worst
+        return float(distance_errors(self.points).max(initial=0.0))
 
     def max_norm(self) -> float:
         return float(np.max(np.linalg.norm(self.points, axis=1)))
@@ -144,10 +157,8 @@ def is_standard_equilateral(points, in_ball: bool = False,
         if p.size != n:
             raise DimensionMismatch("points have mixed dimensions")
     arr = np.array(pts)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if abs(float(np.linalg.norm(arr[i] - arr[j])) - 1.0) > tol.eps_eq:
-                return False
+    if float(distance_errors(arr).max(initial=0.0)) > tol.eps_eq:
+        return False
     if in_ball and float(np.max(np.linalg.norm(arr, axis=1))) > 1.0 + tol.eps_eq:
         return False
     return True

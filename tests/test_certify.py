@@ -1,10 +1,15 @@
+import dataclasses
+import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 from eqball.certify import (
+    OUTER,
     Certificate,
+    _Generator,
     certificate_from_json,
     certificate_to_json,
     check_certificate,
@@ -12,8 +17,14 @@ from eqball.certify import (
     generate_equality_certificate,
     theorem_step_relation,
 )
-from eqball.errors import OutsideBall, PreconditionViolation, RadiusSolveFailure
+from eqball.errors import (
+    MalformedCertificate,
+    OutsideBall,
+    PreconditionViolation,
+    RadiusSolveFailure,
+)
 from eqball.gamma import gamma1_link
+from eqball.geometry import DEFAULT_TOL
 from eqball.simplex import alpha, beta
 from eqball.weights import eta, lambda_shell, mu, nu
 
@@ -281,3 +292,109 @@ def test_json_has_full_precision():
     cert = Certificate(n=2, points=np.array([[value, -value]]), sets=[], claim=(0, 0))
     text = certificate_to_json(cert)
     assert "0.33333333333333331" in text
+
+
+# -- integer multipliers -------------------------------------------------------
+
+
+def _mixed_certificate():
+    """Inner x, shell y: chains, inner lemma, annulus steps and the closing pair."""
+    return generate_equality_certificate(np.zeros(3), np.array([0.95, 0.0, 0.0]), 3)
+
+
+def _in_plane(n, radius, cos_e1):
+    point = np.zeros(n)
+    point[:2] = radius * cos_e1, radius * math.sqrt(1.0 - cos_e1 ** 2)
+    return point
+
+
+def test_generated_multipliers_survive_json_round_trip():
+    cert = _mixed_certificate()
+    assert len(cert.multipliers) == len(cert.sets)
+    assert all(type(m) is int for m in cert.multipliers)
+    text = certificate_to_json(cert)
+    doc = json.loads(text)
+    assert doc["version"] == 2
+    assert doc["multipliers"] == cert.multipliers
+    back = certificate_from_json(text)
+    assert back.multipliers == cert.multipliers
+    report = check_certificate(back)
+    assert report.accepted and report.residual == 0.0
+    assert 0.0 <= report.detail["worst_distance_error"] <= 1e-9
+    assert 0.0 <= report.detail["worst_norm_excess"] <= 1e-9
+
+
+def test_flipped_multiplier_is_claim_not_implied():
+    cert = _mixed_certificate()
+    lam = list(cert.multipliers)
+    i = next(i for i, m in enumerate(lam) if m != 0)
+    lam[i] = -lam[i]
+    report = check_certificate(dataclasses.replace(cert, multipliers=lam))
+    assert not report.accepted
+    assert report.failure == "ClaimNotImplied"
+    # the combination is off by 2*lam_i times set i's row: n+1 ones and -1 for W
+    assert report.residual == pytest.approx(2 * abs(lam[i]) * math.sqrt(cert.n + 2), rel=1e-12)
+    assert "worst_distance_error" in report.detail
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda lam: lam[:-1],
+    lambda lam: lam + [0],
+    lambda lam: [float(lam[0])] + lam[1:],
+    lambda lam: [True] + lam[1:],
+    lambda lam: [2 ** 62] + lam[1:],
+])
+def test_malformed_multipliers(mutate):
+    cert = _mixed_certificate()
+    bad = dataclasses.replace(cert, multipliers=mutate(list(cert.multipliers)))
+    report = check_certificate(bad)
+    assert report.failure == "MalformedCertificate"
+    doc = json.loads(certificate_to_json(cert))
+    doc["multipliers"] = bad.multipliers
+    with pytest.raises(MalformedCertificate):
+        certificate_from_json(json.dumps(doc))
+
+
+def test_tampered_point_is_set_invalid_before_the_algebra():
+    cert = _mixed_certificate()
+    victim = cert.sets[3][0]
+    points = cert.points.copy()
+    points[victim, 0] += 1e-3
+    report = check_certificate(dataclasses.replace(cert, points=points))
+    assert report.failure == "SetInvalid"
+    assert report.detail["set_index"] == min(i for i, s in enumerate(cert.sets) if victim in s)
+    assert report.detail["worst_distance_error"] > 1e-4
+
+
+def test_certificate_without_multipliers_takes_the_least_squares_path():
+    cert = _mixed_certificate()
+    report = check_certificate(dataclasses.replace(cert, multipliers=None))
+    assert report.accepted and report.residual < 1e-8
+    doc = json.loads(certificate_to_json(cert))
+    del doc["multipliers"]
+    doc["version"] = 1
+    back = certificate_from_json(json.dumps(doc))
+    assert back.multipliers is None and back.version == 1
+    assert check_certificate(back).accepted
+
+
+def test_unfinished_resolution_omits_multipliers():
+    """A relation that refers to a point whose resolution is still open has
+    no integer combination yet; the certificate then carries none."""
+    gen = _Generator(2, DEFAULT_TOL)
+    x, y = np.array([0.9, 0.0]), np.array([0.0, 0.9])
+    gen.memo[gen._key(y)] = OUTER, None  # as resolve() marks a point it has entered
+    assert gen.run(x, y).multipliers is None
+    assert _Generator(2, DEFAULT_TOL).run(x, y).multipliers is not None
+
+
+def test_n5_slow_window_pair_is_fast():
+    """||y|| = 0.232 gives a ~3700-set certificate; the dense checker took 35-60 s."""
+    x = _in_plane(5, 0.85, -0.3)
+    y = _in_plane(5, 0.232, 0.65)
+    t0 = time.perf_counter()
+    cert = generate_equality_certificate(x, y, 5)
+    report = check_certificate(certificate_from_json(certificate_to_json(cert)))
+    assert time.perf_counter() - t0 < 10.0
+    assert report.accepted and report.residual == 0.0
+    assert len(cert.sets) <= 5000

@@ -21,6 +21,11 @@ def test_tolerance_invariants():
         Tolerance(eps_eq=1e-3, grid_step=1e-4)
 
 
+def test_tolerance_widened_loosens_eps_eq_only():
+    wide = Tolerance(eps_eq=2e-9, eps_rank=3e-8, grid_step=5e-4).widened()
+    assert (wide.eps_eq, wide.eps_rank, wide.grid_step) == (2e-8, 3e-8, 5e-4)
+
+
 def test_complement_of_axis_in_r2():
     frame = orthonormal_complement([np.array([1.0, 0.0])], 2)
     assert frame.k == 1

@@ -12,6 +12,7 @@ from eqball.simplex import (
     canonical_simplex,
     cap_extension,
     center,
+    distance_errors,
     height_above_base,
     is_standard_equilateral,
     sample_maximal_set,
@@ -122,6 +123,20 @@ def test_is_standard_equilateral():
     # second point has norm sqrt(1.81) > 1
     assert not is_standard_equilateral([[0.9, 0.0], [0.9, 1.0]], in_ball=True)
     assert is_standard_equilateral([[0.9, 0.0], [0.9, 1.0]], in_ball=False)
+
+
+def test_distance_errors_match_pairwise_loop():
+    rng = np.random.default_rng(21)
+    stack = rng.uniform(-1.0, 1.0, size=(7, 5, 4))
+    errs = distance_errors(stack)
+    assert errs.shape == (7, 10)
+    for s, row in zip(stack, errs):
+        expected = [abs(float(np.linalg.norm(s[i] - s[j])) - 1.0)
+                    for i in range(5) for j in range(i + 1, 5)]
+        # the kernel may sum squares in another order: allow two ulps of a
+        # distance up to 4, the diameter of [-1, 1]^4
+        assert np.allclose(row, expected, rtol=0.0, atol=8 * np.finfo(float).eps)
+    assert distance_errors(np.zeros((1, 3))).shape == (0,)
 
 
 def test_affine_independence():
