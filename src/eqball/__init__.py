@@ -32,7 +32,7 @@ from .enlarge import (
     is_maximal,
     k_region_test,
 )
-from .gamma import GammaResult, gamma, gamma1_link, gamma_bruteforce
+from .gamma import GammaResult, gamma, gamma1_link, gamma1_links, gamma_bruteforce
 from .weights import (
     CircuitPlan,
     FalsifyReport,
@@ -86,6 +86,7 @@ __all__ = [
     "gamma",
     "gamma_bruteforce",
     "gamma1_link",
+    "gamma1_links",
     "eta",
     "mu",
     "nu",

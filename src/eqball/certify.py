@@ -48,7 +48,7 @@ from .errors import (
     PreconditionViolation,
     RadiusSolveFailure,
 )
-from .gamma import gamma, gamma1_link
+from .gamma import gamma, gamma1_link, gamma1_links
 from .geometry import DEFAULT_TOL, Tolerance, as_point, section2d
 from .simplex import EquilateralSet, alpha, beta, cap_extension, distance_errors, embed_in_frame
 from .enlarge import enlarge_to_maximal
@@ -202,8 +202,14 @@ def _checked_multipliers(multipliers, set_count: int, n: int) -> list[int]:
     return values
 
 
+class _Json(str):
+    """JSON text already rendered, which _dumps emits as it stands."""
+
+
 def _dumps(obj) -> str:
     """JSON text with floats printed to 17 significant digits."""
+    if isinstance(obj, _Json):
+        return obj
     if isinstance(obj, dict):
         items = ", ".join(f"{json.dumps(k)}: {_dumps(v)}" for k, v in obj.items())
         return "{" + items + "}"
@@ -218,19 +224,28 @@ def _dumps(obj) -> str:
     return json.dumps(obj)
 
 
+def _rows_json(rows, fmt) -> _Json:
+    """A list of rows, as _dumps prints it, with every entry formatted by fmt."""
+    return _Json("[" + ", ".join(["[" + ", ".join([fmt(v) for v in row]) + "]"
+                                  for row in rows]) + "]")
+
+
 def certificate_to_json(cert: Certificate, tol: Tolerance = DEFAULT_TOL) -> str:
+    """The certificate as JSON text; the point table, sets and multipliers are
+    formatted row by row, byte-identical to _dumps of the plain document."""
     doc = {
         "version": cert.version,
         "n": cert.n,
         "tolerance": {"eps_eq": tol.eps_eq, "eps_rank": tol.eps_rank,
                       "grid_step": tol.grid_step},
-        "points": [[float(c) for c in p] for p in cert.points],
-        "sets": [list(map(int, s)) for s in cert.sets],
+        "points": _rows_json(np.asarray(cert.points, dtype=float).tolist(),
+                             lambda v: format(v, ".17g")),
+        "sets": _rows_json(cert.sets, lambda i: str(int(i))),
         "claim": [int(cert.claim[0]), int(cert.claim[1])],
         "generator_params": cert.generator_params,
     }
     if cert.multipliers is not None:
-        doc["multipliers"] = [int(m) for m in cert.multipliers]
+        doc["multipliers"] = _Json("[" + ", ".join([str(int(m)) for m in cert.multipliers]) + "]")
     return _dumps(doc)
 
 
@@ -391,6 +406,17 @@ OUTER = "outer"  # value equals the anchor value
 INNER = "inner"  # value equals W - n * anchor value
 
 
+def _key_coordinates(points) -> np.ndarray:
+    """Coordinates rounded to 12 decimals, -0.0 folded into 0.0: the bytes
+    of one point's row are its dedup key."""
+    return np.round(np.asarray(points, dtype=float), 12) + 0.0
+
+
+def _point_key(p) -> bytes:
+    """Dedup key of a point; signed zeros share one key."""
+    return _key_coordinates(p).tobytes()
+
+
 class _Builder:
     def __init__(self, n: int, tol: Tolerance):
         self.n = n
@@ -400,18 +426,19 @@ class _Builder:
         self.sets: list[tuple] = []
         self.set_index: dict[tuple, int] = {}
 
-    def point_id(self, p: np.ndarray) -> int:
-        key = np.round(np.asarray(p, dtype=float), 12).tobytes()
-        if key in self.index:
-            return self.index[key]
-        pid = len(self.points)
-        self.points.append(np.asarray(p, dtype=float))
-        self.index[key] = pid
+    def _id(self, key: bytes, p: np.ndarray) -> int:
+        pid = self.index.get(key)
+        if pid is None:
+            pid = self.index[key] = len(self.points)
+            self.points.append(p)
         return pid
 
-    def add_set(self, s: EquilateralSet, stage: str) -> int:
-        """Index of the set in the certificate, adding it unless already present."""
-        ids = tuple(sorted(self.point_id(p) for p in s.points))
+    def point_id(self, p: np.ndarray) -> int:
+        p = np.asarray(p, dtype=float)
+        return self._id(_point_key(p), p)
+
+    def _register(self, ids, stage: str) -> int:
+        ids = tuple(sorted(ids))
         if len(set(ids)) != self.n + 1:
             raise GenerationFailure(stage, "set collapsed under point deduplication")
         if ids in self.set_index:
@@ -422,10 +449,32 @@ class _Builder:
         self.sets.append(ids)
         return self.set_index[ids]
 
+    def add_set(self, s: EquilateralSet, stage: str) -> int:
+        """Index of the set in the certificate, adding it unless already present."""
+        return self._register([self.point_id(p) for p in s.points], stage)
+
     def add_link(self, p: np.ndarray, q: np.ndarray, stage: str) -> list[tuple[int, int]]:
         """The hop's two sets as (index, coefficient) terms summing to e_p - e_q."""
         set_a, set_b = gamma1_link(p, q, self.tol)
         return [(self.add_set(set_a, stage), 1), (self.add_set(set_b, stage), -1)]
+
+    def add_chain(self, waypoints: np.ndarray, stage: str) -> list[tuple[int, int]]:
+        """The two sets of every hop between consecutive waypoints, registered
+        in hop order, as terms summing to e_first - e_last."""
+        if len(waypoints) < 2:
+            return []
+        shared = gamma1_links(waypoints[:-1], waypoints[1:], self.tol)
+        # Key every point of the chain in one rounding pass.
+        end_keys = _key_coordinates(waypoints)
+        shared_keys = _key_coordinates(shared)
+        terms = []
+        for h, (keys, points) in enumerate(zip(shared_keys, shared)):
+            a = self._id(end_keys[h].tobytes(), waypoints[h])
+            mid = [self._id(key.tobytes(), p) for key, p in zip(keys, points)]
+            b = self._id(end_keys[h + 1].tobytes(), waypoints[h + 1])
+            terms += [(self._register([a] + mid, stage), 1),
+                      (self._register([b] + mid, stage), -1)]
+        return terms
 
 
 def _fold(delta: float, period: float) -> float:
@@ -442,6 +491,9 @@ class _CircuitRouter:
         self.hop = 2.0 * self.alpha
         self.lam = lambda_shell(n)
         self.oa = self.hop - self.lam  # norm of a circuit corner
+        # circuit_geometry by rotation: every chain of one generator plans
+        # through the anchor's circuit and its pi/8 neighbour.
+        self._circuits: dict[float, tuple] = {}
 
     def circuit_angle_for(self, p_local: np.ndarray, branch: int = 1) -> float:
         """Rotation phi such that p lies on the corner arc C_a of circuit(phi)."""
@@ -452,7 +504,9 @@ class _CircuitRouter:
         return theta - math.pi / 4.0 - branch * math.acos(kappa)
 
     def _geometry(self, phi: float):
-        return circuit_geometry(self.n, phi)
+        if phi not in self._circuits:
+            self._circuits[phi] = circuit_geometry(self.n, phi)
+        return self._circuits[phi]
 
     @staticmethod
     def _walk(start: str, end: str) -> list[str]:
@@ -567,8 +621,7 @@ class _Generator:
             raise GenerationFailure("schedule", "inward iteration did not terminate")
         return schedule
 
-    def _key(self, p: np.ndarray) -> bytes:
-        return np.round(p, 12).tobytes()
+    _key = staticmethod(_point_key)
 
     # -- linking mechanics ---------------------------------------------------
 
@@ -588,8 +641,7 @@ class _Generator:
         for w in waypoints[1:]:
             if float(np.linalg.norm(w - cleaned[-1])) > 1e-12:
                 cleaned.append(w)
-        return [term for a, b in zip(cleaned, cleaned[1:])
-                for term in self.builder.add_link(a, b, "shell-link")]
+        return self.builder.add_chain(np.array(cleaned), "shell-link")
 
     def _bridge_partner(self, p: np.ndarray) -> np.ndarray | None:
         """A shell point at hop distance from p with verified clearance."""

@@ -22,13 +22,14 @@ from .errors import (
     DegenerateInput,
     DimensionMismatch,
     EmptyIntersection,
+    InvalidSet,
     NotInBall,
     OutsideBall,
     PreconditionClearance,
     PreconditionDistance,
 )
-from .geometry import DEFAULT_TOL, Frame, Tolerance, as_point, orthonormal_complement, orthonormalize, section2d
-from .simplex import EquilateralSet, alpha, beta, canonical_simplex
+from .geometry import DEFAULT_TOL, Frame, Tolerance, as_point, orthonormalize, row_dot, section2d
+from .simplex import EquilateralSet, alpha, beta, distance_errors, simplex_on_spheres
 
 # Seed of the deterministic direction net used by the brute-force evaluator.
 NET_SEED = 0
@@ -79,10 +80,20 @@ def gamma(a, b, tol: Tolerance = DEFAULT_TOL) -> GammaResult:
                 if comp < 0:
                     u = -u
                 break
-    t = max(float(x0 @ u), 0.0)
-    radicand = t * t + 1.0 - float(x0 @ x0)
-    value = -t + float(np.sqrt(max(radicand, 0.0)))
+    value = float(_clearance(x0, (b - a) / np.linalg.norm(b - a)))
     return GammaResult(value=value, direction=u, midpoint=x0)
+
+
+def _clearance(x0: np.ndarray, d_hat: np.ndarray) -> np.ndarray:
+    """Closed-form clearance of midpoints x0 for unit hop directions d_hat
+    (rows of equal shape).
+
+    t = ||x0 - <x0, d_hat> d_hat|| is <x0, u> for the in-plane unit vector u
+    of the module docstring, so the value is -t + sqrt(t**2 + 1 - ||x0||**2).
+    """
+    perp = x0 - row_dot(x0, d_hat)[..., None] * d_hat
+    t = np.sqrt(row_dot(perp, perp))
+    return -t + np.sqrt(np.maximum(t * t + 1.0 - row_dot(x0, x0), 0.0))
 
 
 def gamma_bruteforce(a, b, M: Frame, grid_step: float | None = None,
@@ -130,35 +141,89 @@ def gamma_bruteforce(a, b, M: Frame, grid_step: float | None = None,
     return float(rs[np.count_nonzero(ok) - 1])
 
 
+def _first_failure(checks) -> tuple[int, Exception] | None:
+    """The first hop failing any of `checks`, a list of (failing mask, error
+    for hop i) in the order one hop is checked, and that hop's first error."""
+    fails = np.array([mask for mask, _ in checks])
+    hops = np.flatnonzero(fails.any(axis=0))
+    if not hops.size:
+        return None
+    i = int(hops[0])
+    return i, checks[int(np.argmax(fails[:, i]))][1](i)
+
+
+def gamma1_links(A, B, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Shared points of k linking moves a_i -> b_i, as a (k, n, n) array.
+
+    Row i holds the n points that complete both {a_i} and {b_i} to maximal
+    in-ball sets, the sets gamma1_link(a_i, b_i) returns.  Every check of
+    gamma1_link runs as an array mask over the hops; if any hop fails, the
+    error gamma1_link raises for the first failing hop is raised.
+    """
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    if A.ndim != 2 or A.shape != B.shape or A.shape[0] < 1:
+        raise DimensionMismatch(f"endpoint arrays must share a (k, n) shape, got {A.shape} and {B.shape}")
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
+        raise DimensionMismatch("point has non-finite components")
+    n = A.shape[1]
+    if n < 2:
+        raise DimensionMismatch("clearance needs ambient dimension >= 2")
+    eps = tol.eps_eq
+    target = 2.0 * alpha(n + 1)
+    bn = beta(n)
+    diff = B - A
+    dist = np.sqrt(row_dot(diff, diff))
+    norm_a = np.sqrt(row_dot(A, A))
+    norm_b = np.sqrt(row_dot(B, B))
+    x0 = (A + B) / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = _clearance(x0, diff / dist[:, None])
+    failed = _first_failure([
+        (dist <= eps, lambda i: DegenerateInput("a and b coincide")),
+        (norm_a > 1.0 + eps, lambda i: OutsideBall(
+            f"point with norm {norm_a[i]:.12f} is outside the ball")),
+        (norm_b > 1.0 + eps, lambda i: OutsideBall(
+            f"point with norm {norm_b[i]:.12f} is outside the ball")),
+        (np.abs(dist - target) > LINK_DISTANCE_TOL, lambda i: PreconditionDistance(
+            f"||b-a||={dist[i]:.12f}, need {target:.12f}")),
+        (value < bn - eps, lambda i: PreconditionClearance(
+            f"clearance {value[i]:.12f} below beta_n={bn:.12f}")),
+    ])
+    # Hops before the first failing one go on to the checks of their sets.
+    m = A.shape[0] if failed is None else failed[0]
+    if m:
+        shared = simplex_on_spheres(x0[:m], diff[:m], bn)
+        wide = tol.widened()
+        shared_norm = np.sqrt(row_dot(shared, shared)).max(axis=1)
+        checks = [(shared_norm > 1.0 + eps, lambda i: NotInBall(
+            "a shared point left the ball; clearance check was too tight"))]
+        for ends in (A[:m], B[:m]):
+            pts = np.concatenate([ends[:, None, :], shared], axis=1)
+            err = distance_errors(pts).max(axis=1)
+            top = np.sqrt(row_dot(pts, pts)).max(axis=1)
+            checks += [
+                (err > wide.eps_eq, lambda i, err=err: InvalidSet(
+                    f"pairwise distance deviates from 1 by {err[i]:.3e}")),
+                (top > 1.0 + wide.eps_eq, lambda i, top=top: InvalidSet(
+                    f"a point has norm {top[i]:.12f} > 1")),
+            ]
+        failed = _first_failure(checks) or failed
+    if failed is not None:
+        raise failed[1]
+    return shared
+
+
 def gamma1_link(a, b, tol: Tolerance = DEFAULT_TOL) -> tuple[EquilateralSet, EquilateralSet]:
     """Two maximal in-ball sets sharing n points, differing only in a vs b.
 
     Requires ||b - a|| = 2*alpha(n+1) and clearance >= beta(n).  The shared
     points sit on the sphere of radius beta(n) around the midpoint, inside
     the hyperplane orthogonal to b - a; each is at distance exactly 1 from
-    both a and b since alpha(n+1)**2 + beta(n)**2 = 1.
+    both a and b since alpha(n+1)**2 + beta(n)**2 = 1.  The one-hop case of
+    gamma1_links.
     """
-    a, b = _validate_pair(a, b, tol)
-    n = a.size
-    target = 2.0 * alpha(n + 1)
-    dist = float(np.linalg.norm(b - a))
-    if abs(dist - target) > LINK_DISTANCE_TOL:
-        raise PreconditionDistance(f"||b-a||={dist:.12f}, need {target:.12f}")
-    g = gamma(a, b, tol)
-    bn = beta(n)
-    if g.value < bn - tol.eps_eq:
-        raise PreconditionClearance(f"clearance {g.value:.12f} below beta_n={bn:.12f}")
-    comp = orthonormal_complement([b - a], n, tol)
-    local = canonical_simplex(n - 1, n)
-    offsets = local.points @ comp.basis
-    norms = np.linalg.norm(offsets, axis=1)
-    offsets = offsets * (bn / norms)[:, None]
-    shared = g.midpoint + offsets
-    if float(np.max(np.linalg.norm(shared, axis=1))) > 1.0 + tol.eps_eq:
-        raise NotInBall("a shared point left the ball; clearance check was too tight")
-    set_a = EquilateralSet(np.vstack([a, shared]))
-    set_b = EquilateralSet(np.vstack([b, shared]))
-    wide = tol.widened()
-    set_a.validate(in_ball=True, tol=wide)
-    set_b.validate(in_ball=True, tol=wide)
-    return set_a, set_b
+    a = as_point(a)
+    b = as_point(b, a.size)
+    shared = gamma1_links(a[None, :], b[None, :], tol)[0]
+    return EquilateralSet(np.vstack([a, shared])), EquilateralSet(np.vstack([b, shared]))

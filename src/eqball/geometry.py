@@ -61,6 +61,13 @@ def as_point(x, n: int | None = None) -> np.ndarray:
     return p
 
 
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows (last axis).  Each row takes the BLAS
+    dot that a[i] @ b[i] would, so its result is bit-equal to the one-row
+    product, wherever the row sits in the batch."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 @dataclass(frozen=True)
 class Frame:
     """An orthonormal list of vectors (rows of `basis`) spanning a subspace."""

@@ -14,7 +14,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
+    DegenerateInput,
     DimensionMismatch,
+    FullSpan,
     InvalidK,
     InvalidSet,
     NormMismatch,
@@ -24,11 +26,12 @@ from .errors import (
 )
 from .geometry import (
     DEFAULT_TOL,
+    RANK_RESIDUAL,
     Frame,
     Tolerance,
     as_point,
     first_orthogonal_axis,
-    orthonormal_complement,
+    row_dot,
 )
 
 MAX_SAMPLE_ATTEMPTS = 10**6
@@ -187,11 +190,61 @@ def height_above_base(n: int, rho: float) -> float:
     return alpha(n + 1) - math.sqrt(max(rho * rho - bn * bn, 0.0))
 
 
+@lru_cache(maxsize=None)
+def _sphere_simplex(n: int) -> np.ndarray:
+    """Read-only vertices of canonical_simplex(n-1, n): local coordinates of
+    a regular n-point simplex in an (n-1)-dimensional complement."""
+    pts = canonical_simplex(n - 1, n).points
+    pts.flags.writeable = False
+    return pts
+
+
+def simplex_on_spheres(centers, normals, radius: float) -> np.ndarray:
+    """Regular n-point simplices of circumradius `radius`, one per row of
+    `centers` (k, n), each in the hyperplane through its center orthogonal
+    to the matching row of `normals`; returns a (k, n, n) array.
+
+    Every normal is completed to an orthonormal basis by Gram-Schmidt over
+    the canonical axes in index order, two passes, dropping an axis whose
+    residual is at most RANK_RESIDUAL: the basis orthonormal_complement
+    builds, here for all k normals in one array pass.  The vertices of
+    canonical_simplex(n-1, n) are carried into each complement and rescaled
+    to `radius`.
+    """
+    centers = np.asarray(centers, dtype=float)
+    normals = np.asarray(normals, dtype=float)
+    k, n = normals.shape
+    lengths = np.sqrt(row_dot(normals, normals))
+    if not np.all(lengths > RANK_RESIDUAL):
+        raise DegenerateInput("a normal vector is zero")
+    rows = np.zeros((k, n, n))  # row 0 the unit normal, then the complement
+    rows[:, 0] = normals / lengths[:, None]
+    count = np.ones(k, dtype=np.intp)
+    for i in range(n):
+        if count.min() == n:
+            break
+        r = np.zeros((k, n))
+        r[:, i] = 1.0
+        for _ in range(2):  # second pass restores orthogonality lost to cancellation
+            for j in range(min(i + 1, n)):  # rows past count[.] are zero
+                w = rows[:, j]
+                r -= row_dot(r, w)[:, None] * w
+        norm = np.sqrt(row_dot(r, r))
+        keep = np.flatnonzero((norm > RANK_RESIDUAL) & (count < n))
+        rows[keep, count[keep]] = r[keep] / norm[keep, None]
+        count[keep] += 1
+    if count.min() < n:
+        raise FullSpan("failed to complete the complement basis")
+    offsets = _sphere_simplex(n) @ rows[:, 1:]
+    offsets *= (radius / np.linalg.norm(offsets, axis=-1))[..., None]
+    return centers[:, None, :] + offsets
+
+
 def cap_extension(x, rho: float, tol: Tolerance = DEFAULT_TOL) -> EquilateralSet:
     """Size-n standard equilateral set at norm rho, all at distance 1 from x.
 
     Requires norm(x) to equal the apex height for rho.  The construction
-    places a centered maximal set of the orthogonal complement of x on the
+    places a regular simplex of the orthogonal complement of x on the
     sphere of radius beta(n) and shifts it by -sqrt(rho**2 - beta(n)**2)
     along x; appending x itself then yields a maximal set in the ball.
     """
@@ -212,12 +265,8 @@ def cap_extension(x, rho: float, tol: Tolerance = DEFAULT_TOL) -> EquilateralSet
         direction = first_orthogonal_axis(np.zeros((0, n)), n)
     else:
         direction = x / nx
-    comp = orthonormal_complement([direction], n, tol)
-    local = canonical_simplex(n - 1, n)
-    base = local.points @ comp.basis
-    norms = np.linalg.norm(base, axis=1)
-    base = base * (bn / norms)[:, None]
-    pts = base - math.sqrt(max(rho * rho - bn * bn, 0.0)) * direction
+    shift = -(math.sqrt(max(rho * rho - bn * bn, 0.0)) * direction)
+    pts = simplex_on_spheres(shift[None, :], direction[None, :], bn)[0]
     out = EquilateralSet(pts)
     out.validate(tol=tol)
     if float(np.max(np.abs(np.linalg.norm(pts, axis=1) - rho))) > tol.eps_eq:

@@ -10,6 +10,7 @@ from eqball.certify import (
     OUTER,
     Certificate,
     _Generator,
+    _dumps,
     certificate_from_json,
     certificate_to_json,
     check_certificate,
@@ -287,6 +288,32 @@ def test_json_round_trip_is_exact():
     assert check_certificate(back).accepted
 
 
+def _plain_document(cert):
+    """The certificate document as nested lists, for the recursive _dumps."""
+    doc = {
+        "version": cert.version,
+        "n": cert.n,
+        "tolerance": {"eps_eq": DEFAULT_TOL.eps_eq, "eps_rank": DEFAULT_TOL.eps_rank,
+                      "grid_step": DEFAULT_TOL.grid_step},
+        "points": [[float(c) for c in p] for p in cert.points],
+        "sets": [list(map(int, s)) for s in cert.sets],
+        "claim": [int(cert.claim[0]), int(cert.claim[1])],
+        "generator_params": cert.generator_params,
+    }
+    if cert.multipliers is not None:
+        doc["multipliers"] = [int(m) for m in cert.multipliers]
+    return doc
+
+
+def test_json_writer_matches_the_recursive_dump():
+    cert = generate_equality_certificate(np.zeros(3), np.array([0.95, -0.0, 0.0]), 3)
+    assert cert.multipliers is not None
+    assert certificate_to_json(cert) == _dumps(_plain_document(cert))
+    bare = dataclasses.replace(cert, multipliers=None, version=1)
+    assert certificate_to_json(bare) == _dumps(_plain_document(bare))
+    assert "multipliers" not in certificate_to_json(bare)
+
+
 def test_json_has_full_precision():
     value = 1.0 / 3.0
     cert = Certificate(n=2, points=np.array([[value, -value]]), sets=[], claim=(0, 0))
@@ -398,3 +425,24 @@ def test_n5_slow_window_pair_is_fast():
     assert time.perf_counter() - t0 < 10.0
     assert report.accepted and report.residual == 0.0
     assert len(cert.sets) <= 5000
+
+
+def test_signed_zero_coordinates_share_one_point():
+    """-0.0 and 0.0 give one dedup key, so the claim is trivial."""
+    cert = generate_equality_certificate(np.array([0.5, -0.0, 0.0]), np.array([0.5, 0.0, 0.0]), 3)
+    assert cert.sets == [] and cert.claim == (0, 0)
+    assert cert.points.shape == (1, 3)
+    assert check_certificate(cert).accepted
+
+
+@pytest.mark.parametrize("x, y, n, sets, points, total", [
+    (_in_plane(5, 0.85, -0.3), _in_plane(5, 0.1875, 0.65), 5, 954, 2830, 964),
+    (np.array([0.35, 0.1]), np.array([0.88, 0.2]), 2, 436, 630, 444),
+    (np.zeros(3), np.array([0.95, 0.0, 0.0]), 3, 292, 574, 262),
+    (_in_plane(4, 0.6, 0.2), _in_plane(4, 0.3, -0.7), 4, 118, 285, 118),
+])
+def test_certificate_shape_is_pinned(x, y, n, sets, points, total):
+    """Sets, points and sum of |multipliers| of fixed pairs; the first is the
+    fixed pair of the certify-deep benchmark workload."""
+    cert = generate_equality_certificate(x, y, n)
+    assert (len(cert.sets), len(cert.points), sum(map(abs, cert.multipliers))) == (sets, points, total)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from eqball.errors import (
     PreconditionClearance,
     PreconditionDistance,
 )
-from eqball.gamma import gamma, gamma1_link, gamma_bruteforce
+from eqball.gamma import gamma, gamma1_link, gamma1_links, gamma_bruteforce
 from eqball.geometry import Frame, orthonormalize, section2d
 from eqball.simplex import alpha, beta, random_rotation
 
@@ -164,3 +165,56 @@ def test_gamma1_link_preconditions():
     assert gamma(p, q).value == pytest.approx(1.0 - beta(3), abs=1e-12)
     with pytest.raises(PreconditionClearance):
         gamma1_link(p, q)
+
+
+def _random_chain(rng, n, hops):
+    """Waypoints of a chain of valid links: hop length 2*alpha(n+1),
+    clearance above beta(n), every waypoint in the ball."""
+    hop = 2.0 * alpha(n + 1)
+    start = rng.standard_normal(n)
+    points = [start * (hop - 1.0 + 0.1 * rng.uniform()) / np.linalg.norm(start)]
+    while len(points) <= hops:
+        d = rng.standard_normal(n)
+        b = points[-1] + hop * d / np.linalg.norm(d)
+        if np.linalg.norm(b) <= 1.0 and gamma(points[-1], b).value >= beta(n) + 1e-6:
+            points.append(b)
+    return np.array(points)
+
+
+def test_gamma1_links_rows_match_per_hop_links():
+    rng = np.random.default_rng(31)
+    for n in range(2, 7):
+        for hops in (1, 3, 6):
+            w = _random_chain(rng, n, hops)
+            shared = gamma1_links(w[:-1], w[1:])
+            assert shared.shape == (hops, n, n)
+            for h in range(hops):
+                set_a, set_b = gamma1_link(w[h], w[h + 1])
+                assert np.max(np.abs(set_a.points[1:] - shared[h])) <= 1e-15
+                assert np.array_equal(set_a.points[0], w[h])
+                assert np.array_equal(set_b.points[1:], set_a.points[1:])
+
+
+def test_gamma1_links_middle_hop_of_wrong_length():
+    w = _random_chain(np.random.default_rng(32), 3, 3)
+    bent = w.copy()
+    bent[2] = w[1] + 0.9 * (w[2] - w[1])
+    middle = f"||b-a||={np.linalg.norm(bent[2] - bent[1]):.12f}"
+    with pytest.raises(PreconditionDistance, match=re.escape(middle)):
+        gamma1_links(bent[:-1], bent[1:])
+    # the same hop set with an intact middle hop is accepted
+    assert gamma1_links(w[:-1], w[1:]).shape == (3, 3, 3)
+
+
+def test_gamma1_links_low_clearance_hop():
+    w = _random_chain(np.random.default_rng(33), 3, 2)
+    p = np.array([1.0, 0.0, 0.0])
+    q = np.array([-1.0 / 3.0, math.sqrt(8.0) / 3.0, 0.0])  # clearance 1 - beta(3)
+    with pytest.raises(PreconditionClearance):
+        gamma1_links(np.vstack([w[:-1], p]), np.vstack([w[1:], q]))
+    # the error is that of the first failing hop, whatever later hops do
+    short = np.array([0.0, 0.0, 0.0]), np.array([0.5, 0.0, 0.0])
+    with pytest.raises(PreconditionClearance):
+        gamma1_links(np.vstack([p, short[0]]), np.vstack([q, short[1]]))
+    with pytest.raises(PreconditionDistance):
+        gamma1_links(np.vstack([short[0], p]), np.vstack([short[1], q]))

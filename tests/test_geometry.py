@@ -8,6 +8,7 @@ from eqball.geometry import (
     orthonormal_complement,
     orthonormalize,
     project,
+    row_dot,
     section2d,
 )
 
@@ -139,3 +140,14 @@ def test_section2d_reconstructs_random_pairs():
         f = section2d(a, b)
         assert np.linalg.norm(project(a, f) - a) < 1e-9
         assert np.linalg.norm(project(b, f) - b) < 1e-9
+
+
+def test_row_dot_equals_the_one_row_product():
+    rng = np.random.default_rng(9)
+    for n in (2, 3, 5, 8, 17):
+        a = rng.standard_normal((40, n))
+        stack = rng.standard_normal((40, 3, n))
+        for b in (rng.standard_normal((40, n)), stack[:, 1]):  # contiguous and strided
+            got = row_dot(a, b)
+            assert got.shape == (40,)
+            assert np.array_equal(got, [x @ y for x, y in zip(a, b)])

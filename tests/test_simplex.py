@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from eqball.errors import InvalidK, InvalidSet, NormMismatch, RadiusOutOfRange, TooLarge
+from eqball.geometry import orthonormal_complement
+
+from eqball.errors import DegenerateInput, InvalidK, InvalidSet, NormMismatch, RadiusOutOfRange, TooLarge
 from eqball.simplex import (
     EquilateralSet,
     affine_independence_check,
@@ -16,6 +18,7 @@ from eqball.simplex import (
     height_above_base,
     is_standard_equilateral,
     sample_maximal_set,
+    simplex_on_spheres,
 )
 
 # Unit regular tetrahedron written out explicitly; the measured circumradius
@@ -217,3 +220,29 @@ def test_sample_maximal_set_deterministic_and_zero_translation():
     # rotation preserves the origin-centered simplex: always accepted
     assert np.linalg.norm(centered.points.mean(axis=0)) < 1e-12
     assert centered.max_norm() <= beta(5) + 1e-12
+
+
+def test_simplex_on_spheres_matches_the_complement_construction():
+    """The kernel against orthonormal_complement + canonical_simplex, one
+    normal at a time; normals along a canonical axis drop that axis."""
+    rng = np.random.default_rng(12)
+    for n in range(2, 8):
+        normals = [rng.standard_normal(n) for _ in range(6)]
+        normals += [np.eye(n)[0], -np.eye(n)[n - 1], np.eye(n)[n // 2] + 1e-12 * np.eye(n)[0]]
+        normals = np.array(normals)
+        centers = 0.3 * rng.standard_normal(normals.shape)
+        out = simplex_on_spheres(centers, normals, beta(n))
+        assert out.shape == (len(normals), n, n)
+        for c, v, pts in zip(centers, normals, out):
+            basis = orthonormal_complement([v], n).basis
+            offsets = canonical_simplex(n - 1, n).points @ basis
+            offsets = offsets * (beta(n) / np.linalg.norm(offsets, axis=1))[:, None]
+            # a few ulp: the kernel may sum its dot products in another order
+            assert np.max(np.abs(pts - (c + offsets))) <= 4 * np.finfo(float).eps
+            assert np.max(distance_errors(pts)) < 1e-12
+            assert np.max(np.abs((pts - c) @ v)) < 1e-12 * np.linalg.norm(v)
+
+
+def test_simplex_on_spheres_rejects_a_zero_normal():
+    with pytest.raises(DegenerateInput):
+        simplex_on_spheres(np.zeros((1, 3)), np.zeros((1, 3)), beta(3))
