@@ -453,28 +453,28 @@ class _Builder:
         """Index of the set in the certificate, adding it unless already present."""
         return self._register([self.point_id(p) for p in s.points], stage)
 
-    def add_link(self, p: np.ndarray, q: np.ndarray, stage: str) -> list[tuple[int, int]]:
-        """The hop's two sets as (index, coefficient) terms summing to e_p - e_q."""
-        set_a, set_b = gamma1_link(p, q, self.tol)
-        return [(self.add_set(set_a, stage), 1), (self.add_set(set_b, stage), -1)]
+    def add_hops(self, ends: np.ndarray, shared: np.ndarray, stage: str) -> list[tuple[int, int]]:
+        """Register the sets {ends[h]} + shared[h] and {ends[h+1]} + shared[h]
+        of every hop in hop order; returns them as terms summing to
+        e_ends[0] - e_ends[-1]."""
+        # Key every point of the hops in one rounding pass.
+        end_keys = _key_coordinates(ends)
+        shared_keys = _key_coordinates(shared)
+        terms = []
+        for h, (keys, points) in enumerate(zip(shared_keys, shared)):
+            a = self._id(end_keys[h].tobytes(), ends[h])
+            mid = [self._id(key.tobytes(), p) for key, p in zip(keys, points)]
+            b = self._id(end_keys[h + 1].tobytes(), ends[h + 1])
+            terms += [(self._register([a] + mid, stage), 1),
+                      (self._register([b] + mid, stage), -1)]
+        return terms
 
     def add_chain(self, waypoints: np.ndarray, stage: str) -> list[tuple[int, int]]:
         """The two sets of every hop between consecutive waypoints, registered
         in hop order, as terms summing to e_first - e_last."""
         if len(waypoints) < 2:
             return []
-        shared = gamma1_links(waypoints[:-1], waypoints[1:], self.tol)
-        # Key every point of the chain in one rounding pass.
-        end_keys = _key_coordinates(waypoints)
-        shared_keys = _key_coordinates(shared)
-        terms = []
-        for h, (keys, points) in enumerate(zip(shared_keys, shared)):
-            a = self._id(end_keys[h].tobytes(), waypoints[h])
-            mid = [self._id(key.tobytes(), p) for key, p in zip(keys, points)]
-            b = self._id(end_keys[h + 1].tobytes(), waypoints[h + 1])
-            terms += [(self._register([a] + mid, stage), 1),
-                      (self._register([b] + mid, stage), -1)]
-        return terms
+        return self.add_hops(waypoints, gamma1_links(waypoints[:-1], waypoints[1:], self.tol), stage)
 
 
 def _fold(delta: float, period: float) -> float:
@@ -703,7 +703,10 @@ class _Generator:
         elif s >= self.bridge_floor:
             partner = self._bridge_partner(p)
             if partner is not None:
-                link = self.builder.add_link(p, partner, "bridge")
+                # The one-hop wrapper: perfbench traces bridge hops as
+                # gamma.gamma1_link calls.
+                set_a, _ = gamma1_link(p, partner, self.tol)
+                link = self.builder.add_hops(np.array([p, partner]), set_a.points[None, 1:], "bridge")
                 _, sub = self.resolve(partner)
                 cls, node = OUTER, self._node(link, [(sub, 1)])
             else:

@@ -12,8 +12,8 @@ from eqball.errors import (
     PreconditionDistance,
 )
 from eqball.gamma import gamma, gamma1_link, gamma1_links, gamma_bruteforce
-from eqball.geometry import Frame, orthonormalize, section2d
-from eqball.simplex import alpha, beta, random_rotation
+from eqball.geometry import Frame, orthonormal_complement, orthonormalize, section2d
+from eqball.simplex import alpha, beta, canonical_simplex, random_rotation
 
 
 def _random_ball_point(rng, n):
@@ -181,18 +181,29 @@ def _random_chain(rng, n, hops):
     return np.array(points)
 
 
-def test_gamma1_links_rows_match_per_hop_links():
+def test_gamma1_links_rows_are_the_paper_construction():
+    """Each row rebuilt on its own: a regular simplex of radius beta(n) around
+    the hop's midpoint, in the hyperplane orthogonal to b - a."""
     rng = np.random.default_rng(31)
+    eps = np.finfo(float).eps
     for n in range(2, 7):
         for hops in (1, 3, 6):
             w = _random_chain(rng, n, hops)
             shared = gamma1_links(w[:-1], w[1:])
             assert shared.shape == (hops, n, n)
             for h in range(hops):
-                set_a, set_b = gamma1_link(w[h], w[h + 1])
-                assert np.max(np.abs(set_a.points[1:] - shared[h])) <= 1e-15
-                assert np.array_equal(set_a.points[0], w[h])
-                assert np.array_equal(set_b.points[1:], set_a.points[1:])
+                a, b = w[h], w[h + 1]
+                basis = orthonormal_complement([b - a], n).basis
+                offsets = canonical_simplex(n - 1, n).points @ basis
+                offsets = offsets * (beta(n) / np.linalg.norm(offsets, axis=1))[:, None]
+                # a few ulp: the batched kernel may sum in another order
+                assert np.max(np.abs(shared[h] - ((a + b) / 2.0 + offsets))) <= 4 * eps
+                for end in (a, b):
+                    assert np.max(np.abs(np.linalg.norm(shared[h] - end, axis=1) - 1.0)) < 1e-12
+                # the one-hop wrapper returns the same rows around its endpoints
+                set_a, set_b = gamma1_link(a, b)
+                assert np.array_equal(set_a.points, np.vstack([a, shared[h]]))
+                assert np.array_equal(set_b.points, np.vstack([b, shared[h]]))
 
 
 def test_gamma1_links_middle_hop_of_wrong_length():
