@@ -23,6 +23,7 @@ from .simplex import (
     center,
     is_standard_equilateral,
     sample_maximal_set,
+    sample_maximal_sets,
 )
 from .enlarge import (
     EnlargeTrace,
@@ -46,6 +47,7 @@ from .weights import (
     mu_inverse,
     nu,
     shell_circuit,
+    sphere_basis_sets,
 )
 from .certify import (
     Certificate,
@@ -76,6 +78,7 @@ __all__ = [
     "affine_independence_check",
     "cap_extension",
     "sample_maximal_set",
+    "sample_maximal_sets",
     "EnlargeTrace",
     "enlarge_step",
     "enlarge_to_maximal",
@@ -98,6 +101,7 @@ __all__ = [
     "FalsifyReport",
     "frame_weight_sum",
     "falsify",
+    "sphere_basis_sets",
     "chain_connect",
     "Certificate",
     "CheckReport",

@@ -37,6 +37,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,6 +88,12 @@ class StepRelation:
     rho0: float
 
 
+@lru_cache(maxsize=None)
+def _step_radius_bound(n: int, tol: Tolerance) -> float:
+    """Largest admissible step radius: mu_inverse of min(lambda_shell(n), 1)."""
+    return mu_inverse(n, min(lambda_shell(n), 1.0), tol)
+
+
 def theorem_step_relation(u, rho0: float, n: int,
                           tol: Tolerance = DEFAULT_TOL) -> StepRelation:
     """One inward annulus step at radius rho0 through the point u.
@@ -100,7 +107,7 @@ def theorem_step_relation(u, rho0: float, n: int,
     u = as_point(u, n)
     s = float(np.linalg.norm(u))
     bn = beta(n)
-    if rho0 < bn - tol.eps_eq or rho0 > mu_inverse(n, min(lambda_shell(n), 1.0), tol) + tol.eps_eq:
+    if rho0 < bn - tol.eps_eq or rho0 > _step_radius_bound(n, tol) + tol.eps_eq:
         raise PreconditionViolation(f"step radius rho0={rho0} out of range for n={n}")
     lo = mu(n, rho0, tol)
     if s < lo - 2 * tol.eps_eq or s > rho0 + 2 * tol.eps_eq:
@@ -249,19 +256,42 @@ def certificate_to_json(cert: Certificate, tol: Tolerance = DEFAULT_TOL) -> str:
     return _dumps(doc)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def certificate_from_json(text: str) -> Certificate:
+    """Parse a certificate document.
+
+    Raises MalformedCertificate unless the document is a JSON object with
+    integer `n` (and `version`, if present), a 2-D numeric `points` table, a
+    list of integer-id lists as `sets` and two integer ids as `claim`.
+    Whether the ids are in range and the sets have size n+1 is left to the
+    checker, which reports the first bad set.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedCertificate(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise MalformedCertificate("a certificate must be a JSON object")
     for key in ("n", "points", "sets", "claim"):
         if key not in doc:
             raise MalformedCertificate(f"missing field {key!r}")
-    points = np.asarray(doc["points"], dtype=float)
+    n, version, claim = doc["n"], doc.get("version", 1), doc["claim"]
+    if not (_is_int(n) and _is_int(version)):
+        raise MalformedCertificate("n and version must be integers")
+    if not (isinstance(claim, list) and len(claim) == 2 and all(map(_is_int, claim))):
+        raise MalformedCertificate("claim must be a list of two point ids")
+    if not isinstance(doc["sets"], list):
+        raise MalformedCertificate("sets must be a list of point-id lists")
+    try:
+        points = np.asarray(doc["points"], dtype=float)
+        sets = [tuple(int(i) for i in s) for s in doc["sets"]]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MalformedCertificate(f"points and sets must be numeric arrays: {exc}") from exc
     if points.ndim != 2:
         raise MalformedCertificate("points must be a list of coordinate arrays")
-    n = int(doc["n"])
-    sets = [tuple(int(i) for i in s) for s in doc["sets"]]
     multipliers = doc.get("multipliers")
     if multipliers is not None:
         multipliers = _checked_multipliers(multipliers, len(sets), n)
@@ -269,9 +299,9 @@ def certificate_from_json(text: str) -> Certificate:
         n=n,
         points=points,
         sets=sets,
-        claim=(int(doc["claim"][0]), int(doc["claim"][1])),
+        claim=(claim[0], claim[1]),
         generator_params=doc.get("generator_params", {}),
-        version=int(doc.get("version", 1)),
+        version=version,
         multipliers=multipliers,
     )
 

@@ -1,8 +1,9 @@
 """Command-line front end with machine-readable JSON/CSV output.
 
 Exit codes: 0 success (or falsifier consistent / certificate accepted),
-2 input or parse error, 3 falsifier found a disproof, 4 certificate
-rejected.
+1 a verify-all suite failed, 2 input or parse error (a malformed
+certificate document included), 3 falsifier found a disproof, 4
+certificate rejected.
 
 Weight expressions use the grammar of eqball.expr: coordinates x1..xn, the
 point `x` inside norm(x) / dot(x, x), functions sqrt and abs, binary

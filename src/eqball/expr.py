@@ -155,48 +155,67 @@ def _check(node, n: int) -> str:
     raise ExpressionError(f"malformed expression node {tag!r}")
 
 
-def _eval(node, point: np.ndarray):
+def _compile(node):
+    """Closure evaluating a checked tree on one point; children compile once."""
     tag = node[0]
     if tag == "const":
-        return node[1]
+        value = node[1]
+        return lambda point: value
     if tag == "var":
         if node[1] == "x":
-            return point
-        return float(point[int(node[1][1:]) - 1])
+            return lambda point: point
+        k = int(node[1][1:]) - 1
+        return lambda point: float(point[k])
     if tag == "neg":
-        return -_eval(node[1], point)
+        arg = _compile(node[1])
+        return lambda point: -arg(point)
     if tag in ("+", "-", "*", "/"):
-        a = _eval(node[1], point)
-        b = _eval(node[2], point)
+        a, b = _compile(node[1]), _compile(node[2])
         if tag == "+":
-            return a + b
+            return lambda point: a(point) + b(point)
         if tag == "-":
-            return a - b
+            return lambda point: a(point) - b(point)
         if tag == "*":
-            return a * b
-        if b == 0:
-            raise ExpressionError("division by zero during evaluation")
-        return a / b
-    name, args = node[1], node[2]
-    vals = [_eval(a, point) for a in args]
+            return lambda point: a(point) * b(point)
+
+        def divide(point):
+            num = a(point)
+            den = b(point)
+            if den == 0:
+                raise ExpressionError("division by zero during evaluation")
+            return num / den
+
+        return divide
+    name, args = node[1], [_compile(a) for a in node[2]]
     if name == "norm":
-        return float(np.linalg.norm(vals[0]))
+        (arg,) = args
+        return lambda point: float(np.linalg.norm(arg(point)))
     if name == "dot":
-        return float(np.dot(vals[0], vals[1]))
+        a, b = args
+        return lambda point: float(np.dot(a(point), b(point)))
+    (arg,) = args
     if name == "sqrt":
-        if vals[0] < 0:
-            raise ExpressionError("sqrt of a negative value")
-        return math.sqrt(vals[0])
-    return abs(vals[0])
+        def root(point):
+            value = arg(point)
+            if value < 0:
+                raise ExpressionError("sqrt of a negative value")
+            return math.sqrt(value)
+
+        return root
+    return lambda point: abs(arg(point))
 
 
 def compile_weight_expression(text: str, n: int):
-    """Parse an expression and return a point -> float evaluator."""
+    """Parse an expression and return a point -> float evaluator.
+
+    The checked tree is compiled once into nested closures, one per node.
+    """
     tree = _Parser(_tokenize(text)).parse()
     if _check(tree, n) != "scalar":
         raise ExpressionError("expression must evaluate to a scalar")
+    root = _compile(tree)
 
     def evaluator(point) -> float:
-        return float(_eval(tree, np.asarray(point, dtype=float)))
+        return float(root(np.asarray(point, dtype=float)))
 
     return evaluator

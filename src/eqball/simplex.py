@@ -149,6 +149,14 @@ def canonical_simplex(n: int, k: int) -> EquilateralSet:
     return EquilateralSet(pts)
 
 
+@lru_cache(maxsize=None)
+def _simplex_vertices(n: int) -> np.ndarray:
+    """Read-only vertices of canonical_simplex(n, n+1), built once per n."""
+    pts = canonical_simplex(n, n + 1).points
+    pts.flags.writeable = False
+    return pts
+
+
 def is_standard_equilateral(points, in_ball: bool = False,
                             tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff all pairwise distances are 1 within eps_eq (and norms <= 1+eps_eq)."""
@@ -190,15 +198,6 @@ def height_above_base(n: int, rho: float) -> float:
     return alpha(n + 1) - math.sqrt(max(rho * rho - bn * bn, 0.0))
 
 
-@lru_cache(maxsize=None)
-def _sphere_simplex(n: int) -> np.ndarray:
-    """Read-only vertices of canonical_simplex(n-1, n): local coordinates of
-    a regular n-point simplex in an (n-1)-dimensional complement."""
-    pts = canonical_simplex(n - 1, n).points
-    pts.flags.writeable = False
-    return pts
-
-
 def simplex_on_spheres(centers, normals, radius: float) -> np.ndarray:
     """Regular n-point simplices of circumradius `radius`, one per row of
     `centers` (k, n), each in the hyperplane through its center orthogonal
@@ -208,8 +207,9 @@ def simplex_on_spheres(centers, normals, radius: float) -> np.ndarray:
     the canonical axes in index order, two passes, dropping an axis whose
     residual is at most RANK_RESIDUAL: the basis orthonormal_complement
     builds, here for all k normals in one array pass.  The vertices of
-    canonical_simplex(n-1, n) are carried into each complement and rescaled
-    to `radius`.
+    canonical_simplex(n-1, n), a regular n-point simplex of an
+    (n-1)-dimensional complement, are carried into each complement and
+    rescaled to `radius`.
     """
     centers = np.asarray(centers, dtype=float)
     normals = np.asarray(normals, dtype=float)
@@ -235,7 +235,7 @@ def simplex_on_spheres(centers, normals, radius: float) -> np.ndarray:
         count[keep] += 1
     if count.min() < n:
         raise FullSpan("failed to complete the complement basis")
-    offsets = _sphere_simplex(n) @ rows[:, 1:]
+    offsets = _simplex_vertices(n - 1) @ rows[:, 1:]
     offsets *= (radius / np.linalg.norm(offsets, axis=-1))[..., None]
     return centers[:, None, :] + offsets
 
@@ -276,43 +276,75 @@ def cap_extension(x, rho: float, tol: Tolerance = DEFAULT_TOL) -> EquilateralSet
     return out
 
 
-def random_rotation(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-uniform rotation matrix from the QR of a Gaussian matrix."""
-    g = rng.standard_normal((n, n))
+def random_rotations(n: int, rngs) -> np.ndarray:
+    """Haar-uniform rotation matrices, one per generator, as a (k, n, n) stack.
+
+    Each generator draws its own Gaussian (n, n) matrix; one stacked QR
+    orthogonalizes them all, the column signs follow diag(r) and a negative
+    determinant flips the first column.
+    """
+    g = np.array([rng.standard_normal((n, n)) for rng in rngs]).reshape(-1, n, n)
     q, r = np.linalg.qr(g)
-    d = np.sign(np.diag(r))
+    d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     d[d == 0] = 1.0
-    q = q * d
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
+    q = q * d[:, None, :]
+    q[np.linalg.det(q) < 0, :, 0] *= -1.0
     return q
 
 
-def sample_maximal_set(n: int, seed: int, translation_radius: float | None = None,
-                       tol: Tolerance = DEFAULT_TOL) -> EquilateralSet:
-    """Seeded random maximal standard equilateral set inside the unit ball.
+def random_rotation(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-uniform rotation matrix from the QR of a Gaussian matrix."""
+    return random_rotations(n, [rng])[0]
 
-    A random rotation of the canonical simplex is translated by a point
-    drawn uniformly from the ball of radius beta(n+1), rejection-resampled
-    until every vertex lies in the ball.
+
+def sample_maximal_sets(n: int, seeds, translation_radius: float | None = None) -> np.ndarray:
+    """Seeded random maximal standard equilateral sets inside the unit ball.
+
+    Returns a (k, n+1, n) stack, one set per seed.  Each set is a random
+    rotation of the canonical simplex translated by a point drawn uniformly
+    from the ball of radius beta(n+1) (or `translation_radius`),
+    rejection-resampled until every vertex lies in the ball.  Rejection runs
+    in rounds: each round draws the next translation of every still-rejected
+    set from that set's own generator and tests the whole round in one array
+    pass, so each set is the one its seed alone would give.
     """
     if n < 1:
-        raise InvalidK(f"sample_maximal_set requires n >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    rot = random_rotation(n, rng)
-    base = canonical_simplex(n, n + 1).points @ rot.T
+        raise InvalidK(f"sample_maximal_sets requires n >= 1, got {n}")
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    base = _simplex_vertices(n) @ random_rotations(n, rngs).transpose(0, 2, 1)
     radius = beta(n + 1) if translation_radius is None else float(translation_radius)
+    power = 1.0 / n
+    out = np.empty_like(base)
+    todo = np.arange(len(rngs))
     for _ in range(MAX_SAMPLE_ATTEMPTS):
         if radius == 0.0:
-            shift = np.zeros(n)
+            shift = np.zeros((todo.size, n))
         else:
-            direction = rng.standard_normal(n)
-            direction /= np.linalg.norm(direction)
-            shift = direction * radius * rng.uniform() ** (1.0 / n)
-        pts = base + shift
-        if float(np.max(np.linalg.norm(pts, axis=1))) <= 1.0:
-            return EquilateralSet(pts)
+            live = [rngs[i] for i in todo.tolist()]
+            # Per generator: the direction, then the radial draw.  random() is
+            # uniform() on [0, 1), bit for bit, at a third of the call cost.
+            # Each step rounds as the one-set loop did: the norm is the sqrt
+            # of one row's dot (np.linalg.norm of a vector), the power is the
+            # scalar pow of a Python float (array kernels may round it
+            # differently), and the product is grouped (d * radius) * s.
+            shift = np.array([rng.standard_normal(n) for rng in live]).reshape(-1, n)
+            scale = np.array([rng.random() ** power for rng in live])
+            shift /= np.sqrt(row_dot(shift, shift))[:, None]
+            shift = (shift * radius) * scale[:, None]
+        pts = base[todo] + shift[:, None, :]
+        inside = np.linalg.norm(pts, axis=-1).max(axis=-1) <= 1.0
+        out[todo[inside]] = pts[inside]
+        todo = todo[~inside]
+        if todo.size == 0:
+            return out
     raise SamplingFailure(f"no in-ball sample after {MAX_SAMPLE_ATTEMPTS} attempts")
+
+
+def sample_maximal_set(n: int, seed: int,
+                       translation_radius: float | None = None) -> EquilateralSet:
+    """Seeded random maximal standard equilateral set inside the unit ball;
+    the one-seed case of sample_maximal_sets."""
+    return EquilateralSet(sample_maximal_sets(n, [seed], translation_radius)[0])
 
 
 def embed_in_frame(local_points: np.ndarray, frame: Frame) -> np.ndarray:

@@ -38,8 +38,8 @@ from .simplex import (
     beta,
     embed_in_frame,
     height_above_base,
-    random_rotation,
-    sample_maximal_set,
+    random_rotations,
+    sample_maximal_sets,
 )
 
 BISECTION_TOL = 1e-12
@@ -320,11 +320,18 @@ class FalsifyReport:
     threshold: float
 
 
+def sphere_basis_sets(n: int, seeds) -> np.ndarray:
+    """Random orthonormal bases rescaled onto the sphere of radius 1/sqrt(2),
+    one per seed, as a (k, n, n) stack of rows."""
+    rows = random_rotations(n, [np.random.default_rng(seed) for seed in seeds])
+    norms = np.linalg.norm(rows, axis=-1)
+    return rows / (norms[..., None] * math.sqrt(2.0))
+
+
 def sphere_basis_set(n: int, seed: int) -> np.ndarray:
-    """Random orthonormal basis rescaled onto the sphere of radius 1/sqrt(2)."""
-    rows = random_rotation(n, np.random.default_rng(seed))
-    norms = np.linalg.norm(rows, axis=1)
-    return rows / (norms[:, None] * math.sqrt(2.0))
+    """Random orthonormal basis rescaled onto the sphere of radius 1/sqrt(2);
+    the one-seed case of sphere_basis_sets."""
+    return sphere_basis_sets(n, [seed])[0]
 
 
 def frame_weight_sum(T, seed: int, tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:
@@ -351,23 +358,25 @@ def falsify(f: WeightFn, n: int, samples: int, seed: int,
 
     Spread within eps is consistent with f being an equilateral weight;
     spread above the threshold is a disproof with an explicit witness pair.
+    One sub-seed per sample is drawn from `seed`; all the sets are sampled
+    in one batched pass and then evaluated in sample order.
     """
     if samples < 2:
         raise PreconditionViolation("falsify needs at least 2 samples")
     rng = np.random.default_rng(seed)
+    # A 64-bit range takes one unbuffered draw per value, so this equals
+    # `samples` scalar draws.
+    sub_seeds = rng.integers(0, 2**63 - 1, size=samples).tolist()
+    if f.domain_mode == "sphere":
+        sets = sphere_basis_sets(n, sub_seeds)
+    else:
+        sets = sample_maximal_sets(n, sub_seeds)
     sums = []
-    sets = []
-    for _ in range(samples):
-        sub_seed = int(rng.integers(0, 2**63 - 1))
-        if f.domain_mode == "sphere":
-            pts = sphere_basis_set(n, sub_seed)
-        else:
-            pts = sample_maximal_set(n, sub_seed, tol=tol).points
+    for pts in sets:
         vals = [float(f.evaluator(p)) for p in pts]
         if not all(math.isfinite(v) for v in vals):
             raise EvaluationFailure("weight function returned a non-finite value")
         sums.append(float(sum(vals)))
-        sets.append(pts)
     arr = np.array(sums)
     hi = int(np.argmax(arr))
     lo = int(np.argmin(arr))

@@ -125,6 +125,30 @@ def test_check_tampered_exit4(tmp_path, capsys):
     assert json.loads(out)["failure"] == "SetInvalid"
 
 
+VALID_DOC = {"version": 2, "n": 2, "points": [[0.5, 0.0], [-0.5, 0.0], [0.0, 0.8]],
+             "sets": [[0, 1, 2]], "claim": [0, 1]}
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps(dict(VALID_DOC, sets=5)),                              # sets not a list
+    json.dumps(dict(VALID_DOC, points=[[0.5, 0.0], [0.1]])),          # ragged points
+    json.dumps(dict(VALID_DOC, n="x")),                               # n not a number
+    json.dumps(dict(VALID_DOC, claim=[0])),                           # one-element claim
+    json.dumps(VALID_DOC).replace('"n": 2', '"n": 1e400'),           # n overflows to inf
+    "5",                                                              # not an object
+    json.dumps(dict(VALID_DOC, version="x")),                         # version not a number
+    json.dumps(dict(VALID_DOC, sets=[1, 2])),                         # a set that is no list
+], ids=["sets-not-list", "ragged-points", "n-string", "short-claim", "n-1e400",
+        "top-level-number", "version-string", "set-not-list"])
+def test_check_malformed_document_exit2(tmp_path, capsys, text):
+    doc_file = tmp_path / "bad.json"
+    doc_file.write_text(text)
+    code, out, err = run_cli(capsys, "check", "--input", str(doc_file))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_emit_circuit_csv(capsys):
     code, out, _ = run_cli(capsys, "emit-circuit", "--n", "2")
     assert code == 0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,40 @@ def test_quadratic_form_expansion():
     assert f(p) == pytest.approx(float(p @ t @ p))
 
 
+# Every grammar construct next to the numpy/math formula it stands for,
+# written in the evaluation order of the tree, so values agree bit for bit.
+CONSTRUCTS = [
+    ("2.5", lambda p: 2.5),
+    (".5 + 3.", lambda p: 0.5 + 3.0),
+    ("x2", lambda p: float(p[1])),
+    ("-x3", lambda p: -float(p[2])),
+    ("- -x1", lambda p: -(-float(p[0]))),
+    ("x1 + x2 - x3", lambda p: (float(p[0]) + float(p[1])) - float(p[2])),
+    ("x1 * x2 / x3", lambda p: (float(p[0]) * float(p[1])) / float(p[2])),
+    ("x1 - x2 * x3 + 1", lambda p: (float(p[0]) - float(p[1]) * float(p[2])) + 1.0),
+    ("(x1 - x2) * (x3 + 1)", lambda p: (float(p[0]) - float(p[1])) * (float(p[2]) + 1.0)),
+    ("norm(x)", lambda p: float(np.linalg.norm(p))),
+    ("dot(x, x)", lambda p: float(np.dot(p, p))),
+    ("sqrt(abs(x1))", lambda p: math.sqrt(abs(float(p[0])))),
+    ("abs(x2 - 1)", lambda p: abs(float(p[1]) - 1.0)),
+    ("2*x1*x1 + dot(x,x) - 0.5",
+     lambda p: ((2.0 * float(p[0])) * float(p[0]) + float(np.dot(p, p))) - 0.5),
+    ("sqrt(dot(x,x)) / norm(x) - -abs(x3)",
+     lambda p: math.sqrt(float(np.dot(p, p))) / float(np.linalg.norm(p)) - (-abs(float(p[2])))),
+]
+
+
+@pytest.mark.parametrize("text, formula", CONSTRUCTS)
+def test_evaluator_matches_direct_formula(text, formula):
+    f = compile_weight_expression(text, 3)
+    rng = np.random.default_rng(21)
+    for p in rng.uniform(-1.0, 1.0, size=(50, 3)):
+        value = f(p)
+        assert type(value) is float
+        assert value == formula(p)
+    assert f([0.25, -0.5, 0.75]) == formula(np.array([0.25, -0.5, 0.75]))
+
+
 def test_parse_errors():
     for bad in ("x0", "x3", "y + 1", "norm(x1)", "dot(x)", "1 +", "(1", "sqrt(x)",
                 "x * 2", "norm()", "1 @ 2"):
@@ -51,8 +87,9 @@ def test_parse_errors():
 
 def test_eval_errors():
     f = compile_weight_expression("1/x1", 1)
-    with pytest.raises(ExpressionError):
+    with pytest.raises(ExpressionError, match="^division by zero during evaluation$"):
         f(np.zeros(1))
     g = compile_weight_expression("sqrt(x1)", 1)
-    with pytest.raises(ExpressionError):
+    with pytest.raises(ExpressionError, match="^sqrt of a negative value$"):
         g(np.array([-1.0]))
+    assert f(np.array([4.0])) == 0.25 and g(np.array([0.0])) == 0.0

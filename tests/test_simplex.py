@@ -5,7 +5,16 @@ import pytest
 
 from eqball.geometry import orthonormal_complement
 
-from eqball.errors import DegenerateInput, InvalidK, InvalidSet, NormMismatch, RadiusOutOfRange, TooLarge
+from eqball import simplex
+from eqball.errors import (
+    DegenerateInput,
+    InvalidK,
+    InvalidSet,
+    NormMismatch,
+    RadiusOutOfRange,
+    SamplingFailure,
+    TooLarge,
+)
 from eqball.simplex import (
     EquilateralSet,
     affine_independence_check,
@@ -18,8 +27,10 @@ from eqball.simplex import (
     height_above_base,
     is_standard_equilateral,
     sample_maximal_set,
+    sample_maximal_sets,
     simplex_on_spheres,
 )
+from eqball.weights import sphere_basis_set, sphere_basis_sets
 
 # Unit regular tetrahedron written out explicitly; the measured circumradius
 # is the oracle for beta(4).
@@ -220,6 +231,71 @@ def test_sample_maximal_set_deterministic_and_zero_translation():
     # rotation preserves the origin-centered simplex: always accepted
     assert np.linalg.norm(centered.points.mean(axis=0)) < 1e-12
     assert centered.max_norm() <= beta(5) + 1e-12
+
+
+def reference_rotation(n, rng):
+    """Haar rotation of one Gaussian matrix, drawn and orthogonalized alone."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    d = np.sign(np.diag(r))
+    d[d == 0] = 1.0
+    q = q * d
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+def reference_sample(n, seed, translation_radius=None):
+    """The per-sample sampler: one generator, one set, one attempt at a time."""
+    rng = np.random.default_rng(seed)
+    base = canonical_simplex(n, n + 1).points @ reference_rotation(n, rng).T
+    radius = beta(n + 1) if translation_radius is None else float(translation_radius)
+    while True:
+        if radius == 0.0:
+            shift = np.zeros(n)
+        else:
+            direction = rng.standard_normal(n)
+            direction /= np.linalg.norm(direction)
+            shift = direction * radius * rng.uniform() ** (1.0 / n)
+        pts = base + shift
+        if float(np.max(np.linalg.norm(pts, axis=1))) <= 1.0:
+            return pts
+
+
+def reference_sphere_basis(n, seed):
+    rows = reference_rotation(n, np.random.default_rng(seed))
+    return rows / (np.linalg.norm(rows, axis=1)[:, None] * math.sqrt(2.0))
+
+
+SEEDS = list(range(30)) + [2**63 - 2, 8_675_309_000_000_000_001]
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("radius", [None, 0.0, 0.3])
+def test_batched_sampler_equals_the_per_sample_reference(n, radius):
+    batch = sample_maximal_sets(n, SEEDS, translation_radius=radius)
+    assert batch.shape == (len(SEEDS), n + 1, n)
+    for seed, pts in zip(SEEDS, batch):
+        assert np.array_equal(pts, reference_sample(n, seed, radius))
+    assert np.array_equal(sample_maximal_set(n, SEEDS[-1], radius).points, batch[-1])
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_batched_sphere_bases_equal_the_per_sample_reference(n):
+    batch = sphere_basis_sets(n, SEEDS)
+    assert batch.shape == (len(SEEDS), n, n)
+    for seed, rows in zip(SEEDS, batch):
+        assert np.array_equal(rows, reference_sphere_basis(n, seed))
+    assert np.array_equal(sphere_basis_set(n, SEEDS[0]), batch[0])
+
+
+def test_sampling_failure_after_the_last_round(monkeypatch):
+    monkeypatch.setattr(simplex, "MAX_SAMPLE_ATTEMPTS", 4)
+    # a translation of length 1e9 * u**(1/3) lands only if u < 3e-29, i.e. u == 0.0
+    with pytest.raises(SamplingFailure):
+        sample_maximal_sets(3, [1, 2, 3], translation_radius=1e9)
+    with pytest.raises(SamplingFailure):
+        sample_maximal_set(3, 5, translation_radius=1e9)
+    assert sample_maximal_sets(3, [1, 2, 3]).shape == (3, 4, 3)
 
 
 def test_simplex_on_spheres_matches_the_complement_construction():

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from test_simplex import reference_sample, reference_sphere_basis
+
 from eqball.errors import (
     DegenerateInput,
     EvaluationFailure,
@@ -11,6 +13,7 @@ from eqball.errors import (
     TargetOutOfRange,
 )
 from eqball.gamma import gamma
+from eqball.expr import compile_weight_expression
 from eqball.geometry import Frame
 from eqball.simplex import alpha, beta
 from eqball.weights import (
@@ -278,6 +281,37 @@ def test_falsify_nonfinite_evaluator():
     fn = WeightFn(evaluator=lambda p: float("nan"))
     with pytest.raises(EvaluationFailure):
         falsify(fn, 2, 5, seed=0)
+
+
+def reference_falsify(evaluator, n, samples, seed, mode):
+    """Sums, spread, witness indices and witness sets of the per-sample
+    falsify loop: draw a sub-seed, sample its set, evaluate it, repeat."""
+    rng = np.random.default_rng(seed)
+    sums, sets = [], []
+    for _ in range(samples):
+        sub_seed = int(rng.integers(0, 2**63 - 1))
+        if mode == "sphere":
+            pts = reference_sphere_basis(n, sub_seed)
+        else:
+            pts = reference_sample(n, sub_seed)
+        sums.append(float(sum([float(evaluator(p)) for p in pts])))
+        sets.append(pts)
+    hi, lo = int(np.argmax(sums)), int(np.argmin(sums))
+    return sums, float(sums[hi] - sums[lo]), (hi, lo), sets[hi], sets[lo]
+
+
+@pytest.mark.parametrize("n", [3, 8])
+@pytest.mark.parametrize("mode", ["ball", "sphere"])
+def test_falsify_report_equals_the_per_sample_reference(n, mode):
+    evaluator = compile_weight_expression("2*x1*x1 + dot(x,x) - 0.5", n)
+    for seed in (4, 2**40 + 7):
+        report = falsify(WeightFn(evaluator=evaluator, domain_mode=mode), n, 120, seed)
+        sums, spread, indices, high, low = reference_falsify(evaluator, n, 120, seed, mode)
+        assert report.sums == sums
+        assert report.spread == spread
+        assert report.witness_indices == indices
+        assert np.array_equal(report.witness_high, high)
+        assert np.array_equal(report.witness_low, low)
 
 
 def test_falsify_witness_tie_break_deterministic():
