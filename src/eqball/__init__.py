@@ -11,17 +11,15 @@ two points.
 __version__ = "0.1.0"
 
 from .errors import EqBallError
-from .geometry import DEFAULT_TOL, Frame, Tolerance, orthonormal_complement, project, section2d
+from .geometry import DEFAULT_TOL, Frame, Tolerance, orthonormal_complement, section2d
 from .simplex import (
     EquilateralSet,
     SetStats,
-    affine_independence_check,
     alpha,
     beta,
     canonical_simplex,
     cap_extension,
     center,
-    is_standard_equilateral,
     sample_maximal_set,
     sample_maximal_sets,
 )
@@ -38,7 +36,6 @@ from .weights import (
     CircuitPlan,
     FalsifyReport,
     WeightFn,
-    chain_connect,
     eta,
     falsify,
     frame_weight_sum,
@@ -66,7 +63,6 @@ __all__ = [
     "DEFAULT_TOL",
     "Frame",
     "orthonormal_complement",
-    "project",
     "section2d",
     "EquilateralSet",
     "SetStats",
@@ -74,8 +70,6 @@ __all__ = [
     "alpha",
     "center",
     "canonical_simplex",
-    "is_standard_equilateral",
-    "affine_independence_check",
     "cap_extension",
     "sample_maximal_set",
     "sample_maximal_sets",
@@ -102,7 +96,6 @@ __all__ = [
     "frame_weight_sum",
     "falsify",
     "sphere_basis_sets",
-    "chain_connect",
     "Certificate",
     "CheckReport",
     "theorem_step_relation",

@@ -264,8 +264,9 @@ def certificate_from_json(text: str) -> Certificate:
     """Parse a certificate document.
 
     Raises MalformedCertificate unless the document is a JSON object with
-    integer `n` (and `version`, if present), a 2-D numeric `points` table, a
-    list of integer-id lists as `sets` and two integer ids as `claim`.
+    integer `n` (and `version`, if present), a numeric `points` table of n
+    columns, a list of integer-id lists as `sets` and two integer ids as
+    `claim`.
     Whether the ids are in range and the sets have size n+1 is left to the
     checker, which reports the first bad set.
     """
@@ -292,6 +293,9 @@ def certificate_from_json(text: str) -> Certificate:
         raise MalformedCertificate(f"points and sets must be numeric arrays: {exc}") from exc
     if points.ndim != 2:
         raise MalformedCertificate("points must be a list of coordinate arrays")
+    if points.shape[1] != n:
+        raise MalformedCertificate(f"points must have n = {n} coordinates each, "
+                                   f"got {points.shape[1]}")
     multipliers = doc.get("multipliers")
     if multipliers is not None:
         multipliers = _checked_multipliers(multipliers, len(sets), n)
@@ -357,7 +361,7 @@ def check_certificate(cert: Certificate, tol: Tolerance = DEFAULT_TOL) -> CheckR
     """
     n = cert.n
     pts = np.asarray(cert.points, dtype=float)
-    if n < 1 or pts.ndim != 2 or (pts.size and pts.shape[1] != n) or not np.all(np.isfinite(pts)):
+    if n < 1 or pts.ndim != 2 or pts.shape[1] != n or not np.all(np.isfinite(pts)):
         return CheckReport(accepted=False, failure="MalformedCertificate",
                            detail={"reason": "bad point table"})
     count = pts.shape[0]

@@ -18,6 +18,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .certify import (
     _dumps,
 )
 from .enlarge import enlarge_to_maximal
-from .errors import EqBallError, ExpressionError
+from .errors import EqBallError, ExpressionError, PreconditionViolation
 from .expr import compile_weight_expression
 from .geometry import DEFAULT_TOL, Frame, Tolerance
 from .simplex import EquilateralSet, alpha, beta, distance_errors
@@ -39,10 +40,13 @@ from . import __version__
 
 
 def _tolerance(args) -> Tolerance:
-    if getattr(args, "eps", None):
-        return Tolerance(eps_eq=args.eps, eps_rank=DEFAULT_TOL.eps_rank,
-                         grid_step=DEFAULT_TOL.grid_step)
-    return DEFAULT_TOL
+    """DEFAULT_TOL, with eps_eq set by --eps when it is given."""
+    if args.eps is None:
+        return DEFAULT_TOL
+    try:
+        return replace(DEFAULT_TOL, eps_eq=args.eps)
+    except ValueError as exc:
+        raise PreconditionViolation(f"--eps {args.eps}: {exc}") from None
 
 
 def _emit(args, payload: dict, text: str | None = None) -> None:
@@ -151,8 +155,7 @@ def cmd_falsify(args) -> int:
         print(f"error: cannot parse expression: {exc}", file=sys.stderr)
         return 2
     fn = WeightFn(evaluator=evaluator, domain_mode=args.mode)
-    report = falsify(fn, args.n, args.samples, args.seed, threshold=args.threshold,
-                     tol=_tolerance(args))
+    report = falsify(fn, args.n, args.samples, args.seed, threshold=args.threshold)
     payload = {
         "expression": args.expr,
         "n": args.n,
@@ -192,7 +195,7 @@ def cmd_check(args) -> int:
     try:
         with open(args.input, encoding="utf-8") as fh:
             cert = certificate_from_json(fh.read())
-    except (OSError, EqBallError) as exc:
+    except (OSError, UnicodeDecodeError, EqBallError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = check_certificate(cert, tol)
@@ -244,14 +247,15 @@ def cmd_verify_all(args) -> int:
     return 0 if payload["all_passed"] else 1
 
 
-def _add_common(parser, out=True):
+def _add_common(parser, eps=False):
     parser.add_argument("--quiet", action="store_true", help="suppress stdout output")
     parser.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp field for byte-identical reruns")
-    parser.add_argument("--eps", type=float, default=None,
-                        help="override the distance-equality tolerance")
-    if out:
-        parser.add_argument("--out", default=None, help="also write the output to this file")
+    if eps:
+        parser.add_argument("--eps", type=float, default=None,
+                            help="distance-equality tolerance, in (0, "
+                                 f"{DEFAULT_TOL.grid_step:g})")
+    parser.add_argument("--out", default=None, help="also write the output to this file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enlarge", help="enlarge an in-ball equilateral set to size n+1")
     p.add_argument("--input", required=True, help="JSON file: array of coordinate arrays")
-    _add_common(p)
+    _add_common(p, eps=True)
     p.set_defaults(func=cmd_enlarge)
 
     p = sub.add_parser("falsify", help="probe a candidate weight expression")
@@ -290,12 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True, help="comma-separated or JSON coordinates")
     p.add_argument("--y", required=True)
     p.add_argument("--n", type=int, default=None)
-    _add_common(p)
+    _add_common(p, eps=True)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("check", help="verify a certificate file")
     p.add_argument("--input", required=True)
-    _add_common(p)
+    _add_common(p, eps=True)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("emit-circuit", help="CSV of the annulus circuit (plot-ready)")

@@ -92,6 +92,16 @@ class Frame:
         return self.basis.shape[1]
 
 
+def _residual(v: np.ndarray, rows) -> np.ndarray:
+    """A copy of v minus its projection onto the orthonormal `rows`, by
+    modified Gram-Schmidt with a re-orthogonalization pass."""
+    u = v.copy()
+    for _ in range(2):  # second pass restores orthogonality lost to cancellation
+        for w in rows:
+            u -= (u @ w) * w
+    return u
+
+
 def orthonormalize(vectors, n: int, rank_tol: float = RANK_RESIDUAL) -> np.ndarray:
     """Modified Gram-Schmidt with a re-orthogonalization pass.
 
@@ -100,11 +110,7 @@ def orthonormalize(vectors, n: int, rank_tol: float = RANK_RESIDUAL) -> np.ndarr
     """
     rows = []
     for v in vectors:
-        v = as_point(v, n)
-        u = v.copy()
-        for _ in range(2):  # second pass restores orthogonality lost to cancellation
-            for w in rows:
-                u -= (u @ w) * w
+        u = _residual(as_point(v, n), rows)
         norm = float(np.linalg.norm(u))
         if norm > rank_tol:
             rows.append(u / norm)
@@ -122,14 +128,10 @@ def first_orthogonal_axis(existing: np.ndarray, n: int,
     residual_floor, re-orthonormalized.  A second scan with the rank floor
     guards against the degenerate case where every axis is nearly dependent.
     """
+    axes = np.eye(n)
     for floor in (residual_floor, RANK_RESIDUAL):
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = 1.0
-            r = e.copy()
-            for _ in range(2):
-                for w in existing:
-                    r -= (r @ w) * w
+        for e in axes:
+            r = _residual(e, existing)
             norm = float(np.linalg.norm(r))
             if norm >= floor:
                 return r / norm
@@ -147,15 +149,10 @@ def orthonormal_complement(vectors, n: int, tol: Tolerance = DEFAULT_TOL) -> Fra
         raise FullSpan(f"span has dimension {d} in R^{n}; complement is trivial")
     rows = []
     stacked = span
-    for i in range(n):
+    for e in np.eye(n):
         if len(rows) == n - d:
             break
-        e = np.zeros(n)
-        e[i] = 1.0
-        r = e.copy()
-        for _ in range(2):
-            for w in stacked:
-                r -= (r @ w) * w
+        r = _residual(e, stacked)
         norm = float(np.linalg.norm(r))
         if norm > RANK_RESIDUAL:
             r /= norm
@@ -164,12 +161,6 @@ def orthonormal_complement(vectors, n: int, tol: Tolerance = DEFAULT_TOL) -> Fra
     if len(rows) != n - d:
         raise FullSpan("failed to complete the complement basis")
     return Frame(np.array(rows))
-
-
-def project(x, frame: Frame) -> np.ndarray:
-    """Orthogonal projection of x onto the span of the frame."""
-    p = as_point(x, frame.n)
-    return frame.basis.T @ (frame.basis @ p)
 
 
 def section2d(a, b, tol: Tolerance = DEFAULT_TOL) -> Frame:

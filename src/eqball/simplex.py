@@ -157,38 +157,6 @@ def _simplex_vertices(n: int) -> np.ndarray:
     return pts
 
 
-def is_standard_equilateral(points, in_ball: bool = False,
-                            tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff all pairwise distances are 1 within eps_eq (and norms <= 1+eps_eq)."""
-    pts = [as_point(p) for p in points]
-    if not pts:
-        raise DimensionMismatch("empty point list")
-    n = pts[0].size
-    for p in pts:
-        if p.size != n:
-            raise DimensionMismatch("points have mixed dimensions")
-    arr = np.array(pts)
-    if float(distance_errors(arr).max(initial=0.0)) > tol.eps_eq:
-        return False
-    if in_ball and float(np.max(np.linalg.norm(arr, axis=1))) > 1.0 + tol.eps_eq:
-        return False
-    return True
-
-
-def affine_independence_check(s: EquilateralSet, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff the difference vectors of the set are linearly independent.
-
-    Uses the Gram matrix of v_i = p_{i+1} - p_1; for a genuine equilateral
-    set the entries are (1 + delta_ij)/2, which is positive definite.
-    """
-    if s.k < 2:
-        raise InvalidSet("affine independence needs at least two points")
-    diffs = s.points[1:] - s.points[0]
-    gram = diffs @ diffs.T
-    smallest = float(np.linalg.eigvalsh(gram)[0])
-    return smallest > 1e-10
-
-
 def height_above_base(n: int, rho: float) -> float:
     """Norm of the apex completing a maximal set whose base sits at norm rho.
 

@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import (
     ClearanceFailure,
-    DegenerateInput,
     EvaluationFailure,
     InvalidN,
     NotSymmetric,
@@ -32,7 +31,7 @@ from .errors import (
     TargetOutOfRange,
 )
 from .gamma import gamma
-from .geometry import DEFAULT_TOL, Frame, Tolerance, as_point, first_orthogonal_axis
+from .geometry import DEFAULT_TOL, Frame, Tolerance
 from .simplex import (
     alpha,
     beta,
@@ -352,12 +351,11 @@ def frame_weight_sum(T, seed: int, tol: Tolerance = DEFAULT_TOL) -> tuple[float,
 
 
 def falsify(f: WeightFn, n: int, samples: int, seed: int,
-            threshold: float = DISPROOF_SPREAD,
-            tol: Tolerance = DEFAULT_TOL) -> FalsifyReport:
+            threshold: float = DISPROOF_SPREAD) -> FalsifyReport:
     """Probe a candidate weight on sampled maximal sets and report the spread.
 
-    Spread within eps is consistent with f being an equilateral weight;
-    spread above the threshold is a disproof with an explicit witness pair.
+    Spread up to `threshold` is consistent with f being an equilateral
+    weight; spread above it is a disproof with an explicit witness pair.
     One sub-seed per sample is drawn from `seed`; all the sets are sampled
     in one batched pass and then evaluated in sample order.
     """
@@ -391,38 +389,3 @@ def falsify(f: WeightFn, n: int, samples: int, seed: int,
         verdict="disproved" if spread > threshold else "consistent",
         threshold=threshold,
     )
-
-
-def chain_connect(x, y, n: int, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
-    """Waypoints from x to y in R^n with consecutive gaps exactly 2*alpha(n+1).
-
-    Full-space construction (no ball constraint): whole hops run along the
-    segment; a leftover gap shorter than one hop is covered by two hops
-    through the apex of an isosceles triangle.
-    """
-    if n < 2:
-        raise InvalidN(f"chain_connect requires n >= 2, got {n}")
-    x = as_point(x, n)
-    y = as_point(y, n)
-    d = float(np.linalg.norm(y - x))
-    if d <= tol.eps_eq:
-        raise DegenerateInput("chain_connect requires x != y")
-    hop = 2.0 * alpha(n + 1)
-    direction = (y - x) / d
-    k = int(math.floor(d / hop))
-    remainder = d - k * hop
-    waypoints = [x]
-    if remainder <= tol.eps_eq and k >= 1:
-        for i in range(1, k):
-            waypoints.append(x + i * hop * direction)
-        waypoints.append(y)
-        return waypoints
-    for i in range(1, k + 1):
-        waypoints.append(x + i * hop * direction)
-    start = waypoints[-1]
-    gap = float(np.linalg.norm(y - start))
-    normal = first_orthogonal_axis(direction[None, :], n)
-    apex = (start + y) / 2.0 + math.sqrt(max(hop * hop - (gap / 2.0) ** 2, 0.0)) * normal
-    waypoints.append(apex)
-    waypoints.append(y)
-    return waypoints

@@ -1,40 +1,23 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines as they complete.  Sample counts and tolerances are fixed here, not
+Each test runs its eqball.verify suite at the contract's sizes and seed and
+asserts the contract's bounds on the measurements the suite returns;
+`eqball verify-all` runs the same suites at interactive sizes.  Run with
+`pytest tests/test_acceptance.py -v -s` to see the per-criterion lines as
+they complete.  Sample counts, seeds and bounds are fixed here, not
 configurable: they are the contract.
 """
-import math
-import time
-
-import numpy as np
-
-from eqball.certify import (
-    Certificate,
-    check_certificate,
-    generate_equality_certificate,
-)
-from eqball.enlarge import center_norm_bound, enlarge_to_maximal
-from eqball.gamma import gamma, gamma1_link, gamma_bruteforce
-from eqball.geometry import Frame, orthonormalize
-from eqball.simplex import (
-    EquilateralSet,
-    alpha,
-    beta,
-    canonical_simplex,
-    cap_extension,
-    height_above_base,
-    sample_maximal_set,
-)
-from eqball.weights import (
-    WeightFn,
-    circle_circle_intersections,
-    eta,
-    falsify,
-    frame_weight_sum,
-    lambda_shell,
-    sin_corner_angle,
-    sin_reference_angle,
+from eqball.verify import (
+    suite_center_bounds,
+    suite_certificates,
+    suite_constants,
+    suite_enlargement,
+    suite_eta_mu_nu,
+    suite_falsifier,
+    suite_gamma_oracle,
+    suite_k_region,
+    suite_negative_controls,
+    suite_shell_geometry,
 )
 
 
@@ -44,276 +27,88 @@ def report(criterion, name, passed, detail):
     assert passed, line
 
 
-def _random_ball_point(rng, n):
-    p = rng.standard_normal(n)
-    return p * rng.uniform() ** (1.0 / n) / np.linalg.norm(p)
-
-
 def test_criterion_1_constants():
-    start = time.time()
-    worst = 0.0
-    for k in range(1, 65):
-        simplex = canonical_simplex(max(k - 1, 1), k)
-        c = simplex.points.mean(axis=0)
-        measured_radius = float(np.max(np.linalg.norm(simplex.points - c, axis=1))) if k > 1 else 0.0
-        worst = max(worst, abs(measured_radius - math.sqrt((k - 1) / (2.0 * k))))
-        lifted = canonical_simplex(k, k + 1)
-        apex_height = float(np.linalg.norm(lifted.points[k] - lifted.points[:k].mean(axis=0)))
-        worst = max(worst, abs(apex_height - math.sqrt((k + 1) / (2.0 * k))))
-        worst = max(worst, abs(beta(k) - math.sqrt((k - 1) / (2.0 * k))))
-        worst = max(worst, abs(alpha(k + 1) - math.sqrt((k + 1) / (2.0 * k))))
-    elapsed = time.time() - start
-    report(1, "constants", worst < 1e-12 and elapsed < 1.0,
-           f"worst dev {worst:.2e}, {elapsed:.2f}s")
+    r = suite_constants(max_k=64)
+    report(1, "constants", r.passed and r.worst_slack < 1e-12 and r.elapsed < 1.0,
+           f"worst dev {r.worst_slack:.2e}, {r.elapsed:.2f}s")
 
 
 def test_criterion_2_enlargement():
-    start = time.time()
-    rng = np.random.default_rng(202)
-    worst_dist = 0.0
-    worst_norm = 0.0
-    successes = 0
-    total = 0
-    for n in range(2, 9):
-        for _ in range(1000):
-            base = sample_maximal_set(n, int(rng.integers(2**63 - 1)))
-            k = int(rng.integers(1, n + 1))
-            seed_set = EquilateralSet(base.points[:k].copy())
-            out, _ = enlarge_to_maximal(seed_set)
-            total += 1
-            if out.k == n + 1:
-                successes += 1
-            worst_dist = max(worst_dist, out.pairwise_distance_error())
-            worst_norm = max(worst_norm, out.max_norm())
-    elapsed = time.time() - start
-    passed = (successes == total == 7000 and worst_dist < 1e-9
-              and worst_norm <= 1 + 1e-9 and elapsed < 30.0)
+    r = suite_enlargement(range(2, 9), per_n=1000, seed=202)
+    m = r.measures
+    passed = (r.passed and m["successes"] == r.count == 7000 and m["worst_dist"] < 1e-9
+              and m["worst_norm"] <= 1 + 1e-9 and r.elapsed < 30.0)
     report(2, "enlargement", passed,
-           f"{successes}/{total}, dist err {worst_dist:.2e}, "
-           f"max norm 1+{worst_norm - 1:.2e}, {elapsed:.1f}s")
+           f"{m['successes']}/{r.count}, dist err {m['worst_dist']:.2e}, "
+           f"max norm 1+{m['worst_norm'] - 1:.2e}, {r.elapsed:.1f}s")
 
 
 def test_criterion_3_center_bounds():
-    rng = np.random.default_rng(303)
-    violations = 0
-    worst_slack = -np.inf
-    for n in range(2, 7):
-        for _ in range(5000):
-            s = sample_maximal_set(n, int(rng.integers(2**63 - 1)))
-            norm_c, bound = center_norm_bound(s)
-            worst_slack = max(worst_slack, norm_c - bound)
-            if norm_c > bound + 1e-9:
-                violations += 1
-            k = int(rng.integers(2, n + 1))
-            norm_c, bound = center_norm_bound(EquilateralSet(s.points[:k].copy()))
-            worst_slack = max(worst_slack, norm_c - bound)
-            if norm_c > bound + 1e-9:
-                violations += 1
-    report(3, "center bounds", violations == 0,
-           f"0 expected violations, got {violations}; worst slack {worst_slack:.2e}")
+    r = suite_center_bounds(range(2, 7), per_n=5000, seed=303)
+    violations = r.measures["violations"]
+    report(3, "center bounds", r.passed and r.count == 50000 and violations == 0,
+           f"0 expected violations, got {violations}; worst slack {r.worst_slack:.2e}")
 
 
 def test_criterion_4_k_region():
-    rng = np.random.default_rng(404)
-    worst_norm = 0.0
-    bad_inner = 0
-    for n in range(2, 7):
-        s = canonical_simplex(n, n + 1)
-        outer = s.points[1:]
-        extremes = np.vstack([np.zeros(n), outer - s.points[0]])
-        weights = rng.dirichlet(np.ones(n + 1), size=100000)
-        combos = weights @ extremes
-        worst_norm = max(worst_norm, float(np.max(np.linalg.norm(combos, axis=1))))
-        v = outer.sum(axis=0)
-        # biased proposal toward the cone incenter, honest constraint rejection
-        incenter = np.linalg.solve(outer, np.ones(n))
-        incenter /= np.linalg.norm(incenter)
-        accepted = 0
-        while accepted < 100000:
-            g = rng.standard_normal((10**6, n)) + 3.5 * incenter
-            ok = np.all(g @ outer.T >= 0.0, axis=1)
-            batch = g[ok][: 100000 - accepted]
-            if batch.size == 0:
-                continue
-            scales = rng.uniform(1.0, 2.0, size=batch.shape[0])
-            batch = batch * (scales / np.linalg.norm(batch, axis=1))[:, None]
-            bad_inner += int(np.sum(batch @ v < 0.5 - 1e-9))
-            accepted += batch.shape[0]
-    passed = worst_norm <= 1 + 1e-9 and bad_inner == 0
+    r = suite_k_region(range(2, 7), samples_per_n=100000, seed=404)
+    m = r.measures
+    passed = (r.passed and m["worst_norm"] <= 1 + 1e-9 and m["worst_unit"] <= 1e-9
+              and m["violations"] == 0)
     report(4, "K-region", passed,
-           f"max combo norm 1+{worst_norm - 1:.2e}, inner-product violations {bad_inner}")
+           f"max combo norm 1+{m['worst_norm'] - 1:.2e}, "
+           f"inner-product violations {m['violations']}")
 
 
 def test_criterion_5_gamma_oracle():
-    start = time.time()
-    rng = np.random.default_rng(505)
-    worst = 0.0
-    for n in range(2, 7):
-        full = Frame(np.eye(n))
-        done = 0
-        while done < 1000:
-            a = _random_ball_point(rng, n)
-            b = _random_ball_point(rng, n)
-            if np.linalg.norm(a - b) < 1e-6:
-                continue
-            closed = gamma(a, b).value
-            brute = gamma_bruteforce(a, b, full, 1e-4)
-            worst = max(worst, abs(closed - brute))
-            done += 1
-    mono_ok = 0
-    for _ in range(200):
-        n = int(rng.integers(3, 7))
-        a = _random_ball_point(rng, n)
-        b = _random_ball_point(rng, n)
-        if np.linalg.norm(a - b) < 1e-6:
-            continue
-        d_big = int(rng.integers(3, n + 1))
-        big = orthonormalize(rng.standard_normal((d_big, n)), n)
-        if big.shape[0] < 3:
-            continue
-        small = Frame(big[:2])
-        value_small = gamma_bruteforce(a, b, small, 1e-3)
-        value_big = gamma_bruteforce(a, b, Frame(big), 1e-3)
-        if value_big <= value_small + 1e-3 + 1e-12:
-            mono_ok += 1
-    elapsed = time.time() - start
-    passed = worst <= 2e-4 and mono_ok >= 190 and elapsed < 120.0
+    r = suite_gamma_oracle(range(2, 7), pairs_per_n=1000, monotone_trials=200, seed=505)
+    monotone = r.measures["monotone"]
+    passed = r.passed and r.worst_slack <= 2e-4 and monotone >= 190 and r.elapsed < 120.0
     report(5, "gamma oracle agreement", passed,
-           f"worst |closed-brute| {worst:.2e}, monotone {mono_ok}/~200, {elapsed:.1f}s")
+           f"worst |closed-brute| {r.worst_slack:.2e}, monotone {monotone}/~200, "
+           f"{r.elapsed:.1f}s")
 
 
 def test_criterion_6_shell_geometry():
-    worst = 0.0
-    for n in range(2, 65):
-        a2 = alpha(n + 1) ** 2
-        radius = 2 * alpha(n + 1)
-        t_closed = (-1.0 + math.sqrt(8.0 * a2 - 1.0)) / 2.0
-        # corner by direct circle-circle intersection of the two cardinal arcs
-        w = np.array([0.0, -1.0])
-        x = np.array([-1.0, 0.0])
-        candidates = circle_circle_intersections(w, radius, x, radius)
-        corner = min(candidates, key=lambda p: float(np.linalg.norm(p)))
-        worst = max(worst, float(np.max(np.abs(corner - t_closed))))
-        lam_closed = lambda_shell(n)
-        lam_geo = radius - float(np.linalg.norm(corner))
-        worst = max(worst, abs(lam_closed - lam_geo))
-        # sines measured from coordinates vs their closed forms
-        v1 = -w
-        v2 = corner - w
-        sin_owa = abs(v1[0] * v2[1] - v1[1] * v2[0]) / (np.linalg.norm(v1) * np.linalg.norm(v2))
-        worst = max(worst, abs(sin_owa - sin_corner_angle(n)))
-        g = np.array([math.sqrt(3.0) / 2.0, -0.5])
-        h_candidates = [h for h in circle_circle_intersections(g, 1.0, w, radius)
-                        if np.linalg.norm(h) <= 1 + 1e-9]
-        h = max(h_candidates, key=lambda p: p[1])
-        v2 = h - w
-        sin_owh = abs(v1[0] * v2[1] - v1[1] * v2[0]) / (np.linalg.norm(v1) * np.linalg.norm(v2))
-        worst = max(worst, abs(sin_owh - sin_reference_angle(n)))
-        if sin_owa > sin_owh + 1e-12:
-            worst = max(worst, 1.0)
-    report(6, "shell geometry", worst < 1e-12, f"worst closed-form dev {worst:.2e}")
+    r = suite_shell_geometry(max_n=64)
+    report(6, "shell geometry", r.passed and r.worst_slack < 1e-12,
+           f"worst closed-form dev {r.worst_slack:.2e}")
 
 
 def test_criterion_7_eta_and_cap_extension():
-    worst_fp = 0.0
-    for n in range(2, 65):
-        worst_fp = max(worst_fp, abs(eta(n, beta(n + 1)) - beta(n + 1)))
-    rng = np.random.default_rng(707)
-    worst_cap = 0.0
-    for _ in range(1000):
-        n = int(rng.integers(2, 9))
-        rho = float(rng.uniform(beta(n), 1.0))
-        direction = rng.standard_normal(n)
-        direction /= np.linalg.norm(direction)
-        x = height_above_base(n, rho) * direction
-        comps = cap_extension(x, rho)
-        worst_cap = max(worst_cap,
-                        float(np.max(np.abs(np.linalg.norm(comps.points, axis=1) - rho))),
-                        float(np.max(np.abs(np.linalg.norm(comps.points - x, axis=1) - 1.0))))
-        full = EquilateralSet(np.vstack([x, comps.points]))
-        worst_cap = max(worst_cap, full.pairwise_distance_error(),
-                        max(full.max_norm() - 1.0, 0.0))
-    passed = worst_fp < 1e-12 and worst_cap < 1e-9
-    report(7, "eta fixed point and cap extension", passed,
-           f"fixed-point residual {worst_fp:.2e}, cap worst dev {worst_cap:.2e}")
-
-
-def _feasible_assignments(cert, count, rng):
-    p = cert.points.shape[0]
-    rows = np.zeros((len(cert.sets), p + 1))
-    for r, s in enumerate(cert.sets):
-        for i in s:
-            rows[r, int(i)] += 1.0
-        rows[r, p] = -1.0
-    g = rng.standard_normal((p + 1, count))
-    row_part, *_ = np.linalg.lstsq(rows, rows @ g, rcond=None)
-    return g - row_part
+    r = suite_eta_mu_nu(max_n=64, caps=1000, seed=707)
+    m = r.measures
+    report(7, "eta fixed point and cap extension",
+           r.passed and m["fixed_point"] < 1e-12 and m["cap"] < 1e-9,
+           f"fixed-point residual {m['fixed_point']:.2e}, cap worst dev {m['cap']:.2e}")
 
 
 def test_criterion_8_certificates():
-    rng = np.random.default_rng(808)
-    worst_residual = 0.0
-    worst_sets = 0
-    worst_time = 0.0
-    worst_gap = 0.0
-    for n in (2, 3, 4):
-        for _ in range(100):
-            x = _random_ball_point(rng, n)
-            y = _random_ball_point(rng, n)
-            t0 = time.time()
-            cert = generate_equality_certificate(x, y, n)
-            rep = check_certificate(cert)
-            worst_time = max(worst_time, time.time() - t0)
-            assert rep.accepted, f"rejected at n={n}: {rep.failure} residual={rep.residual}"
-            worst_residual = max(worst_residual, rep.residual)
-            worst_sets = max(worst_sets, len(cert.sets))
-            assignments = _feasible_assignments(cert, 100, rng)
-            gap = float(np.max(np.abs(assignments[cert.claim[0]] - assignments[cert.claim[1]])))
-            worst_gap = max(worst_gap, gap)
-    passed = (worst_residual < 1e-8 and worst_sets <= 5000
-              and worst_time < 10.0 and worst_gap < 1e-6)
+    r = suite_certificates((2, 3, 4), pairs_per_n=100, assignments=100, seed=808)
+    m = r.measures
+    passed = (r.passed and m["accepted"] == r.count == 300 and r.worst_slack < 1e-8
+              and m["worst_sets"] <= 5000 and m["worst_time"] < 10.0
+              and m["soundness_gap"] < 1e-6)
     report(8, "equality certificates", passed,
-           f"300/300 accepted, worst residual {worst_residual:.2e}, "
-           f"max sets {worst_sets}, max time {worst_time:.2f}s, "
-           f"soundness gap {worst_gap:.2e}")
+           f"{m['accepted']}/{r.count} accepted, worst residual {r.worst_slack:.2e}, "
+           f"max sets {m['worst_sets']}, max time {m['worst_time']:.2f}s, "
+           f"soundness gap {m['soundness_gap']:.2e}{', ' + r.note if r.note else ''}")
 
 
 def test_criterion_9_falsifier():
-    quadratic = WeightFn(evaluator=lambda p: float(p @ p))
-    rep_q = falsify(quadratic, 3, 1000, seed=909)
-    constant = WeightFn(evaluator=lambda p: 0.75)
-    rep_c = falsify(constant, 3, 1000, seed=910)
-    rng = np.random.default_rng(911)
-    worst_sphere = 0.0
-    for n in range(3, 7):
-        t = rng.standard_normal((n, n))
-        t = (t + t.T) / 2.0
-        for seed in range(100):
-            total, expected = frame_weight_sum(t, seed)
-            worst_sphere = max(worst_sphere, abs(total - expected))
-    passed = (rep_q.verdict == "disproved" and rep_q.spread > 0.01
-              and rep_c.spread < 1e-12 and worst_sphere < 1e-9)
+    r = suite_falsifier(samples=1000, frames_per_n=100, seed=909)
+    m = r.measures
+    passed = (r.passed and m["quadratic_spread"] > 0.01 and m["constant_spread"] < 1e-12
+              and m["sphere"] < 1e-9)
     report(9, "falsifier", passed,
-           f"quadratic spread {rep_q.spread:.3f}, constant spread {rep_c.spread:.2e}, "
-           f"sphere max dev {worst_sphere:.2e}")
+           f"quadratic spread {m['quadratic_spread']:.3f}, "
+           f"constant spread {m['constant_spread']:.2e}, sphere max dev {m['sphere']:.2e}")
 
 
 def test_criterion_10_negative_controls():
-    rng = np.random.default_rng(1010)
-    x = _random_ball_point(rng, 3)
-    y = _random_ball_point(rng, 3)
-    cert = generate_equality_certificate(x, y, 3)
-    tampered_points = cert.points.copy()
-    tampered_points[cert.sets[0][0]][0] += 1e-3
-    tampered = Certificate(n=3, points=tampered_points, sets=cert.sets,
-                           claim=cert.claim, generator_params=cert.generator_params)
-    rep_tampered = check_certificate(tampered)
-
-    a4 = alpha(4)
-    set_a, _ = gamma1_link(np.array([0.0, 0.0, -a4]), np.array([0.0, 0.0, a4]))
-    single = Certificate(n=3, points=set_a.points, sets=[(0, 1, 2, 3)], claim=(0, 1))
-    rep_single = check_certificate(single)
-    passed = (not rep_tampered.accepted and rep_tampered.failure == "SetInvalid"
-              and not rep_single.accepted and rep_single.failure == "ClaimNotImplied")
+    r = suite_negative_controls(seed=1010)
+    m = r.measures
+    passed = (r.passed and m["tampered"] == "SetInvalid"
+              and m["single_link"] == m["single_set"] == "ClaimNotImplied")
     report(10, "negative controls", passed,
-           f"tampered -> {rep_tampered.failure}, single-set claim -> {rep_single.failure}")
+           f"tampered -> {m['tampered']}, single-set claim -> {m['single_link']}")

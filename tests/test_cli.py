@@ -171,7 +171,7 @@ def test_emit_circuit_csv(capsys):
 
 
 def test_verify_all_reports_every_suite(capsys):
-    from eqball.verify import SUITE_NAMES, run_verification_suites
+    from eqball.verify import SUITE_NAMES
 
     code, out, _ = run_cli(capsys, "verify-all", "--n-min", "2", "--n-max", "3",
                            "--no-timestamp")
@@ -180,6 +180,71 @@ def test_verify_all_reports_every_suite(capsys):
     assert [s["name"] for s in doc["suites"]] == SUITE_NAMES
     assert doc["all_passed"] is True
 
-    injected = run_verification_suites([2, 3], seed=0, inject_failure="center_bounds")
-    failing = [r.name for r in injected if not r.passed]
-    assert failing == ["center_bounds"]
+
+def test_verify_all_failing_suite_exit1(capsys, monkeypatch):
+    from eqball import verify
+
+    monkeypatch.setattr(verify, "suite_center_bounds",
+                        lambda *args, **kwargs: verify.SuiteResult("center_bounds", False, 1, 1.0))
+    code, out, _ = run_cli(capsys, "verify-all", "--n-min", "2", "--n-max", "3",
+                           "--no-timestamp")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["all_passed"] is False
+    assert [s["name"] for s in doc["suites"] if not s["passed"]] == ["center_bounds"]
+
+
+@pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf", "1e-3"])
+@pytest.mark.parametrize("command", [
+    ("certify", "--x", "0.2,0.1", "--y", "0.6,-0.3"),
+    ("check", "--input", "cert.json"),
+    ("enlarge", "--input", "seed.json"),
+], ids=["certify", "check", "enlarge"])
+def test_invalid_eps_exit2(tmp_path, capsys, monkeypatch, command, eps):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cert.json").write_text(json.dumps(VALID_DOC))
+    (tmp_path / "seed.json").write_text(json.dumps([[1.0, 0.0]]))
+    code, out, err = run_cli(capsys, *command, "--eps", eps)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --eps ") and len(err.splitlines()) == 1
+
+
+def test_eps_sets_the_tolerance(tmp_path, capsys):
+    seed_file = tmp_path / "seed.json"
+    seed_file.write_text(json.dumps([[0.0, 0.0], [1.0 + 1e-7, 0.0]]))
+    code, _, err = run_cli(capsys, "enlarge", "--input", str(seed_file))
+    assert code == 2 and "invalid input" in err
+    code, out, _ = run_cli(capsys, "enlarge", "--input", str(seed_file), "--eps", "1e-6",
+                           "--no-timestamp")
+    assert code == 0 and json.loads(out)["final_size"] == 3
+
+
+@pytest.mark.parametrize("command", [
+    ("constants", "--n", "2"),
+    ("falsify", "--expr", "1", "--n", "2", "--samples", "5"),
+    ("emit-circuit", "--n", "2"),
+    ("verify-all",),
+], ids=["constants", "falsify", "emit-circuit", "verify-all"])
+def test_eps_only_where_it_is_used(command):
+    with pytest.raises(SystemExit) as info:
+        main([*command, "--eps", "1e-9"])
+    assert info.value.code == 2
+
+
+def test_check_non_utf8_file_exit2(tmp_path, capsys):
+    doc_file = tmp_path / "cert.json"
+    doc_file.write_bytes(b"\xff\xfe" + json.dumps(VALID_DOC).encode())
+    code, out, err = run_cli(capsys, "check", "--input", str(doc_file))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_check_point_width_not_n_exit2(tmp_path, capsys):
+    doc_file = tmp_path / "cert.json"
+    doc_file.write_text(json.dumps({"n": 10**26, "points": [[]], "sets": [], "claim": [0, 0]}))
+    code, out, err = run_cli(capsys, "check", "--input", str(doc_file))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: points must have n = ") and len(err.splitlines()) == 1

@@ -3,11 +3,9 @@ import pytest
 
 from eqball.errors import DegenerateInput, DimensionMismatch, FullSpan
 from eqball.geometry import (
-    Frame,
     Tolerance,
     orthonormal_complement,
     orthonormalize,
-    project,
     row_dot,
     section2d,
 )
@@ -73,36 +71,6 @@ def test_complement_plus_span_reconstructs_everything():
             assert np.linalg.norm(recon - x) < 1e-9
 
 
-def test_project_axis_and_identity():
-    f = Frame(np.array([[1.0, 0.0]]))
-    assert np.allclose(project([3.0, 4.0], f), [3.0, 0.0])
-    full = Frame(np.eye(3))
-    x = np.array([0.3, -0.2, 0.9])
-    assert np.allclose(project(x, full), x, atol=1e-12)
-    f3 = Frame(np.array([[0.0, 0.0, 1.0]]))
-    assert np.allclose(project([1.0, 1.0, 1.0], f3), [0.0, 0.0, 1.0])
-
-
-def test_project_is_linear_and_idempotent():
-    rng = np.random.default_rng(11)
-    basis = orthonormalize(rng.standard_normal((2, 5)), 5)
-    f = Frame(basis)
-    for _ in range(50):
-        x = rng.standard_normal(5)
-        y = rng.standard_normal(5)
-        a, b = rng.standard_normal(2)
-        lhs = project(a * x + b * y, f)
-        rhs = a * project(x, f) + b * project(y, f)
-        assert np.linalg.norm(lhs - rhs) < 1e-9
-        assert np.linalg.norm(project(project(x, f), f) - project(x, f)) < 1e-12
-
-
-def test_project_dimension_mismatch():
-    f = Frame(np.array([[1.0, 0.0]]))
-    with pytest.raises(DimensionMismatch):
-        project([1.0, 2.0, 3.0], f)
-
-
 def test_section2d_planar_cases():
     f = section2d(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
     span = f.basis.T @ f.basis
@@ -118,7 +86,7 @@ def test_section2d_collinear_tie_break_and_reconstruction():
     b = 0.5 * a  # distinct point on the same line through the origin
     f = section2d(a, b)
     for p in (a, b):
-        assert np.linalg.norm(project(p, f) - p) < 1e-9
+        assert np.linalg.norm(f.basis.T @ (f.basis @ p) - p) < 1e-9
     # deterministic: repeat call gives identical frame
     g = section2d(a, b)
     assert np.array_equal(f.basis, g.basis)
@@ -138,8 +106,8 @@ def test_section2d_reconstructs_random_pairs():
         a = rng.standard_normal(n)
         b = rng.standard_normal(n)
         f = section2d(a, b)
-        assert np.linalg.norm(project(a, f) - a) < 1e-9
-        assert np.linalg.norm(project(b, f) - b) < 1e-9
+        for p in (a, b):  # p lies in the frame
+            assert np.linalg.norm(f.basis.T @ (f.basis @ p) - p) < 1e-9
 
 
 def test_row_dot_equals_the_one_row_product():

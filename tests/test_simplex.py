@@ -17,7 +17,6 @@ from eqball.errors import (
 )
 from eqball.simplex import (
     EquilateralSet,
-    affine_independence_check,
     alpha,
     beta,
     canonical_simplex,
@@ -25,7 +24,6 @@ from eqball.simplex import (
     center,
     distance_errors,
     height_above_base,
-    is_standard_equilateral,
     sample_maximal_set,
     sample_maximal_sets,
     simplex_on_spheres,
@@ -131,14 +129,6 @@ def test_canonical_deterministic():
     assert np.array_equal(a.points, b.points)
 
 
-def test_is_standard_equilateral():
-    assert is_standard_equilateral([[0.0, 0.0], [1.0, 0.0]], in_ball=True)
-    assert not is_standard_equilateral([[0.0, 0.0], [1.5, 0.0]])
-    # second point has norm sqrt(1.81) > 1
-    assert not is_standard_equilateral([[0.9, 0.0], [0.9, 1.0]], in_ball=True)
-    assert is_standard_equilateral([[0.9, 0.0], [0.9, 1.0]], in_ball=False)
-
-
 def test_distance_errors_match_pairwise_loop():
     rng = np.random.default_rng(21)
     stack = rng.uniform(-1.0, 1.0, size=(7, 5, 4))
@@ -153,14 +143,6 @@ def test_distance_errors_match_pairwise_loop():
     assert distance_errors(np.zeros((1, 3))).shape == (0,)
 
 
-def test_affine_independence():
-    assert affine_independence_check(canonical_simplex(3, 4))
-    dup = EquilateralSet(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]))
-    assert not affine_independence_check(dup)
-    with pytest.raises(InvalidSet):
-        affine_independence_check(EquilateralSet(np.array([[1.0, 0.0]])))
-
-
 def test_rotated_simplices_independence_and_gram():
     from eqball.simplex import random_rotation
 
@@ -170,7 +152,6 @@ def test_rotated_simplices_independence_and_gram():
         for _ in range(150):
             rot = random_rotation(n, rng)
             s = EquilateralSet(base.points @ rot.T)
-            assert affine_independence_check(s)
             diffs = s.points[1:] - s.points[0]
             gram = diffs @ diffs.T
             expected = (1.0 + np.eye(s.k - 1)) / 2.0

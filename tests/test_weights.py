@@ -6,7 +6,6 @@ import pytest
 from test_simplex import reference_sample, reference_sphere_basis
 
 from eqball.errors import (
-    DegenerateInput,
     EvaluationFailure,
     NotSymmetric,
     RadiusOutOfRange,
@@ -18,7 +17,6 @@ from eqball.geometry import Frame
 from eqball.simplex import alpha, beta
 from eqball.weights import (
     WeightFn,
-    chain_connect,
     circle_circle_intersections,
     circuit_geometry,
     eta,
@@ -319,54 +317,3 @@ def test_falsify_witness_tie_break_deterministic():
     r1 = falsify(fn, 2, 50, seed=3)
     r2 = falsify(fn, 2, 50, seed=3)
     assert r1.witness_indices == r2.witness_indices == (0, 0)
-
-
-# -- full-space chains -------------------------------------------------------
-
-
-def test_chain_single_hop():
-    hop = 2 * alpha(4)
-    x = np.zeros(3)
-    y = np.array([hop, 0.0, 0.0])
-    chain = chain_connect(x, y, 3)
-    assert len(chain) == 2
-    assert np.allclose(chain[0], x) and np.allclose(chain[-1], y)
-
-
-def test_chain_two_collinear_hops():
-    hop = 2 * alpha(4)
-    y = np.array([2 * hop, 0.0, 0.0])
-    chain = chain_connect(np.zeros(3), y, 3)
-    assert len(chain) == 3
-    assert np.allclose(chain[1], [hop, 0.0, 0.0], atol=1e-12)
-
-
-def test_chain_short_gap_isosceles():
-    hop = 2 * alpha(3)
-    y = np.array([0.5, 0.0])
-    chain = chain_connect(np.zeros(2), y, 2)
-    assert len(chain) == 3
-    for p, q in zip(chain, chain[1:]):
-        assert abs(float(np.linalg.norm(p - q)) - hop) < 1e-12
-
-
-def test_chain_generic_lengths_and_bound():
-    rng = np.random.default_rng(12)
-    for _ in range(100):
-        n = int(rng.integers(2, 6))
-        x = rng.standard_normal(n) * 3
-        y = rng.standard_normal(n) * 3
-        if np.linalg.norm(x - y) < 1e-9:
-            continue
-        hop = 2 * alpha(n + 1)
-        chain = chain_connect(x, y, n)
-        hops = len(chain) - 1
-        assert hops <= 2 + math.ceil(float(np.linalg.norm(y - x)) / hop)
-        for p, q in zip(chain, chain[1:]):
-            assert abs(float(np.linalg.norm(p - q)) - hop) < 1e-9
-        assert np.allclose(chain[0], x) and np.allclose(chain[-1], y)
-
-
-def test_chain_degenerate():
-    with pytest.raises(DegenerateInput):
-        chain_connect(np.array([0.1, 0.2]), np.array([0.1, 0.2]), 2)
