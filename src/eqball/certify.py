@@ -15,7 +15,9 @@ system.  The generator builds such systems constructively:
     enlarged to a maximal set whose extra vertices all land at norm at
     least the step radius;
   * one closing pair at the fixed-point radius beta(n+1) identifies the
-    inner value with the annulus value, making W = (n+1) * anchor.
+    inner value with the annulus value, making W = (n+1) * anchor.  It is
+    a constant of (n, tol), built once per process and merged into every
+    certificate whose endpoints fall in different value classes.
 
 Every step above combines set equations with integer coefficients, so the
 generator also emits one integer multiplier per set: with R the rows of the
@@ -451,6 +453,22 @@ def _point_key(p) -> bytes:
     return _key_coordinates(p).tobytes()
 
 
+@dataclass(frozen=True)
+class _Fragment:
+    """A relation built once in a fresh generator, merged into certificates.
+
+    `points` is read-only and `keys` holds each row's dedup key; `sets` are
+    (local point ids, stage tag) in registration order; `terms` are the
+    relation's (local set, coefficient) pairs, or None when its combination
+    referred to a point still being resolved.
+    """
+
+    points: np.ndarray
+    keys: tuple[bytes, ...]
+    sets: tuple[tuple[tuple[int, ...], str], ...]
+    terms: tuple[tuple[int, int], ...] | None
+
+
 class _Builder:
     def __init__(self, n: int, tol: Tolerance):
         self.n = n
@@ -458,6 +476,7 @@ class _Builder:
         self.points: list[np.ndarray] = []
         self.index: dict[bytes, int] = {}
         self.sets: list[tuple] = []
+        self.stages: list[str] = []
         self.set_index: dict[tuple, int] = {}
 
     def _id(self, key: bytes, p: np.ndarray) -> int:
@@ -481,6 +500,7 @@ class _Builder:
             raise GenerationFailure(stage, f"certificate exceeded {MAX_CERT_SETS} sets")
         self.set_index[ids] = len(self.sets)
         self.sets.append(ids)
+        self.stages.append(stage)
         return self.set_index[ids]
 
     def add_set(self, s: EquilateralSet, stage: str) -> int:
@@ -509,6 +529,12 @@ class _Builder:
         if len(waypoints) < 2:
             return []
         return self.add_hops(waypoints, gamma1_links(waypoints[:-1], waypoints[1:], self.tol), stage)
+
+    def add_fragment(self, frag: _Fragment) -> list[int]:
+        """Register the fragment's points and sets, in its order and with its
+        stage tags; returns the index of each of its sets here."""
+        ids = [self._id(key, p) for key, p in zip(frag.keys, frag.points)]
+        return [self._register([ids[i] for i in local], stage) for local, stage in frag.sets]
 
 
 def _fold(delta: float, period: float) -> float:
@@ -791,6 +817,19 @@ class _Generator:
                 for c in companions]
         return self._node([(lemma, 1)], subs + [(step, -1)])
 
+    def _merge_closing(self) -> int:
+        """The closing node, from the relation built once per (n, tol).
+
+        Resolving a point does not depend on what was resolved before it, so
+        the merged sets and terms are those _emit_closing would add here.
+        """
+        frag = _closing_fragment(self.n, self.tol)
+        where = self.builder.add_fragment(frag)
+        if frag.terms is None:
+            self.exact = False
+            return self._node([], [])
+        return self._node([(where[i], coef) for i, coef in frag.terms], [])
+
     def _multipliers(self, root: int) -> list[int]:
         """Per-set coefficients of a node, expanded through the node graph
         from the newest node down."""
@@ -819,7 +858,7 @@ class _Generator:
         cls_y, node_y = self.resolve(y)
         terms = [(node_x, 1), (node_y, -1)]
         if cls_x != cls_y:
-            terms.append((self._emit_closing(), -1 if cls_x == INNER else 1))
+            terms.append((self._merge_closing(), -1 if cls_x == INNER else 1))
         claim = self._node([], terms)
         return Certificate(
             n=self.n,
@@ -829,6 +868,23 @@ class _Generator:
             generator_params=params,
             multipliers=self._multipliers(claim) if self.exact else None,
         )
+
+
+@lru_cache(maxsize=None)
+def _closing_fragment(n: int, tol: Tolerance) -> _Fragment:
+    """The closing relation of (n, tol), built by _emit_closing in a fresh
+    generator: its z, step schedule and anchor depend on nothing else."""
+    gen = _Generator(n, tol)
+    root = gen._emit_closing()
+    b = gen.builder
+    points = np.array(b.points)
+    points.flags.writeable = False
+    terms = None
+    if gen.exact:
+        terms = tuple((i, m) for i, m in enumerate(gen._multipliers(root)) if m)
+    # b.index gives point ids in insertion order, so its keys are in id order.
+    return _Fragment(points=points, keys=tuple(b.index),
+                     sets=tuple(zip(b.sets, b.stages)), terms=terms)
 
 
 def generate_equality_certificate(x, y, n: int,

@@ -233,6 +233,13 @@ def cmd_emit_circuit(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
+    if args.n_min < 2:
+        print("error: verify-all requires --n-min >= 2", file=sys.stderr)
+        return 2
+    if args.n_max < args.n_min:
+        print(f"error: empty range: --n-max {args.n_max} is below --n-min {args.n_min}",
+              file=sys.stderr)
+        return 2
     n_values = list(range(args.n_min, args.n_max + 1))
     results = run_verification_suites(n_values, seed=args.seed)
     payload = {

@@ -10,7 +10,9 @@ from eqball.certify import (
     OUTER,
     Certificate,
     _Generator,
+    _closing_fragment,
     _dumps,
+    _point_key,
     certificate_from_json,
     certificate_to_json,
     check_certificate,
@@ -403,6 +405,28 @@ def test_certificate_without_multipliers_takes_the_least_squares_path():
     back = certificate_from_json(json.dumps(doc))
     assert back.multipliers is None and back.version == 1
     assert check_certificate(back).accepted
+
+
+def test_closing_fragment_is_shared_and_leaves_certificates_unchanged():
+    """The closing relation is built once per (n, tol): a cold cache, a cache
+    warmed by other cross-class pairs and a caller mutating a returned
+    certificate all give the same certificate text."""
+    _closing_fragment.cache_clear()
+    cold = certificate_to_json(_mixed_certificate())
+    assert _closing_fragment.cache_info().misses == 1
+    for x, y in [(_in_plane(3, 0.3, 0.2), _in_plane(3, 0.9, -0.6)),
+                 (_in_plane(3, 0.97, 0.8), _in_plane(3, 0.1, -0.1))]:
+        assert check_certificate(generate_equality_certificate(x, y, 3)).accepted
+    assert _closing_fragment.cache_info().hits >= 2
+    assert certificate_to_json(_mixed_certificate()) == cold
+    cert = _mixed_certificate()
+    cert.points[:] = 0.5
+    cert.multipliers[:] = [7] * len(cert.multipliers)
+    assert certificate_to_json(_mixed_certificate()) == cold
+    frag = _closing_fragment(3, DEFAULT_TOL)
+    assert not frag.points.flags.writeable
+    assert frag.keys == tuple(map(_point_key, frag.points))
+    assert _closing_fragment.cache_info().misses == 1
 
 
 def test_unfinished_resolution_omits_multipliers():

@@ -194,6 +194,18 @@ def test_verify_all_failing_suite_exit1(capsys, monkeypatch):
     assert [s["name"] for s in doc["suites"] if not s["passed"]] == ["center_bounds"]
 
 
+@pytest.mark.parametrize("bounds, message", [
+    (("--n-min", "1"), "error: verify-all requires --n-min >= 2"),
+    (("--n-min", "-3", "--n-max", "-1"), "error: verify-all requires --n-min >= 2"),
+    (("--n-min", "5", "--n-max", "4"), "error: empty range: "),
+], ids=["n-min-1", "negative", "empty"])
+def test_verify_all_rejects_bad_n_range_exit2(capsys, bounds, message):
+    code, out, err = run_cli(capsys, "verify-all", *bounds, "--no-timestamp")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(message) and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf", "1e-3"])
 @pytest.mark.parametrize("command", [
     ("certify", "--x", "0.2,0.1", "--y", "0.6,-0.3"),
