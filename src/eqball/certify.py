@@ -44,12 +44,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
+    ConstructionError,
     GenerationFailure,
+    InputError,
     MalformedCertificate,
-    NormWindowViolation,
-    OutsideBall,
-    PreconditionViolation,
-    RadiusSolveFailure,
 )
 from .gamma import gamma, gamma1_link, gamma1_links
 from .geometry import DEFAULT_TOL, Tolerance, as_point, section2d
@@ -110,28 +108,29 @@ def theorem_step_relation(u, rho0: float, n: int,
     s = float(np.linalg.norm(u))
     bn = beta(n)
     if rho0 < bn - tol.eps_eq or rho0 > _step_radius_bound(n, tol) + tol.eps_eq:
-        raise PreconditionViolation(f"step radius rho0={rho0} out of range for n={n}")
+        raise InputError(f"step radius rho0={rho0} out of range for n={n}")
     lo = mu(n, rho0, tol)
     if s < lo - 2 * tol.eps_eq or s > rho0 + 2 * tol.eps_eq:
-        raise PreconditionViolation(
+        raise InputError(
             f"||u||={s:.12f} outside the step window [{lo:.12f}, {rho0:.12f}]")
     v = -((1.0 - s) / s) * u
     nv = float(np.linalg.norm(v))
-    if nv < 1.0 - rho0 - 10 * tol.eps_eq or nv > eta(n, rho0, tol) + 10 * tol.eps_eq:
-        raise PreconditionViolation(f"||v||={nv:.12f} escapes [1-rho0, eta(rho0)]")
+    wide = tol.widened().eps_eq
+    if nv < 1.0 - rho0 - wide or nv > eta(n, rho0, tol) + wide:
+        raise InputError(f"||v||={nv:.12f} escapes [1-rho0, eta(rho0)]")
     pair = EquilateralSet(np.vstack([u, v]))
     maximal, _ = enlarge_to_maximal(pair, tol)
     companions = maximal.points[2:]
     w = (u + v) / 2.0
     mid_sq = np.linalg.norm(companions - w, axis=1) ** 2
     if float(np.max(np.abs(mid_sq - 0.75))) > 1e-9:
-        raise NormWindowViolation("companion distance to the pair midpoint is not sqrt(3)/2")
+        raise ConstructionError("companion distance to the pair midpoint is not sqrt(3)/2")
     norm_sq = np.linalg.norm(companions, axis=1) ** 2
     predicted = 0.75 + (s - 0.5) ** 2
     if float(np.max(np.abs(norm_sq - predicted))) > 1e-9:
-        raise NormWindowViolation("companion norm identity 3/4 + (||u||-1/2)^2 failed")
+        raise ConstructionError("companion norm identity 3/4 + (||u||-1/2)^2 failed")
     if float(np.min(np.linalg.norm(companions, axis=1))) < rho0 - 1e-7:
-        raise NormWindowViolation("a companion fell below the step radius")
+        raise ConstructionError("a companion fell below the step radius")
     return StepRelation(set=maximal, u=u, v=v, companions=companions, rho0=rho0)
 
 
@@ -147,11 +146,11 @@ def constant_lemma_relation(z, rho0: float, n: int,
     s = float(np.linalg.norm(z))
     bn = beta(n)
     if rho0 < bn - tol.eps_eq or rho0 > 1.0 + tol.eps_eq:
-        raise PreconditionViolation(f"rho0={rho0} outside [beta_n, 1]")
+        raise InputError(f"rho0={rho0} outside [beta_n, 1]")
     rho0 = min(max(rho0, bn), 1.0)
     top = eta(n, rho0, tol)
     if s > top + tol.eps_eq:
-        raise RadiusSolveFailure(f"||z||={s:.12f} exceeds eta(rho0)={top:.12f}")
+        raise InputError(f"||z||={s:.12f} exceeds eta(rho0)={top:.12f}")
     lo, hi = rho0, 1.0
     if s >= top:
         rho = rho0
@@ -649,7 +648,7 @@ class _CircuitRouter:
 class _Generator:
     def __init__(self, n: int, tol: Tolerance):
         if n < 2:
-            raise PreconditionViolation("certificates need n >= 2")
+            raise InputError("certificates need n >= 2")
         self.n = n
         self.tol = tol
         self.builder = _Builder(n, tol)
@@ -898,8 +897,8 @@ def generate_equality_certificate(x, y, n: int,
     x = as_point(x, n)
     y = as_point(y, n)
     for p in (x, y):
-        if float(np.linalg.norm(p)) > 1.0 + DEFAULT_TOL.eps_eq:
-            raise OutsideBall("certificate endpoints must lie in the closed unit ball")
+        if float(np.linalg.norm(p)) > 1.0 + tol.eps_eq:
+            raise InputError("certificate endpoints must lie in the closed unit ball")
     gen = _Generator(n, tol)
     try:
         cert = gen.run(x, y)

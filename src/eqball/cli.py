@@ -30,7 +30,7 @@ from .certify import (
     _dumps,
 )
 from .enlarge import enlarge_to_maximal
-from .errors import EqBallError, ExpressionError, PreconditionViolation
+from .errors import EqBallError, ExpressionError, InputError
 from .expr import compile_weight_expression
 from .geometry import DEFAULT_TOL, Frame, Tolerance
 from .simplex import EquilateralSet, alpha, beta, distance_errors
@@ -46,7 +46,7 @@ def _tolerance(args) -> Tolerance:
     try:
         return replace(DEFAULT_TOL, eps_eq=args.eps)
     except ValueError as exc:
-        raise PreconditionViolation(f"--eps {args.eps}: {exc}") from None
+        raise InputError(f"--eps {args.eps}: {exc}") from None
 
 
 def _emit(args, payload: dict, text: str | None = None) -> None:
@@ -102,7 +102,7 @@ def cmd_enlarge(args) -> int:
             coords = json.load(fh)
         pts = np.asarray(coords, dtype=float)
         if pts.ndim != 2:
-            raise EqBallError("points file must hold an array of coordinate arrays")
+            raise InputError("points file must hold an array of coordinate arrays")
         s = EquilateralSet(pts)
         s.validate(in_ball=True, tol=tol)
     except (OSError, ValueError, json.JSONDecodeError, EqBallError) as exc:
@@ -178,7 +178,7 @@ def cmd_certify(args) -> int:
     try:
         x = _parse_point(args.x)
         y = _parse_point(args.y)
-        n = args.n if args.n else x.size
+        n = x.size if args.n is None else args.n
         cert = generate_equality_certificate(x, y, n, tol)
     except (ValueError, json.JSONDecodeError, EqBallError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AlreadyMaximal, InvalidSet, NotCentered, NotInBall
+from .errors import InputError
 from .geometry import DEFAULT_TOL, Tolerance, as_point, first_orthogonal_axis, orthonormalize
 from .simplex import EquilateralSet, alpha, beta
 
@@ -38,7 +38,7 @@ class EnlargeTrace:
 
 def _check_in_ball(s: EquilateralSet, tol: Tolerance) -> None:
     if s.max_norm() > 1.0 + tol.eps_eq:
-        raise NotInBall(f"input vertex norm {s.max_norm():.12f} exceeds 1")
+        raise InputError(f"input vertex norm {s.max_norm():.12f} exceeds 1")
 
 
 def enlarge_step(s: EquilateralSet, tol: Tolerance = DEFAULT_TOL) -> tuple[EquilateralSet, EnlargeStep]:
@@ -47,7 +47,7 @@ def enlarge_step(s: EquilateralSet, tol: Tolerance = DEFAULT_TOL) -> tuple[Equil
     _check_in_ball(s, tol)
     k, n = s.k, s.n
     if k >= n + 1:
-        raise AlreadyMaximal(f"set of size {k} is already maximal in R^{n}")
+        raise InputError(f"set of size {k} is already maximal in R^{n}")
     c = s.points.mean(axis=0)
     hull_dirs = orthonormalize(s.points - c, n)
     a = c - hull_dirs.T @ (hull_dirs @ c) if hull_dirs.size else c.copy()
@@ -105,10 +105,10 @@ def k_region_test(x, s: EquilateralSet, tol: Tolerance = DEFAULT_TOL) -> tuple[b
     """
     s.validate(tol=tol)
     if s.k != s.n + 1:
-        raise InvalidSet("k_region_test needs a maximal set")
+        raise InputError("k_region_test needs a maximal set")
     c = s.points.mean(axis=0)
     if float(np.linalg.norm(c)) > tol.eps_eq:
-        raise NotCentered(f"set center has norm {float(np.linalg.norm(c)):.3e}")
+        raise InputError(f"set center has norm {float(np.linalg.norm(c)):.3e}")
     x = as_point(x, s.n)
     v = s.points[1:].sum(axis=0)
     inner = float(x @ v)

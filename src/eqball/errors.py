@@ -1,7 +1,12 @@
-"""Exception hierarchy for eqball.
+"""Exception hierarchy for eqball: one class per stage of the construction.
 
-Every error raised by the library derives from EqBallError so callers can
-catch the whole family; the CLI maps these to exit code 2.
+Every error derives from EqBallError, which the CLI maps to exit code 2.
+
+InputError: an argument failed a check made before anything is built.
+ConstructionError: a re-check of a just-built object failed, or a search ran out.
+GenerationFailure: certificate generation failed; `stage` names the generator stage.
+MalformedCertificate: a certificate document is structurally invalid.
+ExpressionError: a weight-function expression failed to parse or evaluate.
 """
 
 
@@ -9,100 +14,12 @@ class EqBallError(Exception):
     """Base class for all eqball errors."""
 
 
-class DimensionMismatch(EqBallError):
-    """Inputs do not share the expected ambient dimension."""
+class InputError(EqBallError):
+    """An argument failed a check made before anything is built."""
 
 
-class FullSpan(EqBallError):
-    """Orthogonal complement requested of a full-dimensional span."""
-
-
-class DegenerateInput(EqBallError):
-    """Two points coincide where distinct points are required."""
-
-
-class InvalidK(EqBallError):
-    """Simplex size parameter out of range."""
-
-
-class InvalidN(EqBallError):
-    """Ambient dimension out of range."""
-
-
-class InvalidSet(EqBallError):
-    """A point list violates the equilateral-set invariants."""
-
-
-class TooLarge(EqBallError):
-    """Requested equilateral set exceeds size n+1."""
-
-
-class RadiusOutOfRange(EqBallError):
-    """Radius parameter outside its admissible interval."""
-
-
-class NormMismatch(EqBallError):
-    """A point's norm disagrees with the value the construction requires."""
-
-
-class SamplingFailure(EqBallError):
-    """Rejection sampling exhausted its attempt budget."""
-
-
-class AlreadyMaximal(EqBallError):
-    """Enlargement step applied to a set that is already maximal."""
-
-
-class NotInBall(EqBallError):
-    """A point lies outside the closed unit ball beyond tolerance."""
-
-
-class NotCentered(EqBallError):
-    """A set expected to have its center at the origin does not."""
-
-
-class OutsideBall(EqBallError):
-    """Input point lies outside the closed unit ball."""
-
-
-class EmptyIntersection(EqBallError):
-    """Subspace intersection is {0} where a direction is needed."""
-
-
-class PreconditionDistance(EqBallError):
-    """Pair distance does not match the required hop length."""
-
-
-class PreconditionClearance(EqBallError):
-    """Clearance around the midpoint is below the required radius."""
-
-
-class PreconditionViolation(EqBallError):
-    """A documented operation precondition does not hold."""
-
-
-class NotSymmetric(EqBallError):
-    """Matrix expected to be symmetric is not."""
-
-
-class EvaluationFailure(EqBallError):
-    """Weight function returned a non-finite value."""
-
-
-class ClearanceFailure(EqBallError):
-    """An emitted link move failed its clearance re-check (internal bug guard)."""
-
-
-class NormWindowViolation(EqBallError):
-    """A constructed companion point fell outside its guaranteed norm window."""
-
-
-class RadiusSolveFailure(EqBallError):
-    """Bisection could not bracket the requested radius equation."""
-
-
-class TargetOutOfRange(EqBallError):
-    """Inverse-function target outside the function's range."""
+class ConstructionError(EqBallError):
+    """A re-check of a just-built object failed, or a search ran out."""
 
 
 class GenerationFailure(EqBallError):

@@ -18,16 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateInput,
-    DimensionMismatch,
-    EmptyIntersection,
-    InvalidSet,
-    NotInBall,
-    OutsideBall,
-    PreconditionClearance,
-    PreconditionDistance,
-)
+from .errors import ConstructionError, InputError
 from .geometry import DEFAULT_TOL, Frame, Tolerance, as_point, orthonormalize, row_dot, section2d
 from .simplex import EquilateralSet, alpha, beta, distance_errors, simplex_on_spheres
 
@@ -51,12 +42,12 @@ def _validate_pair(a, b, tol: Tolerance):
     a = as_point(a)
     b = as_point(b, a.size)
     if a.size < 2:
-        raise DimensionMismatch("clearance needs ambient dimension >= 2")
+        raise InputError("clearance needs ambient dimension >= 2")
     if np.linalg.norm(b - a) <= tol.eps_eq:
-        raise DegenerateInput("a and b coincide")
+        raise InputError("a and b coincide")
     for p in (a, b):
         if float(np.linalg.norm(p)) > 1.0 + tol.eps_eq:
-            raise OutsideBall(f"point with norm {float(np.linalg.norm(p)):.12f} is outside the ball")
+            raise InputError(f"point with norm {float(np.linalg.norm(p)):.12f} is outside the ball")
     return a, b
 
 
@@ -112,7 +103,7 @@ def gamma_bruteforce(a, b, M: Frame, grid_step: float | None = None,
         grid_step = tol.grid_step
     n = a.size
     if M.n != n:
-        raise DimensionMismatch("frame dimension does not match the points")
+        raise InputError("frame dimension does not match the points")
     d_hat = (b - a) / np.linalg.norm(b - a)
     w = M.basis.T @ (M.basis @ d_hat)
     if float(np.linalg.norm(w)) < 1e-10:
@@ -121,7 +112,7 @@ def gamma_bruteforce(a, b, M: Frame, grid_step: float | None = None,
         stacked = orthonormalize(np.vstack([w[None, :], M.basis]), n)
         inter = stacked[1:]
     if inter.shape[0] == 0:
-        raise EmptyIntersection("M intersects the orthogonal hyperplane only at 0")
+        raise InputError("M intersects the orthogonal hyperplane only at 0")
     dim = inter.shape[0]
     rng = np.random.default_rng(NET_SEED)
     coords = rng.standard_normal((NET_DIRECTIONS_PER_DIM * dim, dim))
@@ -163,12 +154,12 @@ def gamma1_links(A, B, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.ndim != 2 or A.shape != B.shape or A.shape[0] < 1:
-        raise DimensionMismatch(f"endpoint arrays must share a (k, n) shape, got {A.shape} and {B.shape}")
+        raise InputError(f"endpoint arrays must share a (k, n) shape, got {A.shape} and {B.shape}")
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
-        raise DimensionMismatch("point has non-finite components")
+        raise InputError("point has non-finite components")
     n = A.shape[1]
     if n < 2:
-        raise DimensionMismatch("clearance needs ambient dimension >= 2")
+        raise InputError("clearance needs ambient dimension >= 2")
     eps = tol.eps_eq
     target = 2.0 * alpha(n + 1)
     bn = beta(n)
@@ -180,14 +171,14 @@ def gamma1_links(A, B, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         value = _clearance(x0, diff / dist[:, None])
     failed = _first_failure([
-        (dist <= eps, lambda i: DegenerateInput("a and b coincide")),
-        (norm_a > 1.0 + eps, lambda i: OutsideBall(
+        (dist <= eps, lambda i: InputError("a and b coincide")),
+        (norm_a > 1.0 + eps, lambda i: InputError(
             f"point with norm {norm_a[i]:.12f} is outside the ball")),
-        (norm_b > 1.0 + eps, lambda i: OutsideBall(
+        (norm_b > 1.0 + eps, lambda i: InputError(
             f"point with norm {norm_b[i]:.12f} is outside the ball")),
-        (np.abs(dist - target) > LINK_DISTANCE_TOL, lambda i: PreconditionDistance(
+        (np.abs(dist - target) > LINK_DISTANCE_TOL, lambda i: InputError(
             f"||b-a||={dist[i]:.12f}, need {target:.12f}")),
-        (value < bn - eps, lambda i: PreconditionClearance(
+        (value < bn - eps, lambda i: InputError(
             f"clearance {value[i]:.12f} below beta_n={bn:.12f}")),
     ])
     # Hops before the first failing one go on to the checks of their sets.
@@ -196,16 +187,16 @@ def gamma1_links(A, B, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         shared = simplex_on_spheres(x0[:m], diff[:m], bn)
         wide = tol.widened()
         shared_norm = np.sqrt(row_dot(shared, shared)).max(axis=1)
-        checks = [(shared_norm > 1.0 + eps, lambda i: NotInBall(
+        checks = [(shared_norm > 1.0 + eps, lambda i: ConstructionError(
             "a shared point left the ball; clearance check was too tight"))]
         for ends in (A[:m], B[:m]):
             pts = np.concatenate([ends[:, None, :], shared], axis=1)
             err = distance_errors(pts).max(axis=1)
             top = np.sqrt(row_dot(pts, pts)).max(axis=1)
             checks += [
-                (err > wide.eps_eq, lambda i, err=err: InvalidSet(
+                (err > wide.eps_eq, lambda i, err=err: ConstructionError(
                     f"pairwise distance deviates from 1 by {err[i]:.3e}")),
-                (top > 1.0 + wide.eps_eq, lambda i, top=top: InvalidSet(
+                (top > 1.0 + wide.eps_eq, lambda i, top=top: ConstructionError(
                     f"a point has norm {top[i]:.12f} > 1")),
             ]
         failed = _first_failure(checks) or failed

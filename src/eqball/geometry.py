@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateInput, DimensionMismatch, FullSpan
+from .errors import ConstructionError, InputError
 
 # Residual norm below which a candidate direction counts as dependent.
 RANK_RESIDUAL = 1e-10
@@ -53,11 +53,11 @@ def as_point(x, n: int | None = None) -> np.ndarray:
     """Coerce x to a finite 1-D float64 vector, optionally of dimension n."""
     p = np.asarray(x, dtype=float)
     if p.ndim != 1 or p.size < 1:
-        raise DimensionMismatch(f"point must be a 1-D vector, got shape {p.shape}")
+        raise InputError(f"point must be a 1-D vector, got shape {p.shape}")
     if not np.all(np.isfinite(p)):
-        raise DimensionMismatch("point has non-finite components")
+        raise InputError("point has non-finite components")
     if n is not None and p.size != n:
-        raise DimensionMismatch(f"point has dimension {p.size}, expected {n}")
+        raise InputError(f"point has dimension {p.size}, expected {n}")
     return p
 
 
@@ -77,11 +77,11 @@ class Frame:
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=float)
         if b.ndim != 2 or b.shape[0] < 1:
-            raise DimensionMismatch("frame basis must be a non-empty 2-D array")
+            raise InputError("frame basis must be a non-empty 2-D array")
         object.__setattr__(self, "basis", b)
         gram = b @ b.T
         if np.max(np.abs(gram - np.eye(b.shape[0]))) > 1e-7:
-            raise DimensionMismatch("frame basis is not orthonormal")
+            raise InputError("frame basis is not orthonormal")
 
     @property
     def k(self) -> int:
@@ -135,18 +135,18 @@ def first_orthogonal_axis(existing: np.ndarray, n: int,
             norm = float(np.linalg.norm(r))
             if norm >= floor:
                 return r / norm
-    raise FullSpan("no canonical axis is independent of the span")
+    raise ConstructionError("no canonical axis is independent of the span")
 
 
 def orthonormal_complement(vectors, n: int, tol: Tolerance = DEFAULT_TOL) -> Frame:
     """Orthonormal basis of the orthogonal complement of span(vectors) in R^n.
 
-    Raises FullSpan when the input already spans R^n.
+    Raises InputError when the input already spans R^n.
     """
     span = orthonormalize(vectors, n)
     d = span.shape[0]
     if d >= n:
-        raise FullSpan(f"span has dimension {d} in R^{n}; complement is trivial")
+        raise InputError(f"span has dimension {d} in R^{n}; complement is trivial")
     rows = []
     stacked = span
     for e in np.eye(n):
@@ -159,7 +159,7 @@ def orthonormal_complement(vectors, n: int, tol: Tolerance = DEFAULT_TOL) -> Fra
             rows.append(r)
             stacked = np.vstack([stacked, r])
     if len(rows) != n - d:
-        raise FullSpan("failed to complete the complement basis")
+        raise ConstructionError("failed to complete the complement basis")
     return Frame(np.array(rows))
 
 
@@ -173,9 +173,9 @@ def section2d(a, b, tol: Tolerance = DEFAULT_TOL) -> Frame:
     b = as_point(b, a.size)
     n = a.size
     if n < 2:
-        raise DimensionMismatch("a 2-D section needs ambient dimension >= 2")
+        raise InputError("a 2-D section needs ambient dimension >= 2")
     if np.linalg.norm(b - a) <= tol.eps_eq:
-        raise DegenerateInput("section2d requires two distinct points")
+        raise InputError("section2d requires two distinct points")
     rows = orthonormalize([a, b], n)
     while rows.shape[0] < 2:
         extra = first_orthogonal_axis(rows, n)

@@ -21,20 +21,13 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .errors import (
-    ClearanceFailure,
-    EvaluationFailure,
-    InvalidN,
-    NotSymmetric,
-    PreconditionViolation,
-    RadiusOutOfRange,
-    TargetOutOfRange,
-)
+from .errors import ConstructionError, InputError
 from .gamma import gamma
 from .geometry import DEFAULT_TOL, Frame, Tolerance
 from .simplex import (
     alpha,
     beta,
+    distance_errors,
     embed_in_frame,
     height_above_base,
     random_rotations,
@@ -48,10 +41,10 @@ DISPROOF_SPREAD = 1e-6
 def eta(n: int, rho: float, tol: Tolerance = DEFAULT_TOL) -> float:
     """Apex norm completing a maximal set whose other n points sit at norm rho."""
     if n < 2:
-        raise InvalidN(f"eta requires n >= 2, got {n}")
+        raise InputError(f"eta requires n >= 2, got {n}")
     bn = beta(n)
     if rho < bn - tol.eps_eq or rho > 1.0 + tol.eps_eq:
-        raise RadiusOutOfRange(f"rho={rho} outside [{bn}, 1]")
+        raise InputError(f"rho={rho} outside [{bn}, 1]")
     return height_above_base(n, min(max(rho, bn), 1.0))
 
 
@@ -73,11 +66,11 @@ def mu_inverse(n: int, t: float, tol: Tolerance = DEFAULT_TOL) -> float:
     residual mu(result) - t far above it.
     """
     if n < 2:
-        raise InvalidN(f"mu_inverse requires n >= 2, got {n}")
+        raise InputError(f"mu_inverse requires n >= 2, got {n}")
     lo, hi = beta(n), 1.0
     lo_val, hi_val = 1.0 - alpha(n + 1), 1.0
     if t < lo_val - tol.eps_eq or t > hi_val + tol.eps_eq:
-        raise TargetOutOfRange(f"t={t} outside [{lo_val}, 1]")
+        raise InputError(f"t={t} outside [{lo_val}, 1]")
     t = min(max(t, lo_val), hi_val)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -93,7 +86,7 @@ def mu_inverse(n: int, t: float, tol: Tolerance = DEFAULT_TOL) -> float:
 def lambda_shell(n: int) -> float:
     """Radius beyond which the circuit machinery links every pair of the annulus."""
     if n < 2:
-        raise InvalidN(f"lambda_shell requires n >= 2, got {n}")
+        raise InputError(f"lambda_shell requires n >= 2, got {n}")
     return (1.0 + math.sqrt(4.0 + 4.0 / n) - math.sqrt(3.0 + 4.0 / n)) / math.sqrt(2.0)
 
 
@@ -217,14 +210,16 @@ def shell_circuit(n: int, section: Frame, rotation_angle: float,
 
     Link moves alternate between circuit points and the arc centers they sit
     on; every emitted pair is at distance exactly 2*alpha(n+1) and is
-    re-checked to carry clearance at least beta(n) (ClearanceFailure marks a
+    re-checked to carry clearance at least beta(n) (ConstructionError marks a
     bug, not an input condition).  The plan records the sines of the two
     comparison angles at the bottom cardinal.
     """
     if n < 2:
-        raise InvalidN(f"shell_circuit requires n >= 2, got {n}")
+        raise InputError(f"shell_circuit requires n >= 2, got {n}")
     if section.k != 2:
-        raise PreconditionViolation("section must be a 2-D frame")
+        raise InputError("section must be a 2-D frame")
+    if not math.isfinite(rotation_angle):
+        raise InputError(f"rotation angle {rotation_angle} is not finite")
     cardinals, corners, arcs = circuit_geometry(n, rotation_angle)
     a_np1 = alpha(n + 1)
     radius = 2.0 * a_np1
@@ -252,10 +247,10 @@ def shell_circuit(n: int, section: Frame, rotation_angle: float,
         p, q = embed(p_local), embed(q_local)
         dist = float(np.linalg.norm(p - q))
         if abs(dist - radius) > tol.eps_eq:
-            raise ClearanceFailure(f"move length {dist:.15f} differs from {radius:.15f}")
+            raise ConstructionError(f"move length {dist:.15f} differs from {radius:.15f}")
         clearance = gamma(p, q, tol).value
         if clearance < bn - 1e-12:
-            raise ClearanceFailure(f"move clearance {clearance:.12f} below beta_n={bn:.12f}")
+            raise ConstructionError(f"move clearance {clearance:.12f} below beta_n={bn:.12f}")
         link_moves.append((p, q))
 
     # Comparison angles at the bottom cardinal, both measured numerically.
@@ -269,7 +264,7 @@ def shell_circuit(n: int, section: Frame, rotation_angle: float,
         and cw_arc.contains_angle(math.atan2(h[1] - w_l[1], h[0] - w_l[0]), slack=1e-7)
     ]
     if not h_candidates:
-        raise ClearanceFailure("reference intersection point not found on the bottom arc")
+        raise ConstructionError("reference intersection point not found on the bottom arc")
     h_l = h_candidates[0]
 
     def sin_at_w(p_local):
@@ -281,7 +276,7 @@ def shell_circuit(n: int, section: Frame, rotation_angle: float,
     sin_owa = float(sin_at_w(a_l))
     sin_owh = float(sin_at_w(h_l))
     if sin_owa > sin_owh + 1e-12:
-        raise ClearanceFailure("corner angle exceeds its reference bound")
+        raise ConstructionError("corner angle exceeds its reference bound")
 
     return CircuitPlan(
         n=n,
@@ -337,15 +332,13 @@ def frame_weight_sum(T, seed: int, tol: Tolerance = DEFAULT_TOL) -> tuple[float,
     """Sum of <T u, u> over a rescaled random orthonormal basis vs trace(T)/2."""
     T = np.asarray(T, dtype=float)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
-        raise NotSymmetric("T must be a square matrix")
+        raise InputError("T must be a square matrix")
     if float(np.max(np.abs(T - T.T))) > tol.eps_eq:
-        raise NotSymmetric("T is not symmetric within tolerance")
+        raise InputError("T is not symmetric within tolerance")
     n = T.shape[0]
     basis = sphere_basis_set(n, seed)
-    dists = np.linalg.norm(basis[:, None, :] - basis[None, :, :], axis=2)
-    off = dists[~np.eye(n, dtype=bool)]
-    if off.size and float(np.max(np.abs(off - 1.0))) > tol.eps_eq:
-        raise PreconditionViolation("rescaled basis is not a standard equilateral set")
+    if float(distance_errors(basis).max(initial=0.0)) > tol.eps_eq:
+        raise InputError("rescaled basis is not a standard equilateral set")
     total = float(sum(u @ T @ u for u in basis))
     return total, float(np.trace(T)) / 2.0
 
@@ -360,7 +353,9 @@ def falsify(f: WeightFn, n: int, samples: int, seed: int,
     in one batched pass and then evaluated in sample order.
     """
     if samples < 2:
-        raise PreconditionViolation("falsify needs at least 2 samples")
+        raise InputError("falsify needs at least 2 samples")
+    if not (math.isfinite(threshold) and threshold >= 0.0):
+        raise InputError(f"threshold {threshold} must be finite and non-negative")
     rng = np.random.default_rng(seed)
     # A 64-bit range takes one unbuffered draw per value, so this equals
     # `samples` scalar draws.
@@ -373,7 +368,7 @@ def falsify(f: WeightFn, n: int, samples: int, seed: int,
     for pts in sets:
         vals = [float(f.evaluator(p)) for p in pts]
         if not all(math.isfinite(v) for v in vals):
-            raise EvaluationFailure("weight function returned a non-finite value")
+            raise InputError("weight function returned a non-finite value")
         sums.append(float(sum(vals)))
     arr = np.array(sums)
     hi = int(np.argmax(arr))

@@ -20,12 +20,7 @@ from eqball.certify import (
     generate_equality_certificate,
     theorem_step_relation,
 )
-from eqball.errors import (
-    MalformedCertificate,
-    OutsideBall,
-    PreconditionViolation,
-    RadiusSolveFailure,
-)
+from eqball.errors import InputError, MalformedCertificate
 from eqball.gamma import gamma1_link
 from eqball.geometry import DEFAULT_TOL
 from eqball.simplex import alpha, beta
@@ -80,7 +75,7 @@ def test_step_compliant_interior_case():
 def test_step_rejects_u_below_window():
     # mu_2(0.85) ~ 0.8214, so ||u|| = 0.8 is outside the admissible window
     assert mu(2, 0.85) > 0.8
-    with pytest.raises(PreconditionViolation):
+    with pytest.raises(InputError):
         theorem_step_relation(np.array([0.8, 0.0]), 0.85, 2)
 
 
@@ -127,7 +122,7 @@ def test_lemma_relation_generic_bisection():
 
 
 def test_lemma_relation_rejects_far_point():
-    with pytest.raises(RadiusSolveFailure):
+    with pytest.raises(InputError):
         constant_lemma_relation(np.array([0.5, 0.0]), 0.95, 2)
 
 
@@ -258,8 +253,20 @@ def test_generate_deterministic():
 
 
 def test_generate_rejects_outside_ball():
-    with pytest.raises(OutsideBall):
+    with pytest.raises(InputError):
         generate_equality_certificate(np.array([1.2, 0.0]), np.array([0.0, 0.0]), 2)
+
+
+def test_generate_endpoint_check_uses_the_callers_tolerance():
+    tight = dataclasses.replace(DEFAULT_TOL, eps_eq=1e-11)
+    x = np.array([1.0 + 5e-10, 0.0])
+    with pytest.raises(InputError, match="closed unit ball"):
+        generate_equality_certificate(x, np.zeros(2), 2, tight)
+    # and a looser tolerance admits an endpoint just outside the ball
+    loose = dataclasses.replace(DEFAULT_TOL, eps_eq=1e-6)
+    x = np.array([1.0 + 5e-7, 0.0])
+    cert = generate_equality_certificate(x, np.zeros(2), 2, loose)
+    assert check_certificate(cert, loose).accepted
 
 
 def test_generate_random_pairs_and_soundness():

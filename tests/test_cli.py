@@ -244,6 +244,23 @@ def test_eps_only_where_it_is_used(command):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("command, message", [
+    (("emit-circuit", "--n", "2", "--angle", "inf"), "error: rotation angle inf is not finite"),
+    (("emit-circuit", "--n", "2", "--angle", "nan"), "error: rotation angle nan is not finite"),
+    (("falsify", "--expr", "x1", "--n", "3", "--samples", "5", "--threshold", "nan"),
+     "error: threshold nan must be finite and non-negative"),
+    (("falsify", "--expr", "1", "--n", "3", "--samples", "5", "--threshold", "-1"),
+     "error: threshold -1.0 must be finite and non-negative"),
+    (("certify", "--x", "0.1,0", "--y", "0.2,0", "--n", "0"),
+     "error: point has dimension 2, expected 0"),
+], ids=["angle-inf", "angle-nan", "threshold-nan", "threshold-negative", "certify-n-0"])
+def test_out_of_domain_numbers_exit2(capsys, command, message):
+    code, out, err = run_cli(capsys, *command, "--no-timestamp")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == message
+
+
 def test_check_non_utf8_file_exit2(tmp_path, capsys):
     doc_file = tmp_path / "cert.json"
     doc_file.write_bytes(b"\xff\xfe" + json.dumps(VALID_DOC).encode())

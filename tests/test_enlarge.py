@@ -10,7 +10,7 @@ from eqball.enlarge import (
     is_maximal,
     k_region_test,
 )
-from eqball.errors import AlreadyMaximal, NotCentered, NotInBall
+from eqball.errors import InputError
 from eqball.simplex import EquilateralSet, alpha, beta, canonical_simplex, sample_maximal_set
 
 
@@ -66,13 +66,13 @@ def test_enlarge_already_maximal_is_identity():
     out, trace = enlarge_to_maximal(s)
     assert out is s or np.array_equal(out.points, s.points)
     assert trace.steps == []
-    with pytest.raises(AlreadyMaximal):
+    with pytest.raises(InputError):
         enlarge_step(s)
 
 
 def test_enlarge_rejects_out_of_ball():
     s = EquilateralSet(np.array([[1.2, 0.0]]))
-    with pytest.raises(NotInBall):
+    with pytest.raises(InputError):
         enlarge_step(s)
 
 
@@ -138,5 +138,5 @@ def test_k_region_convex_combinations_stay_in_ball():
 
 def test_k_region_requires_centered_set():
     shifted = EquilateralSet(canonical_simplex(2, 3).points + np.array([0.1, 0.0]))
-    with pytest.raises(NotCentered):
+    with pytest.raises(InputError):
         k_region_test(np.zeros(2), shifted)

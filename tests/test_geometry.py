@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eqball.errors import DegenerateInput, DimensionMismatch, FullSpan
+from eqball.errors import InputError
 from eqball.geometry import (
     Tolerance,
     orthonormal_complement,
@@ -50,9 +50,9 @@ def test_complement_of_plane_in_r3():
 
 
 def test_complement_errors():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InputError):
         orthonormal_complement([np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0])], 2)
-    with pytest.raises(FullSpan):
+    with pytest.raises(InputError):
         orthonormal_complement([np.array([1.0, 0.0]), np.array([0.0, 1.0])], 2)
 
 
@@ -93,9 +93,9 @@ def test_section2d_collinear_tie_break_and_reconstruction():
 
 
 def test_section2d_degenerate():
-    with pytest.raises(DegenerateInput):
+    with pytest.raises(InputError):
         section2d(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InputError):
         section2d(np.array([1.0]), np.array([2.0]))
 
 

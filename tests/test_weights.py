@@ -5,12 +5,7 @@ import pytest
 
 from test_simplex import reference_sample, reference_sphere_basis
 
-from eqball.errors import (
-    EvaluationFailure,
-    NotSymmetric,
-    RadiusOutOfRange,
-    TargetOutOfRange,
-)
+from eqball.errors import InputError
 from eqball.gamma import gamma
 from eqball.expr import compile_weight_expression
 from eqball.geometry import Frame
@@ -44,7 +39,7 @@ def test_eta_endpoints():
     for n in (2, 3, 5, 16):
         assert eta(n, beta(n)) == pytest.approx(alpha(n + 1), abs=1e-15)
         assert eta(n, 1.0) == pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(RadiusOutOfRange):
+    with pytest.raises(InputError):
         eta(3, 0.2)
 
 
@@ -93,7 +88,7 @@ def test_mu_inverse_round_trip():
             t = rng.uniform(1 - alpha(n + 1), 1.0)
             rho = mu_inverse(n, t)
             assert abs(mu(n, rho) - t) < 1e-10
-    with pytest.raises(TargetOutOfRange):
+    with pytest.raises(InputError):
         mu_inverse(3, 0.05)
 
 
@@ -215,7 +210,7 @@ def test_frame_weight_sum_random_symmetric():
 
 
 def test_frame_weight_sum_rejects_asymmetric():
-    with pytest.raises(NotSymmetric):
+    with pytest.raises(InputError):
         frame_weight_sum(np.array([[0.0, 1.0], [0.0, 0.0]]), seed=0)
 
 
@@ -277,8 +272,20 @@ def test_falsify_sphere_mode_quadratic_form_consistent():
 
 def test_falsify_nonfinite_evaluator():
     fn = WeightFn(evaluator=lambda p: float("nan"))
-    with pytest.raises(EvaluationFailure):
+    with pytest.raises(InputError):
         falsify(fn, 2, 5, seed=0)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -1e-6])
+def test_falsify_rejects_a_threshold_out_of_domain(threshold):
+    with pytest.raises(InputError, match="^threshold "):
+        falsify(WeightFn(evaluator=lambda p: 1.0), 2, 5, seed=0, threshold=threshold)
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_shell_circuit_rejects_a_non_finite_angle(angle):
+    with pytest.raises(InputError, match="^rotation angle "):
+        shell_circuit(2, _section(2), angle)
 
 
 def reference_falsify(evaluator, n, samples, seed, mode):
