@@ -166,7 +166,7 @@ def constant_lemma_relation(z, rho0: float, n: int,
         rho = 0.5 * (lo + hi)
     companions = cap_extension(z, rho, tol)
     full = EquilateralSet(np.vstack([z, companions.points]))
-    full.validate(in_ball=True, tol=tol.widened())
+    full.recheck(in_ball=True, tol=tol.widened())
     return full, companions.points
 
 

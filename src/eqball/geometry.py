@@ -6,7 +6,8 @@ function on immutable values.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from copy import copy
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,9 +42,13 @@ class Tolerance:
         """This tolerance with eps_eq ten times looser.
 
         Re-checks a set constructed from inputs that were themselves only
-        within eps_eq of their constraints.
+        within eps_eq of their constraints.  A widened tolerance only feeds
+        equality checks, never the brute-force grid, so the constructor's
+        eps_eq < grid_step bound is not applied: every valid tolerance widens.
         """
-        return replace(self, eps_eq=10 * self.eps_eq)
+        wide = copy(self)
+        object.__setattr__(wide, "eps_eq", 10 * self.eps_eq)
+        return wide
 
 
 DEFAULT_TOL = Tolerance()

@@ -100,6 +100,13 @@ class EquilateralSet:
         if in_ball and self.max_norm() > 1.0 + tol.eps_eq:
             raise InputError(f"a point has norm {self.max_norm():.12f} > 1")
 
+    def recheck(self, in_ball: bool = False, tol: Tolerance = DEFAULT_TOL) -> None:
+        """validate() for a set the library just built: a failure is a ConstructionError."""
+        try:
+            self.validate(in_ball=in_ball, tol=tol)
+        except InputError as exc:
+            raise ConstructionError(str(exc)) from exc
+
 
 @dataclass(frozen=True)
 class SetStats:
@@ -227,7 +234,7 @@ def cap_extension(x, rho: float, tol: Tolerance = DEFAULT_TOL) -> EquilateralSet
     shift = -(math.sqrt(max(rho * rho - bn * bn, 0.0)) * direction)
     pts = simplex_on_spheres(shift[None, :], direction[None, :], bn)[0]
     out = EquilateralSet(pts)
-    out.validate(tol=tol)
+    out.recheck(tol=tol)
     if float(np.max(np.abs(np.linalg.norm(pts, axis=1) - rho))) > tol.eps_eq:
         raise ConstructionError("constructed points do not sit at norm rho")
     if float(np.max(np.abs(np.linalg.norm(pts - x, axis=1) - 1.0))) > tol.eps_eq:

@@ -49,6 +49,14 @@ def _feasible_assignments(cert, count, seed):
 # -- step relation ------------------------------------------------------------
 
 
+def test_step_and_lemma_at_a_loose_tolerance():
+    loose = dataclasses.replace(DEFAULT_TOL, eps_eq=2e-5)
+    rel = theorem_step_relation(np.array([0.83, 0.0]), 0.85, 2, loose)
+    assert np.allclose(rel.v, [-0.17, 0.0], atol=1e-12)
+    full, companions = constant_lemma_relation(np.array([0.0, 0.1, 0.0]), 0.8, 3, loose)
+    assert full.pairwise_distance_error() < 1e-9
+
+
 def test_step_endpoint_norm_of_v():
     rho0 = 0.85
     rel = theorem_step_relation(np.array([0.85, 0.0]), rho0, 2)
@@ -75,7 +83,7 @@ def test_step_compliant_interior_case():
 def test_step_rejects_u_below_window():
     # mu_2(0.85) ~ 0.8214, so ||u|| = 0.8 is outside the admissible window
     assert mu(2, 0.85) > 0.8
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^\|\|u\|\|=.* outside the step window "):
         theorem_step_relation(np.array([0.8, 0.0]), 0.85, 2)
 
 
@@ -122,7 +130,7 @@ def test_lemma_relation_generic_bisection():
 
 
 def test_lemma_relation_rejects_far_point():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^\|\|z\|\|=.* exceeds eta\(rho0\)="):
         constant_lemma_relation(np.array([0.5, 0.0]), 0.95, 2)
 
 
@@ -253,7 +261,7 @@ def test_generate_deterministic():
 
 
 def test_generate_rejects_outside_ball():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^certificate endpoints must lie in the closed unit ball"):
         generate_equality_certificate(np.array([1.2, 0.0]), np.array([0.0, 0.0]), 2)
 
 

@@ -11,6 +11,7 @@ from eqball.enlarge import (
     k_region_test,
 )
 from eqball.errors import InputError
+from eqball.geometry import Tolerance
 from eqball.simplex import EquilateralSet, alpha, beta, canonical_simplex, sample_maximal_set
 
 
@@ -66,13 +67,21 @@ def test_enlarge_already_maximal_is_identity():
     out, trace = enlarge_to_maximal(s)
     assert out is s or np.array_equal(out.points, s.points)
     assert trace.steps == []
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^set of size 4 is already maximal"):
         enlarge_step(s)
+
+
+def test_enlarge_at_a_loose_tolerance():
+    # the widened output re-check must accept any valid tolerance
+    loose = Tolerance(eps_eq=2e-5)
+    out, trace = enlarge_to_maximal(EquilateralSet(np.array([[1.0, 0.0, 0.0]])), loose)
+    assert out.k == 4 and len(trace.steps) == 3
+    assert out.pairwise_distance_error() < 1e-12
 
 
 def test_enlarge_rejects_out_of_ball():
     s = EquilateralSet(np.array([[1.2, 0.0]]))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^input vertex norm .* exceeds 1"):
         enlarge_step(s)
 
 
@@ -138,5 +147,5 @@ def test_k_region_convex_combinations_stay_in_ball():
 
 def test_k_region_requires_centered_set():
     shifted = EquilateralSet(canonical_simplex(2, 3).points + np.array([0.1, 0.0]))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^set center has norm "):
         k_region_test(np.zeros(2), shifted)

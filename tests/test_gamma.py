@@ -60,9 +60,9 @@ def test_gamma_rotation_invariance():
 
 
 def test_gamma_errors():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^a and b coincide"):
         gamma(np.array([0.1, 0.2]), np.array([0.1, 0.2]))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^point with norm .* is outside the ball"):
         gamma(np.array([1.5, 0.0]), np.array([0.0, 0.5]))
 
 
@@ -120,7 +120,7 @@ def test_bruteforce_empty_intersection():
     a = np.array([0.2, 0.0, 0.0])
     b = np.array([0.6, 0.0, 0.0])
     direction = Frame(np.array([[1.0, 0.0, 0.0]]))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^M intersects the orthogonal hyperplane only at 0"):
         gamma_bruteforce(a, b, direction, 1e-3)
 
 

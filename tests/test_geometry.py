@@ -25,6 +25,13 @@ def test_tolerance_widened_loosens_eps_eq_only():
     assert (wide.eps_eq, wide.eps_rank, wide.grid_step) == (2e-8, 3e-8, 5e-4)
 
 
+def test_tolerance_widened_past_the_grid_step():
+    # eps_eq = 2e-5 is valid; ten times that passes grid_step = 1e-4, which
+    # the constructor would refuse but an equality re-check does not mind
+    wide = Tolerance(eps_eq=2e-5).widened()
+    assert (wide.eps_eq, wide.grid_step) == (2e-4, 1e-4)
+
+
 def test_complement_of_axis_in_r2():
     frame = orthonormal_complement([np.array([1.0, 0.0])], 2)
     assert frame.k == 1
@@ -50,9 +57,9 @@ def test_complement_of_plane_in_r3():
 
 
 def test_complement_errors():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^point has dimension 3, expected 2"):
         orthonormal_complement([np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0])], 2)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^span has dimension 2 in R\\^2; complement is trivial"):
         orthonormal_complement([np.array([1.0, 0.0]), np.array([0.0, 1.0])], 2)
 
 
@@ -93,9 +100,9 @@ def test_section2d_collinear_tie_break_and_reconstruction():
 
 
 def test_section2d_degenerate():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^section2d requires two distinct points"):
         section2d(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^a 2-D section needs ambient dimension >= 2"):
         section2d(np.array([1.0]), np.array([2.0]))
 
 

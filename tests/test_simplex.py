@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from eqball.geometry import orthonormal_complement
+from eqball.geometry import Tolerance, orthonormal_complement
 
 from eqball import simplex
 from eqball.errors import ConstructionError, InputError
@@ -36,7 +36,7 @@ TETRAHEDRON = np.array([
 def test_beta_trivial_values():
     assert beta(1) == 0.0
     assert beta(2) == 0.5
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^beta requires k >= 1"):
         beta(0)
 
 
@@ -65,7 +65,7 @@ def test_alpha_values_and_identity():
     assert alpha(3) == pytest.approx(measured, abs=1e-12)
     for m in range(2, 65):
         assert alpha(m) ** 2 + beta(m - 1) ** 2 == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^alpha requires subscript >= 2"):
         alpha(1)
 
 
@@ -90,7 +90,7 @@ def test_center_radius_matches_beta():
 
 
 def test_center_rejects_invalid():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^pairwise distance deviates from 1"):
         center(EquilateralSet(np.array([[0.0, 0.0], [2.0, 0.0]])))
 
 
@@ -110,9 +110,9 @@ def test_canonical_triangle_centered():
 def test_canonical_large_and_errors():
     s = canonical_simplex(8, 9)
     assert s.pairwise_distance_error() < 1e-12
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^size 5 does not fit in R\\^3"):
         canonical_simplex(3, 5)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^canonical_simplex requires k >= 1"):
         canonical_simplex(3, 0)
 
 
@@ -182,6 +182,25 @@ def test_cap_extension_errors():
         cap_extension(np.array([0.1, 0.0]), 0.3)
     with pytest.raises(InputError, match=r"^norm\(x\)=.* but the height for rho="):
         cap_extension(np.array([0.5, 0.0]), 0.9)
+
+
+def test_cap_extension_at_a_loose_tolerance():
+    loose = Tolerance(eps_eq=2e-5)
+    x = np.array([height_above_base(3, 0.8), 0.0, 0.0])
+    comps = cap_extension(x, 0.8, loose)
+    assert np.max(np.abs(np.linalg.norm(comps.points - x, axis=1) - 1.0)) < 1e-9
+
+
+def test_recheck_reports_a_construction_error_with_the_validate_message():
+    bad = EquilateralSet(np.array([[0.0, 0.0], [2.0, 0.0]]))
+    with pytest.raises(InputError, match="^pairwise distance deviates from 1 by "):
+        bad.validate()
+    with pytest.raises(ConstructionError, match="^pairwise distance deviates from 1 by "):
+        bad.recheck()
+    outside = EquilateralSet(np.array([[1.5, 0.0]]))
+    outside.recheck()
+    with pytest.raises(ConstructionError, match="^a point has norm 1.5"):
+        outside.recheck(in_ball=True)
 
 
 def test_sample_maximal_set_postconditions():
@@ -263,9 +282,9 @@ def test_batched_sphere_bases_equal_the_per_sample_reference(n):
 def test_sampling_failure_after_the_last_round(monkeypatch):
     monkeypatch.setattr(simplex, "MAX_SAMPLE_ATTEMPTS", 4)
     # a translation of length 1e9 * u**(1/3) lands only if u < 3e-29, i.e. u == 0.0
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ConstructionError, match="^no in-ball sample after "):
         sample_maximal_sets(3, [1, 2, 3], translation_radius=1e9)
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ConstructionError, match="^no in-ball sample after "):
         sample_maximal_set(3, 5, translation_radius=1e9)
     assert sample_maximal_sets(3, [1, 2, 3]).shape == (3, 4, 3)
 
@@ -292,5 +311,5 @@ def test_simplex_on_spheres_matches_the_complement_construction():
 
 
 def test_simplex_on_spheres_rejects_a_zero_normal():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^a normal vector is zero"):
         simplex_on_spheres(np.zeros((1, 3)), np.zeros((1, 3)), beta(3))

@@ -39,7 +39,7 @@ def test_eta_endpoints():
     for n in (2, 3, 5, 16):
         assert eta(n, beta(n)) == pytest.approx(alpha(n + 1), abs=1e-15)
         assert eta(n, 1.0) == pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^rho=0\.2 outside "):
         eta(3, 0.2)
 
 
@@ -88,7 +88,7 @@ def test_mu_inverse_round_trip():
             t = rng.uniform(1 - alpha(n + 1), 1.0)
             rho = mu_inverse(n, t)
             assert abs(mu(n, rho) - t) < 1e-10
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^t=0\.05 outside "):
         mu_inverse(3, 0.05)
 
 
@@ -210,7 +210,7 @@ def test_frame_weight_sum_random_symmetric():
 
 
 def test_frame_weight_sum_rejects_asymmetric():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^T is not symmetric"):
         frame_weight_sum(np.array([[0.0, 1.0], [0.0, 0.0]]), seed=0)
 
 
@@ -272,7 +272,7 @@ def test_falsify_sphere_mode_quadratic_form_consistent():
 
 def test_falsify_nonfinite_evaluator():
     fn = WeightFn(evaluator=lambda p: float("nan"))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^weight function returned a non-finite value"):
         falsify(fn, 2, 5, seed=0)
 
 
