@@ -54,7 +54,6 @@ from .geometry import DEFAULT_TOL, Tolerance, as_point, section2d
 from .simplex import EquilateralSet, alpha, beta, cap_extension, distance_errors, embed_in_frame
 from .enlarge import enlarge_to_maximal
 from .weights import (
-    BISECTION_TOL,
     circuit_geometry,
     circle_circle_intersections,
     eta,
@@ -88,12 +87,6 @@ class StepRelation:
     rho0: float
 
 
-@lru_cache(maxsize=None)
-def _step_radius_bound(n: int, tol: Tolerance) -> float:
-    """Largest admissible step radius: mu_inverse of min(lambda_shell(n), 1)."""
-    return mu_inverse(n, min(lambda_shell(n), 1.0), tol)
-
-
 def theorem_step_relation(u, rho0: float, n: int,
                           tol: Tolerance = DEFAULT_TOL) -> StepRelation:
     """One inward annulus step at radius rho0 through the point u.
@@ -107,7 +100,8 @@ def theorem_step_relation(u, rho0: float, n: int,
     u = as_point(u, n)
     s = float(np.linalg.norm(u))
     bn = beta(n)
-    if rho0 < bn - tol.eps_eq or rho0 > _step_radius_bound(n, tol) + tol.eps_eq:
+    rho_max = mu_inverse(n, min(lambda_shell(n), 1.0), tol)
+    if rho0 < bn - tol.eps_eq or rho0 > rho_max + tol.eps_eq:
         raise InputError(f"step radius rho0={rho0} out of range for n={n}")
     lo = mu(n, rho0, tol)
     if s < lo - 2 * tol.eps_eq or s > rho0 + 2 * tol.eps_eq:
@@ -138,9 +132,10 @@ def constant_lemma_relation(z, rho0: float, n: int,
                             tol: Tolerance = DEFAULT_TOL) -> tuple[EquilateralSet, np.ndarray]:
     """Maximal set {z, c_1..c_n} with all companions at one norm >= rho0.
 
-    Solves eta(rho) = ||z|| on [rho0, 1] by bisection and extends z by the
-    cap at that radius; the companions land in the annulus where the weight
-    value is already pinned, so the set's equation reads f(z) + n*delta = W.
+    Takes rho = max(rho0, mu_inverse(1 - ||z||)), the radius in [rho0, 1]
+    whose apex height eta(rho) is ||z||, and extends z by the cap at that
+    radius; the companions land in the annulus where the weight value is
+    already pinned, so the set's equation reads f(z) + n*delta = W.
     """
     z = as_point(z, n)
     s = float(np.linalg.norm(z))
@@ -151,19 +146,7 @@ def constant_lemma_relation(z, rho0: float, n: int,
     top = eta(n, rho0, tol)
     if s > top + tol.eps_eq:
         raise InputError(f"||z||={s:.12f} exceeds eta(rho0)={top:.12f}")
-    lo, hi = rho0, 1.0
-    if s >= top:
-        rho = rho0
-    elif s <= 0.0:
-        rho = 1.0
-    else:
-        while hi - lo > BISECTION_TOL:
-            mid = 0.5 * (lo + hi)
-            if eta(n, mid, tol) > s:
-                lo = mid
-            else:
-                hi = mid
-        rho = 0.5 * (lo + hi)
+    rho = max(rho0, mu_inverse(n, 1.0 - s, tol))
     companions = cap_extension(z, rho, tol)
     full = EquilateralSet(np.vstack([z, companions.points]))
     full.recheck(in_ball=True, tol=tol.widened())
@@ -598,16 +581,13 @@ class _CircuitRouter:
     def plan(self, p_local: np.ndarray, anchor_local: np.ndarray) -> list[np.ndarray]:
         """Local waypoints [p, ..., anchor]; consecutive gaps are exactly one hop."""
         phi0 = self.circuit_angle_for(anchor_local)
-        _, corners0, _ = self._geometry(phi0)
         phi_p = self.circuit_angle_for(p_local)
         quarter = math.pi / 2.0
         k = round((phi_p - phi0) / quarter)
         if abs(phi_p - phi0 - k * quarter) < 1e-9:
             # Same circuit: p's arc corner is a relabeled corner of circuit(phi0).
             label = ["a", "d", "c", "b"][k % 4]
-            names = self._walk(label, "a")
-            return [p_local] + [corners0[nm] if nm in "abcd" else self._geometry(phi0)[0][nm]
-                                for nm in names] + [anchor_local]
+            return [p_local] + self._segment_rev(phi0, label, anchor_local)
         alt = self.circuit_angle_for(p_local, branch=-1)
         if _fold(phi_p - phi0, quarter) < 0.05 and _fold(alt - phi0, quarter) >= 0.05:
             phi_p = alt
@@ -615,7 +595,8 @@ class _CircuitRouter:
             hit = self._cross(phi_p, phi0)
             if hit is not None:
                 i, j, q = hit
-                return self._assemble(p_local, phi_p, i, q, j, phi0, anchor_local)
+                return (self._segment(p_local, phi_p, i) + [q]
+                        + self._segment_rev(phi0, j, anchor_local))
         # Nearly aligned circuits (or no crossing found): route via a middle circuit.
         phi_m = phi0 + math.pi / 8.0
         hit1 = self._cross(phi_p, phi_m)
@@ -640,9 +621,6 @@ class _CircuitRouter:
         cards, corners, _ = self._geometry(phi0)
         names = self._walk(start_label, "a")
         return [corners[nm] if nm in "abcd" else cards[nm] for nm in names] + [anchor_local]
-
-    def _assemble(self, p_local, phi_p, i, q, j, phi0, anchor_local):
-        return self._segment(p_local, phi_p, i) + [q] + self._segment_rev(phi0, j, anchor_local)
 
 
 class _Generator:

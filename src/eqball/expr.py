@@ -113,70 +113,47 @@ class _Parser:
 _FUNCTIONS = {"norm", "dot", "sqrt", "abs"}
 
 
-def _check(node, n: int) -> str:
-    """Type-check the tree; returns 'scalar' or 'vector'."""
-    tag = node[0]
-    if tag == "const":
-        return "scalar"
-    if tag == "var":
-        name = node[1]
-        if name == "x":
-            return "vector"
-        m = re.fullmatch(r"x(\d+)", name)
-        if m:
-            k = int(m.group(1))
-            if not 1 <= k <= n:
-                raise ExpressionError(f"coordinate {name} out of range for n={n}")
-            return "scalar"
-        raise ExpressionError(f"unknown identifier {name!r}")
-    if tag == "neg":
-        if _check(node[1], n) != "scalar":
-            raise ExpressionError("negation applies to scalars only")
-        return "scalar"
-    if tag in ("+", "-", "*", "/"):
-        if _check(node[1], n) != "scalar" or _check(node[2], n) != "scalar":
-            raise ExpressionError(f"operator {tag!r} applies to scalars only")
-        return "scalar"
-    if tag == "call":
-        name, args = node[1], node[2]
-        if name not in _FUNCTIONS:
-            raise ExpressionError(f"unknown function {name!r}")
-        kinds = [_check(a, n) for a in args]
-        if name == "norm":
-            if kinds != ["vector"]:
-                raise ExpressionError("norm takes one vector argument")
-        elif name == "dot":
-            if kinds != ["vector", "vector"]:
-                raise ExpressionError("dot takes two vector arguments")
-        else:
-            if kinds != ["scalar"]:
-                raise ExpressionError(f"{name} takes one scalar argument")
-        return "scalar"
-    raise ExpressionError(f"malformed expression node {tag!r}")
+def _compile(node, n: int):
+    """Type-check the tree and compile it in one walk; returns the kind,
+    'scalar' or 'vector', and a closure evaluating the node on one point.
 
-
-def _compile(node):
-    """Closure evaluating a checked tree on one point; children compile once."""
+    A function's name is checked before its arguments, and a left operand
+    before the right one; each child compiles once.
+    """
     tag = node[0]
     if tag == "const":
         value = node[1]
-        return lambda point: value
+        return "scalar", lambda point: value
     if tag == "var":
-        if node[1] == "x":
-            return lambda point: point
-        k = int(node[1][1:]) - 1
-        return lambda point: float(point[k])
+        name = node[1]
+        if name == "x":
+            return "vector", lambda point: point
+        m = re.fullmatch(r"x(\d+)", name)
+        if m:
+            k = int(m.group(1)) - 1
+            if not 0 <= k < n:
+                raise ExpressionError(f"coordinate {name} out of range for n={n}")
+            return "scalar", lambda point: float(point[k])
+        raise ExpressionError(f"unknown identifier {name!r}")
     if tag == "neg":
-        arg = _compile(node[1])
-        return lambda point: -arg(point)
+        kind, arg = _compile(node[1], n)
+        if kind != "scalar":
+            raise ExpressionError("negation applies to scalars only")
+        return "scalar", lambda point: -arg(point)
     if tag in ("+", "-", "*", "/"):
-        a, b = _compile(node[1]), _compile(node[2])
+        operands = []
+        for child in node[1:]:
+            kind, f = _compile(child, n)
+            if kind != "scalar":
+                raise ExpressionError(f"operator {tag!r} applies to scalars only")
+            operands.append(f)
+        a, b = operands
         if tag == "+":
-            return lambda point: a(point) + b(point)
+            return "scalar", lambda point: a(point) + b(point)
         if tag == "-":
-            return lambda point: a(point) - b(point)
+            return "scalar", lambda point: a(point) - b(point)
         if tag == "*":
-            return lambda point: a(point) * b(point)
+            return "scalar", lambda point: a(point) * b(point)
 
         def divide(point):
             num = a(point)
@@ -185,35 +162,47 @@ def _compile(node):
                 raise ExpressionError("division by zero during evaluation")
             return num / den
 
-        return divide
-    name, args = node[1], [_compile(a) for a in node[2]]
-    if name == "norm":
+        return "scalar", divide
+    if tag == "call":
+        name = node[1]
+        if name not in _FUNCTIONS:
+            raise ExpressionError(f"unknown function {name!r}")
+        compiled = [_compile(a, n) for a in node[2]]
+        kinds = [kind for kind, _ in compiled]
+        args = [f for _, f in compiled]
+        if name == "norm":
+            if kinds != ["vector"]:
+                raise ExpressionError("norm takes one vector argument")
+            (arg,) = args
+            return "scalar", lambda point: float(np.linalg.norm(arg(point)))
+        if name == "dot":
+            if kinds != ["vector", "vector"]:
+                raise ExpressionError("dot takes two vector arguments")
+            a, b = args
+            return "scalar", lambda point: float(np.dot(a(point), b(point)))
+        if kinds != ["scalar"]:
+            raise ExpressionError(f"{name} takes one scalar argument")
         (arg,) = args
-        return lambda point: float(np.linalg.norm(arg(point)))
-    if name == "dot":
-        a, b = args
-        return lambda point: float(np.dot(a(point), b(point)))
-    (arg,) = args
-    if name == "sqrt":
-        def root(point):
-            value = arg(point)
-            if value < 0:
-                raise ExpressionError("sqrt of a negative value")
-            return math.sqrt(value)
+        if name == "sqrt":
+            def root(point):
+                value = arg(point)
+                if value < 0:
+                    raise ExpressionError("sqrt of a negative value")
+                return math.sqrt(value)
 
-        return root
-    return lambda point: abs(arg(point))
+            return "scalar", root
+        return "scalar", lambda point: abs(arg(point))
+    raise ExpressionError(f"malformed expression node {tag!r}")
 
 
 def compile_weight_expression(text: str, n: int):
     """Parse an expression and return a point -> float evaluator.
 
-    The checked tree is compiled once into nested closures, one per node.
+    The tree is checked and compiled once into nested closures, one per node.
     """
-    tree = _Parser(_tokenize(text)).parse()
-    if _check(tree, n) != "scalar":
+    kind, root = _compile(_Parser(_tokenize(text)).parse(), n)
+    if kind != "scalar":
         raise ExpressionError("expression must evaluate to a scalar")
-    root = _compile(tree)
 
     def evaluator(point) -> float:
         return float(root(np.asarray(point, dtype=float)))

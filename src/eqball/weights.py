@@ -7,7 +7,11 @@ The radius maps live on [beta(n), 1]:
     nu(rho)     = rho - mu(rho)
 
 eta decreases from alpha(n+1) to 0 with fixed point beta(n+1); mu increases
-over [1 - alpha(n+1), 1]; nu decreases to nu(1) = 0.
+over [1 - alpha(n+1), 1]; nu decreases to nu(1) = 0.  eta and mu invert in
+closed form, with beta(n)**2 + alpha(n+1)**2 = 1 giving mu_inverse(1) = 1:
+
+    mu_inverse(t) = sqrt(beta(n)**2 + (t - (1 - alpha(n+1)))**2)
+    eta(rho) = h  <=>  rho = mu_inverse(1 - h)
 
 The circuit machinery links any two points of the annulus
 {lambda_shell(n) <= ||p|| <= 1} of a 2-D section by hops of length exactly
@@ -34,7 +38,6 @@ from .simplex import (
     sample_maximal_sets,
 )
 
-BISECTION_TOL = 1e-12
 DISPROOF_SPREAD = 1e-6
 
 
@@ -59,28 +62,15 @@ def nu(n: int, rho: float, tol: Tolerance = DEFAULT_TOL) -> float:
 
 
 def mu_inverse(n: int, t: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Bisection solve of mu(rho) = t on [beta(n), 1].
-
-    Runs to machine precision in rho because mu has unbounded slope at the
-    left endpoint; stopping at a fixed rho width there would leave the
-    residual mu(result) - t far above it.
-    """
+    """The radius rho in [beta(n), 1] with mu(rho) = t, in closed form."""
     if n < 2:
         raise InputError(f"mu_inverse requires n >= 2, got {n}")
-    lo, hi = beta(n), 1.0
-    lo_val, hi_val = 1.0 - alpha(n + 1), 1.0
-    if t < lo_val - tol.eps_eq or t > hi_val + tol.eps_eq:
+    bn = beta(n)
+    lo_val = 1.0 - alpha(n + 1)
+    if t < lo_val - tol.eps_eq or t > 1.0 + tol.eps_eq:
         raise InputError(f"t={t} outside [{lo_val}, 1]")
-    t = min(max(t, lo_val), hi_val)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if mu(n, mid, tol) < t:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    rise = min(max(t, lo_val), 1.0) - lo_val
+    return min(max(math.sqrt(bn * bn + rise * rise), bn), 1.0)
 
 
 def lambda_shell(n: int) -> float:
@@ -152,12 +142,7 @@ class Arc:
 class CircuitPlan:
     """Quadruple, corners, arcs, and verified link moves of one boundary circuit."""
 
-    n: int
-    section: Frame
-    rotation_angle: float
     quadruple: dict
-    corners: dict
-    quadruple_local: dict
     corners_local: dict
     arcs: list
     link_moves: list
@@ -220,7 +205,10 @@ def shell_circuit(n: int, section: Frame, rotation_angle: float,
         raise InputError("section must be a 2-D frame")
     if not math.isfinite(rotation_angle):
         raise InputError(f"rotation angle {rotation_angle} is not finite")
-    cardinals, corners, arcs = circuit_geometry(n, rotation_angle)
+    # Offsets like pi/2 added to a huge angle would lose the hop length to
+    # rounding; the remainder is exact, and is the angle itself for |angle| <= pi.
+    rot = math.remainder(rotation_angle, 2.0 * math.pi)
+    cardinals, corners, arcs = circuit_geometry(n, rot)
     a_np1 = alpha(n + 1)
     radius = 2.0 * a_np1
     bn = beta(n)
@@ -230,7 +218,6 @@ def shell_circuit(n: int, section: Frame, rotation_angle: float,
 
     named_local = dict(cardinals)
     named_local.update(corners)
-    named = {k: embed(v) for k, v in named_local.items()}
 
     moves_local = []
     for i, name in enumerate(SKELETON_CYCLE):
@@ -255,7 +242,6 @@ def shell_circuit(n: int, section: Frame, rotation_angle: float,
 
     # Comparison angles at the bottom cardinal, both measured numerically.
     w_l, a_l = named_local["w"], named_local["a"]
-    rot = rotation_angle
     g_l = np.array([math.cos(-math.pi / 6 + rot), math.sin(-math.pi / 6 + rot)])
     cw_arc = next(arc for arc in arcs if arc.label == "C_w")
     h_candidates = [
@@ -279,13 +265,8 @@ def shell_circuit(n: int, section: Frame, rotation_angle: float,
         raise ConstructionError("corner angle exceeds its reference bound")
 
     return CircuitPlan(
-        n=n,
-        section=section,
-        rotation_angle=rotation_angle,
-        quadruple={k: named[k] for k in "wxyz"},
-        corners={k: named[k] for k in "abcd"},
-        quadruple_local={k: named_local[k] for k in "wxyz"},
-        corners_local={k: named_local[k] for k in "abcd"},
+        quadruple={k: embed(v) for k, v in cardinals.items()},
+        corners_local=corners,
         arcs=arcs,
         link_moves=link_moves,
         sin_owa=sin_owa,

@@ -129,6 +129,17 @@ def test_lemma_relation_generic_bisection():
     assert full.max_norm() <= 1 + 1e-9
 
 
+def test_lemma_radius_is_exact():
+    # The companions sit at the radius rho whose apex height eta(rho) is ||z||.
+    for n in range(2, 11):
+        for s in np.linspace(0.0, beta(n + 1), 25, endpoint=False):
+            z = np.zeros(n)
+            z[-1] = s
+            _, companions = constant_lemma_relation(z, beta(n + 1), n)
+            worst = max(abs(eta(n, float(r)) - s) for r in np.linalg.norm(companions, axis=1))
+            assert worst <= 1e-14, (n, s, worst)
+
+
 def test_lemma_relation_rejects_far_point():
     with pytest.raises(InputError, match=r"^\|\|z\|\|=.* exceeds eta\(rho0\)="):
         constant_lemma_relation(np.array([0.5, 0.0]), 0.95, 2)

@@ -170,6 +170,16 @@ def test_emit_circuit_csv(capsys):
     assert max(mags) - min(mags) < 1e-12
 
 
+@pytest.mark.parametrize("angle", ["1e8", "-1e8", "1e16", "1e17"])
+def test_emit_circuit_large_angle(capsys, angle):
+    # A large angle draws the circuit of its remainder modulo 2*pi.
+    reduced = repr(math.remainder(float(angle), 2.0 * math.pi))
+    for n in ("2", "3", "5"):
+        code, out, err = run_cli(capsys, "emit-circuit", "--n", n, f"--angle={angle}")
+        assert (code, err) == (0, "")
+        assert run_cli(capsys, "emit-circuit", "--n", n, f"--angle={reduced}") == (0, out, "")
+
+
 def test_verify_all_reports_every_suite(capsys):
     from eqball.verify import SUITE_NAMES
 

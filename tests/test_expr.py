@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -78,10 +79,30 @@ def test_evaluator_matches_direct_formula(text, formula):
     assert f([0.25, -0.5, 0.75]) == formula(np.array([0.25, -0.5, 0.75]))
 
 
+PARSE_ERRORS = [
+    ("x0", "coordinate x0 out of range for n=2"),
+    ("x3", "coordinate x3 out of range for n=2"),
+    ("y + 1", "unknown identifier 'y'"),
+    ("norm(x1)", "norm takes one vector argument"),
+    ("dot(x)", "dot takes two vector arguments"),
+    ("1 +", "unexpected token ''"),
+    ("(1", "expected punct, got ''"),
+    ("sqrt(x)", "sqrt takes one scalar argument"),
+    ("x * 2", "operator '*' applies to scalars only"),
+    ("norm()", "unexpected token ')'"),
+    ("1 @ 2", "unexpected character at position 1: ' '"),
+    ("-x", "negation applies to scalars only"),
+    ("x", "expression must evaluate to a scalar"),
+    # Two faults in one tree: the check that fires first is part of the contract.
+    ("x + x3", "operator '+' applies to scalars only"),
+    ("foo(x3)", "unknown function 'foo'"),
+    ("dot(x, x3)", "coordinate x3 out of range for n=2"),
+]
+
+
 def test_parse_errors():
-    for bad in ("x0", "x3", "y + 1", "norm(x1)", "dot(x)", "1 +", "(1", "sqrt(x)",
-                "x * 2", "norm()", "1 @ 2"):
-        with pytest.raises(ExpressionError):
+    for bad, message in PARSE_ERRORS:
+        with pytest.raises(ExpressionError, match=f"^{re.escape(message)}$"):
             compile_weight_expression(bad, 2)
 
 

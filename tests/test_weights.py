@@ -92,6 +92,14 @@ def test_mu_inverse_round_trip():
         mu_inverse(3, 0.05)
 
 
+def test_mu_inverse_is_closed_form_exact():
+    for n in range(2, 11):
+        lo = 1 - alpha(n + 1)
+        assert mu_inverse(n, lo) == beta(n)
+        worst = max(abs(mu(n, mu_inverse(n, t)) - t) for t in np.linspace(lo, 1.0, 50))
+        assert worst <= 1e-14, (n, worst)
+
+
 def test_lambda_shell_values():
     lam2 = lambda_shell(2)
     closed = (1 + math.sqrt(6) - math.sqrt(5)) / math.sqrt(2)
@@ -130,7 +138,7 @@ def test_circuit_sines_match_closed_forms():
 
 
 def test_circuit_moves_are_exact_hops_with_clearance():
-    for n, angle in ((2, 0.0), (3, 0.7), (5, 1.9)):
+    for n, angle in ((2, 0.0), (3, 0.7), (5, 1.9), (2, 1e8), (3, 1e16), (5, -1e17)):
         plan = shell_circuit(n, _section(n), angle)
         hop = 2 * alpha(n + 1)
         for p, q in plan.link_moves:
