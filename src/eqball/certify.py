@@ -28,6 +28,14 @@ a hop adds +1 and -1 on its two sets, a lemma or step set takes +1 on
 itself minus its companions' combinations, and the closing pair supplies
 W = (n+1)*f(anchor).
 
+Sets are not registered as the recursion meets them.  The builder queues
+each requested set, chain and merged closing relation and registers the
+queue in request order when it flushes: at the end of a run, before the
+closing relation is read, once the queued sets could pass MAX_CERT_SETS,
+and before an error propagates.  The certificate is the one registering
+each request at once would give, and one gamma1_links call per flush
+builds the shared points of every queued chain hop.
+
 The checker is generation-agnostic: it re-validates every set numerically
 in one vectorized pass, then accepts the claim when the integer
 accumulation of the multipliers equals e_x - e_y exactly.  Certificates
@@ -215,9 +223,15 @@ def _dumps(obj) -> str:
     return json.dumps(obj)
 
 
-def _rows_json(rows, fmt) -> _Json:
-    """A list of rows, as _dumps prints it, with every entry formatted by fmt."""
-    return _Json("[" + ", ".join(["[" + ", ".join([fmt(v) for v in row]) + "]"
+@lru_cache(maxsize=64)
+def _row_template(conversion: str, width: int) -> str:
+    return "[" + ", ".join([conversion] * width) + "]"
+
+
+def _rows_json(rows, conversion: str) -> _Json:
+    """A list of rows, as _dumps prints it, with every entry formatted by the
+    % conversion ("%.17g" % v is format(v, ".17g"))."""
+    return _Json("[" + ", ".join([_row_template(conversion, len(row)) % tuple(row)
                                   for row in rows]) + "]")
 
 
@@ -229,9 +243,8 @@ def certificate_to_json(cert: Certificate, tol: Tolerance = DEFAULT_TOL) -> str:
         "n": cert.n,
         "tolerance": {"eps_eq": tol.eps_eq, "eps_rank": tol.eps_rank,
                       "grid_step": tol.grid_step},
-        "points": _rows_json(np.asarray(cert.points, dtype=float).tolist(),
-                             lambda v: format(v, ".17g")),
-        "sets": _rows_json(cert.sets, lambda i: str(int(i))),
+        "points": _rows_json(np.asarray(cert.points, dtype=float).tolist(), "%.17g"),
+        "sets": _rows_json(cert.sets, "%d"),
         "claim": [int(cert.claim[0]), int(cert.claim[1])],
         "generator_params": cert.generator_params,
     }
@@ -241,7 +254,8 @@ def certificate_to_json(cert: Certificate, tol: Tolerance = DEFAULT_TOL) -> str:
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    """Whether a parsed JSON value is an integer (booleans are not)."""
+    return type(value) is int
 
 
 def certificate_from_json(text: str) -> Certificate:
@@ -250,7 +264,7 @@ def certificate_from_json(text: str) -> Certificate:
     Raises MalformedCertificate unless the document is a JSON object with
     integer `n` (and `version`, if present), a numeric `points` table of n
     columns, a list of integer-id lists as `sets` and two integer ids as
-    `claim`.
+    `claim`.  Ids must be JSON integers: 0.9, "2" and true are rejected.
     Whether the ids are in range and the sets have size n+1 is left to the
     checker, which reports the first bad set.
     """
@@ -268,13 +282,16 @@ def certificate_from_json(text: str) -> Certificate:
         raise MalformedCertificate("n and version must be integers")
     if not (isinstance(claim, list) and len(claim) == 2 and all(map(_is_int, claim))):
         raise MalformedCertificate("claim must be a list of two point ids")
-    if not isinstance(doc["sets"], list):
+    sets = doc["sets"]
+    if not (isinstance(sets, list) and all(isinstance(s, list) for s in sets)):
         raise MalformedCertificate("sets must be a list of point-id lists")
+    if not all(_is_int(i) for s in sets for i in s):
+        raise MalformedCertificate("set ids must be integers")
+    sets = [tuple(s) for s in sets]
     try:
         points = np.asarray(doc["points"], dtype=float)
-        sets = [tuple(int(i) for i in s) for s in doc["sets"]]
     except (TypeError, ValueError, OverflowError) as exc:
-        raise MalformedCertificate(f"points and sets must be numeric arrays: {exc}") from exc
+        raise MalformedCertificate(f"points must be a numeric array: {exc}") from exc
     if points.ndim != 2:
         raise MalformedCertificate("points must be a list of coordinate arrays")
     if points.shape[1] != n:
@@ -452,6 +469,18 @@ class _Fragment:
 
 
 class _Builder:
+    """Point table and deduplicated sets of one certificate.
+
+    add_set, add_hops, add_chain and add_fragment queue a request and return
+    its slots, one per set it registers.  flush() registers the queue in
+    request order, so point ids, set indices, dedup and stage tags are those
+    of registering each request at once; `slots` then maps each slot to its
+    set index.  One gamma1_links call per flush builds the shared points of
+    every queued chain hop.  The queue is flushed early once its slots could
+    take the certificate past MAX_CERT_SETS, so a certificate that is too
+    large fails at the request that overflows it.
+    """
+
     def __init__(self, n: int, tol: Tolerance):
         self.n = n
         self.tol = tol
@@ -460,6 +489,12 @@ class _Builder:
         self.sets: list[tuple] = []
         self.stages: list[str] = []
         self.set_index: dict[tuple, int] = {}
+        self.slots: list[int] = []
+        # Queued requests, each a function of the chain links iterator that
+        # registers the request's sets and returns their indices.
+        self.queue: list = []
+        self.chains: list[np.ndarray] = []
+        self.pending = 0
 
     def _id(self, key: bytes, p: np.ndarray) -> int:
         pid = self.index.get(key)
@@ -485,38 +520,81 @@ class _Builder:
         self.stages.append(stage)
         return self.set_index[ids]
 
-    def add_set(self, s: EquilateralSet, stage: str) -> int:
-        """Index of the set in the certificate, adding it unless already present."""
-        return self._register([self.point_id(p) for p in s.points], stage)
-
-    def add_hops(self, ends: np.ndarray, shared: np.ndarray, stage: str) -> list[tuple[int, int]]:
+    def _register_hops(self, ends: np.ndarray, shared: np.ndarray, stage: str) -> list[int]:
         """Register the sets {ends[h]} + shared[h] and {ends[h+1]} + shared[h]
-        of every hop in hop order; returns them as terms summing to
-        e_ends[0] - e_ends[-1]."""
+        of every hop in hop order; returns their indices."""
         # Key every point of the hops in one rounding pass.
         end_keys = _key_coordinates(ends)
         shared_keys = _key_coordinates(shared)
-        terms = []
+        indices = []
         for h, (keys, points) in enumerate(zip(shared_keys, shared)):
             a = self._id(end_keys[h].tobytes(), ends[h])
             mid = [self._id(key.tobytes(), p) for key, p in zip(keys, points)]
             b = self._id(end_keys[h + 1].tobytes(), ends[h + 1])
-            terms += [(self._register([a] + mid, stage), 1),
-                      (self._register([b] + mid, stage), -1)]
-        return terms
+            indices += [self._register([a] + mid, stage), self._register([b] + mid, stage)]
+        return indices
+
+    def _enqueue(self, register, count: int) -> range:
+        """Queue a request of `count` sets; returns its slots."""
+        first = len(self.slots) + self.pending
+        self.queue.append(register)
+        self.pending += count
+        if len(self.sets) + self.pending > MAX_CERT_SETS:
+            self.flush()
+        return range(first, first + count)
+
+    def add_set(self, s: EquilateralSet, stage: str) -> int:
+        """Slot of the set, which is added unless already present."""
+        return self._enqueue(
+            lambda links: [self._register([self.point_id(p) for p in s.points], stage)], 1)[0]
+
+    def add_hops(self, ends: np.ndarray, shared: np.ndarray, stage: str) -> list[tuple[int, int]]:
+        """The sets {ends[h]} + shared[h] and {ends[h+1]} + shared[h] of every
+        hop, in hop order, as slot terms summing to e_ends[0] - e_ends[-1]."""
+        slots = self._enqueue(lambda links: self._register_hops(ends, shared, stage),
+                              2 * len(shared))
+        return list(zip(slots, [1, -1] * len(shared)))
 
     def add_chain(self, waypoints: np.ndarray, stage: str) -> list[tuple[int, int]]:
-        """The two sets of every hop between consecutive waypoints, registered
-        in hop order, as terms summing to e_first - e_last."""
-        if len(waypoints) < 2:
+        """The two sets of every hop between consecutive waypoints, in hop
+        order, as slot terms summing to e_first - e_last; the flush builds
+        their shared points."""
+        hops = len(waypoints) - 1
+        if hops < 1:
             return []
-        return self.add_hops(waypoints, gamma1_links(waypoints[:-1], waypoints[1:], self.tol), stage)
+        self.chains.append(waypoints)
+        slots = self._enqueue(lambda links: self._register_hops(waypoints, next(links), stage),
+                              2 * hops)
+        return list(zip(slots, [1, -1] * hops))
 
-    def add_fragment(self, frag: _Fragment) -> list[int]:
-        """Register the fragment's points and sets, in its order and with its
-        stage tags; returns the index of each of its sets here."""
-        ids = [self._id(key, p) for key, p in zip(frag.keys, frag.points)]
-        return [self._register([ids[i] for i in local], stage) for local, stage in frag.sets]
+    def add_fragment(self, frag: _Fragment) -> range:
+        """Slots of the fragment's sets, which are added with its points in its
+        order and with its stage tags."""
+        def register(links):
+            ids = [self._id(key, p) for key, p in zip(frag.keys, frag.points)]
+            return [self._register([ids[i] for i in local], stage) for local, stage in frag.sets]
+        return self._enqueue(register, len(frag.sets))
+
+    def _links(self, chains: list[np.ndarray]):
+        """The shared points of each chain's hops, from one gamma1_links call."""
+        if not chains:
+            return iter(())
+        try:
+            shared = gamma1_links(np.concatenate([w[:-1] for w in chains]),
+                                  np.concatenate([w[1:] for w in chains]), self.tol)
+        except (InputError, ConstructionError):
+            # Rebuild chain by chain as the queue registers, so that the error
+            # raised is the first one in request order.
+            return (gamma1_links(w[:-1], w[1:], self.tol) for w in chains)
+        return iter(np.split(shared, np.cumsum([len(w) - 1 for w in chains[:-1]])))
+
+    def flush(self) -> None:
+        """Register the queued requests in request order."""
+        queue, chains = self.queue, self.chains
+        self.queue, self.chains, self.pending = [], [], 0
+        links = self._links(chains)
+        for register in queue:
+            self.slots += register(links)
 
 
 def _fold(delta: float, period: float) -> float:
@@ -642,8 +720,9 @@ class _Generator:
         # Value class and combination node of every point met so far.
         self.memo: dict[bytes, tuple[str, int | None]] = {}
         # Integer combinations, one node per resolved point: (set terms,
-        # node terms), each a list of (index, coefficient).  A node is made
-        # after every node it refers to, so the list is in topological order.
+        # node terms), lists of (builder slot, coefficient) and (node index,
+        # coefficient).  A node is made after every node it refers to, so the
+        # list is in topological order.
         self.nodes: list[tuple[list, list]] = []
         self.exact = True
 
@@ -813,12 +892,13 @@ class _Generator:
         weight = [0] * len(self.nodes)
         weight[root] = 1
         lam = [0] * len(self.builder.sets)
+        slots = self.builder.slots
         for j in range(len(self.nodes) - 1, -1, -1):
             w = weight[j]
             if w:
                 sets, nodes = self.nodes[j]
-                for i, coef in sets:
-                    lam[i] += w * coef
+                for slot, coef in sets:
+                    lam[slots[slot]] += w * coef
                 for k, coef in nodes:
                     weight[k] += w * coef
         return lam
@@ -831,12 +911,16 @@ class _Generator:
             return Certificate(n=self.n, points=np.array([self.builder.points[id_x]]),
                                sets=[], claim=(id_x, id_x), generator_params=params,
                                multipliers=[])
-        cls_x, node_x = self.resolve(x)
-        cls_y, node_y = self.resolve(y)
-        terms = [(node_x, 1), (node_y, -1)]
-        if cls_x != cls_y:
-            terms.append((self._merge_closing(), -1 if cls_x == INNER else 1))
-        claim = self._node([], terms)
+        try:
+            cls_x, node_x = self.resolve(x)
+            cls_y, node_y = self.resolve(y)
+            terms = [(node_x, 1), (node_y, -1)]
+            if cls_x != cls_y:
+                terms.append((self._merge_closing(), -1 if cls_x == INNER else 1))
+            claim = self._node([], terms)
+        finally:
+            # Also on a failure: an error the queue meets came first.
+            self.builder.flush()
         return Certificate(
             n=self.n,
             points=np.array(self.builder.points),
@@ -852,7 +936,10 @@ def _closing_fragment(n: int, tol: Tolerance) -> _Fragment:
     """The closing relation of (n, tol), built by _emit_closing in a fresh
     generator: its z, step schedule and anchor depend on nothing else."""
     gen = _Generator(n, tol)
-    root = gen._emit_closing()
+    try:
+        root = gen._emit_closing()
+    finally:
+        gen.builder.flush()
     b = gen.builder
     points = np.array(b.points)
     points.flags.writeable = False

@@ -21,12 +21,14 @@ import numpy as np
 
 from .errors import ExpressionError
 
-_TOKEN = re.compile(r"\s*(?:(\d+\.\d*|\.\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/,]))")
+# A token and the whitespace after it.
+_TOKEN = re.compile(r"(?:(\d+\.\d*|\.\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/,]))\s*")
+_SPACE = re.compile(r"\s*")
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
     tokens = []
-    pos = 0
+    pos = _SPACE.match(text).end()
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:

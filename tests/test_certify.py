@@ -1,14 +1,17 @@
 import dataclasses
 import json
 import math
+import re
 import time
 
 import numpy as np
 import pytest
 
+from eqball import certify
 from eqball.certify import (
     OUTER,
     Certificate,
+    _Builder,
     _Generator,
     _closing_fragment,
     _dumps,
@@ -20,7 +23,7 @@ from eqball.certify import (
     generate_equality_certificate,
     theorem_step_relation,
 )
-from eqball.errors import InputError, MalformedCertificate
+from eqball.errors import GenerationFailure, InputError, MalformedCertificate
 from eqball.gamma import gamma1_link
 from eqball.geometry import DEFAULT_TOL
 from eqball.simplex import alpha, beta
@@ -410,6 +413,19 @@ def test_malformed_multipliers(mutate):
         certificate_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("rewrite", [
+    lambda i: i + 0.9,
+    lambda i: str(i),
+    lambda i: True,
+], ids=["float", "string", "bool"])
+def test_non_integer_set_ids_are_malformed(rewrite):
+    """int() would truncate 0.9 and accept "2" and true as point ids."""
+    doc = json.loads(certificate_to_json(_mixed_certificate()))
+    doc["sets"][0][0] = rewrite(doc["sets"][0][0])
+    with pytest.raises(MalformedCertificate, match="^set ids must be integers$"):
+        certificate_from_json(json.dumps(doc))
+
+
 def test_tampered_point_is_set_invalid_before_the_algebra():
     cert = _mixed_certificate()
     victim = cert.sets[3][0]
@@ -483,6 +499,71 @@ def test_signed_zero_coordinates_share_one_point():
     assert cert.sets == [] and cert.claim == (0, 0)
     assert cert.points.shape == (1, 3)
     assert check_certificate(cert).accepted
+
+
+# -- queued registration ---------------------------------------------------------
+
+
+def _spy_on_links(monkeypatch):
+    calls = []
+    real = certify.gamma1_links
+
+    def spy(A, B, tol):
+        calls.append(len(A))
+        return real(A, B, tol)
+
+    monkeypatch.setattr(certify, "gamma1_links", spy)
+    return calls
+
+
+def test_one_gamma1_links_call_builds_every_chain(monkeypatch):
+    """Both endpoints chain to the anchor, four hops each; their hops share
+    one call."""
+    calls = _spy_on_links(monkeypatch)
+    generate_equality_certificate(np.array([0.95, 0.0]), np.array([0.0, 0.9]), 2)
+    assert calls == [8]
+    _closing_fragment(3, DEFAULT_TOL)
+    calls.clear()
+    assert check_certificate(_mixed_certificate()).accepted
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("x, y, n, message, entered", [
+    (np.array([0.35, 0.1]), np.array([0.88, 0.2]), 2, "[bridge] certificate exceeded 40 sets", 11),
+    (np.zeros(3), np.array([0.95, 0.0, 0.0]), 3, "[shell-link] certificate exceeded 40 sets", 4),
+])
+def test_set_cap_fails_at_the_same_request(monkeypatch, x, y, n, message, entered):
+    """A certificate that outgrows the cap fails at the request that overflows
+    it: same stage, and as many points entered, as when every request
+    registered at once."""
+    monkeypatch.setattr(certify, "MAX_CERT_SETS", 40)
+    _closing_fragment.cache_clear()
+    gen = _Generator(n, DEFAULT_TOL)
+    with pytest.raises(GenerationFailure, match=f"^{re.escape(message)}$"):
+        gen.run(x, y)
+    assert len(gen.memo) == entered
+
+
+def test_closing_relation_at_n7_still_exceeds_the_cap():
+    y = np.zeros(7)
+    y[0] = 0.95
+    with pytest.raises(GenerationFailure, match=r"^\[shell-link\] certificate exceeded 5000 sets$"):
+        generate_equality_certificate(np.zeros(7), y, 7)
+
+
+def test_flush_raises_the_first_error_in_request_order():
+    """A set that collapses under deduplication, queued before a chain whose
+    hop fails its check, is the error the flush raises."""
+    p, q, r = np.array([0.5, 0.0]), np.array([-0.5, 0.0]), np.array([0.0, 0.5])
+    chain_only = _Builder(2, DEFAULT_TOL)
+    chain_only.add_chain(np.array([p, r]), "shell-link")  # not one hop long
+    with pytest.raises(InputError, match=r"^\|\|b-a\|\|="):
+        chain_only.flush()
+    builder = _Builder(2, DEFAULT_TOL)
+    builder.add_hops(np.array([p, q]), np.array([[p, q]]), "bridge")  # shares its own end
+    builder.add_chain(np.array([p, r]), "shell-link")
+    with pytest.raises(GenerationFailure, match=r"^\[bridge\] set collapsed"):
+        builder.flush()
 
 
 @pytest.mark.parametrize("x, y, n, sets, points, total", [

@@ -138,8 +138,12 @@ VALID_DOC = {"version": 2, "n": 2, "points": [[0.5, 0.0], [-0.5, 0.0], [0.0, 0.8
     "5",                                                              # not an object
     json.dumps(dict(VALID_DOC, version="x")),                         # version not a number
     json.dumps(dict(VALID_DOC, sets=[1, 2])),                         # a set that is no list
+    json.dumps(dict(VALID_DOC, sets=[[0.9, 1, 2]])),                  # ids must be JSON integers
+    json.dumps(dict(VALID_DOC, sets=[["0", 1, 2]])),
+    json.dumps(dict(VALID_DOC, sets=[[True, 1, 2]])),
 ], ids=["sets-not-list", "ragged-points", "n-string", "short-claim", "n-1e400",
-        "top-level-number", "version-string", "set-not-list"])
+        "top-level-number", "version-string", "set-not-list", "set-id-float",
+        "set-id-string", "set-id-bool"])
 def test_check_malformed_document_exit2(tmp_path, capsys, text):
     doc_file = tmp_path / "bad.json"
     doc_file.write_text(text)

@@ -51,6 +51,9 @@ CONSTRUCTS = [
     ("2.5", lambda p: 2.5),
     (".5 + 3.", lambda p: 0.5 + 3.0),
     ("x2", lambda p: float(p[1])),
+    ("x1 ", lambda p: float(p[0])),
+    ("x1\n", lambda p: float(p[0])),
+    (" \t( x2 ) ", lambda p: float(p[1])),
     ("-x3", lambda p: -float(p[2])),
     ("- -x1", lambda p: -(-float(p[0]))),
     ("x1 + x2 - x3", lambda p: (float(p[0]) + float(p[1])) - float(p[2])),
@@ -90,7 +93,7 @@ PARSE_ERRORS = [
     ("sqrt(x)", "sqrt takes one scalar argument"),
     ("x * 2", "operator '*' applies to scalars only"),
     ("norm()", "unexpected token ')'"),
-    ("1 @ 2", "unexpected character at position 1: ' '"),
+    ("1 @ 2", "unexpected character at position 2: '@'"),
     ("-x", "negation applies to scalars only"),
     ("x", "expression must evaluate to a scalar"),
     # Two faults in one tree: the check that fires first is part of the contract.
