@@ -58,8 +58,9 @@ from .errors import (
     MalformedCertificate,
 )
 from .gamma import gamma, gamma1_link, gamma1_links
-from .geometry import DEFAULT_TOL, Tolerance, as_point, section2d
-from .simplex import EquilateralSet, alpha, beta, cap_extension, distance_errors, embed_in_frame
+from .geometry import DEFAULT_TOL, Tolerance, as_point, clamp_to_range, json_number_array, section2d
+from .simplex import (EquilateralSet, alpha, beta, cap_extension, check_sets, embed_in_frame,
+                      first_failure)
 from .enlarge import enlarge_to_maximal
 from .weights import (
     circuit_geometry,
@@ -107,19 +108,14 @@ def theorem_step_relation(u, rho0: float, n: int,
     """
     u = as_point(u, n)
     s = float(np.linalg.norm(u))
-    bn = beta(n)
     rho_max = mu_inverse(n, min(lambda_shell(n), 1.0), tol)
-    if rho0 < bn - tol.eps_eq or rho0 > rho_max + tol.eps_eq:
-        raise InputError(f"step radius rho0={rho0} out of range for n={n}")
+    rho0 = clamp_to_range("rho0", rho0, beta(n), rho_max, tol)
     lo = mu(n, rho0, tol)
     if s < lo - 2 * tol.eps_eq or s > rho0 + 2 * tol.eps_eq:
         raise InputError(
             f"||u||={s:.12f} outside the step window [{lo:.12f}, {rho0:.12f}]")
     v = -((1.0 - s) / s) * u
-    nv = float(np.linalg.norm(v))
-    wide = tol.widened().eps_eq
-    if nv < 1.0 - rho0 - wide or nv > eta(n, rho0, tol) + wide:
-        raise InputError(f"||v||={nv:.12f} escapes [1-rho0, eta(rho0)]")
+    clamp_to_range("||v||", float(np.linalg.norm(v)), 1.0 - rho0, eta(n, rho0, tol), tol.widened())
     pair = EquilateralSet(np.vstack([u, v]))
     maximal, _ = enlarge_to_maximal(pair, tol)
     companions = maximal.points[2:]
@@ -147,10 +143,7 @@ def constant_lemma_relation(z, rho0: float, n: int,
     """
     z = as_point(z, n)
     s = float(np.linalg.norm(z))
-    bn = beta(n)
-    if rho0 < bn - tol.eps_eq or rho0 > 1.0 + tol.eps_eq:
-        raise InputError(f"rho0={rho0} outside [beta_n, 1]")
-    rho0 = min(max(rho0, bn), 1.0)
+    rho0 = clamp_to_range("rho0", rho0, beta(n), 1.0, tol)
     top = eta(n, rho0, tol)
     if s > top + tol.eps_eq:
         raise InputError(f"||z||={s:.12f} exceeds eta(rho0)={top:.12f}")
@@ -289,8 +282,8 @@ def certificate_from_json(text: str) -> Certificate:
         raise MalformedCertificate("set ids must be integers")
     sets = [tuple(s) for s in sets]
     try:
-        points = np.asarray(doc["points"], dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
+        points = json_number_array(doc["points"])
+    except InputError as exc:
         raise MalformedCertificate(f"points must be a numeric array: {exc}") from exc
     if points.ndim != 2:
         raise MalformedCertificate("points must be a list of coordinate arrays")
@@ -347,6 +340,15 @@ def _set_table(sets, width: int, count: int) -> np.ndarray | int:
     return next((idx for idx, s in enumerate(sets) if not is_id_tuple(s)), 0)
 
 
+def _sum_rows(ids: np.ndarray, count: int) -> np.ndarray:
+    """Dense sum-equation rows of an (S, n+1) id table over `count` points: a
+    1 per point of each set in its column, -1 in the last (W) column."""
+    rows = np.zeros((len(ids), count + 1))
+    np.add.at(rows, (np.arange(len(ids))[:, None], ids), 1.0)
+    rows[:, count] = -1.0
+    return rows
+
+
 def check_certificate(cert: Certificate, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """Independently verify a certificate; never consults how it was generated.
 
@@ -384,12 +386,11 @@ def check_certificate(cert: Certificate, tol: Tolerance = DEFAULT_TOL) -> CheckR
             return CheckReport(accepted=False, failure="MalformedCertificate",
                                detail={"reason": str(exc)},
                                set_count=set_count, point_count=count)
-    coords = pts[ids]
-    dist_err = distance_errors(coords).max(axis=-1)
-    norm_excess = np.linalg.norm(coords, axis=-1).max(axis=-1) - 1.0
-    bad = np.flatnonzero((dist_err > tol.eps_eq) | (norm_excess > tol.eps_eq))
-    if bad.size:
-        idx = int(bad[0])
+    dist_err, top, checks = check_sets(pts[ids], True, tol)
+    norm_excess = top - 1.0
+    failed = first_failure(checks)
+    if failed is not None:
+        idx = failed[0]
         return CheckReport(
             accepted=False, failure="SetInvalid",
             detail={"set_index": idx,
@@ -420,11 +421,7 @@ def check_certificate(cert: Certificate, tol: Tolerance = DEFAULT_TOL) -> CheckR
         return CheckReport(accepted=False, failure="ClaimNotImplied",
                            residual=float(np.linalg.norm(miss)), detail=margins,
                            set_count=set_count, point_count=count)
-    rows = np.zeros((len(cert.sets), count + 1))
-    for r, s in enumerate(cert.sets):
-        for i in s:
-            rows[r, int(i)] += 1.0
-        rows[r, count] = -1.0
+    rows = _sum_rows(ids, count)
     solution, *_ = np.linalg.lstsq(rows.T, target, rcond=None)
     residual = float(np.linalg.norm(rows.T @ solution - target))
     if residual < tol.eps_rank:

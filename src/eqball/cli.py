@@ -32,7 +32,7 @@ from .certify import (
 from .enlarge import enlarge_to_maximal
 from .errors import EqBallError, ExpressionError, InputError
 from .expr import compile_weight_expression
-from .geometry import DEFAULT_TOL, Frame, Tolerance
+from .geometry import DEFAULT_TOL, Frame, Tolerance, json_number_array
 from .simplex import EquilateralSet, alpha, beta, distance_errors
 from .verify import run_verification_suites
 from .weights import WeightFn, eta, falsify, lambda_shell, nu, shell_circuit
@@ -67,10 +67,8 @@ def _emit(args, payload: dict, text: str | None = None) -> None:
 def _parse_point(text: str) -> np.ndarray:
     text = text.strip()
     if text.startswith("["):
-        values = json.loads(text)
-    else:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
-    return np.asarray(values, dtype=float)
+        return json_number_array(json.loads(text))
+    return np.asarray([float(tok) for tok in text.split(",") if tok.strip()])
 
 
 def cmd_constants(args) -> int:
@@ -100,9 +98,7 @@ def cmd_enlarge(args) -> int:
     try:
         with open(args.input, encoding="utf-8") as fh:
             coords = json.load(fh)
-        pts = np.asarray(coords, dtype=float)
-        if pts.ndim != 2:
-            raise InputError("points file must hold an array of coordinate arrays")
+        pts = json_number_array(coords)
         s = EquilateralSet(pts)
         s.validate(in_ball=True, tol=tol)
     except (OSError, ValueError, json.JSONDecodeError, EqBallError) as exc:

@@ -36,15 +36,9 @@ class EnlargeTrace:
     steps: list = field(default_factory=list)
 
 
-def _check_in_ball(s: EquilateralSet, tol: Tolerance) -> None:
-    if s.max_norm() > 1.0 + tol.eps_eq:
-        raise InputError(f"input vertex norm {s.max_norm():.12f} exceeds 1")
-
-
 def enlarge_step(s: EquilateralSet, tol: Tolerance = DEFAULT_TOL) -> tuple[EquilateralSet, EnlargeStep]:
     """Add one point to an in-ball standard equilateral set, staying in the ball."""
-    s.validate(tol=tol)
-    _check_in_ball(s, tol)
+    s.validate(in_ball=True, tol=tol)
     k, n = s.k, s.n
     if k >= n + 1:
         raise InputError(f"set of size {k} is already maximal in R^{n}")
@@ -66,8 +60,7 @@ def enlarge_step(s: EquilateralSet, tol: Tolerance = DEFAULT_TOL) -> tuple[Equil
 
 def enlarge_to_maximal(s: EquilateralSet, tol: Tolerance = DEFAULT_TOL) -> tuple[EquilateralSet, EnlargeTrace]:
     """Iterate enlarge_step until the set has size n+1."""
-    s.validate(tol=tol)
-    _check_in_ball(s, tol)
+    s.validate(in_ball=True, tol=tol)
     trace = EnlargeTrace()
     current = s
     while current.k < current.n + 1:
@@ -78,8 +71,7 @@ def enlarge_to_maximal(s: EquilateralSet, tol: Tolerance = DEFAULT_TOL) -> tuple
 
 def is_maximal(s: EquilateralSet, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff the in-ball set cannot be enlarged, i.e. has size n+1."""
-    s.validate(tol=tol)
-    _check_in_ball(s, tol)
+    s.validate(in_ball=True, tol=tol)
     return s.k == s.n + 1
 
 
@@ -89,8 +81,7 @@ def center_norm_bound(s: EquilateralSet, tol: Tolerance = DEFAULT_TOL) -> tuple[
     For size k <= n the bound is alpha(k+1); for a maximal set it tightens
     to beta(n+1).
     """
-    s.validate(tol=tol)
-    _check_in_ball(s, tol)
+    s.validate(in_ball=True, tol=tol)
     c = float(np.linalg.norm(s.points.mean(axis=0)))
     bound = beta(s.n + 1) if s.k == s.n + 1 else alpha(s.k + 1)
     return c, bound

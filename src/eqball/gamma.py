@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConstructionError, InputError
 from .geometry import DEFAULT_TOL, Frame, Tolerance, as_point, orthonormalize, row_dot, section2d
-from .simplex import EquilateralSet, alpha, beta, distance_errors, simplex_on_spheres
+from .simplex import EquilateralSet, alpha, beta, check_sets, first_failure, simplex_on_spheres
 
 # Seed of the deterministic direction net used by the brute-force evaluator.
 NET_SEED = 0
@@ -132,17 +132,6 @@ def gamma_bruteforce(a, b, M: Frame, grid_step: float | None = None,
     return float(rs[np.count_nonzero(ok) - 1])
 
 
-def _first_failure(checks) -> tuple[int, Exception] | None:
-    """The first hop failing any of `checks`, a list of (failing mask, error
-    for hop i) in the order one hop is checked, and that hop's first error."""
-    fails = np.array([mask for mask, _ in checks])
-    hops = np.flatnonzero(fails.any(axis=0))
-    if not hops.size:
-        return None
-    i = int(hops[0])
-    return i, checks[int(np.argmax(fails[:, i]))][1](i)
-
-
 def gamma1_links(A, B, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Shared points of k linking moves a_i -> b_i, as a (k, n, n) array.
 
@@ -170,7 +159,7 @@ def gamma1_links(A, B, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     x0 = (A + B) / 2.0
     with np.errstate(divide="ignore", invalid="ignore"):
         value = _clearance(x0, diff / dist[:, None])
-    failed = _first_failure([
+    failed = first_failure([
         (dist <= eps, lambda i: InputError("a and b coincide")),
         (norm_a > 1.0 + eps, lambda i: InputError(
             f"point with norm {norm_a[i]:.12f} is outside the ball")),
@@ -191,15 +180,8 @@ def gamma1_links(A, B, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
             "a shared point left the ball; clearance check was too tight"))]
         for ends in (A[:m], B[:m]):
             pts = np.concatenate([ends[:, None, :], shared], axis=1)
-            err = distance_errors(pts).max(axis=1)
-            top = np.sqrt(row_dot(pts, pts)).max(axis=1)
-            checks += [
-                (err > wide.eps_eq, lambda i, err=err: ConstructionError(
-                    f"pairwise distance deviates from 1 by {err[i]:.3e}")),
-                (top > 1.0 + wide.eps_eq, lambda i, top=top: ConstructionError(
-                    f"a point has norm {top[i]:.12f} > 1")),
-            ]
-        failed = _first_failure(checks) or failed
+            checks += check_sets(pts, True, wide, ConstructionError)[2]
+        failed = first_failure(checks) or failed
     if failed is not None:
         raise failed[1]
     return shared

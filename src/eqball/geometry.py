@@ -66,6 +66,27 @@ def as_point(x, n: int | None = None) -> np.ndarray:
     return p
 
 
+def clamp_to_range(name: str, value: float, lo: float, hi: float,
+                   tol: Tolerance = DEFAULT_TOL) -> float:
+    """`value` clamped to [lo, hi]; InputError unless it lies within eps_eq of it."""
+    if value < lo - tol.eps_eq or value > hi + tol.eps_eq:
+        raise InputError(f"{name}={value} outside [{lo}, {hi}]")
+    return min(max(value, lo), hi)
+
+
+def json_number_array(value) -> np.ndarray:
+    """A parsed JSON array (of arrays) of numbers as a float64 array; InputError
+    unless every entry is a JSON number, where np.asarray would also take the
+    string "0.5" and the booleans true and false."""
+    cells = np.asarray(value, dtype=object)
+    if not set(map(type, cells.ravel().tolist())) <= {int, float}:
+        raise InputError("coordinates must be JSON numbers")
+    try:
+        return cells.astype(float)
+    except OverflowError as exc:
+        raise InputError(f"a coordinate is out of range: {exc}") from exc
+
+
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products of matching rows (last axis).  Each row takes the BLAS
     dot that a[i] @ b[i] would, so its result is bit-equal to the one-row

@@ -20,6 +20,7 @@ from .geometry import (
     Frame,
     Tolerance,
     as_point,
+    clamp_to_range,
     first_orthogonal_axis,
     row_dot,
 )
@@ -62,6 +63,32 @@ def distance_errors(points) -> np.ndarray:
     return np.abs(np.linalg.norm(pts[..., i, :] - pts[..., j, :], axis=-1) - 1.0)
 
 
+def check_sets(points, in_ball: bool, tol: Tolerance = DEFAULT_TOL, error=InputError):
+    """The re-check of an (S, k, n) stack of point sets, in one array pass:
+    each set's worst |‖p_i - p_j‖ - 1|, its largest point norm, and its checks
+    for first_failure, (failing mask, `error` for set i) on the distances and,
+    with `in_ball`, on the norms."""
+    pts = np.asarray(points, dtype=float)
+    err = distance_errors(pts).max(axis=-1, initial=0.0)
+    top = np.linalg.norm(pts, axis=-1).max(axis=-1)
+    checks = [(err > tol.eps_eq,
+               lambda i: error(f"pairwise distance deviates from 1 by {err[i]:.3e}"))]
+    if in_ball:
+        checks.append((top > 1.0 + tol.eps_eq,
+                       lambda i: error(f"a point has norm {top[i]:.12f} > 1")))
+    return err, top, checks
+
+
+def first_failure(checks) -> tuple[int, Exception] | None:
+    """The first item failing any of `checks`, a list of (failing mask, error
+    for item i) in the order one item is checked, and that item's first error."""
+    fails = np.array([mask for mask, _ in checks])
+    if not fails.any():
+        return None
+    i = int(np.argmax(fails.any(axis=0)))
+    return i, checks[int(np.argmax(fails[:, i]))][1](i)
+
+
 @dataclass
 class EquilateralSet:
     """A list of k points in R^n with pairwise distances 1 (within tolerance)."""
@@ -70,8 +97,8 @@ class EquilateralSet:
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] < 1:
-            raise InputError("an equilateral set needs a 2-D (k, n) point array")
+        if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
+            raise InputError("an equilateral set needs a 2-D (k, n) point array, k, n >= 1")
         if not np.all(np.isfinite(pts)):
             raise InputError("points contain non-finite components")
         self.points = pts
@@ -94,11 +121,9 @@ class EquilateralSet:
     def validate(self, in_ball: bool = False, tol: Tolerance = DEFAULT_TOL) -> None:
         if self.k > self.n + 1:
             raise InputError(f"size {self.k} exceeds n+1 = {self.n + 1}")
-        err = self.pairwise_distance_error()
-        if err > tol.eps_eq:
-            raise InputError(f"pairwise distance deviates from 1 by {err:.3e}")
-        if in_ball and self.max_norm() > 1.0 + tol.eps_eq:
-            raise InputError(f"a point has norm {self.max_norm():.12f} > 1")
+        failed = first_failure(check_sets(self.points[None], in_ball, tol)[2])
+        if failed is not None:
+            raise failed[1]
 
     def recheck(self, in_ball: bool = False, tol: Tolerance = DEFAULT_TOL) -> None:
         """validate() for a set the library just built: a failure is a ConstructionError."""
@@ -218,9 +243,7 @@ def cap_extension(x, rho: float, tol: Tolerance = DEFAULT_TOL) -> EquilateralSet
     if n < 2:
         raise InputError("cap_extension requires n >= 2")
     bn = beta(n)
-    if rho < bn - tol.eps_eq or rho > 1.0 + tol.eps_eq:
-        raise InputError(f"rho={rho} outside [beta_n={bn}, 1]")
-    rho = min(max(rho, bn), 1.0)
+    rho = clamp_to_range("rho", rho, bn, 1.0, tol)
     expected = height_above_base(n, rho)
     nx = float(np.linalg.norm(x))
     wide = tol.widened().eps_eq
@@ -233,13 +256,10 @@ def cap_extension(x, rho: float, tol: Tolerance = DEFAULT_TOL) -> EquilateralSet
         direction = x / nx
     shift = -(math.sqrt(max(rho * rho - bn * bn, 0.0)) * direction)
     pts = simplex_on_spheres(shift[None, :], direction[None, :], bn)[0]
-    out = EquilateralSet(pts)
-    out.recheck(tol=tol)
+    EquilateralSet(np.vstack([x, pts])).recheck(tol=tol)
     if float(np.max(np.abs(np.linalg.norm(pts, axis=1) - rho))) > tol.eps_eq:
         raise ConstructionError("constructed points do not sit at norm rho")
-    if float(np.max(np.abs(np.linalg.norm(pts - x, axis=1) - 1.0))) > tol.eps_eq:
-        raise ConstructionError("constructed points are not at distance 1 from x")
-    return out
+    return EquilateralSet(pts)
 
 
 def random_rotations(n: int, rngs) -> np.ndarray:

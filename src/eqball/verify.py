@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certify import Certificate, check_certificate, generate_equality_certificate
+from .certify import Certificate, _sum_rows, check_certificate, generate_equality_certificate
 from .enlarge import center_norm_bound, enlarge_to_maximal
 from .gamma import gamma, gamma1_link, gamma_bruteforce
 from .geometry import Frame, orthonormalize
-from .simplex import EquilateralSet, alpha, beta, canonical_simplex, cap_extension, sample_maximal_set
+from .simplex import EquilateralSet, alpha, beta, canonical_simplex, cap_extension, sample_maximal_sets
 from .weights import (
     WeightFn,
     circle_circle_intersections,
@@ -104,10 +104,10 @@ def suite_enlargement(n_values, per_n: int, seed: int) -> SuiteResult:
     worst_dist = worst_norm = 0.0
     successes = 0
     for n in n_values:
-        for _ in range(per_n):
-            base = sample_maximal_set(n, int(rng.integers(2**63 - 1)))
-            k = int(rng.integers(1, n + 1))
-            out, _ = enlarge_to_maximal(EquilateralSet(base.points[:k].copy()))
+        draws = [(int(rng.integers(2**63 - 1)), int(rng.integers(1, n + 1)))
+                 for _ in range(per_n)]
+        for base, (_, k) in zip(sample_maximal_sets(n, [seed for seed, _ in draws]), draws):
+            out, _ = enlarge_to_maximal(EquilateralSet(base[:k].copy()))
             successes += int(out.k == n + 1)
             worst_dist = max(worst_dist, out.pairwise_distance_error())
             worst_norm = max(worst_norm, out.max_norm())
@@ -126,10 +126,10 @@ def suite_center_bounds(n_values, per_n: int, seed: int) -> SuiteResult:
     worst = -1.0  # every bound is at most 1, so norm minus bound is at least -1
     violations = 0
     for n in n_values:
-        for _ in range(per_n):
-            s = sample_maximal_set(n, int(rng.integers(2**63 - 1)))
-            k = int(rng.integers(2, n + 1))
-            for t in (s, EquilateralSet(s.points[:k].copy())):
+        draws = [(int(rng.integers(2**63 - 1)), int(rng.integers(2, n + 1)))
+                 for _ in range(per_n)]
+        for pts, (_, k) in zip(sample_maximal_sets(n, [seed for seed, _ in draws]), draws):
+            for t in (EquilateralSet(pts), EquilateralSet(pts[:k].copy())):
                 norm_c, bound = center_norm_bound(t)
                 worst = max(worst, norm_c - bound)
                 violations += int(norm_c > bound + 1e-9)
@@ -255,7 +255,6 @@ def suite_eta_mu_nu(max_n: int, caps: int, seed: int) -> SuiteResult:
         full = EquilateralSet(np.vstack([x, comps.points]))
         worst_cap = max(worst_cap,
                         float(np.max(np.abs(np.linalg.norm(comps.points, axis=1) - rho))),
-                        float(np.max(np.abs(np.linalg.norm(comps.points - x, axis=1) - 1.0))),
                         full.pairwise_distance_error(), full.max_norm() - 1.0)
     passed = worst_fp < 1e-12 and worst_cap < 1e-9
     return SuiteResult("eta_mu_nu", passed, (max_n - 1) + caps, max(worst_fp, worst_cap),
@@ -266,11 +265,7 @@ def _feasible_assignments(cert: Certificate, count: int, rng) -> np.ndarray:
     """`count` random weights (columns over the points and the constant)
     that satisfy every sum equation of the certificate."""
     p = cert.points.shape[0]
-    rows = np.zeros((len(cert.sets), p + 1))
-    for r, s in enumerate(cert.sets):
-        for i in s:
-            rows[r, int(i)] += 1.0
-        rows[r, p] = -1.0
+    rows = _sum_rows(np.asarray(cert.sets, dtype=np.int64).reshape(-1, cert.n + 1), p)
     g = rng.standard_normal((p + 1, count))
     row_part, *_ = np.linalg.lstsq(rows, rows @ g, rcond=None)
     return g - row_part

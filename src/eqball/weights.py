@@ -27,11 +27,11 @@ import numpy as np
 
 from .errors import ConstructionError, InputError
 from .gamma import gamma
-from .geometry import DEFAULT_TOL, Frame, Tolerance
+from .geometry import DEFAULT_TOL, Frame, Tolerance, clamp_to_range
 from .simplex import (
+    EquilateralSet,
     alpha,
     beta,
-    distance_errors,
     embed_in_frame,
     height_above_base,
     random_rotations,
@@ -45,10 +45,7 @@ def eta(n: int, rho: float, tol: Tolerance = DEFAULT_TOL) -> float:
     """Apex norm completing a maximal set whose other n points sit at norm rho."""
     if n < 2:
         raise InputError(f"eta requires n >= 2, got {n}")
-    bn = beta(n)
-    if rho < bn - tol.eps_eq or rho > 1.0 + tol.eps_eq:
-        raise InputError(f"rho={rho} outside [{bn}, 1]")
-    return height_above_base(n, min(max(rho, bn), 1.0))
+    return height_above_base(n, clamp_to_range("rho", rho, beta(n), 1.0, tol))
 
 
 def mu(n: int, rho: float, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -67,9 +64,7 @@ def mu_inverse(n: int, t: float, tol: Tolerance = DEFAULT_TOL) -> float:
         raise InputError(f"mu_inverse requires n >= 2, got {n}")
     bn = beta(n)
     lo_val = 1.0 - alpha(n + 1)
-    if t < lo_val - tol.eps_eq or t > 1.0 + tol.eps_eq:
-        raise InputError(f"t={t} outside [{lo_val}, 1]")
-    rise = min(max(t, lo_val), 1.0) - lo_val
+    rise = clamp_to_range("t", t, lo_val, 1.0, tol) - lo_val
     return min(max(math.sqrt(bn * bn + rise * rise), bn), 1.0)
 
 
@@ -318,8 +313,7 @@ def frame_weight_sum(T, seed: int, tol: Tolerance = DEFAULT_TOL) -> tuple[float,
         raise InputError("T is not symmetric within tolerance")
     n = T.shape[0]
     basis = sphere_basis_set(n, seed)
-    if float(distance_errors(basis).max(initial=0.0)) > tol.eps_eq:
-        raise InputError("rescaled basis is not a standard equilateral set")
+    EquilateralSet(basis).recheck(tol=tol)
     total = float(sum(u @ T @ u for u in basis))
     return total, float(np.trace(T)) / 2.0
 

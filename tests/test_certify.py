@@ -27,26 +27,8 @@ from eqball.errors import GenerationFailure, InputError, MalformedCertificate
 from eqball.gamma import gamma1_link
 from eqball.geometry import DEFAULT_TOL
 from eqball.simplex import alpha, beta
+from eqball.verify import _ball_point, _feasible_assignments
 from eqball.weights import eta, lambda_shell, mu, nu
-
-
-def _random_ball_point(rng, n):
-    p = rng.standard_normal(n)
-    return p * rng.uniform() ** (1.0 / n) / np.linalg.norm(p)
-
-
-def _feasible_assignments(cert, count, seed):
-    """Random solutions of the sum equations, by projecting onto the null space."""
-    p = cert.points.shape[0]
-    rows = np.zeros((len(cert.sets), p + 1))
-    for r, s in enumerate(cert.sets):
-        for i in s:
-            rows[r, int(i)] += 1.0
-        rows[r, p] = -1.0
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((p + 1, count))
-    row_part, *_ = np.linalg.lstsq(rows, rows @ g, rcond=None)
-    return g - row_part  # columns satisfy rows @ z = 0
 
 
 # -- step relation ------------------------------------------------------------
@@ -88,6 +70,14 @@ def test_step_rejects_u_below_window():
     assert mu(2, 0.85) > 0.8
     with pytest.raises(InputError, match=r"^\|\|u\|\|=.* outside the step window "):
         theorem_step_relation(np.array([0.8, 0.0]), 0.85, 2)
+
+
+def test_step_and_lemma_range_check_their_radius():
+    # rho_max for n = 2 is mu_inverse(lambda_shell(2)), about 0.8799
+    with pytest.raises(InputError, match=r"^rho0=0\.95 outside \[0\.5, 0\.87\d*\]$"):
+        theorem_step_relation(np.array([0.9, 0.0]), 0.95, 2)
+    with pytest.raises(InputError, match=r"^rho0=0\.2 outside \[0\.5, 1\.0\]$"):
+        constant_lemma_relation(np.array([0.1, 0.0]), 0.2, 2)
 
 
 def test_step_companion_window_across_dimensions():
@@ -295,12 +285,12 @@ def test_generate_random_pairs_and_soundness():
     rng = np.random.default_rng(55)
     for n in (2, 3, 4):
         for _ in range(5):
-            x = _random_ball_point(rng, n)
-            y = _random_ball_point(rng, n)
+            x = _ball_point(rng, n)
+            y = _ball_point(rng, n)
             cert = generate_equality_certificate(x, y, n)
             report = check_certificate(cert)
             assert report.accepted and report.residual < 1e-8
-            assignments = _feasible_assignments(cert, 20, seed=7)
+            assignments = _feasible_assignments(cert, 20, np.random.default_rng(7))
             gap = np.abs(assignments[cert.claim[0]] - assignments[cert.claim[1]])
             assert float(np.max(gap)) < 1e-6
 
@@ -424,6 +414,30 @@ def test_non_integer_set_ids_are_malformed(rewrite):
     doc["sets"][0][0] = rewrite(doc["sets"][0][0])
     with pytest.raises(MalformedCertificate, match="^set ids must be integers$"):
         certificate_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("row", [None, [True, False, False], [0.5, None, 0.0]],
+                         ids=["strings", "bools", "null"])
+def test_non_number_coordinates_are_malformed(row):
+    """np.asarray would read "0.5" and true as coordinates."""
+    doc = json.loads(certificate_to_json(_mixed_certificate()))
+    if row is None:
+        doc["points"][0] = [str(c) for c in doc["points"][0]]
+    else:
+        doc["points"].append(row)
+    with pytest.raises(MalformedCertificate,
+                       match="^points must be a numeric array: coordinates must be JSON numbers$"):
+        certificate_from_json(json.dumps(doc))
+
+
+def test_sum_rows_match_the_per_set_loop():
+    ids = np.random.default_rng(3).integers(0, 6, size=(9, 4))  # ids repeat within sets
+    rows = np.zeros((9, 7))
+    for r, s in enumerate(ids):
+        for i in s:
+            rows[r, i] += 1.0
+        rows[r, 6] = -1.0
+    assert np.array_equal(certify._sum_rows(ids, 6), rows)
 
 
 def test_tampered_point_is_set_invalid_before_the_algebra():

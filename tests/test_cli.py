@@ -59,10 +59,13 @@ def test_enlarge_maximal_input_unchanged(tmp_path, capsys):
 
 def test_enlarge_invalid_input_exit2(tmp_path, capsys):
     seed_file = tmp_path / "bad.json"
-    seed_file.write_text(json.dumps([[1.2, 0.0]]))
-    code, _, err = run_cli(capsys, "enlarge", "--input", str(seed_file))
-    assert code == 2
-    assert "invalid input" in err
+    for points in ([[1.2, 0.0]],               # outside the ball
+                   [["1", 0], [0, False]],     # coordinates must be JSON numbers
+                   [[]]):                      # a point needs n >= 1 coordinates
+        seed_file.write_text(json.dumps(points))
+        code, out, err = run_cli(capsys, "enlarge", "--input", str(seed_file))
+        assert code == 2 and out == ""
+        assert err.startswith("error: invalid input set: ") and len(err.splitlines()) == 1
 
 
 def test_falsify_constant_consistent(capsys):
@@ -141,9 +144,11 @@ VALID_DOC = {"version": 2, "n": 2, "points": [[0.5, 0.0], [-0.5, 0.0], [0.0, 0.8
     json.dumps(dict(VALID_DOC, sets=[[0.9, 1, 2]])),                  # ids must be JSON integers
     json.dumps(dict(VALID_DOC, sets=[["0", 1, 2]])),
     json.dumps(dict(VALID_DOC, sets=[[True, 1, 2]])),
+    json.dumps(dict(VALID_DOC, points=[["0.5", "0.0"], [-0.5, 0.0], [0.0, 0.8]])),
+    json.dumps(dict(VALID_DOC, points=VALID_DOC["points"] + [[True, False]])),
 ], ids=["sets-not-list", "ragged-points", "n-string", "short-claim", "n-1e400",
         "top-level-number", "version-string", "set-not-list", "set-id-float",
-        "set-id-string", "set-id-bool"])
+        "set-id-string", "set-id-bool", "point-strings", "point-bools"])
 def test_check_malformed_document_exit2(tmp_path, capsys, text):
     doc_file = tmp_path / "bad.json"
     doc_file.write_text(text)
@@ -267,7 +272,12 @@ def test_eps_only_where_it_is_used(command):
      "error: threshold -1.0 must be finite and non-negative"),
     (("certify", "--x", "0.1,0", "--y", "0.2,0", "--n", "0"),
      "error: point has dimension 2, expected 0"),
-], ids=["angle-inf", "angle-nan", "threshold-nan", "threshold-negative", "certify-n-0"])
+    (("certify", "--x", '["0.2", false]', "--y", "0.6,-0.3"),
+     "error: coordinates must be JSON numbers"),
+    (("certify", "--x", "0.2,0.1", "--y", "[0.6, true]"),
+     "error: coordinates must be JSON numbers"),
+], ids=["angle-inf", "angle-nan", "threshold-nan", "threshold-negative", "certify-n-0",
+        "certify-json-strings", "certify-json-bool"])
 def test_out_of_domain_numbers_exit2(capsys, command, message):
     code, out, err = run_cli(capsys, *command, "--no-timestamp")
     assert code == 2

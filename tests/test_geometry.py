@@ -4,6 +4,8 @@ import pytest
 from eqball.errors import InputError
 from eqball.geometry import (
     Tolerance,
+    clamp_to_range,
+    json_number_array,
     orthonormal_complement,
     orthonormalize,
     row_dot,
@@ -126,3 +128,26 @@ def test_row_dot_equals_the_one_row_product():
             got = row_dot(a, b)
             assert got.shape == (40,)
             assert np.array_equal(got, [x @ y for x, y in zip(a, b)])
+
+
+def test_clamp_to_range():
+    tol = Tolerance(eps_eq=1e-9)
+    assert clamp_to_range("r", 0.5, 0.25, 1.0, tol) == 0.5
+    assert clamp_to_range("r", 1.0 + 5e-10, 0.25, 1.0, tol) == 1.0
+    assert clamp_to_range("r", 0.25 - 5e-10, 0.25, 1.0, tol) == 0.25
+    with pytest.raises(InputError, match=r"^r=1\.1 outside \[0\.25, 1\.0\]$"):
+        clamp_to_range("r", 1.1, 0.25, 1.0, tol)
+    with pytest.raises(InputError, match=r"^t=0\.2 outside \[0\.25, 1\.0\]$"):
+        clamp_to_range("t", 0.2, 0.25, 1.0, tol)
+
+
+def test_json_number_array():
+    assert np.array_equal(json_number_array([[1, 0.5], [-2, 1e-300]]), [[1.0, 0.5], [-2.0, 1e-300]])
+    assert json_number_array([0.2, -1]).dtype == np.float64
+    assert json_number_array([]).shape == (0,)
+    for bad in (["0.2", 0.1], [[1.0, 0.0], [0.0, False]], [[0.0, None]], [[1.0], [2.0, 3.0]],
+                "1", {"a": 1.0}):
+        with pytest.raises(InputError, match="^coordinates must be JSON numbers$"):
+            json_number_array(bad)
+    with pytest.raises(InputError, match="^a coordinate is out of range: "):
+        json_number_array([10 ** 400, 0])

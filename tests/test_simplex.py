@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from eqball.simplex import (
     canonical_simplex,
     cap_extension,
     center,
+    check_sets,
     distance_errors,
+    first_failure,
     height_above_base,
     random_rotations,
     sample_maximal_set,
@@ -136,6 +139,30 @@ def test_distance_errors_match_pairwise_loop():
     assert distance_errors(np.zeros((1, 3))).shape == (0,)
 
 
+def test_check_sets_reports_each_set_and_the_first_failure():
+    good = canonical_simplex(2, 3).points
+    far = good.copy()
+    far[0, 0] += 0.01          # one distance off
+    out = good + [0.0, 0.9]    # a translate that leaves the ball
+    stack = np.array([good, far, out, far])
+    err, top, checks = check_sets(stack, True)
+    assert np.allclose(err, [distance_errors(s).max() for s in stack], rtol=0.0, atol=1e-15)
+    assert np.array_equal(top, [np.linalg.norm(s, axis=1).max() for s in stack])
+    index, error = first_failure(checks)
+    assert index == 1 and isinstance(error, InputError)
+    assert re.match(r"^pairwise distance deviates from 1 by \d\.\d{3}e-0\d$", str(error))
+    index, error = first_failure(check_sets(stack[[0, 2]], True, error=ConstructionError)[2])
+    assert index == 1 and isinstance(error, ConstructionError)
+    assert re.match(r"^a point has norm 1\.\d{12} > 1$", str(error))
+    assert first_failure(check_sets(stack[[0, 2]], False)[2]) is None
+
+
+def test_equilateral_set_needs_points_and_coordinates():
+    for pts in (np.zeros((0, 2)), np.zeros((2, 0)), np.zeros(3)):
+        with pytest.raises(InputError, match=r"^an equilateral set needs a 2-D \(k, n\) point array"):
+            EquilateralSet(pts)
+
+
 def test_rotated_simplices_independence_and_gram():
     rng = np.random.default_rng(9)
     for n in range(2, 9):
@@ -189,6 +216,14 @@ def test_cap_extension_at_a_loose_tolerance():
     x = np.array([height_above_base(3, 0.8), 0.0, 0.0])
     comps = cap_extension(x, 0.8, loose)
     assert np.max(np.abs(np.linalg.norm(comps.points - x, axis=1) - 1.0)) < 1e-9
+
+
+def test_cap_extension_rechecks_the_distance_to_x(monkeypatch):
+    x = np.array([height_above_base(3, 0.8), 0.0, 0.0])
+    moved = lambda *args: simplex_on_spheres(*args) + [1e-6, 0.0, 0.0]  # noqa: E731
+    monkeypatch.setattr(simplex, "simplex_on_spheres", moved)
+    with pytest.raises(ConstructionError, match="^pairwise distance deviates from 1 by "):
+        cap_extension(x, 0.8)
 
 
 def test_recheck_reports_a_construction_error_with_the_validate_message():

@@ -5,7 +5,8 @@ import pytest
 
 from test_simplex import reference_sample, reference_sphere_basis
 
-from eqball.errors import InputError
+from eqball import weights
+from eqball.errors import ConstructionError, InputError
 from eqball.gamma import gamma
 from eqball.expr import compile_weight_expression
 from eqball.geometry import Frame
@@ -215,6 +216,12 @@ def test_frame_weight_sum_random_symmetric():
         total, expected = frame_weight_sum(t, seed)
         worst = max(worst, abs(total - expected))
     assert worst < 1e-9
+
+
+def test_frame_weight_sum_rechecks_its_basis(monkeypatch):
+    monkeypatch.setattr(weights, "sphere_basis_set", lambda n, seed: np.eye(n))
+    with pytest.raises(ConstructionError, match="^pairwise distance deviates from 1 by "):
+        frame_weight_sum(np.eye(3), seed=0)
 
 
 def test_frame_weight_sum_rejects_asymmetric():
