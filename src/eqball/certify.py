@@ -871,12 +871,15 @@ class _Generator:
         return self._node([(lemma, 1)], subs + [(step, -1)])
 
     def _merge_closing(self) -> int:
-        """The closing node, from the relation built once per (n, tol).
+        """The closing node, from the relation built once per (n, tol); a
+        failure to build it is raised again, with its stage and message.
 
         Resolving a point does not depend on what was resolved before it, so
         the merged sets and terms are those _emit_closing would add here.
         """
         frag = _closing_fragment(self.n, self.tol)
+        if isinstance(frag, GenerationFailure):
+            raise GenerationFailure(frag.stage, frag.message)
         where = self.builder.add_fragment(frag)
         if frag.terms is None:
             self.exact = False
@@ -929,14 +932,18 @@ class _Generator:
 
 
 @lru_cache(maxsize=None)
-def _closing_fragment(n: int, tol: Tolerance) -> _Fragment:
+def _closing_fragment(n: int, tol: Tolerance) -> _Fragment | GenerationFailure:
     """The closing relation of (n, tol), built by _emit_closing in a fresh
-    generator: its z, step schedule and anchor depend on nothing else."""
+    generator: its z, step schedule and anchor depend on nothing else.  A
+    GenerationFailure of the build is returned, so that it is kept too."""
     gen = _Generator(n, tol)
     try:
-        root = gen._emit_closing()
-    finally:
-        gen.builder.flush()
+        try:
+            root = gen._emit_closing()
+        finally:
+            gen.builder.flush()
+    except GenerationFailure as exc:
+        return GenerationFailure(exc.stage, exc.message)  # without the build's frames
     b = gen.builder
     points = np.array(b.points)
     points.flags.writeable = False

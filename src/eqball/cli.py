@@ -2,8 +2,8 @@
 
 Exit codes: 0 success (or falsifier consistent / certificate accepted),
 1 a verify-all suite failed, 2 input or parse error (a malformed
-certificate document included), 3 falsifier found a disproof, 4
-certificate rejected.
+certificate document included, also one that the checker reports as
+MalformedCertificate), 3 falsifier found a disproof, 4 certificate rejected.
 
 Weight expressions use the grammar of eqball.expr: coordinates x1..xn, the
 point `x` inside norm(x) / dot(x, x), functions sqrt and abs, binary
@@ -204,7 +204,9 @@ def cmd_check(args) -> int:
         "points": report.point_count,
     }
     _emit(args, payload)
-    return 0 if report.accepted else 4
+    if report.accepted:
+        return 0
+    return 2 if report.failure == "MalformedCertificate" else 4
 
 
 def cmd_emit_circuit(args) -> int:

@@ -28,6 +28,7 @@ class GenerationFailure(EqBallError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
+        self.message = message
 
 
 class MalformedCertificate(EqBallError):

@@ -11,15 +11,23 @@ Grammar (see the CLI help for the authoritative summary):
 `x` denotes the evaluation point (usable only inside norm/dot), `xk` its
 k-th coordinate (1-based).  norm(x) and dot(x, x) produce scalars; sqrt and
 abs apply to scalars; binary operators act on scalars only.
+
+A compiled expression evaluates a whole (m, n) stack of points in one array
+pass: `compile_weight_expression(text, n).rows(P)` returns the m values,
+each bit-equal to evaluating its row alone, and the evaluator itself is the
+one-row case.  On a stack, a division by zero or a negative sqrt argument
+at any row raises the error of the first such node in evaluation order.
+`weights.falsify` evaluates each batch of sets with one `rows` call; a plain
+Python callable, which has no `rows`, is still called one point at a time.
 """
 from __future__ import annotations
 
-import math
 import re
 
 import numpy as np
 
 from .errors import ExpressionError
+from .geometry import row_dot
 
 # A token and the whitespace after it.
 _TOKEN = re.compile(r"(?:(\d+\.\d*|\.\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/,]))\s*")
@@ -117,31 +125,35 @@ _FUNCTIONS = {"norm", "dot", "sqrt", "abs"}
 
 def _compile(node, n: int):
     """Type-check the tree and compile it in one walk; returns the kind,
-    'scalar' or 'vector', and a closure evaluating the node on one point.
+    'scalar' or 'vector', and a closure evaluating the node on an (m, n)
+    stack of points: a vector node gives the stack, a scalar node one value
+    per row (a constant gives its one float, which broadcasts).
 
     A function's name is checked before its arguments, and a left operand
-    before the right one; each child compiles once.
+    before the right one; each child compiles once.  Every operation rounds
+    as its one-point form does: + - * / sqrt abs are elementwise IEEE
+    operations, and dot and norm take each row's own BLAS dot (row_dot).
     """
     tag = node[0]
     if tag == "const":
         value = node[1]
-        return "scalar", lambda point: value
+        return "scalar", lambda stack: value
     if tag == "var":
         name = node[1]
         if name == "x":
-            return "vector", lambda point: point
+            return "vector", lambda stack: stack
         m = re.fullmatch(r"x(\d+)", name)
         if m:
             k = int(m.group(1)) - 1
             if not 0 <= k < n:
                 raise ExpressionError(f"coordinate {name} out of range for n={n}")
-            return "scalar", lambda point: float(point[k])
+            return "scalar", lambda stack: stack[:, k]
         raise ExpressionError(f"unknown identifier {name!r}")
     if tag == "neg":
         kind, arg = _compile(node[1], n)
         if kind != "scalar":
             raise ExpressionError("negation applies to scalars only")
-        return "scalar", lambda point: -arg(point)
+        return "scalar", lambda stack: -arg(stack)
     if tag in ("+", "-", "*", "/"):
         operands = []
         for child in node[1:]:
@@ -151,16 +163,16 @@ def _compile(node, n: int):
             operands.append(f)
         a, b = operands
         if tag == "+":
-            return "scalar", lambda point: a(point) + b(point)
+            return "scalar", lambda stack: a(stack) + b(stack)
         if tag == "-":
-            return "scalar", lambda point: a(point) - b(point)
+            return "scalar", lambda stack: a(stack) - b(stack)
         if tag == "*":
-            return "scalar", lambda point: a(point) * b(point)
+            return "scalar", lambda stack: a(stack) * b(stack)
 
-        def divide(point):
-            num = a(point)
-            den = b(point)
-            if den == 0:
+        def divide(stack):
+            num = a(stack)
+            den = b(stack)
+            if np.any(den == 0):
                 raise ExpressionError("division by zero during evaluation")
             return num / den
 
@@ -176,37 +188,52 @@ def _compile(node, n: int):
             if kinds != ["vector"]:
                 raise ExpressionError("norm takes one vector argument")
             (arg,) = args
-            return "scalar", lambda point: float(np.linalg.norm(arg(point)))
+
+            def norm(stack):
+                v = arg(stack)
+                return np.sqrt(row_dot(v, v))  # np.linalg.norm of one vector
+
+            return "scalar", norm
         if name == "dot":
             if kinds != ["vector", "vector"]:
                 raise ExpressionError("dot takes two vector arguments")
             a, b = args
-            return "scalar", lambda point: float(np.dot(a(point), b(point)))
+            return "scalar", lambda stack: row_dot(a(stack), b(stack))
         if kinds != ["scalar"]:
             raise ExpressionError(f"{name} takes one scalar argument")
         (arg,) = args
         if name == "sqrt":
-            def root(point):
-                value = arg(point)
-                if value < 0:
+            def root(stack):
+                value = arg(stack)
+                if np.any(value < 0):
                     raise ExpressionError("sqrt of a negative value")
-                return math.sqrt(value)
+                return np.sqrt(value)
 
             return "scalar", root
-        return "scalar", lambda point: abs(arg(point))
+        return "scalar", lambda stack: np.abs(arg(stack))
     raise ExpressionError(f"malformed expression node {tag!r}")
 
 
 def compile_weight_expression(text: str, n: int):
     """Parse an expression and return a point -> float evaluator.
 
-    The tree is checked and compiled once into nested closures, one per node.
+    The tree is checked and compiled once into nested closures, one per node,
+    that evaluate a whole stack of points at a time.  `evaluator.rows(P)`
+    maps an (m, n) stack to its m values as a float array, bit-equal to
+    evaluating each row alone; `evaluator(p)` is its one-row case.
     """
     kind, root = _compile(_Parser(_tokenize(text)).parse(), n)
     if kind != "scalar":
         raise ExpressionError("expression must evaluate to a scalar")
 
-    def evaluator(point) -> float:
-        return float(root(np.asarray(point, dtype=float)))
+    def rows(points) -> np.ndarray:
+        stack = np.asarray(points, dtype=float)
+        # Python float arithmetic overflows to inf and nan without a word.
+        with np.errstate(all="ignore"):
+            return np.broadcast_to(root(stack), stack.shape[:1]).astype(float)
 
+    def evaluator(point) -> float:
+        return float(rows(np.asarray(point, dtype=float)[None])[0])
+
+    evaluator.rows = rows
     return evaluator

@@ -265,11 +265,13 @@ def cap_extension(x, rho: float, tol: Tolerance = DEFAULT_TOL) -> EquilateralSet
 def random_rotations(n: int, rngs) -> np.ndarray:
     """Haar-uniform rotation matrices, one per generator, as a (k, n, n) stack.
 
-    Each generator draws its own Gaussian (n, n) matrix; one stacked QR
-    orthogonalizes them all, the column signs follow diag(r) and a negative
-    determinant flips the first column.
+    Each generator draws its own Gaussian (n, n) matrix into its slot of
+    the stack; one stacked QR orthogonalizes them all, the column signs
+    follow diag(r) and a negative determinant flips the first column.
     """
-    g = np.array([rng.standard_normal((n, n)) for rng in rngs]).reshape(-1, n, n)
+    g = np.empty((len(rngs), n, n))
+    for rng, slot in zip(rngs, g):
+        rng.standard_normal(out=slot)
     q, r = np.linalg.qr(g)
     d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     d[d == 0] = 1.0
@@ -298,18 +300,19 @@ def sample_maximal_sets(n: int, seeds, translation_radius: float | None = None) 
     out = np.empty_like(base)
     todo = np.arange(len(rngs))
     for _ in range(MAX_SAMPLE_ATTEMPTS):
-        if radius == 0.0:
-            shift = np.zeros((todo.size, n))
-        else:
-            live = [rngs[i] for i in todo.tolist()]
-            # Per generator: the direction, then the radial draw.  random() is
-            # uniform() on [0, 1), bit for bit, at a third of the call cost.
-            # Each step rounds as the one-set loop did: the norm is the sqrt
-            # of one row's dot (np.linalg.norm of a vector), the power is the
-            # scalar pow of a Python float (array kernels may round it
-            # differently), and the product is grouped (d * radius) * s.
-            shift = np.array([rng.standard_normal(n) for rng in live]).reshape(-1, n)
-            scale = np.array([rng.random() ** power for rng in live])
+        shift = np.zeros((todo.size, n))
+        if radius != 0.0:
+            scale = np.empty(todo.size)
+            # Per generator: the direction into its row, then the radial
+            # draw.  random() is uniform() on [0, 1), bit for bit, at a third
+            # of the call cost.  Each step rounds as the one-set loop did: the
+            # norm is the sqrt of one row's dot (np.linalg.norm of a vector),
+            # the power is the scalar pow of a Python float (array kernels may
+            # round it differently), and the product is grouped (d * radius) * s.
+            for j, i in enumerate(todo.tolist()):
+                rng = rngs[i]
+                rng.standard_normal(out=shift[j])
+                scale[j] = rng.random() ** power
             shift /= np.sqrt(row_dot(shift, shift))[:, None]
             shift = (shift * radius) * scale[:, None]
         pts = base[todo] + shift[:, None, :]

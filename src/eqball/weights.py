@@ -325,7 +325,9 @@ def falsify(f: WeightFn, n: int, samples: int, seed: int,
     Spread up to `threshold` is consistent with f being an equilateral
     weight; spread above it is a disproof with an explicit witness pair.
     One sub-seed per sample is drawn from `seed`; all the sets are sampled
-    in one batched pass and then evaluated in sample order.
+    in one batched pass.  An evaluator with a `rows` stack kernel (as
+    compile_weight_expression returns) then evaluates every point in one
+    call; any other callable is called once per point, in sample order.
     """
     if samples < 2:
         raise InputError("falsify needs at least 2 samples")
@@ -339,12 +341,17 @@ def falsify(f: WeightFn, n: int, samples: int, seed: int,
         sets = sphere_basis_sets(n, sub_seeds)
     else:
         sets = sample_maximal_sets(n, sub_seeds)
-    sums = []
-    for pts in sets:
-        vals = [float(f.evaluator(p)) for p in pts]
-        if not all(math.isfinite(v) for v in vals):
-            raise InputError("weight function returned a non-finite value")
-        sums.append(float(sum(vals)))
+    points = sets.reshape(-1, n)
+    rows = getattr(f.evaluator, "rows", None)
+    if rows is None:
+        def rows(stack):
+            return [float(f.evaluator(p)) for p in stack]
+    vals = np.asarray(rows(points), dtype=float).reshape(sets.shape[:2])
+    if not np.all(np.isfinite(vals)):
+        raise InputError("weight function returned a non-finite value")
+    # Left to right from +0.0 as the builtin sum adds, so bit-equal to it,
+    # signed zeros included; .sum(axis=1) adds 8 or more terms pairwise.
+    sums = np.cumsum(vals + 0.0, axis=1)[:, -1].tolist()
     arr = np.array(sums)
     hi = int(np.argmax(arr))
     lo = int(np.argmin(arr))

@@ -546,12 +546,13 @@ def test_one_gamma1_links_call_builds_every_chain(monkeypatch):
     (np.array([0.35, 0.1]), np.array([0.88, 0.2]), 2, "[bridge] certificate exceeded 40 sets", 11),
     (np.zeros(3), np.array([0.95, 0.0, 0.0]), 3, "[shell-link] certificate exceeded 40 sets", 4),
 ])
-def test_set_cap_fails_at_the_same_request(monkeypatch, x, y, n, message, entered):
+def test_set_cap_fails_at_the_same_request(monkeypatch, request, x, y, n, message, entered):
     """A certificate that outgrows the cap fails at the request that overflows
     it: same stage, and as many points entered, as when every request
     registered at once."""
     monkeypatch.setattr(certify, "MAX_CERT_SETS", 40)
     _closing_fragment.cache_clear()
+    request.addfinalizer(_closing_fragment.cache_clear)  # drop failures kept under the cap
     gen = _Generator(n, DEFAULT_TOL)
     with pytest.raises(GenerationFailure, match=f"^{re.escape(message)}$"):
         gen.run(x, y)
@@ -563,6 +564,26 @@ def test_closing_relation_at_n7_still_exceeds_the_cap():
     y[0] = 0.95
     with pytest.raises(GenerationFailure, match=r"^\[shell-link\] certificate exceeded 5000 sets$"):
         generate_equality_certificate(np.zeros(7), y, 7)
+
+
+def test_closing_failure_is_kept(monkeypatch):
+    """A closing relation that fails to build fails again, with the same
+    stage and message, without being built a second time."""
+    built = []
+    emit = _Generator._emit_closing
+
+    def spy(self):
+        built.append(self.n)
+        return emit(self)
+
+    monkeypatch.setattr(_Generator, "_emit_closing", spy)
+    _closing_fragment.cache_clear()
+    y = np.zeros(7)
+    y[0] = 0.95
+    for x in (np.zeros(7), _in_plane(7, 0.1, 0.3)):
+        with pytest.raises(GenerationFailure, match=r"^\[shell-link\] certificate exceeded 5000 sets$"):
+            generate_equality_certificate(x, y, 7)
+    assert built == [7]
 
 
 def test_flush_raises_the_first_error_in_request_order():

@@ -285,6 +285,22 @@ def test_out_of_domain_numbers_exit2(capsys, command, message):
     assert err.strip() == message
 
 
+@pytest.mark.parametrize("text", [
+    json.dumps(dict(VALID_DOC, sets=[[0, 1, 3]])),                    # set id past the table
+    json.dumps(VALID_DOC).replace("0.8", "1e400"),                    # coordinate overflows to inf
+    json.dumps({"n": 0, "points": [[]], "sets": [], "claim": [0, 0]}),
+], ids=["set-id-past-table", "coordinate-1e400", "n-0"])
+def test_check_reported_malformed_document_exit2(tmp_path, capsys, text):
+    """Documents that parse but that check_certificate reports as malformed
+    exit 2, not 4, with the report on stdout."""
+    doc_file = tmp_path / "bad.json"
+    doc_file.write_text(text)
+    code, out, _ = run_cli(capsys, "check", "--input", str(doc_file), "--no-timestamp")
+    assert code == 2
+    report = json.loads(out)
+    assert report["accepted"] is False and report["failure"] == "MalformedCertificate"
+
+
 def test_check_non_utf8_file_exit2(tmp_path, capsys):
     doc_file = tmp_path / "cert.json"
     doc_file.write_bytes(b"\xff\xfe" + json.dumps(VALID_DOC).encode())

@@ -117,3 +117,49 @@ def test_eval_errors():
     with pytest.raises(ExpressionError, match="^sqrt of a negative value$"):
         g(np.array([-1.0]))
     assert f(np.array([4.0])) == 0.25 and g(np.array([0.0])) == 0.0
+
+
+def _signed_zero_stack(seed):
+    """Random points of [-1, 1]^3 with about a quarter of the coordinates +0.0
+    or -0.0, and the all-(+0.0) and all-(-0.0) points."""
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-1.0, 1.0, size=(80, 3))
+    points[rng.random(points.shape) < 0.15] = 0.0
+    points[rng.random(points.shape) < 0.15] = -0.0
+    points[0], points[1] = 0.0, -0.0
+    return points
+
+
+@pytest.mark.parametrize("text", [text for text, _ in CONSTRUCTS])
+def test_rows_kernel_equals_the_per_point_evaluator(text):
+    """evaluator.rows on a stack gives each point's own value, bit for bit;
+    a stack holding a point that fails raises that point's error."""
+    f = compile_weight_expression(text, 3)
+    points = _signed_zero_stack(3)
+    good, values, failing = [], [], []
+    for p in points:
+        try:
+            values.append(f(p))
+            good.append(p)
+        except ExpressionError as exc:
+            failing.append(str(exc))
+    batch = f.rows(np.array(good))
+    assert batch.dtype == np.float64 and batch.shape == (len(good),)
+    assert batch.tobytes() == np.array(values).tobytes()
+    if failing:
+        with pytest.raises(ExpressionError, match=f"^{re.escape(failing[0])}$"):
+            f.rows(points)
+
+
+@pytest.mark.parametrize("text, bad, message", [
+    ("1/x1", 0.0, "division by zero during evaluation"),
+    ("1/x1", -0.0, "division by zero during evaluation"),
+    ("sqrt(x1)", -1.0, "sqrt of a negative value"),
+])
+def test_eval_errors_on_a_batch_match_one_point(text, bad, message):
+    f = compile_weight_expression(text, 1)
+    with pytest.raises(ExpressionError, match=f"^{re.escape(message)}$"):
+        f(np.array([bad]))
+    with pytest.raises(ExpressionError, match=f"^{re.escape(message)}$"):
+        f.rows(np.array([[4.0], [bad], [1.0]]))
+    assert f.rows(np.array([[4.0], [1.0]])).tolist() == [f(np.array([4.0])), f(np.array([1.0]))]

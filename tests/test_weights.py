@@ -339,3 +339,35 @@ def test_falsify_witness_tie_break_deterministic():
     r1 = falsify(fn, 2, 50, seed=3)
     r2 = falsify(fn, 2, 50, seed=3)
     assert r1.witness_indices == r2.witness_indices == (0, 0)
+
+
+def _float_bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 8])
+@pytest.mark.parametrize("mode", ["ball", "sphere"])
+def test_falsify_through_the_rows_kernel_equals_per_point_calls(n, mode):
+    """The one-call `rows` path and the per-point path of a plain callable
+    give the same report in every field, bit for bit."""
+    ev = compile_weight_expression("2*x1*x1 + dot(x,x) - 0.5 - abs(x2) / norm(x)", n)
+    batched = falsify(WeightFn(evaluator=ev, domain_mode=mode), n, 90, seed=17)
+    plain = falsify(WeightFn(evaluator=lambda p: ev(p), domain_mode=mode), n, 90, seed=17)
+    assert _float_bits(batched.sums) == _float_bits(plain.sums)
+    assert all(type(s) is float for s in batched.sums)
+    assert _float_bits([batched.spread, batched.empirical_weight, batched.threshold]) == \
+        _float_bits([plain.spread, plain.empirical_weight, plain.threshold])
+    assert batched.witness_indices == plain.witness_indices
+    assert batched.witness_high.tobytes() == plain.witness_high.tobytes()
+    assert batched.witness_low.tobytes() == plain.witness_low.tobytes()
+    assert batched.verdict == plain.verdict
+
+
+@pytest.mark.parametrize("n, mode", [(3, "ball"), (8, "ball"), (8, "sphere")])
+def test_falsify_sums_of_negative_zero_are_positive_zero(n, mode):
+    """The builtin sum starts from +0, so a weight of -0.0 sums to +0.0."""
+    ev = compile_weight_expression("-0", n)
+    assert math.copysign(1.0, ev(np.zeros(n))) == -1.0
+    report = falsify(WeightFn(evaluator=ev, domain_mode=mode), n, 20, seed=5)
+    assert all(s == 0.0 and math.copysign(1.0, s) == 1.0 for s in report.sums)
+    assert math.copysign(1.0, report.empirical_weight) == 1.0
