@@ -58,7 +58,8 @@ from .errors import (
     MalformedCertificate,
 )
 from .gamma import gamma, gamma1_link, gamma1_links
-from .geometry import DEFAULT_TOL, Tolerance, as_point, clamp_to_range, json_number_array, section2d
+from .geometry import (DEFAULT_TOL, GRID_STEP, Tolerance, as_point, clamp_to_range,
+                       json_number_array, section2d)
 from .simplex import (EquilateralSet, alpha, beta, cap_extension, check_sets, embed_in_frame,
                       first_failure)
 from .enlarge import enlarge_to_maximal
@@ -75,6 +76,8 @@ from .weights import (
 
 CERT_VERSION = 2
 MAX_CERT_SETS = 5000
+# Row-space residual below which the dense checker accepts the claim.
+EPS_RANK = 1e-8
 INT64_MAX = int(np.iinfo(np.int64).max)
 # Band-edge slack used when matching a norm against the step schedule.
 BAND_EDGE_SLACK = 5e-10
@@ -234,8 +237,7 @@ def certificate_to_json(cert: Certificate, tol: Tolerance = DEFAULT_TOL) -> str:
     doc = {
         "version": cert.version,
         "n": cert.n,
-        "tolerance": {"eps_eq": tol.eps_eq, "eps_rank": tol.eps_rank,
-                      "grid_step": tol.grid_step},
+        "tolerance": {"eps_eq": tol.eps_eq, "eps_rank": EPS_RANK, "grid_step": GRID_STEP},
         "points": _rows_json(np.asarray(cert.points, dtype=float).tolist(), "%.17g"),
         "sets": _rows_json(cert.sets, "%d"),
         "claim": [int(cert.claim[0]), int(cert.claim[1])],
@@ -424,7 +426,7 @@ def check_certificate(cert: Certificate, tol: Tolerance = DEFAULT_TOL) -> CheckR
     rows = _sum_rows(ids, count)
     solution, *_ = np.linalg.lstsq(rows.T, target, rcond=None)
     residual = float(np.linalg.norm(rows.T @ solution - target))
-    if residual < tol.eps_rank:
+    if residual < EPS_RANK:
         return CheckReport(accepted=True, residual=residual, detail=margins,
                            set_count=len(cert.sets), point_count=count)
     return CheckReport(accepted=False, failure="ClaimNotImplied", residual=residual,

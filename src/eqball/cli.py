@@ -3,7 +3,8 @@
 Exit codes: 0 success (or falsifier consistent / certificate accepted),
 1 a verify-all suite failed, 2 input or parse error (a malformed
 certificate document included, also one that the checker reports as
-MalformedCertificate), 3 falsifier found a disproof, 4 certificate rejected.
+MalformedCertificate) or an --out file that cannot be written, 3 falsifier
+found a disproof, 4 certificate rejected.
 
 Weight expressions use the grammar of eqball.expr: coordinates x1..xn, the
 point `x` inside norm(x) / dot(x, x), functions sqrt and abs, binary
@@ -32,7 +33,7 @@ from .certify import (
 from .enlarge import enlarge_to_maximal
 from .errors import EqBallError, ExpressionError, InputError
 from .expr import compile_weight_expression
-from .geometry import DEFAULT_TOL, Frame, Tolerance, json_number_array
+from .geometry import DEFAULT_TOL, GRID_STEP, Frame, Tolerance, json_number_array
 from .simplex import EquilateralSet, alpha, beta, distance_errors
 from .verify import run_verification_suites
 from .weights import WeightFn, eta, falsify, lambda_shell, nu, shell_circuit
@@ -234,6 +235,9 @@ def cmd_verify_all(args) -> int:
     if args.n_min < 2:
         print("error: verify-all requires --n-min >= 2", file=sys.stderr)
         return 2
+    if args.seed < 0:
+        print("error: verify-all requires --seed >= 0", file=sys.stderr)
+        return 2
     if args.n_max < args.n_min:
         print(f"error: empty range: --n-max {args.n_max} is below --n-min {args.n_min}",
               file=sys.stderr)
@@ -259,7 +263,7 @@ def _add_common(parser, eps=False):
     if eps:
         parser.add_argument("--eps", type=float, default=None,
                             help="distance-equality tolerance, in (0, "
-                                 f"{DEFAULT_TOL.grid_step:g})")
+                                 f"{GRID_STEP:g})")
     parser.add_argument("--out", default=None, help="also write the output to this file")
 
 
@@ -327,7 +331,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except EqBallError as exc:
+    except (EqBallError, OSError) as exc:  # OSError: --out cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

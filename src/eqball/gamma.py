@@ -1,11 +1,12 @@
 """Clearance around the midpoint of a pair, and the two-set linking move.
 
 gamma(a, b) is the largest r such that the ball of radius r in the
-hyperplane orthogonal to b - a, centered at the midpoint of a and b, stays
-inside the unit ball.  It reduces to a two-dimensional computation in any
-plane containing a and b, with closed form
-    r = -<x0, u> + sqrt(<x0, u>**2 + 1 - ||x0||**2)
-for the in-plane unit vector u orthogonal to b - a with <u, a + b> >= 0.
+hyperplane orthogonal to b - a, centered at the midpoint x0 of a and b,
+stays inside the unit ball.  Its closed form is
+    r = -<x0, u> + sqrt(<x0, u>**2 + 1 - ||x0||**2),    u = perp/||perp||,
+where perp = x0 - <x0, d> d is the part of x0 orthogonal to d = (b - a)/||b - a||.
+When a, b and 0 are collinear (perp = 0) every unit u orthogonal to d gives
+that value; u is then first_orthogonal_axis(d), the same for (a, b) and (b, a).
 
 When ||b - a|| equals twice alpha(n+1) and the clearance is at least
 beta(n), the sphere of radius beta(n) around the midpoint carries a size-n
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, InputError
-from .geometry import DEFAULT_TOL, Frame, Tolerance, as_point, orthonormalize, row_dot, section2d
+from .geometry import (DEFAULT_TOL, GRID_STEP, Frame, Tolerance, as_point, first_orthogonal_axis,
+                       orthonormalize, row_dot)
 from .simplex import EquilateralSet, alpha, beta, check_sets, first_failure, simplex_on_spheres
 
 # Seed of the deterministic direction net used by the brute-force evaluator.
@@ -31,23 +33,47 @@ LINK_DISTANCE_TOL = 1e-7
 
 @dataclass(frozen=True)
 class GammaResult:
-    """Clearance value, the in-plane direction achieving it, and the midpoint."""
+    """Clearance value, the direction u achieving it, and the midpoint."""
 
     value: float
     direction: np.ndarray
     midpoint: np.ndarray
 
 
+def _pair_checks(A, B, tol: Tolerance):
+    """Argument checks of every clearance entry point on the pairs (rows of
+    A, B): A and B as floats, the hops B - A, their lengths, and the
+    first_failure checks that a != b, then a and b lie in the ball."""
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    if A.ndim != 2 or A.shape != B.shape or A.shape[0] < 1:
+        raise InputError(f"endpoint arrays must share a (k, n) shape, got {A.shape} and {B.shape}")
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
+        raise InputError("point has non-finite components")
+    if A.shape[1] < 2:
+        raise InputError("clearance needs ambient dimension >= 2")
+    eps = tol.eps_eq
+    diff = B - A
+    dist = np.sqrt(row_dot(diff, diff))
+    norm_a = np.sqrt(row_dot(A, A))
+    norm_b = np.sqrt(row_dot(B, B))
+    checks = [
+        (dist <= eps, lambda i: InputError("a and b coincide")),
+        (norm_a > 1.0 + eps, lambda i: InputError(
+            f"point with norm {norm_a[i]:.12f} is outside the ball")),
+        (norm_b > 1.0 + eps, lambda i: InputError(
+            f"point with norm {norm_b[i]:.12f} is outside the ball")),
+    ]
+    return A, B, diff, dist, checks
+
+
 def _validate_pair(a, b, tol: Tolerance):
+    """a and b as points, after the one-pair case of _pair_checks."""
     a = as_point(a)
     b = as_point(b, a.size)
-    if a.size < 2:
-        raise InputError("clearance needs ambient dimension >= 2")
-    if np.linalg.norm(b - a) <= tol.eps_eq:
-        raise InputError("a and b coincide")
-    for p in (a, b):
-        if float(np.linalg.norm(p)) > 1.0 + tol.eps_eq:
-            raise InputError(f"point with norm {float(np.linalg.norm(p)):.12f} is outside the ball")
+    failed = first_failure(_pair_checks(a[None, :], b[None, :], tol)[-1])
+    if failed is not None:
+        raise failed[1]
     return a, b
 
 
@@ -55,39 +81,25 @@ def gamma(a, b, tol: Tolerance = DEFAULT_TOL) -> GammaResult:
     """Closed-form clearance of the pair (a, b) inside the unit ball."""
     a, b = _validate_pair(a, b, tol)
     x0 = (a + b) / 2.0
-    frame = section2d(a, b, tol)
-    d_local = frame.basis @ (b - a)
-    d_local /= np.linalg.norm(d_local)
-    u_local = np.array([-d_local[1], d_local[0]])
-    u = u_local @ frame.basis
-    s = float(u @ (a + b))
-    if s < -tol.eps_eq:
-        u = -u
-    elif abs(s) <= tol.eps_eq:
-        # Midpoint orthogonal to u (or zero): both signs give the same value;
-        # fix the sign lexicographically for reproducibility.
-        for comp in u:
-            if abs(comp) > 1e-9:
-                if comp < 0:
-                    u = -u
-                break
-    value = float(_clearance(x0, (b - a) / np.linalg.norm(b - a)))
-    return GammaResult(value=value, direction=u, midpoint=x0)
+    d_hat = (b - a) / np.linalg.norm(b - a)
+    value, perp = _clearance(x0, d_hat)
+    t = float(np.linalg.norm(perp))
+    u = perp / t if 2.0 * t > tol.eps_eq else first_orthogonal_axis(d_hat[None, :], a.size)
+    return GammaResult(value=float(value), direction=u, midpoint=x0)
 
 
-def _clearance(x0: np.ndarray, d_hat: np.ndarray) -> np.ndarray:
+def _clearance(x0: np.ndarray, d_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form clearance of midpoints x0 for unit hop directions d_hat
-    (rows of equal shape).
+    (rows of equal shape), and perp, the component of x0 orthogonal to d_hat.
 
-    t = ||x0 - <x0, d_hat> d_hat|| is <x0, u> for the in-plane unit vector u
-    of the module docstring, so the value is -t + sqrt(t**2 + 1 - ||x0||**2).
+    t = ||perp|| is <x0, u> for the u of the module docstring.
     """
     perp = x0 - row_dot(x0, d_hat)[..., None] * d_hat
     t = np.sqrt(row_dot(perp, perp))
-    return -t + np.sqrt(np.maximum(t * t + 1.0 - row_dot(x0, x0), 0.0))
+    return -t + np.sqrt(np.maximum(t * t + 1.0 - row_dot(x0, x0), 0.0)), perp
 
 
-def gamma_bruteforce(a, b, M: Frame, grid_step: float | None = None,
+def gamma_bruteforce(a, b, M: Frame, grid_step: float = GRID_STEP,
                      tol: Tolerance = DEFAULT_TOL) -> float:
     """Grid evaluation of the clearance restricted to a subspace M.
 
@@ -99,8 +111,6 @@ def gamma_bruteforce(a, b, M: Frame, grid_step: float | None = None,
     grid step.
     """
     a, b = _validate_pair(a, b, tol)
-    if grid_step is None:
-        grid_step = tol.grid_step
     n = a.size
     if M.n != n:
         raise InputError("frame dimension does not match the points")
@@ -140,31 +150,15 @@ def gamma1_links(A, B, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     gamma1_link runs as an array mask over the hops; if any hop fails, the
     error gamma1_link raises for the first failing hop is raised.
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.ndim != 2 or A.shape != B.shape or A.shape[0] < 1:
-        raise InputError(f"endpoint arrays must share a (k, n) shape, got {A.shape} and {B.shape}")
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
-        raise InputError("point has non-finite components")
+    A, B, diff, dist, checks = _pair_checks(A, B, tol)
     n = A.shape[1]
-    if n < 2:
-        raise InputError("clearance needs ambient dimension >= 2")
     eps = tol.eps_eq
     target = 2.0 * alpha(n + 1)
     bn = beta(n)
-    diff = B - A
-    dist = np.sqrt(row_dot(diff, diff))
-    norm_a = np.sqrt(row_dot(A, A))
-    norm_b = np.sqrt(row_dot(B, B))
     x0 = (A + B) / 2.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        value = _clearance(x0, diff / dist[:, None])
-    failed = first_failure([
-        (dist <= eps, lambda i: InputError("a and b coincide")),
-        (norm_a > 1.0 + eps, lambda i: InputError(
-            f"point with norm {norm_a[i]:.12f} is outside the ball")),
-        (norm_b > 1.0 + eps, lambda i: InputError(
-            f"point with norm {norm_b[i]:.12f} is outside the ball")),
+        value = _clearance(x0, diff / dist[:, None])[0]
+    failed = first_failure(checks + [
         (np.abs(dist - target) > LINK_DISTANCE_TOL, lambda i: InputError(
             f"||b-a||={dist[i]:.12f}, need {target:.12f}")),
         (value < bn - eps, lambda i: InputError(

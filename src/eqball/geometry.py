@@ -17,25 +17,21 @@ from .errors import ConstructionError, InputError
 RANK_RESIDUAL = 1e-10
 # Residual norm a canonical axis must keep to win the deterministic tie-break.
 TIE_BREAK_RESIDUAL = 1e-6
+# Resolution of the brute-force clearance grid; eps_eq must stay below it.
+GRID_STEP = 1e-4
 
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Numeric tolerances used across the library.
-
-    eps_eq bounds distance/norm equality checks, eps_rank the row-space
-    residual of the certificate checker, grid_step the brute-force grid
-    resolution.
-    """
+    """Numeric tolerance used across the library: eps_eq bounds
+    distance/norm equality checks."""
 
     eps_eq: float = 1e-9
-    eps_rank: float = 1e-8
-    grid_step: float = 1e-4
 
     def __post_init__(self):
-        if not (self.eps_eq > 0 and self.eps_rank > 0 and self.grid_step > 0):
+        if not self.eps_eq > 0:
             raise ValueError("tolerances must be strictly positive")
-        if not self.eps_eq < self.grid_step:
+        if not self.eps_eq < GRID_STEP:
             raise ValueError("eps_eq must be smaller than grid_step")
 
     def widened(self) -> Tolerance:
@@ -44,7 +40,7 @@ class Tolerance:
         Re-checks a set constructed from inputs that were themselves only
         within eps_eq of their constraints.  A widened tolerance only feeds
         equality checks, never the brute-force grid, so the constructor's
-        eps_eq < grid_step bound is not applied: every valid tolerance widens.
+        eps_eq < GRID_STEP bound is not applied: every valid tolerance widens.
         """
         wide = copy(self)
         object.__setattr__(wide, "eps_eq", 10 * self.eps_eq)

@@ -333,6 +333,8 @@ def falsify(f: WeightFn, n: int, samples: int, seed: int,
         raise InputError("falsify needs at least 2 samples")
     if not (math.isfinite(threshold) and threshold >= 0.0):
         raise InputError(f"threshold {threshold} must be finite and non-negative")
+    if seed < 0:
+        raise InputError(f"seed {seed} must be non-negative")
     rng = np.random.default_rng(seed)
     # A 64-bit range takes one unbuffered draw per value, so this equals
     # `samples` scalar draws.

@@ -314,8 +314,7 @@ def _plain_document(cert):
     doc = {
         "version": cert.version,
         "n": cert.n,
-        "tolerance": {"eps_eq": DEFAULT_TOL.eps_eq, "eps_rank": DEFAULT_TOL.eps_rank,
-                      "grid_step": DEFAULT_TOL.grid_step},
+        "tolerance": {"eps_eq": DEFAULT_TOL.eps_eq, "eps_rank": 1e-8, "grid_step": 1e-4},
         "points": [[float(c) for c in p] for p in cert.points],
         "sets": [list(map(int, s)) for s in cert.sets],
         "claim": [int(cert.claim[0]), int(cert.claim[1])],

@@ -276,13 +276,31 @@ def test_eps_only_where_it_is_used(command):
      "error: coordinates must be JSON numbers"),
     (("certify", "--x", "0.2,0.1", "--y", "[0.6, true]"),
      "error: coordinates must be JSON numbers"),
+    (("falsify", "--expr", "x1", "--n", "3", "--samples", "10", "--seed", "-1"),
+     "error: seed -1 must be non-negative"),
+    (("verify-all", "--seed", "-1"), "error: verify-all requires --seed >= 0"),
 ], ids=["angle-inf", "angle-nan", "threshold-nan", "threshold-negative", "certify-n-0",
-        "certify-json-strings", "certify-json-bool"])
+        "certify-json-strings", "certify-json-bool", "falsify-seed-negative",
+        "verify-all-seed-negative"])
 def test_out_of_domain_numbers_exit2(capsys, command, message):
     code, out, err = run_cli(capsys, *command, "--no-timestamp")
     assert code == 2
     assert out == ""
     assert err.strip() == message
+
+
+@pytest.mark.parametrize("command", [
+    ("constants", "--n", "2"),
+    ("falsify", "--expr", "1", "--n", "2", "--samples", "5"),
+    ("certify", "--x", "0.2,0.1", "--y", "0.6,-0.3"),
+    ("emit-circuit", "--n", "2"),
+], ids=["constants", "falsify", "certify", "emit-circuit"])
+def test_unwritable_out_path_exit2(tmp_path, capsys, command):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, *command, "--out", str(target), "--no-timestamp")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(target) in err and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("text", [

@@ -49,6 +49,33 @@ def test_gamma_result_invariants():
         assert res.direction @ (a + b) >= -1e-9
 
 
+def test_gamma_direction_is_the_normalised_perpendicular_of_the_midpoint():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        n = int(rng.integers(2, 7))
+        a = _random_ball_point(rng, n)
+        b = _random_ball_point(rng, n)
+        x0 = (a + b) / 2.0
+        d = (b - a) / np.linalg.norm(b - a)
+        perp = x0 - (x0 @ d) * d
+        assert np.max(np.abs(gamma(a, b).direction - perp / np.linalg.norm(perp))) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_gamma_direction_for_collinear_pairs(n):
+    """With a, b and 0 collinear any unit vector orthogonal to b - a attains
+    the clearance; the tie-break picks one, the same for either order."""
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        a = _random_ball_point(rng, n)
+        for b in (-a, np.zeros(n), 0.3 * a, -0.7 * a):
+            for p, q in ((a, b), (np.zeros(n), a)):
+                u = gamma(p, q).direction
+                assert abs(np.linalg.norm(u) - 1.0) < 1e-12
+                assert abs(u @ (q - p)) < 1e-12
+                assert np.array_equal(u, gamma(q, p).direction)
+
+
 def test_gamma_rotation_invariance():
     rng = np.random.default_rng(8)
     a = np.array([0.4, 0.1, -0.2])

@@ -3,6 +3,7 @@ import pytest
 
 from eqball.errors import InputError
 from eqball.geometry import (
+    GRID_STEP,
     Tolerance,
     clamp_to_range,
     json_number_array,
@@ -15,23 +16,23 @@ from eqball.geometry import (
 
 def test_tolerance_invariants():
     tol = Tolerance()
-    assert tol.eps_eq < tol.grid_step
+    assert tol.eps_eq < GRID_STEP
     with pytest.raises(ValueError):
         Tolerance(eps_eq=-1e-9)
     with pytest.raises(ValueError):
-        Tolerance(eps_eq=1e-3, grid_step=1e-4)
+        Tolerance(eps_eq=1e-3)
 
 
 def test_tolerance_widened_loosens_eps_eq_only():
-    wide = Tolerance(eps_eq=2e-9, eps_rank=3e-8, grid_step=5e-4).widened()
-    assert (wide.eps_eq, wide.eps_rank, wide.grid_step) == (2e-8, 3e-8, 5e-4)
+    wide = Tolerance(eps_eq=2e-9).widened()
+    assert wide.eps_eq == 2e-8
 
 
 def test_tolerance_widened_past_the_grid_step():
     # eps_eq = 2e-5 is valid; ten times that passes grid_step = 1e-4, which
     # the constructor would refuse but an equality re-check does not mind
     wide = Tolerance(eps_eq=2e-5).widened()
-    assert (wide.eps_eq, wide.grid_step) == (2e-4, 1e-4)
+    assert (wide.eps_eq, GRID_STEP) == (2e-4, 1e-4)
 
 
 def test_complement_of_axis_in_r2():

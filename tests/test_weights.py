@@ -297,6 +297,11 @@ def test_falsify_rejects_a_threshold_out_of_domain(threshold):
         falsify(WeightFn(evaluator=lambda p: 1.0), 2, 5, seed=0, threshold=threshold)
 
 
+def test_falsify_rejects_a_negative_seed():
+    with pytest.raises(InputError, match="^seed -1 must be non-negative"):
+        falsify(WeightFn(evaluator=lambda p: 1.0), 2, 5, seed=-1)
+
+
 @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
 def test_shell_circuit_rejects_a_non_finite_angle(angle):
     with pytest.raises(InputError, match="^rotation angle "):
