@@ -23,10 +23,13 @@ Every step above combines set equations with integer coefficients, so the
 generator also emits one integer multiplier per set: with R the rows of the
 system (a 1 per point of the set, -1 in the W column), R^T lambda equals
 e_x - e_y.  Each resolved point p keeps the combination proving
-f(p) = f(anchor) (outer points) or f(p) + n*f(anchor) = W (inner points):
-a hop adds +1 and -1 on its two sets, a lemma or step set takes +1 on
-itself minus its companions' combinations, and the closing pair supplies
-W = (n+1)*f(anchor).
+f(p) = f(anchor) (outer points) or f(p) + n*f(anchor) = W (inner points).
+A chain hop adds +1 and -1 on its two sets.  Every other relation takes
+one path, _Generator._set_node: one set whose other members are resolved,
+each in the value class the construction puts it in, taking +1 on the set
+minus the members' combinations.  The lemma and the step are one such set
+each, a bridge p -> q is {p} + S minus the node of {q} + S with member q,
+and the closing node, lemma minus step, supplies W = (n+1)*f(anchor).
 
 Sets are not registered as the recursion meets them.  The builder queues
 each requested set, chain and merged closing relation and registers the
@@ -44,6 +47,7 @@ residual instead.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -60,8 +64,7 @@ from .errors import (
 from .gamma import gamma, gamma1_link, gamma1_links
 from .geometry import (DEFAULT_TOL, GRID_STEP, Tolerance, as_point, clamp_to_range,
                        json_number_array, section2d)
-from .simplex import (EquilateralSet, alpha, beta, cap_extension, check_sets, embed_in_frame,
-                      first_failure)
+from .simplex import EquilateralSet, alpha, beta, cap_extension, check_sets, first_failure
 from .enlarge import enlarge_to_maximal
 from .weights import (
     circuit_geometry,
@@ -179,6 +182,12 @@ class Certificate:
     multipliers: list[int] | None = None
 
 
+def _is_int(value) -> bool:
+    """Whether a value is an integer id or multiplier: an int or a numpy
+    integer, never a boolean."""
+    return type(value) is int or isinstance(value, np.integer)
+
+
 def _checked_multipliers(multipliers, set_count: int, n: int) -> list[int]:
     """The multipliers as Python ints, or MalformedCertificate.
 
@@ -188,8 +197,7 @@ def _checked_multipliers(multipliers, set_count: int, n: int) -> list[int]:
     """
     if not isinstance(multipliers, (list, tuple)) or len(multipliers) != set_count:
         raise MalformedCertificate(f"multipliers must be a list of {set_count} integers")
-    if not all(isinstance(m, (int, np.integer)) and not isinstance(m, (bool, np.bool_))
-               for m in multipliers):
+    if not all(map(_is_int, multipliers)):
         raise MalformedCertificate("multipliers must be integers")
     values = [int(m) for m in multipliers]
     if values and set_count * (n + 1) * max(map(abs, values)) >= INT64_MAX:
@@ -246,11 +254,6 @@ def certificate_to_json(cert: Certificate, tol: Tolerance = DEFAULT_TOL) -> str:
     if cert.multipliers is not None:
         doc["multipliers"] = _Json("[" + ", ".join([str(int(m)) for m in cert.multipliers]) + "]")
     return _dumps(doc)
-
-
-def _is_int(value) -> bool:
-    """Whether a parsed JSON value is an integer (booleans are not)."""
-    return type(value) is int
 
 
 def certificate_from_json(text: str) -> Certificate:
@@ -322,24 +325,26 @@ class CheckReport:
 
 def _set_table(sets, width: int, count: int) -> np.ndarray | int:
     """The sets as an (S, width) int64 array of ids in [0, count), or the
-    index of the first set that is not such a tuple."""
-    try:
-        ids = np.asarray(sets, dtype=np.int64)
-    except (TypeError, ValueError, OverflowError):
-        ids = None
-    if ids is not None and ids.shape == (len(sets), width):
-        bad = np.flatnonzero(((ids < 0) | (ids >= count)).any(axis=1))
-        return int(bad[0]) if bad.size else ids
-    if len(sets) == 0:
-        return np.empty((0, width), dtype=np.int64)
-
+    index of the first set that is not such a tuple of integer ids."""
     def is_id_tuple(s) -> bool:
         try:
-            return len(s) == width and all(0 <= int(i) < count for i in s)
-        except (TypeError, ValueError, OverflowError):
+            return len(s) == width and all(_is_int(i) and 0 <= i < count for i in s)
+        except TypeError:
             return False
 
-    return next((idx for idx, s in enumerate(sets) if not is_id_tuple(s)), 0)
+    try:
+        # Python int ids only: int64 conversion reads 0.9 as 0 and True as 1.
+        plain = set(map(type, itertools.chain.from_iterable(sets))) <= {int}
+        ids = np.asarray(sets, dtype=np.int64) if plain else None
+    except (TypeError, ValueError, OverflowError):
+        ids = None
+    if ids is None or ids.shape != (len(sets), width):
+        bad = next((idx for idx, s in enumerate(sets) if not is_id_tuple(s)), None)
+        if bad is not None:
+            return bad
+        ids = np.array(sets, dtype=np.int64).reshape(len(sets), width)
+    bad = np.flatnonzero(((ids < 0) | (ids >= count)).any(axis=1))
+    return int(bad[0]) if bad.size else ids
 
 
 def _sum_rows(ids: np.ndarray, count: int) -> np.ndarray:
@@ -371,7 +376,7 @@ def check_certificate(cert: Certificate, tol: Tolerance = DEFAULT_TOL) -> CheckR
                            detail={"reason": "bad point table"})
     count = pts.shape[0]
     claim = cert.claim
-    if len(claim) != 2 or not all(0 <= int(i) < max(count, 1) for i in claim):
+    if len(claim) != 2 or not all(_is_int(i) and 0 <= i < max(count, 1) for i in claim):
         return CheckReport(accepted=False, failure="MalformedCertificate",
                            detail={"reason": "claim indices out of range"})
     set_count = len(cert.sets)
@@ -470,7 +475,7 @@ class _Fragment:
 class _Builder:
     """Point table and deduplicated sets of one certificate.
 
-    add_set, add_hops, add_chain and add_fragment queue a request and return
+    add_set, add_chain and add_fragment queue a request and return
     its slots, one per set it registers.  flush() registers the queue in
     request order, so point ids, set indices, dedup and stage tags are those
     of registering each request at once; `slots` then maps each slot to its
@@ -519,20 +524,6 @@ class _Builder:
         self.stages.append(stage)
         return self.set_index[ids]
 
-    def _register_hops(self, ends: np.ndarray, shared: np.ndarray, stage: str) -> list[int]:
-        """Register the sets {ends[h]} + shared[h] and {ends[h+1]} + shared[h]
-        of every hop in hop order; returns their indices."""
-        # Key every point of the hops in one rounding pass.
-        end_keys = _key_coordinates(ends)
-        shared_keys = _key_coordinates(shared)
-        indices = []
-        for h, (keys, points) in enumerate(zip(shared_keys, shared)):
-            a = self._id(end_keys[h].tobytes(), ends[h])
-            mid = [self._id(key.tobytes(), p) for key, p in zip(keys, points)]
-            b = self._id(end_keys[h + 1].tobytes(), ends[h + 1])
-            indices += [self._register([a] + mid, stage), self._register([b] + mid, stage)]
-        return indices
-
     def _enqueue(self, register, count: int) -> range:
         """Queue a request of `count` sets; returns its slots."""
         first = len(self.slots) + self.pending
@@ -547,13 +538,6 @@ class _Builder:
         return self._enqueue(
             lambda links: [self._register([self.point_id(p) for p in s.points], stage)], 1)[0]
 
-    def add_hops(self, ends: np.ndarray, shared: np.ndarray, stage: str) -> list[tuple[int, int]]:
-        """The sets {ends[h]} + shared[h] and {ends[h+1]} + shared[h] of every
-        hop, in hop order, as slot terms summing to e_ends[0] - e_ends[-1]."""
-        slots = self._enqueue(lambda links: self._register_hops(ends, shared, stage),
-                              2 * len(shared))
-        return list(zip(slots, [1, -1] * len(shared)))
-
     def add_chain(self, waypoints: np.ndarray, stage: str) -> list[tuple[int, int]]:
         """The two sets of every hop between consecutive waypoints, in hop
         order, as slot terms summing to e_first - e_last; the flush builds
@@ -562,9 +546,19 @@ class _Builder:
         if hops < 1:
             return []
         self.chains.append(waypoints)
-        slots = self._enqueue(lambda links: self._register_hops(waypoints, next(links), stage),
-                              2 * hops)
-        return list(zip(slots, [1, -1] * hops))
+
+        def register(links):
+            # Key every point of the hops in one rounding pass.
+            shared = next(links)
+            end_keys, shared_keys = _key_coordinates(waypoints), _key_coordinates(shared)
+            indices = []
+            for h, (keys, points) in enumerate(zip(shared_keys, shared)):
+                a = self._id(end_keys[h].tobytes(), waypoints[h])
+                mid = [self._id(key.tobytes(), p) for key, p in zip(keys, points)]
+                b = self._id(end_keys[h + 1].tobytes(), waypoints[h + 1])
+                indices += [self._register([a] + mid, stage), self._register([b] + mid, stage)]
+            return indices
+        return list(zip(self._enqueue(register, 2 * hops), [1, -1] * hops))
 
     def add_fragment(self, frag: _Fragment) -> range:
         """Slots of the fragment's sets, which are added with its points in its
@@ -606,8 +600,7 @@ class _CircuitRouter:
 
     def __init__(self, n: int):
         self.n = n
-        self.alpha = alpha(n + 1)
-        self.hop = 2.0 * self.alpha
+        self.hop = 2.0 * alpha(n + 1)
         self.lam = lambda_shell(n)
         self.oa = self.hop - self.lam  # norm of a circuit corner
         # circuit_geometry by rotation: every chain of one generator plans
@@ -708,8 +701,7 @@ class _Generator:
         self.tol = tol
         self.builder = _Builder(n, tol)
         self.router = _CircuitRouter(n)
-        self.lam = lambda_shell(n)
-        self.hop = 2.0 * alpha(n + 1)
+        self.lam, self.hop = self.router.lam, self.router.hop
         self.bridge_floor = self.hop - 1.0
         self.beta_next = beta(n + 1)
         self.epsilon = 0.5 * min(nu(n, self.lam, tol), self.beta_next - beta(n))
@@ -736,20 +728,16 @@ class _Generator:
             raise GenerationFailure("schedule", "inward iteration did not terminate")
         return schedule
 
-    _key = staticmethod(_point_key)
-
     # -- linking mechanics ---------------------------------------------------
 
     def _chain_to_anchor(self, p: np.ndarray) -> list[tuple[int, int]]:
         """Emit gamma1 pairs along a circuit chain from p to the anchor;
         returns their terms, which sum to e_p - e_anchor."""
-        if self._key(p) == self._key(self.anchor):
-            return []
         frame = section2d(self.anchor, p, self.tol)
         anchor_local = frame.basis @ self.anchor
         p_local = frame.basis @ p
         waypoints_local = self.router.plan(p_local, anchor_local)
-        waypoints = [embed_in_frame(w[None, :], frame)[0] for w in waypoints_local]
+        waypoints = [(w[None, :] @ frame.basis)[0] for w in waypoints_local]
         waypoints[0] = p          # use the exact ambient inputs at the ends
         waypoints[-1] = self.anchor
         cleaned = [waypoints[0]]
@@ -778,16 +766,18 @@ class _Generator:
                 continue
             omega = math.acos(c)
             r_local = rho_r * np.array([math.cos(theta + omega), math.sin(theta + omega)])
-            r = embed_in_frame(r_local[None, :], frame)[0]
+            r = (r_local[None, :] @ frame.basis)[0]
             if gamma(p, r, self.tol).value >= beta(self.n) + 0.005:
                 return r
         return None
 
-    def _band_index(self, s: float) -> int:
+    def _step_radius(self, u: np.ndarray) -> float:
+        """The schedule radius of the band that holds ||u||."""
+        s = float(np.linalg.norm(u))
         for m in range(len(self.schedule) - 1):
             if s >= self.schedule[m + 1] - BAND_EDGE_SLACK:
-                return m
-        return len(self.schedule) - 2
+                return self.schedule[m]
+        return self.schedule[-2]
 
     # -- resolution ----------------------------------------------------------
     #
@@ -804,73 +794,61 @@ class _Generator:
     def resolve(self, p: np.ndarray) -> tuple[str, int | None]:
         """Emit relations tying f(p) to the anchor; returns the value class and
         the node of its combination (None while p is still being resolved)."""
-        key = self._key(p)
+        key = _point_key(p)
         if key in self.memo:
             return self.memo[key]
         self.memo[key] = OUTER, None  # breaks accidental cycles; overwritten below
         s = float(np.linalg.norm(p))
-        if key == self._key(self.anchor):
+        if key == _point_key(self.anchor):
             cls, node = OUTER, self._node([], [])
         elif s >= self.lam - 1e-12:
             cls, node = OUTER, self._node(self._chain_to_anchor(p), [])
         elif s < self.beta_next - INNER_EDGE:
-            cls, node = self._resolve_inner(p)
-        elif s >= self.bridge_floor:
-            partner = self._bridge_partner(p)
-            if partner is not None:
-                # The one-hop wrapper: perfbench traces bridge hops as
-                # gamma.gamma1_link calls.
-                set_a, _ = gamma1_link(p, partner, self.tol)
-                link = self.builder.add_hops(np.array([p, partner]), set_a.points[None, 1:], "bridge")
-                _, sub = self.resolve(partner)
-                cls, node = OUTER, self._node(link, [(sub, 1)])
-            else:
-                cls, node = self._resolve_band(p, s)
+            cls, node = INNER, self._lemma_node(p, "inner-lemma")
+        elif s >= self.bridge_floor and (partner := self._bridge_partner(p)) is not None:
+            # One gamma1_link call per bridge, as perfbench traces it: set_a
+            # minus set_b is the hop, set_b minus the partner's node the rest.
+            set_a, set_b = gamma1_link(p, partner, self.tol)
+            own = self.builder.add_set(set_a, "bridge")
+            shared = self._set_node(set_b, "bridge", [(partner, OUTER)])
+            cls, node = OUTER, self._node([(own, 1)], [(shared, -1)])
         else:
-            cls, node = self._resolve_band(p, s)
+            cls, node = OUTER, self._step_node(p, "annulus-step")
         self.memo[key] = cls, node
         return cls, node
 
-    def _subtract(self, p: np.ndarray, cls: str, stage: str, failure: str) -> tuple[int | None, int]:
-        """Resolve p, which the construction puts in class cls; its node, negated."""
-        got, node = self.resolve(p)
-        if got != cls:
-            raise GenerationFailure(stage, failure)
-        return node, -1
-
-    def _resolve_inner(self, p: np.ndarray) -> tuple[str, int]:
-        full, companions = constant_lemma_relation(p, self.beta_next, self.n, self.tol)
-        own = self.builder.add_set(full, "inner-lemma")
-        subs = [self._subtract(c, OUTER, "inner-lemma", "companion did not resolve to the annulus")
-                for c in companions]
-        return INNER, self._node([(own, 1)], subs)
-
-    def _step_node(self, rel: StepRelation, stage: str) -> int:
-        own = self.builder.add_set(rel.set, stage)
-        subs = [self._subtract(rel.v, INNER, stage, "antipodal point did not resolve inner")]
-        subs += [self._subtract(c, OUTER, stage, "companion did not resolve to the annulus")
-                 for c in rel.companions]
+    def _set_node(self, s: EquilateralSet, stage: str, members) -> int:
+        """Queue the set s and resolve its other members, (point, value class)
+        pairs that the construction puts in that class; returns the node of s
+        minus every member's node."""
+        own = self.builder.add_set(s, stage)
+        subs = []
+        for p, cls in members:
+            got, node = self.resolve(p)
+            if got != cls:
+                raise GenerationFailure(stage, f"a set member did not resolve {cls}")
+            subs.append((node, -1))
         return self._node([(own, 1)], subs)
 
-    def _resolve_band(self, p: np.ndarray, s: float) -> tuple[str, int]:
-        m = self._band_index(s)
-        rel = theorem_step_relation(p, self.schedule[m], self.n, self.tol)
-        return OUTER, self._step_node(rel, "annulus-step")
+    def _lemma_node(self, z: np.ndarray, stage: str) -> int:
+        """The cap lemma's set {z, c_1..c_n}, its companions in the annulus."""
+        full, companions = constant_lemma_relation(z, self.beta_next, self.n, self.tol)
+        return self._set_node(full, stage, [(c, OUTER) for c in companions])
+
+    def _step_node(self, u: np.ndarray, stage: str) -> int:
+        """The annulus step through u, at the schedule radius of its band."""
+        rel = theorem_step_relation(u, self._step_radius(u), self.n, self.tol)
+        return self._set_node(rel.set, stage,
+                              [(rel.v, INNER)] + [(c, OUTER) for c in rel.companions])
 
     def _emit_closing(self) -> int:
         """Identify the inner value with the annulus value at the fixed point;
         returns the closing node, lemma minus step."""
         z = np.zeros(self.n)
         z[0] = self.beta_next
-        m = self._band_index(self.beta_next)
-        rel = theorem_step_relation(z, self.schedule[m], self.n, self.tol)
-        step = self._step_node(rel, "closing")
-        self.memo[self._key(z)] = OUTER, step
-        full, companions = constant_lemma_relation(z, self.beta_next, self.n, self.tol)
-        lemma = self.builder.add_set(full, "closing")
-        subs = [self._subtract(c, OUTER, "closing", "fixed-point companion did not resolve")
-                for c in companions]
-        return self._node([(lemma, 1)], subs + [(step, -1)])
+        step = self._step_node(z, "closing")
+        self.memo[_point_key(z)] = OUTER, step
+        return self._node([], [(self._lemma_node(z, "closing"), 1), (step, -1)])
 
     def _merge_closing(self) -> int:
         """The closing node, from the relation built once per (n, tol); a

@@ -124,40 +124,69 @@ def _residual(v: np.ndarray, rows) -> np.ndarray:
     return u
 
 
-def orthonormalize(vectors, n: int, rank_tol: float = RANK_RESIDUAL) -> np.ndarray:
+def orthonormalize(vectors, n: int) -> np.ndarray:
     """Modified Gram-Schmidt with a re-orthogonalization pass.
 
     Returns the orthonormal rows spanning the same space as `vectors`;
-    directions whose residual drops below rank_tol are dropped as dependent.
+    directions whose residual is at most RANK_RESIDUAL are dropped as dependent.
     """
     rows = []
     for v in vectors:
         u = _residual(as_point(v, n), rows)
         norm = float(np.linalg.norm(u))
-        if norm > rank_tol:
+        if norm > RANK_RESIDUAL:
             rows.append(u / norm)
     if not rows:
         return np.zeros((0, n))
     return np.array(rows)
 
 
-def first_orthogonal_axis(existing: np.ndarray, n: int,
-                          residual_floor: float = TIE_BREAK_RESIDUAL) -> np.ndarray:
+def first_orthogonal_axis(existing: np.ndarray, n: int) -> np.ndarray:
     """Deterministic tie-break for 'any unit vector orthogonal to a span'.
 
     Scans the canonical axes in index order and returns the first whose
-    residual after projection onto `existing` (orthonormal rows) stays above
-    residual_floor, re-orthonormalized.  A second scan with the rank floor
-    guards against the degenerate case where every axis is nearly dependent.
+    residual after projection onto `existing` (orthonormal rows) is at least
+    TIE_BREAK_RESIDUAL, re-orthonormalized.  With m < n rows the squared
+    residuals of the n axes sum to n - m >= 1, so some axis keeps a residual
+    of at least 1/sqrt(n).
     """
-    axes = np.eye(n)
-    for floor in (residual_floor, RANK_RESIDUAL):
-        for e in axes:
-            r = _residual(e, existing)
-            norm = float(np.linalg.norm(r))
-            if norm >= floor:
-                return r / norm
+    for e in np.eye(n):
+        r = _residual(e, existing)
+        norm = float(np.linalg.norm(r))
+        if norm >= TIE_BREAK_RESIDUAL:
+            return r / norm
     raise ConstructionError("no canonical axis is independent of the span")
+
+
+def complete_bases(spans: np.ndarray) -> np.ndarray:
+    """Orthonormal bases of the orthogonal complements of k spans, in one
+    array pass; `spans` is a (k, d, n) stack of orthonormal rows and the
+    result the (k, n - d, n) stack of complement rows.
+
+    Each span is completed by Gram-Schmidt over the canonical axes in index
+    order, two passes, dropping an axis whose residual is at most
+    RANK_RESIDUAL.
+    """
+    k, d, n = spans.shape
+    rows = np.zeros((k, n, n))  # the span, then its complement
+    rows[:, :d] = spans
+    count = np.full(k, d, dtype=np.intp)
+    for i in range(n):
+        if count.min() == n:
+            break
+        r = np.zeros((k, n))
+        r[:, i] = 1.0
+        for _ in range(2):  # second pass restores orthogonality lost to cancellation
+            for j in range(int(count.max())):  # rows past count[.] are zero
+                w = rows[:, j]
+                r -= row_dot(r, w)[:, None] * w
+        norm = np.sqrt(row_dot(r, r))
+        keep = np.flatnonzero((norm > RANK_RESIDUAL) & (count < n))
+        rows[keep, count[keep]] = r[keep] / norm[keep, None]
+        count[keep] += 1
+    if count.min() < n:
+        raise ConstructionError("failed to complete the complement basis")
+    return rows[:, d:]
 
 
 def orthonormal_complement(vectors, n: int, tol: Tolerance = DEFAULT_TOL) -> Frame:
@@ -169,20 +198,7 @@ def orthonormal_complement(vectors, n: int, tol: Tolerance = DEFAULT_TOL) -> Fra
     d = span.shape[0]
     if d >= n:
         raise InputError(f"span has dimension {d} in R^{n}; complement is trivial")
-    rows = []
-    stacked = span
-    for e in np.eye(n):
-        if len(rows) == n - d:
-            break
-        r = _residual(e, stacked)
-        norm = float(np.linalg.norm(r))
-        if norm > RANK_RESIDUAL:
-            r /= norm
-            rows.append(r)
-            stacked = np.vstack([stacked, r])
-    if len(rows) != n - d:
-        raise ConstructionError("failed to complete the complement basis")
-    return Frame(np.array(rows))
+    return Frame(complete_bases(span[None])[0])
 
 
 def section2d(a, b, tol: Tolerance = DEFAULT_TOL) -> Frame:

@@ -17,10 +17,10 @@ from .errors import ConstructionError, InputError
 from .geometry import (
     DEFAULT_TOL,
     RANK_RESIDUAL,
-    Frame,
     Tolerance,
     as_point,
     clamp_to_range,
+    complete_bases,
     first_orthogonal_axis,
     row_dot,
 )
@@ -193,39 +193,20 @@ def simplex_on_spheres(centers, normals, radius: float) -> np.ndarray:
     `centers` (k, n), each in the hyperplane through its center orthogonal
     to the matching row of `normals`; returns a (k, n, n) array.
 
-    Every normal is completed to an orthonormal basis by Gram-Schmidt over
-    the canonical axes in index order, two passes, dropping an axis whose
-    residual is at most RANK_RESIDUAL: the basis orthonormal_complement
-    builds, here for all k normals in one array pass.  The vertices of
+    Each complement is the basis geometry.complete_bases builds for the unit
+    normal, the one orthonormal_complement builds.  The vertices of
     canonical_simplex(n-1, n), a regular n-point simplex of an
     (n-1)-dimensional complement, are carried into each complement and
     rescaled to `radius`.
     """
     centers = np.asarray(centers, dtype=float)
     normals = np.asarray(normals, dtype=float)
-    k, n = normals.shape
+    n = normals.shape[1]
     lengths = np.sqrt(row_dot(normals, normals))
     if not np.all(lengths > RANK_RESIDUAL):
         raise InputError("a normal vector is zero")
-    rows = np.zeros((k, n, n))  # row 0 the unit normal, then the complement
-    rows[:, 0] = normals / lengths[:, None]
-    count = np.ones(k, dtype=np.intp)
-    for i in range(n):
-        if count.min() == n:
-            break
-        r = np.zeros((k, n))
-        r[:, i] = 1.0
-        for _ in range(2):  # second pass restores orthogonality lost to cancellation
-            for j in range(min(i + 1, n)):  # rows past count[.] are zero
-                w = rows[:, j]
-                r -= row_dot(r, w)[:, None] * w
-        norm = np.sqrt(row_dot(r, r))
-        keep = np.flatnonzero((norm > RANK_RESIDUAL) & (count < n))
-        rows[keep, count[keep]] = r[keep] / norm[keep, None]
-        count[keep] += 1
-    if count.min() < n:
-        raise ConstructionError("failed to complete the complement basis")
-    offsets = _simplex_vertices(n - 1) @ rows[:, 1:]
+    complements = complete_bases((normals / lengths[:, None])[:, None, :])
+    offsets = _simplex_vertices(n - 1) @ complements
     offsets *= (radius / np.linalg.norm(offsets, axis=-1))[..., None]
     return centers[:, None, :] + offsets
 
@@ -329,8 +310,3 @@ def sample_maximal_set(n: int, seed: int,
     """Seeded random maximal standard equilateral set inside the unit ball;
     the one-seed case of sample_maximal_sets."""
     return EquilateralSet(sample_maximal_sets(n, [seed], translation_radius)[0])
-
-
-def embed_in_frame(local_points: np.ndarray, frame: Frame) -> np.ndarray:
-    """Map local subspace coordinates (rows) to ambient vectors via the frame."""
-    return np.asarray(local_points, dtype=float) @ frame.basis

@@ -32,7 +32,6 @@ from .simplex import (
     EquilateralSet,
     alpha,
     beta,
-    embed_in_frame,
     height_above_base,
     random_rotations,
     sample_maximal_sets,
@@ -209,7 +208,7 @@ def shell_circuit(n: int, section: Frame, rotation_angle: float,
     bn = beta(n)
 
     def embed(p_local):
-        return embed_in_frame(p_local[None, :], section)[0]
+        return (p_local[None, :] @ section.basis)[0]
 
     named_local = dict(cardinals)
     named_local.update(corners)
@@ -274,7 +273,6 @@ class WeightFn:
     """Candidate weight: an evaluator on the ball (or the radius-1/sqrt2 sphere)."""
 
     evaluator: Callable[[np.ndarray], float]
-    declared_weight: float | None = None
     domain_mode: Literal["ball", "sphere"] = "ball"
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from eqball.certify import (
 from eqball.errors import GenerationFailure, InputError, MalformedCertificate
 from eqball.gamma import gamma1_link
 from eqball.geometry import DEFAULT_TOL
-from eqball.simplex import alpha, beta
+from eqball.simplex import EquilateralSet, alpha, beta
 from eqball.verify import _ball_point, _feasible_assignments
 from eqball.weights import eta, lambda_shell, mu, nu
 
@@ -415,6 +416,26 @@ def test_non_integer_set_ids_are_malformed(rewrite):
         certificate_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("rewrite", [
+    lambda cert: {"sets": [(cert.sets[0][0] + 0.9,) + cert.sets[0][1:]] + cert.sets[1:]},
+    lambda cert: {"claim": (cert.claim[0] + 0.5, cert.claim[1])},
+], ids=["set-id", "claim"])
+def test_checker_rejects_non_integer_ids(rewrite):
+    """The checker takes ids by the parser's rule: int64 conversion and int()
+    would read the set id 0 written 0.9, or a claim id plus 0.5, as the id."""
+    cert = _mixed_certificate()
+    assert cert.sets[0][0] == 0
+    report = check_certificate(dataclasses.replace(cert, **rewrite(cert)))
+    assert report.failure == "MalformedCertificate"
+
+
+def test_checker_accepts_numpy_integer_ids():
+    cert = _mixed_certificate()
+    as_numpy = dataclasses.replace(cert, sets=[tuple(map(np.int64, s)) for s in cert.sets],
+                                   claim=tuple(map(np.int64, cert.claim)))
+    assert check_certificate(as_numpy).accepted
+
+
 @pytest.mark.parametrize("row", [None, [True, False, False], [0.5, None, 0.0]],
                          ids=["strings", "bools", "null"])
 def test_non_number_coordinates_are_malformed(row):
@@ -489,7 +510,7 @@ def test_unfinished_resolution_omits_multipliers():
     no integer combination yet; the certificate then carries none."""
     gen = _Generator(2, DEFAULT_TOL)
     x, y = np.array([0.9, 0.0]), np.array([0.0, 0.9])
-    gen.memo[gen._key(y)] = OUTER, None  # as resolve() marks a point it has entered
+    gen.memo[_point_key(y)] = OUTER, None  # as resolve() marks a point it has entered
     assert gen.run(x, y).multipliers is None
     assert _Generator(2, DEFAULT_TOL).run(x, y).multipliers is not None
 
@@ -594,10 +615,28 @@ def test_flush_raises_the_first_error_in_request_order():
     with pytest.raises(InputError, match=r"^\|\|b-a\|\|="):
         chain_only.flush()
     builder = _Builder(2, DEFAULT_TOL)
-    builder.add_hops(np.array([p, q]), np.array([[p, q]]), "bridge")  # shares its own end
+    builder.add_set(EquilateralSet(np.array([p, p, q])), "bridge")  # holds p twice
     builder.add_chain(np.array([p, r]), "shell-link")
     with pytest.raises(GenerationFailure, match=r"^\[bridge\] set collapsed"):
         builder.flush()
+
+
+def test_stage_counts_of_a_five_stage_pair():
+    """Sets per stage tag of a pair whose certificate runs every stage."""
+    gen = _Generator(3, DEFAULT_TOL)
+    gen.run(np.array([0.62, 0.3, 0.0]), np.array([0.1, 0.05, 0.0]))
+    assert Counter(gen.builder.stages) == {"shell-link": 264, "bridge": 26, "inner-lemma": 5,
+                                           "annulus-step": 3, "closing": 2}
+
+
+@pytest.mark.parametrize("n, stages", [
+    (2, {"shell-link": 290, "bridge": 48, "inner-lemma": 21, "annulus-step": 20, "closing": 2}),
+    (3, {"shell-link": 202, "bridge": 24, "inner-lemma": 4, "annulus-step": 3, "closing": 2}),
+    (4, {"shell-link": 112, "bridge": 16, "inner-lemma": 1, "closing": 2}),
+    (5, {"shell-link": 142, "bridge": 20, "inner-lemma": 1, "closing": 2}),
+])
+def test_stage_counts_of_the_closing_relation(n, stages):
+    assert Counter(stage for _, stage in _closing_fragment(n, DEFAULT_TOL).sets) == stages
 
 
 @pytest.mark.parametrize("x, y, n, sets, points, total", [

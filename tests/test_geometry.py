@@ -4,8 +4,11 @@ import pytest
 from eqball.errors import InputError
 from eqball.geometry import (
     GRID_STEP,
+    RANK_RESIDUAL,
     Tolerance,
+    _residual,
     clamp_to_range,
+    complete_bases,
     json_number_array,
     orthonormal_complement,
     orthonormalize,
@@ -79,6 +82,34 @@ def test_complement_plus_span_reconstructs_everything():
             x = rng.standard_normal(n)
             recon = full.T @ (full @ x)
             assert np.linalg.norm(recon - x) < 1e-9
+
+
+def _complement_one_axis_at_a_time(span, n):
+    """Reference for complete_bases: one span, one canonical axis at a time."""
+    rows, stacked = [], span
+    for e in np.eye(n):
+        if len(rows) == n - len(span):
+            break
+        r = _residual(e, stacked)
+        norm = float(np.linalg.norm(r))
+        if norm > RANK_RESIDUAL:
+            rows.append(r / norm)
+            stacked = np.vstack([stacked, rows[-1]])
+    return np.array(rows)
+
+
+def test_complete_bases_matches_the_one_span_loop():
+    """Bit for bit, on random spans and on spans of signed canonical axes,
+    which drop axes; a batch row's result does not depend on its neighbours."""
+    rng = np.random.default_rng(21)
+    for n in range(2, 8):
+        for d in range(n):
+            spans = [orthonormalize(rng.standard_normal((d, n)), n) for _ in range(4)]
+            spans += [np.eye(n)[rng.permutation(n)[:d]] * rng.choice([-1.0, 1.0], (d, 1))
+                      for _ in range(4)]
+            out = complete_bases(np.array(spans).reshape(len(spans), d, n))
+            for span, rows in zip(spans, out):
+                assert rows.tobytes() == _complement_one_axis_at_a_time(span, n).tobytes()
 
 
 def test_section2d_planar_cases():
