@@ -7,8 +7,9 @@ f(x) = f(y) is implied exactly when e_x - e_y lies in the row space of the
 system.  The generator builds such systems constructively:
 
   * points of the outer annulus are chained to a fixed anchor by hops of
-    length 2*alpha(n+1) with clearance at least beta(n), two sets per hop
-    (the sets share n points, so each hop's rows cancel to e_p - e_q);
+    length 2*alpha(n+1) with clearance at least beta(n) that
+    weights.CircuitRouter plans, two sets per hop (the sets share n points,
+    so each hop's rows cancel to e_p - e_q);
   * inner points z get one set {z, c_1..c_n} with companions at the radius
     whose apex height equals ||z||, tying f(z) + n*(annulus value) = W;
   * mid-radius points u pair with the antipodal v at norm 1 - ||u||,
@@ -64,18 +65,9 @@ from .errors import (
 from .gamma import gamma, gamma1_link, gamma1_links
 from .geometry import (DEFAULT_TOL, GRID_STEP, Tolerance, as_point, clamp_to_range,
                        json_number_array, section2d)
-from .simplex import EquilateralSet, alpha, beta, cap_extension, check_sets, first_failure
+from .simplex import EquilateralSet, beta, cap_extension, check_sets, first_failure
 from .enlarge import enlarge_to_maximal
-from .weights import (
-    circuit_geometry,
-    circle_circle_intersections,
-    eta,
-    lambda_shell,
-    mu,
-    mu_inverse,
-    nu,
-    SKELETON_CYCLE,
-)
+from .weights import CircuitRouter, eta, lambda_shell, mu, mu_inverse, nu
 
 CERT_VERSION = 2
 MAX_CERT_SETS = 5000
@@ -380,39 +372,35 @@ def check_certificate(cert: Certificate, tol: Tolerance = DEFAULT_TOL) -> CheckR
         return CheckReport(accepted=False, failure="MalformedCertificate",
                            detail={"reason": "claim indices out of range"})
     set_count = len(cert.sets)
+
+    def report(failure: str | None, residual: float | None, **detail) -> CheckReport:
+        return CheckReport(accepted=failure is None, failure=failure, residual=residual,
+                           detail=detail, set_count=set_count, point_count=count)
+
     ids = _set_table(cert.sets, n + 1, count)
     if isinstance(ids, int):
-        return CheckReport(accepted=False, failure="MalformedCertificate",
-                           detail={"reason": f"set {ids} is not an (n+1)-tuple of valid ids"},
-                           set_count=set_count, point_count=count)
+        return report("MalformedCertificate", None,
+                      reason=f"set {ids} is not an (n+1)-tuple of valid ids")
     multipliers = cert.multipliers
     if multipliers is not None:
         try:
             multipliers = _checked_multipliers(multipliers, set_count, n)
         except MalformedCertificate as exc:
-            return CheckReport(accepted=False, failure="MalformedCertificate",
-                               detail={"reason": str(exc)},
-                               set_count=set_count, point_count=count)
+            return report("MalformedCertificate", None, reason=str(exc))
     dist_err, top, checks = check_sets(pts[ids], True, tol)
     norm_excess = top - 1.0
     failed = first_failure(checks)
     if failed is not None:
         idx = failed[0]
-        return CheckReport(
-            accepted=False, failure="SetInvalid",
-            detail={"set_index": idx,
-                    "worst_distance_error": float(dist_err[idx]),
-                    "worst_norm_excess": max(float(norm_excess[idx]), 0.0)},
-            set_count=set_count, point_count=count)
+        return report("SetInvalid", None, set_index=idx,
+                      worst_distance_error=float(dist_err[idx]),
+                      worst_norm_excess=max(float(norm_excess[idx]), 0.0))
     margins = {"worst_distance_error": float(dist_err.max(initial=0.0)),
                "worst_norm_excess": float(norm_excess.max(initial=0.0))}
     if int(claim[0]) == int(claim[1]):
-        return CheckReport(accepted=True, residual=0.0, detail=margins,
-                           set_count=set_count, point_count=count)
-    if not cert.sets:
-        return CheckReport(accepted=False, failure="ClaimNotImplied",
-                           residual=math.sqrt(2.0), detail=margins,
-                           set_count=0, point_count=count)
+        return report(None, 0.0, **margins)
+    if set_count == 0:
+        return report("ClaimNotImplied", math.sqrt(2.0), **margins)
     target = np.zeros(count + 1, dtype=np.int64)
     target[int(claim[0])] = 1
     target[int(claim[1])] = -1
@@ -423,19 +411,12 @@ def check_certificate(cert: Certificate, tol: Tolerance = DEFAULT_TOL) -> CheckR
         combined[count] = -lam.sum()
         miss = combined - target
         if not miss.any():
-            return CheckReport(accepted=True, residual=0.0, detail=margins,
-                               set_count=set_count, point_count=count)
-        return CheckReport(accepted=False, failure="ClaimNotImplied",
-                           residual=float(np.linalg.norm(miss)), detail=margins,
-                           set_count=set_count, point_count=count)
+            return report(None, 0.0, **margins)
+        return report("ClaimNotImplied", float(np.linalg.norm(miss)), **margins)
     rows = _sum_rows(ids, count)
     solution, *_ = np.linalg.lstsq(rows.T, target, rcond=None)
     residual = float(np.linalg.norm(rows.T @ solution - target))
-    if residual < EPS_RANK:
-        return CheckReport(accepted=True, residual=residual, detail=margins,
-                           set_count=len(cert.sets), point_count=count)
-    return CheckReport(accepted=False, failure="ClaimNotImplied", residual=residual,
-                       detail=margins, set_count=len(cert.sets), point_count=count)
+    return report(None if residual < EPS_RANK else "ClaimNotImplied", residual, **margins)
 
 
 # ---------------------------------------------------------------------------
@@ -590,109 +571,6 @@ class _Builder:
             self.slots += register(links)
 
 
-def _fold(delta: float, period: float) -> float:
-    r = delta % period
-    return min(r, period - r)
-
-
-class _CircuitRouter:
-    """Plans hop chains from any annulus point of a 2-D section to the anchor."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.hop = 2.0 * alpha(n + 1)
-        self.lam = lambda_shell(n)
-        self.oa = self.hop - self.lam  # norm of a circuit corner
-        # circuit_geometry by rotation: every chain of one generator plans
-        # through the anchor's circuit and its pi/8 neighbour.
-        self._circuits: dict[float, tuple] = {}
-
-    def circuit_angle_for(self, p_local: np.ndarray, branch: int = 1) -> float:
-        """Rotation phi such that p lies on the corner arc C_a of circuit(phi)."""
-        s = float(np.linalg.norm(p_local))
-        theta = math.atan2(p_local[1], p_local[0])
-        kappa = (s * s + self.oa * self.oa - self.hop * self.hop) / (2.0 * s * self.oa)
-        kappa = min(max(kappa, -1.0), 1.0)
-        return theta - math.pi / 4.0 - branch * math.acos(kappa)
-
-    def _geometry(self, phi: float):
-        if phi not in self._circuits:
-            self._circuits[phi] = circuit_geometry(self.n, phi)
-        return self._circuits[phi]
-
-    @staticmethod
-    def _walk(start: str, end: str) -> list[str]:
-        cycle = SKELETON_CYCLE
-        i, j = cycle.index(start), cycle.index(end)
-        fwd = (j - i) % len(cycle)
-        back = (i - j) % len(cycle)
-        if fwd <= back:
-            return [cycle[(i + t) % len(cycle)] for t in range(fwd + 1)]
-        return [cycle[(i - t) % len(cycle)] for t in range(back + 1)]
-
-    def _cross(self, phi1: float, phi2: float):
-        """A point on a corner arc of both circuits, with its two arc labels."""
-        _, corners1, arcs1 = self._geometry(phi1)
-        _, corners2, arcs2 = self._geometry(phi2)
-        arcs1 = {a.label[-1]: a for a in arcs1 if a.label[-1] in "abcd"}
-        arcs2 = {a.label[-1]: a for a in arcs2 if a.label[-1] in "abcd"}
-        for i in "abcd":
-            for j in "abcd":
-                for pt in circle_circle_intersections(corners1[i], self.hop,
-                                                      corners2[j], self.hop):
-                    if float(np.linalg.norm(pt)) > 1.0 + 1e-9:
-                        continue
-                    t1 = math.atan2(pt[1] - corners1[i][1], pt[0] - corners1[i][0])
-                    t2 = math.atan2(pt[1] - corners2[j][1], pt[0] - corners2[j][0])
-                    if arcs1[i].contains_angle(t1, 1e-7) and arcs2[j].contains_angle(t2, 1e-7):
-                        return i, j, pt
-        return None
-
-    def plan(self, p_local: np.ndarray, anchor_local: np.ndarray) -> list[np.ndarray]:
-        """Local waypoints [p, ..., anchor]; consecutive gaps are exactly one hop."""
-        phi0 = self.circuit_angle_for(anchor_local)
-        phi_p = self.circuit_angle_for(p_local)
-        quarter = math.pi / 2.0
-        k = round((phi_p - phi0) / quarter)
-        if abs(phi_p - phi0 - k * quarter) < 1e-9:
-            # Same circuit: p's arc corner is a relabeled corner of circuit(phi0).
-            label = ["a", "d", "c", "b"][k % 4]
-            return [p_local] + self._segment_rev(phi0, label, anchor_local)
-        alt = self.circuit_angle_for(p_local, branch=-1)
-        if _fold(phi_p - phi0, quarter) < 0.05 and _fold(alt - phi0, quarter) >= 0.05:
-            phi_p = alt
-        if _fold(phi_p - phi0, quarter) >= 0.05:
-            hit = self._cross(phi_p, phi0)
-            if hit is not None:
-                i, j, q = hit
-                return (self._segment(p_local, phi_p, i) + [q]
-                        + self._segment_rev(phi0, j, anchor_local))
-        # Nearly aligned circuits (or no crossing found): route via a middle circuit.
-        phi_m = phi0 + math.pi / 8.0
-        hit1 = self._cross(phi_p, phi_m)
-        hit2 = self._cross(phi_m, phi0)
-        if hit1 is None or hit2 is None:
-            raise GenerationFailure("shell-link", "no circuit crossing found")
-        i1, j1, q1 = hit1
-        i2, j2, q2 = hit2
-        cards_m, corners_m, _ = self._geometry(phi_m)
-        part1 = self._segment(p_local, phi_p, i1)
-        middle = [corners_m[nm] if nm in "abcd" else cards_m[nm]
-                  for nm in self._walk(j1, i2)]
-        part3 = self._segment_rev(phi0, j2, anchor_local)
-        return part1 + [q1] + middle + [q2] + part3
-
-    def _segment(self, p_local, phi_p, end_label):
-        cards, corners, _ = self._geometry(phi_p)
-        names = self._walk("a", end_label)
-        return [p_local] + [corners[nm] if nm in "abcd" else cards[nm] for nm in names]
-
-    def _segment_rev(self, phi0, start_label, anchor_local):
-        cards, corners, _ = self._geometry(phi0)
-        names = self._walk(start_label, "a")
-        return [corners[nm] if nm in "abcd" else cards[nm] for nm in names] + [anchor_local]
-
-
 class _Generator:
     def __init__(self, n: int, tol: Tolerance):
         if n < 2:
@@ -700,7 +578,7 @@ class _Generator:
         self.n = n
         self.tol = tol
         self.builder = _Builder(n, tol)
-        self.router = _CircuitRouter(n)
+        self.router = CircuitRouter(n)
         self.lam, self.hop = self.router.lam, self.router.hop
         self.bridge_floor = self.hop - 1.0
         self.beta_next = beta(n + 1)

@@ -225,7 +225,7 @@ def cmd_emit_circuit(args) -> int:
                          format(arc.center[0], ".17g"), format(arc.center[1], ".17g"),
                          format(arc.radius, ".17g"),
                          format(arc.theta_start, ".17g"), format(arc.theta_end, ".17g")])
-    for name, pt in sorted(plan.corners_local.items()):
+    for name, pt in plan.corners_local.items():
         writer.writerow([name, format(pt[0], ".17g"), format(pt[1], ".17g"), "0", "0", "0"])
     _emit(args, {}, text=buf.getvalue().rstrip("\n"))
     return 0

@@ -27,8 +27,6 @@ from .simplex import EquilateralSet, alpha, beta, check_sets, first_failure, sim
 # Seed of the deterministic direction net used by the brute-force evaluator.
 NET_SEED = 0
 NET_DIRECTIONS_PER_DIM = 2048
-# Distance tolerance of the linking move; callers construct b from a numerically.
-LINK_DISTANCE_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -159,7 +157,7 @@ def gamma1_links(A, B, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         value = _clearance(x0, diff / dist[:, None])[0]
     failed = first_failure(checks + [
-        (np.abs(dist - target) > LINK_DISTANCE_TOL, lambda i: InputError(
+        (np.abs(dist - target) > eps, lambda i: InputError(
             f"||b-a||={dist[i]:.12f}, need {target:.12f}")),
         (value < bn - eps, lambda i: InputError(
             f"clearance {value[i]:.12f} below beta_n={bn:.12f}")),

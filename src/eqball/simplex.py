@@ -227,10 +227,10 @@ def cap_extension(x, rho: float, tol: Tolerance = DEFAULT_TOL) -> EquilateralSet
     rho = clamp_to_range("rho", rho, bn, 1.0, tol)
     expected = height_above_base(n, rho)
     nx = float(np.linalg.norm(x))
-    wide = tol.widened().eps_eq
-    if abs(nx - expected) > wide:
+    # An apex off by eps_eq moves its distances by about alpha(n+1)*eps_eq < eps_eq.
+    if abs(nx - expected) > tol.eps_eq:
         raise InputError(f"norm(x)={nx:.12e} but the height for rho={rho} is {expected:.12e}")
-    if nx <= wide:
+    if nx <= tol.eps_eq:
         # rho == 1 limit: the shift direction is free; take the tie-break axis.
         direction = first_orthogonal_axis(np.zeros((0, n)), n)
     else:

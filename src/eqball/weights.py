@@ -15,7 +15,9 @@ closed form, with beta(n)**2 + alpha(n+1)**2 = 1 giving mu_inverse(1) = 1:
 
 The circuit machinery links any two points of the annulus
 {lambda_shell(n) <= ||p|| <= 1} of a 2-D section by hops of length exactly
-2*alpha(n+1), each hop carrying clearance at least beta(n).
+2*alpha(n+1), each hop carrying clearance at least beta(n).  Its layout is
+one table, CIRCUIT_ANGLES, read through circuit_geometry by shell_circuit
+and by CircuitRouter, which plans the certificate generator's chains.
 """
 from __future__ import annotations
 
@@ -25,13 +27,14 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .errors import ConstructionError, InputError
-from .gamma import gamma
+from .errors import ConstructionError, GenerationFailure, InputError
+from .gamma import _clearance, _pair_checks
 from .geometry import DEFAULT_TOL, Frame, Tolerance, clamp_to_range
 from .simplex import (
     EquilateralSet,
     alpha,
     beta,
+    first_failure,
     height_above_base,
     random_rotations,
     sample_maximal_sets,
@@ -72,12 +75,6 @@ def lambda_shell(n: int) -> float:
     if n < 2:
         raise InputError(f"lambda_shell requires n >= 2, got {n}")
     return (1.0 + math.sqrt(4.0 + 4.0 / n) - math.sqrt(3.0 + 4.0 / n)) / math.sqrt(2.0)
-
-
-def corner_coordinate(n: int) -> float:
-    """Common coordinate of the first-quadrant corner where adjacent arcs meet."""
-    a2 = alpha(n + 1) ** 2
-    return (-1.0 + math.sqrt(8.0 * a2 - 1.0)) / 2.0
 
 
 def sin_corner_angle(n: int) -> float:
@@ -155,43 +152,44 @@ def _in_disc_arc(label: str, center: np.ndarray, radius: float) -> Arc:
                theta_start=mid - half, theta_end=mid + half)
 
 
-def circuit_geometry(n: int, rotation_angle: float) -> tuple[dict, dict, list]:
-    """Local cardinals, corners, and in-disc arcs of the rotated circuit."""
-    a_np1 = alpha(n + 1)
-    radius = 2.0 * a_np1
-    rot = rotation_angle
-    cardinals = {
-        "w": np.array([math.cos(-math.pi / 2 + rot), math.sin(-math.pi / 2 + rot)]),
-        "x": np.array([math.cos(math.pi + rot), math.sin(math.pi + rot)]),
-        "y": np.array([math.cos(math.pi / 2 + rot), math.sin(math.pi / 2 + rot)]),
-        "z": np.array([math.cos(rot), math.sin(rot)]),
-    }
-    t = corner_coordinate(n)
-    oa = t * math.sqrt(2.0)
-    corners = {
-        "a": oa * np.array([math.cos(math.pi / 4 + rot), math.sin(math.pi / 4 + rot)]),
-        "b": oa * np.array([math.cos(-math.pi / 4 + rot), math.sin(-math.pi / 4 + rot)]),
-        "c": oa * np.array([math.cos(-3 * math.pi / 4 + rot), math.sin(-3 * math.pi / 4 + rot)]),
-        "d": oa * np.array([math.cos(3 * math.pi / 4 + rot), math.sin(3 * math.pi / 4 + rot)]),
-    }
-    arcs = [_in_disc_arc("C_" + k, v, radius) for k, v in cardinals.items()]
-    arcs += [_in_disc_arc("C_" + k, v, radius) for k, v in corners.items()]
-    return cardinals, corners, arcs
-
-
+# Base angle of each circuit point, in CSV order: the cardinals on the unit
+# circle, then the corners, where arcs about adjacent cardinals meet.  z's
+# -0.0 keeps -0.0 + rot equal to rot, signed zeros included.
+CIRCUIT_ANGLES = {
+    "w": -math.pi / 2, "x": math.pi, "y": math.pi / 2, "z": -0.0,
+    "a": math.pi / 4, "b": -math.pi / 4, "c": -3 * math.pi / 4, "d": 3 * math.pi / 4,
+}
+CORNERS = "abcd"
 # Adjacency cycle of hop-length-2*alpha pairs: cardinal, corner, cardinal, ...
 SKELETON_CYCLE = ["w", "a", "x", "b", "y", "c", "z", "d"]
+# Points sampled inside each corner arc, each linked to the arc's corner.
+ARC_SAMPLES = 8
+
+
+def circuit_geometry(n: int, rotation_angle: float) -> tuple[dict, dict]:
+    """Local points of the circuit rotated by rotation_angle, by name in
+    CSV order, and the in-disc arc of radius 2*alpha(n+1) about each."""
+    radius = 2.0 * alpha(n + 1)
+    corner_norm = (-1.0 + math.sqrt(8.0 * alpha(n + 1) ** 2 - 1.0)) / 2.0 * math.sqrt(2.0)
+    points = {}
+    for name, angle in CIRCUIT_ANGLES.items():
+        turn = angle + rotation_angle
+        norm = corner_norm if name in CORNERS else 1.0
+        points[name] = norm * np.array([math.cos(turn), math.sin(turn)])
+    arcs = {name: _in_disc_arc("C_" + name, p, radius) for name, p in points.items()}
+    return points, arcs
 
 
 def shell_circuit(n: int, section: Frame, rotation_angle: float,
-                  arc_samples: int = 8, tol: Tolerance = DEFAULT_TOL) -> CircuitPlan:
+                  tol: Tolerance = DEFAULT_TOL) -> CircuitPlan:
     """Build the rotated boundary circuit in a 2-D section and its link moves.
 
-    Link moves alternate between circuit points and the arc centers they sit
-    on; every emitted pair is at distance exactly 2*alpha(n+1) and is
-    re-checked to carry clearance at least beta(n) (ConstructionError marks a
-    bug, not an input condition).  The plan records the sines of the two
-    comparison angles at the bottom cardinal.
+    Link moves follow SKELETON_CYCLE, then join ARC_SAMPLES points of each
+    corner arc to its corner; every emitted pair is at distance exactly
+    2*alpha(n+1) and is re-checked, in one array pass, to carry clearance
+    at least beta(n) (ConstructionError marks a bug, not an input
+    condition).  The plan records the sines of the two comparison angles at
+    the bottom cardinal.
     """
     if n < 2:
         raise InputError(f"shell_circuit requires n >= 2, got {n}")
@@ -202,46 +200,41 @@ def shell_circuit(n: int, section: Frame, rotation_angle: float,
     # Offsets like pi/2 added to a huge angle would lose the hop length to
     # rounding; the remainder is exact, and is the angle itself for |angle| <= pi.
     rot = math.remainder(rotation_angle, 2.0 * math.pi)
-    cardinals, corners, arcs = circuit_geometry(n, rot)
-    a_np1 = alpha(n + 1)
-    radius = 2.0 * a_np1
+    points, arcs = circuit_geometry(n, rot)
+    radius = 2.0 * alpha(n + 1)
     bn = beta(n)
 
     def embed(p_local):
         return (p_local[None, :] @ section.basis)[0]
 
-    named_local = dict(cardinals)
-    named_local.update(corners)
-
-    moves_local = []
-    for i, name in enumerate(SKELETON_CYCLE):
-        nxt = SKELETON_CYCLE[(i + 1) % len(SKELETON_CYCLE)]
-        moves_local.append((named_local[name], named_local[nxt]))
-    corner_arcs = {arc.label[-1]: arc for arc in arcs if arc.label[-1] in corners}
-    for cname, arc in sorted(corner_arcs.items()):
-        for j in range(1, arc_samples + 1):
-            theta = arc.theta_start + (arc.theta_end - arc.theta_start) * j / (arc_samples + 1)
-            moves_local.append((arc.point_at(theta), named_local[cname]))
-
-    link_moves = []
-    for p_local, q_local in moves_local:
-        p, q = embed(p_local), embed(q_local)
-        dist = float(np.linalg.norm(p - q))
-        if abs(dist - radius) > tol.eps_eq:
-            raise ConstructionError(f"move length {dist:.15f} differs from {radius:.15f}")
-        clearance = gamma(p, q, tol).value
-        if clearance < bn - 1e-12:
-            raise ConstructionError(f"move clearance {clearance:.12f} below beta_n={bn:.12f}")
-        link_moves.append((p, q))
+    cycle = SKELETON_CYCLE
+    moves = [(points[name], points[nxt]) for name, nxt in zip(cycle, cycle[1:] + cycle[:1])]
+    for name in CORNERS:
+        arc = arcs[name]
+        for j in range(1, ARC_SAMPLES + 1):
+            theta = arc.theta_start + (arc.theta_end - arc.theta_start) * j / (ARC_SAMPLES + 1)
+            moves.append((arc.point_at(theta), points[name]))
+    P, Q, diff, dist, checks = _pair_checks([embed(p) for p, _ in moves],
+                                            [embed(q) for _, q in moves], tol)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        clearance = _clearance((P + Q) / 2.0, diff / dist[:, None])[0]
+    failed = first_failure([
+        (np.abs(dist - radius) > tol.eps_eq, lambda i: ConstructionError(
+            f"move length {dist[i]:.15f} differs from {radius:.15f}")),
+        *checks,
+        (clearance < bn - 1e-12, lambda i: ConstructionError(
+            f"move clearance {clearance[i]:.12f} below beta_n={bn:.12f}")),
+    ])
+    if failed is not None:
+        raise failed[1]
 
     # Comparison angles at the bottom cardinal, both measured numerically.
-    w_l, a_l = named_local["w"], named_local["a"]
+    w_l, a_l = points["w"], points["a"]
     g_l = np.array([math.cos(-math.pi / 6 + rot), math.sin(-math.pi / 6 + rot)])
-    cw_arc = next(arc for arc in arcs if arc.label == "C_w")
     h_candidates = [
         h for h in circle_circle_intersections(g_l, 1.0, w_l, radius)
         if float(np.linalg.norm(h)) <= 1.0 + 1e-9
-        and cw_arc.contains_angle(math.atan2(h[1] - w_l[1], h[0] - w_l[0]), slack=1e-7)
+        and arcs["w"].contains_angle(math.atan2(h[1] - w_l[1], h[0] - w_l[0]), slack=1e-7)
     ]
     if not h_candidates:
         raise ConstructionError("reference intersection point not found on the bottom arc")
@@ -259,13 +252,112 @@ def shell_circuit(n: int, section: Frame, rotation_angle: float,
         raise ConstructionError("corner angle exceeds its reference bound")
 
     return CircuitPlan(
-        quadruple={k: embed(v) for k, v in cardinals.items()},
-        corners_local=corners,
-        arcs=arcs,
-        link_moves=link_moves,
+        quadruple={k: embed(v) for k, v in points.items() if k not in CORNERS},
+        corners_local={k: points[k] for k in CORNERS},
+        arcs=list(arcs.values()),
+        link_moves=list(zip(P, Q)),
         sin_owa=sin_owa,
         sin_owh=sin_owh,
     )
+
+
+def _fold(delta: float, period: float) -> float:
+    r = delta % period
+    return min(r, period - r)
+
+
+class CircuitRouter:
+    """Plans hop chains from any annulus point of a 2-D section to the anchor."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.hop = 2.0 * alpha(n + 1)
+        self.lam = lambda_shell(n)
+        self.oa = self.hop - self.lam  # norm of a circuit corner
+        # circuit_geometry by rotation: every chain of one generator plans
+        # through the anchor's circuit and its pi/8 neighbour.
+        self._circuits: dict[float, tuple] = {}
+
+    def circuit_angle_for(self, p_local: np.ndarray, branch: int = 1) -> float:
+        """Rotation phi such that p lies on the corner arc C_a of circuit(phi)."""
+        s = float(np.linalg.norm(p_local))
+        theta = math.atan2(p_local[1], p_local[0])
+        kappa = (s * s + self.oa * self.oa - self.hop * self.hop) / (2.0 * s * self.oa)
+        kappa = min(max(kappa, -1.0), 1.0)
+        return theta - CIRCUIT_ANGLES["a"] - branch * math.acos(kappa)
+
+    def _geometry(self, phi: float):
+        if phi not in self._circuits:
+            self._circuits[phi] = circuit_geometry(self.n, phi)
+        return self._circuits[phi]
+
+    @staticmethod
+    def _walk(start: str, end: str) -> list[str]:
+        cycle = SKELETON_CYCLE
+        i, j = cycle.index(start), cycle.index(end)
+        fwd = (j - i) % len(cycle)
+        back = (i - j) % len(cycle)
+        if fwd <= back:
+            return [cycle[(i + t) % len(cycle)] for t in range(fwd + 1)]
+        return [cycle[(i - t) % len(cycle)] for t in range(back + 1)]
+
+    def _cross(self, phi1: float, phi2: float):
+        """A point on a corner arc of both circuits, with the two corners."""
+        points1, arcs1 = self._geometry(phi1)
+        points2, arcs2 = self._geometry(phi2)
+        for i in CORNERS:
+            for j in CORNERS:
+                for pt in circle_circle_intersections(points1[i], self.hop,
+                                                      points2[j], self.hop):
+                    if float(np.linalg.norm(pt)) > 1.0 + 1e-9:
+                        continue
+                    t1 = math.atan2(pt[1] - points1[i][1], pt[0] - points1[i][0])
+                    t2 = math.atan2(pt[1] - points2[j][1], pt[0] - points2[j][0])
+                    if arcs1[i].contains_angle(t1, 1e-7) and arcs2[j].contains_angle(t2, 1e-7):
+                        return i, j, pt
+        return None
+
+    def plan(self, p_local: np.ndarray, anchor_local: np.ndarray) -> list[np.ndarray]:
+        """Local waypoints [p, ..., anchor]; consecutive gaps are exactly one hop."""
+        phi0 = self.circuit_angle_for(anchor_local)
+        phi_p = self.circuit_angle_for(p_local)
+        quarter = math.pi / 2.0
+        k = round((phi_p - phi0) / quarter)
+        if abs(phi_p - phi0 - k * quarter) < 1e-9:
+            # Same circuit: p's corner a is the corner of circuit(phi0) at a's
+            # angle turned by k quarters.
+            turn = CIRCUIT_ANGLES["a"] + k * quarter
+            label = min(CORNERS, key=lambda c: _fold(CIRCUIT_ANGLES[c] - turn, 2.0 * math.pi))
+            return [p_local] + self._segment_rev(phi0, label, anchor_local)
+        alt = self.circuit_angle_for(p_local, branch=-1)
+        if _fold(phi_p - phi0, quarter) < 0.05 and _fold(alt - phi0, quarter) >= 0.05:
+            phi_p = alt
+        if _fold(phi_p - phi0, quarter) >= 0.05:
+            hit = self._cross(phi_p, phi0)
+            if hit is not None:
+                i, j, q = hit
+                return (self._segment(p_local, phi_p, i) + [q]
+                        + self._segment_rev(phi0, j, anchor_local))
+        # Nearly aligned circuits (or no crossing found): route via a middle circuit.
+        phi_m = phi0 + math.pi / 8.0
+        hit1 = self._cross(phi_p, phi_m)
+        hit2 = self._cross(phi_m, phi0)
+        if hit1 is None or hit2 is None:
+            raise GenerationFailure("shell-link", "no circuit crossing found")
+        i1, j1, q1 = hit1
+        i2, j2, q2 = hit2
+        points_m = self._geometry(phi_m)[0]
+        return (self._segment(p_local, phi_p, i1) + [q1]
+                + [points_m[nm] for nm in self._walk(j1, i2)]
+                + [q2] + self._segment_rev(phi0, j2, anchor_local))
+
+    def _segment(self, p_local, phi_p, end_label):
+        points = self._geometry(phi_p)[0]
+        return [p_local] + [points[nm] for nm in self._walk("a", end_label)]
+
+    def _segment_rev(self, phi0, start_label, anchor_local):
+        points = self._geometry(phi0)[0]
+        return [points[nm] for nm in self._walk(start_label, "a")] + [anchor_local]
 
 
 @dataclass

@@ -436,6 +436,15 @@ def test_checker_accepts_numpy_integer_ids():
     assert check_certificate(as_numpy).accepted
 
 
+def test_checker_accepts_sets_as_one_integer_array():
+    # An (S, n+1) numpy id table, on the multiplier and least-squares paths.
+    cert = _mixed_certificate()
+    table = np.array(cert.sets)
+    for multipliers in (cert.multipliers, None):
+        report = check_certificate(dataclasses.replace(cert, sets=table, multipliers=multipliers))
+        assert report.accepted and report.set_count == len(cert.sets)
+
+
 @pytest.mark.parametrize("row", [None, [True, False, False], [0.5, None, 0.0]],
                          ids=["strings", "bools", "null"])
 def test_non_number_coordinates_are_malformed(row):

@@ -189,6 +189,17 @@ def test_emit_circuit_large_angle(capsys, angle):
         assert run_cli(capsys, "emit-circuit", "--n", n, f"--angle={reduced}") == (0, out, "")
 
 
+def test_emit_circuit_keeps_the_sign_of_a_zero_angle(capsys):
+    # z's base angle -0.0 adds to the rotation without dropping its sign.
+    rows = {}
+    for angle in ("-0.0", "0"):
+        code, out, _ = run_cli(capsys, "emit-circuit", "--n", "2", f"--angle={angle}")
+        assert code == 0
+        rows[angle] = next(line for line in out.splitlines() if line.startswith("C_z,"))
+    assert rows["-0.0"] == "C_z,1,-0,1.7320508075688772,2.617993877991494,3.6651914291880923"
+    assert rows["0"] == "C_z,1,0,1.7320508075688772,-3.6651914291880923,-2.617993877991494"
+
+
 def test_verify_all_reports_every_suite(capsys):
     from eqball.verify import SUITE_NAMES
 

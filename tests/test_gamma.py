@@ -243,6 +243,16 @@ def test_gamma1_links_middle_hop_of_wrong_length():
     assert gamma1_links(w[:-1], w[1:]).shape == (3, 3, 3)
 
 
+@pytest.mark.parametrize("n", [2, 5])
+def test_gamma1_link_checks_the_hop_length_at_eps_eq(n):
+    # A hop 5e-8 too long is an input error, not a failed re-check of its sets.
+    a, b = _random_chain(np.random.default_rng(34), n, 1)
+    hop = 2.0 * alpha(n + 1)
+    far = a + (hop + 5e-8) * (b - a) / np.linalg.norm(b - a)
+    with pytest.raises(InputError, match=DISTANCE + r"[0-9.]+, need [0-9.]+$"):
+        gamma1_link(a, far)
+
+
 def test_gamma1_links_low_clearance_hop():
     w = _random_chain(np.random.default_rng(33), 3, 2)
     p = np.array([1.0, 0.0, 0.0])

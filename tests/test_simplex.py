@@ -211,6 +211,20 @@ def test_cap_extension_errors():
         cap_extension(np.array([0.5, 0.0]), 0.9)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_cap_extension_checks_the_apex_at_eps_eq(n):
+    # An apex the norm check admits must pass the eps_eq re-check of the set:
+    # one off by 5e-9 is an input error, one off by 5e-10 is extended.
+    rho = (beta(n) + 1.0) / 2.0
+    x = np.zeros(n)
+    x[0] = height_above_base(n, rho)
+    with pytest.raises(InputError, match=r"^norm\(x\)=.* but the height for rho="):
+        cap_extension(x + 5e-9 * np.eye(n)[0], rho)
+    near = x + 5e-10 * np.eye(n)[0]
+    full = EquilateralSet(np.vstack([near, cap_extension(near, rho).points]))
+    assert full.pairwise_distance_error() <= 1e-9
+
+
 def test_cap_extension_at_a_loose_tolerance():
     loose = Tolerance(eps_eq=2e-5)
     x = np.array([height_above_base(3, 0.8), 0.0, 0.0])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -114,8 +115,8 @@ def test_lambda_shell_values():
 
 def test_lambda_matches_circuit_geometry():
     for n in range(2, 65):
-        _, corners, _ = circuit_geometry(n, 0.0)
-        lam_geo = 2 * alpha(n + 1) - float(np.linalg.norm(corners["a"]))
+        points, _ = circuit_geometry(n, 0.0)
+        lam_geo = 2 * alpha(n + 1) - float(np.linalg.norm(points["a"]))
         assert abs(lambda_shell(n) - lam_geo) < 1e-12
 
 
@@ -132,7 +133,7 @@ def test_circuit_corner_n2():
 
 def test_circuit_sines_match_closed_forms():
     for n in (2, 3, 8, 32, 64):
-        plan = shell_circuit(n, _section(n), 0.0, arc_samples=2)
+        plan = shell_circuit(n, _section(n), 0.0)
         assert plan.sin_owa == pytest.approx(sin_corner_angle(n), abs=1e-12)
         assert plan.sin_owh == pytest.approx(sin_reference_angle(n), abs=1e-12)
         assert plan.sin_owa <= plan.sin_owh + 1e-12
@@ -148,6 +149,27 @@ def test_circuit_moves_are_exact_hops_with_clearance():
             assert gamma(p, q).value >= beta(n) - 1e-9
 
 
+def test_circuit_reports_the_first_move_off_the_hop_length(monkeypatch):
+    # Corner b moved by 1e-6: x -> b, the third move of the cycle, is the
+    # first to fail, ahead of b -> y and the moves from b's arc.
+    original = weights.circuit_geometry
+
+    def moved(n, rotation_angle):
+        points, arcs = original(n, rotation_angle)
+        points["b"] = points["b"] + [1e-6, 0.0]
+        return points, arcs
+
+    monkeypatch.setattr(weights, "circuit_geometry", moved)
+    points, _ = moved(3, 0.0)
+    with pytest.raises(ConstructionError, match="^move length ") as info:
+        shell_circuit(3, _section(3), 0.0)
+    length, hop = map(float, re.fullmatch(r"move length (\S+) differs from (\S+)",
+                                          str(info.value)).groups())
+    assert length == pytest.approx(float(np.linalg.norm(points["x"] - points["b"])), abs=1e-14)
+    assert abs(length - float(np.linalg.norm(points["y"] - points["b"]))) > 1e-7
+    assert hop == pytest.approx(2 * alpha(4), abs=1e-14)
+
+
 def test_circuit_arcs_have_uniform_radius():
     plan = shell_circuit(4, _section(4), 0.3)
     for arc in plan.arcs:
@@ -159,7 +181,7 @@ def test_circuit_in_tilted_section():
 
     rng = np.random.default_rng(77)
     basis = orthonormalize(rng.standard_normal((2, 5)), 5)
-    plan = shell_circuit(5, Frame(basis), 0.4, arc_samples=3)
+    plan = shell_circuit(5, Frame(basis), 0.4)
     hop = 2 * alpha(6)
     for p, q in plan.link_moves:
         assert p.shape == (5,)
@@ -175,23 +197,21 @@ def test_rotated_circuits_intersect():
         hop = 2 * alpha(n + 1)
         for _ in range(50):
             delta = rng.uniform(0.01, math.pi / 2 - 0.01)
-            _, corners1, arcs1 = circuit_geometry(n, 0.0)
-            _, corners2, arcs2 = circuit_geometry(n, delta)
-            arcs1 = {a.label[-1]: a for a in arcs1 if a.label[-1] in "abcd"}
-            arcs2 = {a.label[-1]: a for a in arcs2 if a.label[-1] in "abcd"}
+            points1, arcs1 = circuit_geometry(n, 0.0)
+            points2, arcs2 = circuit_geometry(n, delta)
             found = False
             for i in "abcd":
                 for j in "abcd":
-                    for pt in circle_circle_intersections(corners1[i], hop,
-                                                          corners2[j], hop):
+                    for pt in circle_circle_intersections(points1[i], hop,
+                                                          points2[j], hop):
                         if float(np.linalg.norm(pt)) > 1 + 1e-9:
                             continue
-                        t1 = math.atan2(pt[1] - corners1[i][1], pt[0] - corners1[i][0])
-                        t2 = math.atan2(pt[1] - corners2[j][1], pt[0] - corners2[j][0])
+                        t1 = math.atan2(pt[1] - points1[i][1], pt[0] - points1[i][0])
+                        t2 = math.atan2(pt[1] - points2[j][1], pt[0] - points2[j][0])
                         if arcs1[i].contains_angle(t1, 1e-6) and arcs2[j].contains_angle(t2, 1e-6):
                             # common waypoint: hop distance to both corners
-                            assert abs(np.linalg.norm(pt - corners1[i]) - hop) < 1e-6
-                            assert abs(np.linalg.norm(pt - corners2[j]) - hop) < 1e-6
+                            assert abs(np.linalg.norm(pt - points1[i]) - hop) < 1e-6
+                            assert abs(np.linalg.norm(pt - points2[j]) - hop) < 1e-6
                             found = True
             assert found, f"circuits at delta={delta} (n={n}) do not meet"
 
