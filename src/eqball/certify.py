@@ -113,7 +113,6 @@ def theorem_step_relation(u, rho0: float, n: int,
         raise InputError(
             f"||u||={s:.12f} outside the step window [{lo:.12f}, {rho0:.12f}]")
     v = -((1.0 - s) / s) * u
-    clamp_to_range("||v||", float(np.linalg.norm(v)), 1.0 - rho0, eta(n, rho0, tol), tol.widened())
     pair = EquilateralSet(np.vstack([u, v]))
     maximal, _ = enlarge_to_maximal(pair, tol)
     companions = maximal.points[2:]
@@ -147,9 +146,7 @@ def constant_lemma_relation(z, rho0: float, n: int,
         raise InputError(f"||z||={s:.12f} exceeds eta(rho0)={top:.12f}")
     rho = max(rho0, mu_inverse(n, 1.0 - s, tol))
     companions = cap_extension(z, rho, tol)
-    full = EquilateralSet(np.vstack([z, companions.points]))
-    full.recheck(in_ball=True, tol=tol.widened())
-    return full, companions.points
+    return EquilateralSet(np.vstack([z, companions.points])), companions.points
 
 
 # ---------------------------------------------------------------------------
@@ -650,10 +647,16 @@ class _Generator:
         return None
 
     def _step_radius(self, u: np.ndarray) -> float:
-        """The schedule radius of the band that holds ||u||."""
+        """The schedule radius of the band that holds ||u||.
+
+        A norm within the slack below a band's lower edge joins that band;
+        the slack stays inside the 2*eps_eq that theorem_step_relation admits
+        below the edge, so that a small eps_eq still accepts the match.
+        """
         s = float(np.linalg.norm(u))
+        slack = min(BAND_EDGE_SLACK, 2 * self.tol.eps_eq)
         for m in range(len(self.schedule) - 1):
-            if s >= self.schedule[m + 1] - BAND_EDGE_SLACK:
+            if s >= self.schedule[m + 1] - slack:
                 return self.schedule[m]
         return self.schedule[-2]
 

@@ -22,6 +22,7 @@ Python callable, which has no `rows`, is still called one point at a time.
 """
 from __future__ import annotations
 
+import operator
 import re
 
 import numpy as np
@@ -32,6 +33,7 @@ from .geometry import row_dot
 # A token and the whitespace after it.
 _TOKEN = re.compile(r"(?:(\d+\.\d*|\.\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/,]))\s*")
 _SPACE = re.compile(r"\s*")
+_COORDINATE = re.compile(r"x(\d+)")
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
@@ -53,10 +55,59 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+# The operators of each chain level: expr (0) and term (1).
+_CHAINS = ((("punct", "+"), ("punct", "-")), (("punct", "*"), ("punct", "/")))
+
+
+def _divide(num, den):
+    if np.any(den == 0):
+        raise ExpressionError("division by zero during evaluation")
+    return num / den
+
+
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide}
+
+
+def _norm(v):
+    return np.sqrt(row_dot(v, v))  # np.linalg.norm of one vector
+
+
+def _sqrt(v):
+    if np.any(v < 0):
+        raise ExpressionError("sqrt of a negative value")
+    return np.sqrt(v)
+
+
+# Each function's argument kinds, the message when the arguments differ, and
+# its operation on the argument values.
+_FUNCTIONS = {
+    "norm": (["vector"], "norm takes one vector argument", _norm),
+    "dot": (["vector", "vector"], "dot takes two vector arguments", row_dot),
+    "sqrt": (["scalar"], "sqrt takes one scalar argument", _sqrt),
+    "abs": (["scalar"], "abs takes one scalar argument", np.abs),
+}
+_TOO_DEEP = "expression is nested too deeply"
+
+
+class _Compiler:
+    """Recursive descent that type-checks and compiles as it reads.
+
+    Each production returns its kind, 'scalar' or 'vector', and a closure
+    evaluating it on an (m, n) stack of points: a vector gives the stack, a
+    scalar one value per row (a constant gives its one float, which
+    broadcasts).  A syntax error raises at once; a failed type check is kept
+    as `fault`, and only the first one is raised, once the whole text has
+    parsed.  A function's name is checked before its arguments, and a left
+    operand before the right one.  Every operation rounds as its one-point
+    form does: + - * / sqrt abs are elementwise IEEE operations, and dot and
+    norm take each row's own BLAS dot (row_dot).
+    """
+
+    def __init__(self, text: str, n: int):
+        self.tokens = _tokenize(text)
         self.pos = 0
+        self.n = n
+        self.fault = None
 
     def peek(self):
         return self.tokens[self.pos]
@@ -70,167 +121,112 @@ class _Parser:
         self.pos += 1
         return v
 
-    def parse(self):
-        node = self.expr()
+    def check(self, ok: bool, message: str) -> None:
+        if not ok and self.fault is None:
+            self.fault = ExpressionError(message)
+
+    def compile(self):
+        kind, root = self.chain(0)
         if self.peek()[0] != "end":
             raise ExpressionError(f"trailing input at {self.peek()[1]!r}")
-        return node
+        if self.fault is not None:
+            raise self.fault
+        if kind != "scalar":
+            raise ExpressionError("expression must evaluate to a scalar")
+        return root
 
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("punct", "+") or self.peek() == ("punct", "-"):
-            op = self.take("punct")
-            node = (op, node, self.term())
-        return node
+    def chain(self, level: int):
+        """`a op b op c ...` at one level, folded left to right in one closure."""
+        kind, first = self.chain(1) if level == 0 else self.unary()
+        rest = []
+        while self.peek() in _CHAINS[level]:
+            op = self.take()
+            # The first pass checks the left operand; later, `kind` is the last
+            # right operand, checked already.
+            message = f"operator {op!r} applies to scalars only"
+            self.check(kind == "scalar", message)
+            kind, f = self.chain(1) if level == 0 else self.unary()
+            self.check(kind == "scalar", message)
+            rest.append((_OPERATORS[op], f))
+        if not rest:
+            return kind, first
 
-    def term(self):
-        node = self.unary()
-        while self.peek() == ("punct", "*") or self.peek() == ("punct", "/"):
-            op = self.take("punct")
-            node = (op, node, self.unary())
-        return node
+        def fold(stack):
+            value = first(stack)
+            for op, f in rest:
+                value = op(value, f(stack))
+            return value
+
+        return "scalar", fold
 
     def unary(self):
-        if self.peek() == ("punct", "-"):
-            self.take("punct")
-            return ("neg", self.unary())
-        return self.primary()
+        if self.peek() != ("punct", "-"):
+            return self.primary()
+        self.take()
+        kind, arg = self.unary()
+        self.check(kind == "scalar", "negation applies to scalars only")
+        return "scalar", lambda stack: -arg(stack)
 
     def primary(self):
         kind, value = self.peek()
+        self.pos += 1
         if kind == "num":
-            self.take()
-            return ("const", float(value))
-        if kind == "ident":
-            self.take()
-            if self.peek() == ("punct", "("):
-                self.take("punct", "(")
-                args = [self.expr()]
-                while self.peek() == ("punct", ","):
-                    self.take("punct", ",")
-                    args.append(self.expr())
-                self.take("punct", ")")
-                return ("call", value, args)
-            return ("var", value)
+            number = float(value)
+            return "scalar", lambda stack: number
         if (kind, value) == ("punct", "("):
-            self.take("punct", "(")
-            node = self.expr()
+            result = self.chain(0)
             self.take("punct", ")")
-            return node
-        raise ExpressionError(f"unexpected token {value!r}")
-
-
-_FUNCTIONS = {"norm", "dot", "sqrt", "abs"}
-
-
-def _compile(node, n: int):
-    """Type-check the tree and compile it in one walk; returns the kind,
-    'scalar' or 'vector', and a closure evaluating the node on an (m, n)
-    stack of points: a vector node gives the stack, a scalar node one value
-    per row (a constant gives its one float, which broadcasts).
-
-    A function's name is checked before its arguments, and a left operand
-    before the right one; each child compiles once.  Every operation rounds
-    as its one-point form does: + - * / sqrt abs are elementwise IEEE
-    operations, and dot and norm take each row's own BLAS dot (row_dot).
-    """
-    tag = node[0]
-    if tag == "const":
-        value = node[1]
-        return "scalar", lambda stack: value
-    if tag == "var":
-        name = node[1]
-        if name == "x":
-            return "vector", lambda stack: stack
-        m = re.fullmatch(r"x(\d+)", name)
-        if m:
-            k = int(m.group(1)) - 1
-            if not 0 <= k < n:
-                raise ExpressionError(f"coordinate {name} out of range for n={n}")
+            return result
+        if kind != "ident":
+            raise ExpressionError(f"unexpected token {value!r}")
+        if self.peek() != ("punct", "("):
+            if value == "x":
+                return "vector", lambda stack: stack
+            m = _COORDINATE.fullmatch(value)
+            self.check(m is not None, f"unknown identifier {value!r}")
+            k = int(m.group(1)) - 1 if m else 0
+            self.check(0 <= k < self.n, f"coordinate {value} out of range for n={self.n}")
             return "scalar", lambda stack: stack[:, k]
-        raise ExpressionError(f"unknown identifier {name!r}")
-    if tag == "neg":
-        kind, arg = _compile(node[1], n)
-        if kind != "scalar":
-            raise ExpressionError("negation applies to scalars only")
-        return "scalar", lambda stack: -arg(stack)
-    if tag in ("+", "-", "*", "/"):
-        operands = []
-        for child in node[1:]:
-            kind, f = _compile(child, n)
-            if kind != "scalar":
-                raise ExpressionError(f"operator {tag!r} applies to scalars only")
-            operands.append(f)
-        a, b = operands
-        if tag == "+":
-            return "scalar", lambda stack: a(stack) + b(stack)
-        if tag == "-":
-            return "scalar", lambda stack: a(stack) - b(stack)
-        if tag == "*":
-            return "scalar", lambda stack: a(stack) * b(stack)
-
-        def divide(stack):
-            num = a(stack)
-            den = b(stack)
-            if np.any(den == 0):
-                raise ExpressionError("division by zero during evaluation")
-            return num / den
-
-        return "scalar", divide
-    if tag == "call":
-        name = node[1]
-        if name not in _FUNCTIONS:
-            raise ExpressionError(f"unknown function {name!r}")
-        compiled = [_compile(a, n) for a in node[2]]
-        kinds = [kind for kind, _ in compiled]
-        args = [f for _, f in compiled]
-        if name == "norm":
-            if kinds != ["vector"]:
-                raise ExpressionError("norm takes one vector argument")
-            (arg,) = args
-
-            def norm(stack):
-                v = arg(stack)
-                return np.sqrt(row_dot(v, v))  # np.linalg.norm of one vector
-
-            return "scalar", norm
-        if name == "dot":
-            if kinds != ["vector", "vector"]:
-                raise ExpressionError("dot takes two vector arguments")
-            a, b = args
-            return "scalar", lambda stack: row_dot(a(stack), b(stack))
-        if kinds != ["scalar"]:
-            raise ExpressionError(f"{name} takes one scalar argument")
-        (arg,) = args
-        if name == "sqrt":
-            def root(stack):
-                value = arg(stack)
-                if np.any(value < 0):
-                    raise ExpressionError("sqrt of a negative value")
-                return np.sqrt(value)
-
-            return "scalar", root
-        return "scalar", lambda stack: np.abs(arg(stack))
-    raise ExpressionError(f"malformed expression node {tag!r}")
-
+        self.take()
+        self.check(value in _FUNCTIONS, f"unknown function {value!r}")
+        args = [self.chain(0)]
+        while self.peek() == ("punct", ","):
+            self.take()
+            args.append(self.chain(0))
+        self.take("punct", ")")
+        kinds, message, fn = _FUNCTIONS.get(value, ([], "", None))
+        self.check([k for k, _ in args] == kinds, message)
+        if self.fault is not None:
+            return "scalar", None  # never evaluated: compile raises the fault
+        if len(args) == 1:
+            arg = args[0][1]
+            return "scalar", lambda stack: fn(arg(stack))
+        (_, a), (_, b) = args
+        return "scalar", lambda stack: fn(a(stack), b(stack))
 
 def compile_weight_expression(text: str, n: int):
-    """Parse an expression and return a point -> float evaluator.
+    """Compile an expression into a point -> float evaluator.
 
-    The tree is checked and compiled once into nested closures, one per node,
-    that evaluate a whole stack of points at a time.  `evaluator.rows(P)`
-    maps an (m, n) stack to its m values as a float array, bit-equal to
-    evaluating each row alone; `evaluator(p)` is its one-row case.
+    The text is checked and compiled in one pass into closures that evaluate
+    a whole stack of points at a time.  `evaluator.rows(P)` maps an (m, n)
+    stack to its m values as a float array, bit-equal to evaluating each row
+    alone; `evaluator(p)` is its one-row case.  Nesting too deep for Python's
+    recursion limit, when compiling or evaluating, is an ExpressionError.
     """
-    kind, root = _compile(_Parser(_tokenize(text)).parse(), n)
-    if kind != "scalar":
-        raise ExpressionError("expression must evaluate to a scalar")
+    try:
+        root = _Compiler(text, n).compile()
+    except RecursionError:
+        raise ExpressionError(_TOO_DEEP) from None
 
     def rows(points) -> np.ndarray:
         stack = np.asarray(points, dtype=float)
         # Python float arithmetic overflows to inf and nan without a word.
         with np.errstate(all="ignore"):
-            return np.broadcast_to(root(stack), stack.shape[:1]).astype(float)
+            try:
+                value = root(stack)
+            except RecursionError:
+                raise ExpressionError(_TOO_DEEP) from None
+            return np.broadcast_to(value, stack.shape[:1]).astype(float)
 
     def evaluator(point) -> float:
         return float(rows(np.asarray(point, dtype=float)[None])[0])

@@ -166,13 +166,12 @@ def gamma1_links(A, B, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     m = A.shape[0] if failed is None else failed[0]
     if m:
         shared = simplex_on_spheres(x0[:m], diff[:m], bn)
-        wide = tol.widened()
         shared_norm = np.sqrt(row_dot(shared, shared)).max(axis=1)
         checks = [(shared_norm > 1.0 + eps, lambda i: ConstructionError(
             "a shared point left the ball; clearance check was too tight"))]
         for ends in (A[:m], B[:m]):
             pts = np.concatenate([ends[:, None, :], shared], axis=1)
-            checks += check_sets(pts, True, wide, ConstructionError)[2]
+            checks += check_sets(pts, True, tol, ConstructionError)[2]
         failed = first_failure(checks) or failed
     if failed is not None:
         raise failed[1]

@@ -21,6 +21,7 @@ from .geometry import Frame, orthonormalize
 from .simplex import EquilateralSet, alpha, beta, canonical_simplex, cap_extension, sample_maximal_sets
 from .weights import (
     WeightFn,
+    _sin_at,
     circle_circle_intersections,
     eta,
     falsify,
@@ -204,12 +205,6 @@ def suite_gamma_oracle(n_values, pairs_per_n: int, monotone_trials: int,
     passed = worst <= 2e-4 and monotone >= 0.95 * monotone_trials
     return SuiteResult("gamma_oracle", passed, pairs_per_n * len(n_values) + monotone_trials,
                        worst, measures={"monotone": monotone})
-
-
-def _sin_at(w: np.ndarray, p: np.ndarray) -> float:
-    """Sine of the angle at w between the directions to the origin and to p."""
-    v1, v2 = -w, p - w
-    return abs(v1[0] * v2[1] - v1[1] * v2[0]) / (np.linalg.norm(v1) * np.linalg.norm(v2))
 
 
 @_timed

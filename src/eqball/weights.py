@@ -87,6 +87,12 @@ def sin_reference_angle(n: int) -> float:
     return (math.sqrt(3.0 + 3.0 / n) - math.sqrt(1.0 - 1.0 / n)) / (2.0 * math.sqrt(2.0))
 
 
+def _sin_at(w: np.ndarray, p: np.ndarray) -> float:
+    """Sine of the angle at w between the directions to the origin and to p."""
+    v1, v2 = -w, p - w
+    return abs(v1[0] * v2[1] - v1[1] * v2[0]) / (np.linalg.norm(v1) * np.linalg.norm(v2))
+
+
 def circle_circle_intersections(c1: np.ndarray, r1: float,
                                 c2: np.ndarray, r2: float) -> list[np.ndarray]:
     """Intersection points of two circles in the plane (0, 1, or 2 points)."""
@@ -240,14 +246,8 @@ def shell_circuit(n: int, section: Frame, rotation_angle: float,
         raise ConstructionError("reference intersection point not found on the bottom arc")
     h_l = h_candidates[0]
 
-    def sin_at_w(p_local):
-        v1 = -w_l
-        v2 = p_local - w_l
-        cross = abs(v1[0] * v2[1] - v1[1] * v2[0])
-        return cross / (np.linalg.norm(v1) * np.linalg.norm(v2))
-
-    sin_owa = float(sin_at_w(a_l))
-    sin_owh = float(sin_at_w(h_l))
+    sin_owa = float(_sin_at(w_l, a_l))
+    sin_owh = float(_sin_at(w_l, h_l))
     if sin_owa > sin_owh + 1e-12:
         raise ConstructionError("corner angle exceeds its reference bound")
 

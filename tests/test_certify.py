@@ -26,7 +26,7 @@ from eqball.certify import (
 )
 from eqball.errors import GenerationFailure, InputError, MalformedCertificate
 from eqball.gamma import gamma1_link
-from eqball.geometry import DEFAULT_TOL
+from eqball.geometry import DEFAULT_TOL, Tolerance
 from eqball.simplex import EquilateralSet, alpha, beta
 from eqball.verify import _ball_point, _feasible_assignments
 from eqball.weights import eta, lambda_shell, mu, nu
@@ -41,6 +41,19 @@ def test_step_and_lemma_at_a_loose_tolerance():
     assert np.allclose(rel.v, [-0.17, 0.0], atol=1e-12)
     full, companions = constant_lemma_relation(np.array([0.0, 0.1, 0.0]), 0.8, 3, loose)
     assert full.pairwise_distance_error() < 1e-9
+
+
+@pytest.mark.parametrize("x", [[0.7290110457871478, 0.0], [0.8713743979933785, 0.0, 0.0, 0.0, 0.0]],
+                         ids=["n2", "n5"])
+def test_small_eps_matches_bands_inside_the_step_window(x):
+    """A norm 3e-10 below a schedule radius: at eps_eq = 1e-10 the band edge
+    slack must stay within the 2*eps_eq that theorem_step_relation admits."""
+    tol = Tolerance(1e-10)
+    x = np.array(x)
+    y = np.zeros(x.size)
+    y[0] = 0.97
+    cert = generate_equality_certificate(x, y, x.size, tol)
+    assert check_certificate(cert, tol).accepted
 
 
 def test_step_endpoint_norm_of_v():

@@ -92,6 +92,13 @@ def test_falsify_parse_error(capsys):
     assert "parse" in err
 
 
+def test_falsify_too_deep_expression_is_an_input_error(capsys):
+    code, out, err = run_cli(capsys, "falsify", "--expr", "(" * 5000 + "x1" + ")" * 5000,
+                             "--n", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: cannot parse expression: expression is nested too deeply\n"
+
+
 def test_certify_check_roundtrip(tmp_path, capsys):
     cert_file = tmp_path / "cert.json"
     code, _, _ = run_cli(capsys, "certify", "--x", "0.2,0.1", "--y", "0.6,-0.3",

@@ -1,8 +1,12 @@
+import inspect
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqball.errors import ExpressionError
 from eqball.expr import compile_weight_expression
@@ -100,6 +104,11 @@ PARSE_ERRORS = [
     ("x + x3", "operator '+' applies to scalars only"),
     ("foo(x3)", "unknown function 'foo'"),
     ("dot(x, x3)", "coordinate x3 out of range for n=2"),
+    # A syntax fault anywhere wins over a type fault read before it.
+    ("x3 +", "unexpected token ''"),
+    ("norm(x1) )", "trailing input at ')'"),
+    ("foo(x", "expected punct, got ''"),
+    ("x * 2 @", "unexpected character at position 6: '@'"),
 ]
 
 
@@ -163,3 +172,102 @@ def test_eval_errors_on_a_batch_match_one_point(text, bad, message):
     with pytest.raises(ExpressionError, match=f"^{re.escape(message)}$"):
         f.rows(np.array([[4.0], [bad], [1.0]]))
     assert f.rows(np.array([[4.0], [1.0]])).tolist() == [f(np.array([4.0])), f(np.array([1.0]))]
+
+
+TOO_DEEP = "^expression is nested too deeply$"
+
+
+@pytest.mark.parametrize("text", ["(" * 5000 + "x1" + ")" * 5000, "-" * 5000 + "x1",
+                                  "sqrt(" * 5000 + "x1" + ")" * 5000],
+                         ids=["parens", "minus", "sqrt"])
+def test_deep_nesting_is_an_expression_error(text):
+    with pytest.raises(ExpressionError, match=TOO_DEEP):
+        compile_weight_expression(text, 2)
+
+
+def test_evaluation_too_deep_for_the_stack_is_an_expression_error():
+    f = compile_weight_expression("-" * 200 + "x1", 2)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        with pytest.raises(ExpressionError, match=TOO_DEEP):
+            f.rows(np.zeros((1, 2)))
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_a_long_chain_folds_left_to_right():
+    f = compile_weight_expression("x1+" * 4999 + "1", 2)
+    value = 0.1
+    for _ in range(4998):
+        value += 0.1
+    assert f([0.1, 0.0]) == value + 1.0
+
+
+def _left_fold(step, count, start):
+    value = start
+    for _ in range(count):
+        value = step(value)
+    return value
+
+
+# Somewhat shallower than the deepest nests that compile under pytest at
+# Python's default recursion limit (236 parens or sqrt calls, 945 minus
+# signs), so that each level costs no more stack than it did.
+@pytest.mark.parametrize("text, value", [
+    ("(" * 200 + "x1" + ")" * 200, 0.25),
+    ("sqrt(" * 200 + "x1" + ")" * 200, _left_fold(math.sqrt, 200, 0.25)),
+    ("-" * 801 + "x1", -0.25),
+    ("x1+" * 899 + "1", _left_fold(lambda v: v + 0.25, 898, 0.25) + 1.0),
+], ids=["parens", "sqrt", "minus", "chain"])
+def test_deep_nests_still_compile(text, value):
+    assert compile_weight_expression(text, 2)([0.25, 0.5]) == value
+
+
+# Every token of the grammar, names it rejects, and stray characters.
+TOKENS = ["x", "x0", "x1", "x2", "x3", "y", "norm", "dot", "sqrt", "abs", "foo",
+          "(", ")", ",", "+", "-", "*", "/", "0", "1", "2.5", ".5", "7.", " "]
+COORDINATES = st.sampled_from([0.0, -0.0, 0.5, -1.0]) | st.floats(-1.0, 1.0)
+STACKS = st.lists(st.tuples(COORDINATES, COORDINATES), min_size=1, max_size=6).map(np.array)
+
+
+def _scalar_texts():
+    leaves = st.sampled_from(["x1", "x2", "0", "1", "2.5", ".5", "norm(x)", "dot(x, x)"])
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/"]), inner).map(" ".join),
+        inner.map("-{}".format),
+        inner.map("({})".format),
+        inner.map("sqrt({})".format),
+        inner.map("abs({})".format),
+    ), max_leaves=10)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=500)
+@given(st.lists(st.sampled_from(TOKENS) | st.characters(), max_size=12).map("".join), STACKS)
+def test_any_text_compiles_or_is_an_expression_error(text, stack):
+    try:
+        compile_weight_expression(text, 2).rows(stack)
+    except ExpressionError:
+        pass
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(_scalar_texts(), STACKS)
+def test_rows_equals_the_per_point_evaluation(text, stack):
+    """rows gives each point's own value bit for bit.  A stack holding a
+    failing point raises the error of the first failing node in evaluation
+    order, which is the error of a failing point; when every failing point
+    fails alike, it is the first failing point's error."""
+    f = compile_weight_expression(text, 2)
+    values, errors = [], []
+    for p in stack:
+        try:
+            values.append(f(p))
+        except ExpressionError as exc:
+            errors.append(str(exc))
+    if not errors:
+        assert f.rows(stack).tobytes() == np.array(values).tobytes()
+        return
+    with pytest.raises(ExpressionError) as raised:
+        f.rows(stack)
+    assert str(raised.value) in errors
