@@ -42,9 +42,9 @@ builds the shared points of every queued chain hop.
 
 The checker is generation-agnostic: it re-validates every set numerically
 in one vectorized pass, then accepts the claim when the integer
-accumulation of the multipliers equals e_x - e_y exactly.  Certificates
-without multipliers (version 1) are tested by a least-squares row-space
-residual instead.
+accumulation of the multipliers equals e_x - e_y exactly.  That is its
+only claim test: a document without multipliers, or of a version other
+than CERT_VERSION, is malformed.
 """
 from __future__ import annotations
 
@@ -71,8 +71,6 @@ from .weights import CircuitRouter, eta, lambda_shell, mu, mu_inverse, nu
 
 CERT_VERSION = 2
 MAX_CERT_SETS = 5000
-# Row-space residual below which the dense checker accepts the claim.
-EPS_RANK = 1e-8
 INT64_MAX = int(np.iinfo(np.int64).max)
 # Band-edge slack used when matching a norm against the step schedule.
 BAND_EDGE_SLACK = 5e-10
@@ -157,9 +155,9 @@ def constant_lemma_relation(z, rho0: float, n: int,
 class Certificate:
     """Point table, maximal-set index tuples, claim pair, generator metadata.
 
-    `multipliers`, when present, holds one integer per set whose combination
-    of the set equations is the claim; None sends the checker to its
-    least-squares path.
+    `multipliers` holds one integer per set whose combination of the set
+    equations is the claim; the checker reports any other length as
+    MalformedCertificate.
     """
 
     n: int
@@ -167,8 +165,7 @@ class Certificate:
     sets: list
     claim: tuple
     generator_params: dict = field(default_factory=dict)
-    version: int = CERT_VERSION
-    multipliers: list[int] | None = None
+    multipliers: list[int] = field(default_factory=list)
 
 
 def _is_int(value) -> bool:
@@ -231,27 +228,26 @@ def _rows_json(rows, conversion: str) -> _Json:
 def certificate_to_json(cert: Certificate, tol: Tolerance = DEFAULT_TOL) -> str:
     """The certificate as JSON text; the point table, sets and multipliers are
     formatted row by row, byte-identical to _dumps of the plain document."""
-    doc = {
-        "version": cert.version,
+    return _dumps({
+        "version": CERT_VERSION,
         "n": cert.n,
-        "tolerance": {"eps_eq": tol.eps_eq, "eps_rank": EPS_RANK, "grid_step": GRID_STEP},
+        "tolerance": {"eps_eq": tol.eps_eq, "grid_step": GRID_STEP},
         "points": _rows_json(np.asarray(cert.points, dtype=float).tolist(), "%.17g"),
         "sets": _rows_json(cert.sets, "%d"),
         "claim": [int(cert.claim[0]), int(cert.claim[1])],
         "generator_params": cert.generator_params,
-    }
-    if cert.multipliers is not None:
-        doc["multipliers"] = _Json("[" + ", ".join([str(int(m)) for m in cert.multipliers]) + "]")
-    return _dumps(doc)
+        "multipliers": _Json("[" + ", ".join([str(int(m)) for m in cert.multipliers]) + "]"),
+    })
 
 
 def certificate_from_json(text: str) -> Certificate:
     """Parse a certificate document.
 
     Raises MalformedCertificate unless the document is a JSON object with
-    integer `n` (and `version`, if present), a numeric `points` table of n
-    columns, a list of integer-id lists as `sets` and two integer ids as
-    `claim`.  Ids must be JSON integers: 0.9, "2" and true are rejected.
+    integer `n`, `version` CERT_VERSION if present, a numeric `points` table
+    of n columns, a list of integer-id lists as `sets`, two integer ids as
+    `claim` and one integer per set as `multipliers`.  Ids must be JSON
+    integers: 0.9, "2" and true are rejected.
     Whether the ids are in range and the sets have size n+1 is left to the
     checker, which reports the first bad set.
     """
@@ -261,12 +257,14 @@ def certificate_from_json(text: str) -> Certificate:
         raise MalformedCertificate(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedCertificate("a certificate must be a JSON object")
-    for key in ("n", "points", "sets", "claim"):
+    for key in ("n", "points", "sets", "claim", "multipliers"):
         if key not in doc:
             raise MalformedCertificate(f"missing field {key!r}")
-    n, version, claim = doc["n"], doc.get("version", 1), doc["claim"]
-    if not (_is_int(n) and _is_int(version)):
-        raise MalformedCertificate("n and version must be integers")
+    n, version, claim = doc["n"], doc.get("version", CERT_VERSION), doc["claim"]
+    if not _is_int(n):
+        raise MalformedCertificate("n must be an integer")
+    if not (_is_int(version) and version == CERT_VERSION):
+        raise MalformedCertificate("unsupported certificate version")
     if not (isinstance(claim, list) and len(claim) == 2 and all(map(_is_int, claim))):
         raise MalformedCertificate("claim must be a list of two point ids")
     sets = doc["sets"]
@@ -284,17 +282,13 @@ def certificate_from_json(text: str) -> Certificate:
     if points.shape[1] != n:
         raise MalformedCertificate(f"points must have n = {n} coordinates each, "
                                    f"got {points.shape[1]}")
-    multipliers = doc.get("multipliers")
-    if multipliers is not None:
-        multipliers = _checked_multipliers(multipliers, len(sets), n)
     return Certificate(
         n=n,
         points=points,
         sets=sets,
         claim=(claim[0], claim[1]),
         generator_params=doc.get("generator_params", {}),
-        version=version,
-        multipliers=multipliers,
+        multipliers=_checked_multipliers(doc["multipliers"], len(sets), n),
     )
 
 
@@ -336,27 +330,17 @@ def _set_table(sets, width: int, count: int) -> np.ndarray | int:
     return int(bad[0]) if bad.size else ids
 
 
-def _sum_rows(ids: np.ndarray, count: int) -> np.ndarray:
-    """Dense sum-equation rows of an (S, n+1) id table over `count` points: a
-    1 per point of each set in its column, -1 in the last (W) column."""
-    rows = np.zeros((len(ids), count + 1))
-    np.add.at(rows, (np.arange(len(ids))[:, None], ids), 1.0)
-    rows[:, count] = -1.0
-    return rows
-
-
 def check_certificate(cert: Certificate, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """Independently verify a certificate; never consults how it was generated.
 
     Re-checks every set (pairwise distances 1, norms <= 1, size n+1) in one
-    vectorized pass and reports the first failing set as SetInvalid.  With
-    multipliers, accepts iff their int64 accumulation over the sum equations
-    equals e_x - e_y exactly (residual 0.0; otherwise the residual is the
-    norm of the integer difference).  Without them, accepts iff e_x - e_y
-    lies in the row space of the sum equations, via the least-squares
-    residual of the transposed system.  Past the shape checks, `detail`
-    carries the worst distance error and norm excess: of the failing set on
-    SetInvalid, over all sets otherwise.
+    vectorized pass and reports the first failing set as SetInvalid.
+    Accepts iff the int64 accumulation of the multipliers over the sum
+    equations equals e_x - e_y exactly (residual 0.0; otherwise the residual
+    is the norm of the integer difference).  Multipliers that are missing,
+    of the wrong length or not integers are MalformedCertificate.  Past the
+    shape checks, `detail` carries the worst distance error and norm excess:
+    of the failing set on SetInvalid, over all sets otherwise.
     """
     n = cert.n
     pts = np.asarray(cert.points, dtype=float)
@@ -378,12 +362,10 @@ def check_certificate(cert: Certificate, tol: Tolerance = DEFAULT_TOL) -> CheckR
     if isinstance(ids, int):
         return report("MalformedCertificate", None,
                       reason=f"set {ids} is not an (n+1)-tuple of valid ids")
-    multipliers = cert.multipliers
-    if multipliers is not None:
-        try:
-            multipliers = _checked_multipliers(multipliers, set_count, n)
-        except MalformedCertificate as exc:
-            return report("MalformedCertificate", None, reason=str(exc))
+    try:
+        multipliers = _checked_multipliers(cert.multipliers, set_count, n)
+    except MalformedCertificate as exc:
+        return report("MalformedCertificate", None, reason=str(exc))
     dist_err, top, checks = check_sets(pts[ids], True, tol)
     norm_excess = top - 1.0
     failed = first_failure(checks)
@@ -396,24 +378,15 @@ def check_certificate(cert: Certificate, tol: Tolerance = DEFAULT_TOL) -> CheckR
                "worst_norm_excess": float(norm_excess.max(initial=0.0))}
     if int(claim[0]) == int(claim[1]):
         return report(None, 0.0, **margins)
-    if set_count == 0:
-        return report("ClaimNotImplied", math.sqrt(2.0), **margins)
-    target = np.zeros(count + 1, dtype=np.int64)
-    target[int(claim[0])] = 1
-    target[int(claim[1])] = -1
-    if multipliers is not None:
-        lam = np.array(multipliers, dtype=np.int64)
-        combined = np.zeros(count + 1, dtype=np.int64)
-        np.add.at(combined, ids.ravel(), np.repeat(lam, n + 1))
-        combined[count] = -lam.sum()
-        miss = combined - target
-        if not miss.any():
-            return report(None, 0.0, **margins)
-        return report("ClaimNotImplied", float(np.linalg.norm(miss)), **margins)
-    rows = _sum_rows(ids, count)
-    solution, *_ = np.linalg.lstsq(rows.T, target, rcond=None)
-    residual = float(np.linalg.norm(rows.T @ solution - target))
-    return report(None if residual < EPS_RANK else "ClaimNotImplied", residual, **margins)
+    lam = np.array(multipliers, dtype=np.int64)
+    miss = np.zeros(count + 1, dtype=np.int64)
+    np.add.at(miss, ids.ravel(), np.repeat(lam, n + 1))
+    miss[count] = -lam.sum()
+    miss[int(claim[0])] -= 1
+    miss[int(claim[1])] += 1
+    if not miss.any():
+        return report(None, 0.0, **margins)
+    return report("ClaimNotImplied", float(np.linalg.norm(miss)), **margins)
 
 
 # ---------------------------------------------------------------------------
@@ -440,14 +413,13 @@ class _Fragment:
 
     `points` is read-only and `keys` holds each row's dedup key; `sets` are
     (local point ids, stage tag) in registration order; `terms` are the
-    relation's (local set, coefficient) pairs, or None when its combination
-    referred to a point still being resolved.
+    relation's (local set, coefficient) pairs.
     """
 
     points: np.ndarray
     keys: tuple[bytes, ...]
     sets: tuple[tuple[tuple[int, ...], str], ...]
-    terms: tuple[tuple[int, int], ...] | None
+    terms: tuple[tuple[int, int], ...]
 
 
 class _Builder:
@@ -590,7 +562,6 @@ class _Generator:
         # coefficient).  A node is made after every node it refers to, so the
         # list is in topological order.
         self.nodes: list[tuple[list, list]] = []
-        self.exact = True
 
     def _build_schedule(self) -> list[float]:
         rho = mu_inverse(self.n, self.lam - self.epsilon, self.tol)
@@ -667,8 +638,6 @@ class _Generator:
     # (n+1)*e_anchor - e_W.
 
     def _node(self, sets: list, nodes: list) -> int:
-        if any(node is None for node, _ in nodes):
-            self.exact = False  # refers to a point still being resolved
         self.nodes.append((sets, nodes))
         return len(self.nodes) - 1
 
@@ -708,6 +677,8 @@ class _Generator:
             got, node = self.resolve(p)
             if got != cls:
                 raise GenerationFailure(stage, f"a set member did not resolve {cls}")
+            if node is None:
+                raise GenerationFailure(stage, "a set member is still being resolved")
             subs.append((node, -1))
         return self._node([(own, 1)], subs)
 
@@ -742,9 +713,6 @@ class _Generator:
         if isinstance(frag, GenerationFailure):
             raise GenerationFailure(frag.stage, frag.message)
         where = self.builder.add_fragment(frag)
-        if frag.terms is None:
-            self.exact = False
-            return self._node([], [])
         return self._node([(where[i], coef) for i, coef in frag.terms], [])
 
     def _multipliers(self, root: int) -> list[int]:
@@ -770,8 +738,7 @@ class _Generator:
         params = {"epsilon": self.epsilon, "shell_rho_schedule": list(self.schedule)}
         if id_x == id_y:
             return Certificate(n=self.n, points=np.array([self.builder.points[id_x]]),
-                               sets=[], claim=(id_x, id_x), generator_params=params,
-                               multipliers=[])
+                               sets=[], claim=(id_x, id_x), generator_params=params)
         try:
             cls_x, node_x = self.resolve(x)
             cls_y, node_y = self.resolve(y)
@@ -788,7 +755,7 @@ class _Generator:
             sets=list(self.builder.sets),
             claim=(id_x, id_y),
             generator_params=params,
-            multipliers=self._multipliers(claim) if self.exact else None,
+            multipliers=self._multipliers(claim),
         )
 
 
@@ -808,9 +775,7 @@ def _closing_fragment(n: int, tol: Tolerance) -> _Fragment | GenerationFailure:
     b = gen.builder
     points = np.array(b.points)
     points.flags.writeable = False
-    terms = None
-    if gen.exact:
-        terms = tuple((i, m) for i, m in enumerate(gen._multipliers(root)) if m)
+    terms = tuple((i, m) for i, m in enumerate(gen._multipliers(root)) if m)
     # b.index gives point ids in insertion order, so its keys are in id order.
     return _Fragment(points=points, keys=tuple(b.index),
                      sets=tuple(zip(b.sets, b.stages)), terms=terms)

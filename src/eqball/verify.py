@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certify import Certificate, _sum_rows, check_certificate, generate_equality_certificate
+from .certify import Certificate, check_certificate, generate_equality_certificate
 from .enlarge import center_norm_bound, enlarge_to_maximal
 from .gamma import gamma, gamma1_link, gamma_bruteforce
 from .geometry import Frame, orthonormalize
@@ -256,6 +256,15 @@ def suite_eta_mu_nu(max_n: int, caps: int, seed: int) -> SuiteResult:
                        measures={"fixed_point": worst_fp, "cap": worst_cap})
 
 
+def _sum_rows(ids: np.ndarray, count: int) -> np.ndarray:
+    """Dense sum-equation rows of an (S, n+1) id table over `count` points: a
+    1 per point of each set in its column, -1 in the last (W) column."""
+    rows = np.zeros((len(ids), count + 1))
+    np.add.at(rows, (np.arange(len(ids))[:, None], ids), 1.0)
+    rows[:, count] = -1.0
+    return rows
+
+
 def _feasible_assignments(cert: Certificate, count: int, rng) -> np.ndarray:
     """`count` random weights (columns over the points and the constant)
     that satisfy every sum equation of the certificate."""
@@ -326,21 +335,23 @@ def suite_falsifier(samples: int, frames_per_n: int, seed: int) -> SuiteResult:
 def suite_negative_controls(seed: int) -> SuiteResult:
     """The checker rejects a generated certificate with one coordinate moved
     by 1e-3, and a claim on two points of one set: a gamma-1 link set and the
-    certificate's first set."""
+    certificate's first set, each with its own equation as the combination
+    (no multiplier proves such a claim: its W entry must be 0)."""
     rng = np.random.default_rng(seed)
     x, y = _ball_point(rng, 3), _ball_point(rng, 3)
     cert = generate_equality_certificate(x, y, 3)
     points = cert.points.copy()
     points[cert.sets[0][0]][0] += 1e-3
     tampered = check_certificate(Certificate(n=3, points=points, sets=cert.sets, claim=cert.claim,
-                                             generator_params=cert.generator_params))
+                                             generator_params=cert.generator_params,
+                                             multipliers=cert.multipliers))
     a4 = alpha(4)
     link, _ = gamma1_link(np.array([0.0, 0.0, -a4]), np.array([0.0, 0.0, a4]))
     single_link = check_certificate(Certificate(n=3, points=link.points, sets=[(0, 1, 2, 3)],
-                                                claim=(0, 1)))
+                                                claim=(0, 1), multipliers=[1]))
     first = cert.sets[0]
     single_set = check_certificate(Certificate(n=3, points=cert.points, sets=[first],
-                                               claim=(first[0], first[1])))
+                                               claim=(first[0], first[1]), multipliers=[1]))
     failures = {"tampered": tampered.failure, "single_link": single_link.failure,
                 "single_set": single_set.failure}
     passed = failures == {"tampered": "SetInvalid", "single_link": "ClaimNotImplied",

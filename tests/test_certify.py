@@ -7,8 +7,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eqball import certify
+from eqball import certify, verify
 from eqball.certify import (
     OUTER,
     Certificate,
@@ -161,10 +163,11 @@ def test_checker_accepts_gamma1_pair():
     b = np.array([0.02, a3])
     set_a, set_b = gamma1_link(a, b)
     points = np.vstack([a, b, set_a.points[1:]])
-    cert = Certificate(n=2, points=points, sets=[(0, 2, 3), (1, 2, 3)], claim=(0, 1))
+    cert = Certificate(n=2, points=points, sets=[(0, 2, 3), (1, 2, 3)], claim=(0, 1),
+                       multipliers=[1, -1])
     report = check_certificate(cert)
     assert report.accepted
-    assert report.residual < 1e-12
+    assert report.residual == 0.0
 
 
 def test_checker_rejects_perturbed_point():
@@ -172,7 +175,8 @@ def test_checker_rejects_perturbed_point():
     set_a, set_b = gamma1_link(np.array([0.02, -a3]), np.array([0.02, a3]))
     points = np.vstack([set_a.points[0], set_b.points[0], set_a.points[1:]])
     points[2, 0] += 1e-3
-    cert = Certificate(n=2, points=points, sets=[(0, 2, 3), (1, 2, 3)], claim=(0, 1))
+    cert = Certificate(n=2, points=points, sets=[(0, 2, 3), (1, 2, 3)], claim=(0, 1),
+                       multipliers=[1, -1])
     report = check_certificate(cert)
     assert not report.accepted
     assert report.failure == "SetInvalid"
@@ -182,7 +186,8 @@ def test_checker_rejects_perturbed_point():
 def test_checker_rejects_non_shared_claim():
     a3 = alpha(3)
     set_a, _ = gamma1_link(np.array([0.02, -a3]), np.array([0.02, a3]))
-    cert = Certificate(n=2, points=set_a.points, sets=[(0, 1, 2)], claim=(0, 1))
+    cert = Certificate(n=2, points=set_a.points, sets=[(0, 1, 2)], claim=(0, 1),
+                       multipliers=[1])
     report = check_certificate(cert)
     assert not report.accepted
     assert report.failure == "ClaimNotImplied"
@@ -190,7 +195,8 @@ def test_checker_rejects_non_shared_claim():
 
 
 def test_checker_malformed():
-    cert = Certificate(n=2, points=np.zeros((2, 2)), sets=[(0, 1)], claim=(0, 1))
+    cert = Certificate(n=2, points=np.zeros((2, 2)), sets=[(0, 1)], claim=(0, 1),
+                       multipliers=[1])
     report = check_certificate(cert)
     assert report.failure == "MalformedCertificate"
 
@@ -207,13 +213,13 @@ def test_checker_is_permutation_invariant():
     relabel = rng.permutation(cert.points.shape[0])  # old id -> new id
     new_points = np.empty_like(cert.points)
     new_points[relabel] = cert.points
-    shuffled_sets = [tuple(int(relabel[i]) for i in s) for s in cert.sets]
-    rng.shuffle(shuffled_sets)
+    order = rng.permutation(len(cert.sets))  # the sets, with their multipliers
     shuffled = Certificate(
         n=2,
         points=new_points,
-        sets=shuffled_sets,
+        sets=[tuple(int(relabel[i]) for i in cert.sets[j]) for j in order],
         claim=(int(relabel[cert.claim[0]]), int(relabel[cert.claim[1]])),
+        multipliers=[cert.multipliers[j] for j in order],
     )
     assert check_certificate(shuffled).accepted
 
@@ -325,27 +331,21 @@ def test_json_round_trip_is_exact():
 
 def _plain_document(cert):
     """The certificate document as nested lists, for the recursive _dumps."""
-    doc = {
-        "version": cert.version,
+    return {
+        "version": 2,
         "n": cert.n,
-        "tolerance": {"eps_eq": DEFAULT_TOL.eps_eq, "eps_rank": 1e-8, "grid_step": 1e-4},
+        "tolerance": {"eps_eq": DEFAULT_TOL.eps_eq, "grid_step": 1e-4},
         "points": [[float(c) for c in p] for p in cert.points],
         "sets": [list(map(int, s)) for s in cert.sets],
         "claim": [int(cert.claim[0]), int(cert.claim[1])],
         "generator_params": cert.generator_params,
+        "multipliers": [int(m) for m in cert.multipliers],
     }
-    if cert.multipliers is not None:
-        doc["multipliers"] = [int(m) for m in cert.multipliers]
-    return doc
 
 
 def test_json_writer_matches_the_recursive_dump():
     cert = generate_equality_certificate(np.zeros(3), np.array([0.95, -0.0, 0.0]), 3)
-    assert cert.multipliers is not None
     assert certificate_to_json(cert) == _dumps(_plain_document(cert))
-    bare = dataclasses.replace(cert, multipliers=None, version=1)
-    assert certificate_to_json(bare) == _dumps(_plain_document(bare))
-    assert "multipliers" not in certificate_to_json(bare)
 
 
 def test_json_has_full_precision():
@@ -353,6 +353,38 @@ def test_json_has_full_precision():
     cert = Certificate(n=2, points=np.array([[value, -value]]), sets=[], claim=(0, 0))
     text = certificate_to_json(cert)
     assert "0.33333333333333331" in text
+
+
+# One small generated document; the property test replaces its fields.
+_BASE_DOC = json.loads(certificate_to_json(
+    generate_equality_certificate(np.array([0.9, 0.0]), np.array([0.0, 0.9]), 2)))
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                               max_size=3),
+    max_leaves=12)
+# Values of the right shape more often than _JSON gives them: id tables with
+# ids in and out of range, coordinate tables, claims.
+_FIELD_VALUES = (_JSON
+                 | st.lists(st.lists(st.integers(-2, 60), max_size=4), max_size=4)
+                 | st.lists(st.lists(st.floats(), min_size=2, max_size=2), max_size=4)
+                 | st.lists(st.integers(-2, 60), min_size=2, max_size=2))
+_DOCUMENTS = (st.dictionaries(st.sampled_from(sorted(_BASE_DOC)), _FIELD_VALUES)
+              | st.builds(lambda key, value: dict(_BASE_DOC, **{key: value}),
+                          st.sampled_from(sorted(_BASE_DOC)), _FIELD_VALUES))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(_DOCUMENTS)
+def test_any_document_parses_or_is_malformed_and_checks(doc):
+    """The parser raises nothing but MalformedCertificate, and the checker
+    reports on whatever the parser returns."""
+    try:
+        cert = certificate_from_json(json.dumps(doc))
+    except MalformedCertificate:
+        return
+    report = check_certificate(cert)
+    assert report.accepted == (report.failure is None)
 
 
 # -- integer multipliers -------------------------------------------------------
@@ -450,12 +482,10 @@ def test_checker_accepts_numpy_integer_ids():
 
 
 def test_checker_accepts_sets_as_one_integer_array():
-    # An (S, n+1) numpy id table, on the multiplier and least-squares paths.
+    # An (S, n+1) numpy id table.
     cert = _mixed_certificate()
-    table = np.array(cert.sets)
-    for multipliers in (cert.multipliers, None):
-        report = check_certificate(dataclasses.replace(cert, sets=table, multipliers=multipliers))
-        assert report.accepted and report.set_count == len(cert.sets)
+    report = check_certificate(dataclasses.replace(cert, sets=np.array(cert.sets)))
+    assert report.accepted and report.set_count == len(cert.sets)
 
 
 @pytest.mark.parametrize("row", [None, [True, False, False], [0.5, None, 0.0]],
@@ -479,7 +509,7 @@ def test_sum_rows_match_the_per_set_loop():
         for i in s:
             rows[r, i] += 1.0
         rows[r, 6] = -1.0
-    assert np.array_equal(certify._sum_rows(ids, 6), rows)
+    assert np.array_equal(verify._sum_rows(ids, 6), rows)
 
 
 def test_tampered_point_is_set_invalid_before_the_algebra():
@@ -493,16 +523,23 @@ def test_tampered_point_is_set_invalid_before_the_algebra():
     assert report.detail["worst_distance_error"] > 1e-4
 
 
-def test_certificate_without_multipliers_takes_the_least_squares_path():
+def test_certificate_without_multipliers_is_malformed():
+    """The integer combination is the only claim test: a document without
+    multipliers, or of another version, has nothing the checker accepts."""
     cert = _mixed_certificate()
     report = check_certificate(dataclasses.replace(cert, multipliers=None))
-    assert report.accepted and report.residual < 1e-8
+    assert not report.accepted and report.failure == "MalformedCertificate"
     doc = json.loads(certificate_to_json(cert))
     del doc["multipliers"]
-    doc["version"] = 1
-    back = certificate_from_json(json.dumps(doc))
-    assert back.multipliers is None and back.version == 1
-    assert check_certificate(back).accepted
+    with pytest.raises(MalformedCertificate, match="^missing field 'multipliers'$"):
+        certificate_from_json(json.dumps(doc))
+    doc = json.loads(certificate_to_json(cert))
+    for version in (1, 99, 2.0, True):
+        doc["version"] = version
+        with pytest.raises(MalformedCertificate, match="^unsupported certificate version$"):
+            certificate_from_json(json.dumps(doc))
+    del doc["version"]
+    assert check_certificate(certificate_from_json(json.dumps(doc))).accepted
 
 
 def test_closing_fragment_is_shared_and_leaves_certificates_unchanged():
@@ -527,14 +564,17 @@ def test_closing_fragment_is_shared_and_leaves_certificates_unchanged():
     assert _closing_fragment.cache_info().misses == 1
 
 
-def test_unfinished_resolution_omits_multipliers():
-    """A relation that refers to a point whose resolution is still open has
-    no integer combination yet; the certificate then carries none."""
+def test_unfinished_resolution_is_a_generation_failure():
+    """A set member whose resolution is still open has no integer combination
+    yet, so the set's relation cannot be built."""
     gen = _Generator(2, DEFAULT_TOL)
-    x, y = np.array([0.9, 0.0]), np.array([0.0, 0.9])
-    gen.memo[_point_key(y)] = OUTER, None  # as resolve() marks a point it has entered
-    assert gen.run(x, y).multipliers is None
-    assert _Generator(2, DEFAULT_TOL).run(x, y).multipliers is not None
+    x, y = np.zeros(2), np.array([0.0, 0.9])
+    _, companions = constant_lemma_relation(x, gen.beta_next, 2)
+    gen.memo[_point_key(companions[0])] = OUTER, None  # as resolve() marks a point it has entered
+    with pytest.raises(GenerationFailure, match="a set member is still being resolved") as err:
+        gen.run(x, y)
+    assert err.value.stage == "inner-lemma"
+    assert len(_Generator(2, DEFAULT_TOL).run(x, y).multipliers) > 0
 
 
 def test_n5_slow_window_pair_is_fast():

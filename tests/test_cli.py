@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from eqball.certify import certificate_from_json
 from eqball.cli import main
 
 
@@ -136,7 +137,12 @@ def test_check_tampered_exit4(tmp_path, capsys):
 
 
 VALID_DOC = {"version": 2, "n": 2, "points": [[0.5, 0.0], [-0.5, 0.0], [0.0, 0.8]],
-             "sets": [[0, 1, 2]], "claim": [0, 1]}
+             "sets": [[0, 1, 2]], "claim": [0, 1], "multipliers": [0]}
+
+
+def test_valid_doc_parses():
+    # The control: each malformed case below breaks VALID_DOC in one field.
+    assert certificate_from_json(json.dumps(VALID_DOC)).multipliers == [0]
 
 
 @pytest.mark.parametrize("text", [
@@ -153,9 +159,13 @@ VALID_DOC = {"version": 2, "n": 2, "points": [[0.5, 0.0], [-0.5, 0.0], [0.0, 0.8
     json.dumps(dict(VALID_DOC, sets=[[True, 1, 2]])),
     json.dumps(dict(VALID_DOC, points=[["0.5", "0.0"], [-0.5, 0.0], [0.0, 0.8]])),
     json.dumps(dict(VALID_DOC, points=VALID_DOC["points"] + [[True, False]])),
+    json.dumps({k: v for k, v in VALID_DOC.items() if k != "multipliers"}),
+    json.dumps(dict(VALID_DOC, version=1)),
+    json.dumps(dict(VALID_DOC, version=99)),
 ], ids=["sets-not-list", "ragged-points", "n-string", "short-claim", "n-1e400",
         "top-level-number", "version-string", "set-not-list", "set-id-float",
-        "set-id-string", "set-id-bool", "point-strings", "point-bools"])
+        "set-id-string", "set-id-bool", "point-strings", "point-bools",
+        "no-multipliers", "version-1", "version-99"])
 def test_check_malformed_document_exit2(tmp_path, capsys, text):
     doc_file = tmp_path / "bad.json"
     doc_file.write_text(text)
@@ -324,7 +334,7 @@ def test_unwritable_out_path_exit2(tmp_path, capsys, command):
 @pytest.mark.parametrize("text", [
     json.dumps(dict(VALID_DOC, sets=[[0, 1, 3]])),                    # set id past the table
     json.dumps(VALID_DOC).replace("0.8", "1e400"),                    # coordinate overflows to inf
-    json.dumps({"n": 0, "points": [[]], "sets": [], "claim": [0, 0]}),
+    json.dumps({"n": 0, "points": [[]], "sets": [], "claim": [0, 0], "multipliers": []}),
 ], ids=["set-id-past-table", "coordinate-1e400", "n-0"])
 def test_check_reported_malformed_document_exit2(tmp_path, capsys, text):
     """Documents that parse but that check_certificate reports as malformed
@@ -348,7 +358,8 @@ def test_check_non_utf8_file_exit2(tmp_path, capsys):
 
 def test_check_point_width_not_n_exit2(tmp_path, capsys):
     doc_file = tmp_path / "cert.json"
-    doc_file.write_text(json.dumps({"n": 10**26, "points": [[]], "sets": [], "claim": [0, 0]}))
+    doc_file.write_text(json.dumps({"n": 10**26, "points": [[]], "sets": [], "claim": [0, 0],
+                                     "multipliers": []}))
     code, out, err = run_cli(capsys, "check", "--input", str(doc_file))
     assert code == 2
     assert out == ""
