@@ -243,17 +243,14 @@ def cap_extension(x, rho: float, tol: Tolerance = DEFAULT_TOL) -> EquilateralSet
     return EquilateralSet(pts)
 
 
-def random_rotations(n: int, rngs) -> np.ndarray:
-    """Haar-uniform rotation matrices, one per generator, as a (k, n, n) stack.
+def random_rotations(n: int, count: int, rng) -> np.ndarray:
+    """Haar-uniform rotation matrices as a (count, n, n) stack.
 
-    Each generator draws its own Gaussian (n, n) matrix into its slot of
-    the stack; one stacked QR orthogonalizes them all, the column signs
-    follow diag(r) and a negative determinant flips the first column.
+    One Gaussian draw of shape (count, n, n) fills the stack; one stacked QR
+    orthogonalizes it, the column signs follow diag(r) and a negative
+    determinant flips the first column.
     """
-    g = np.empty((len(rngs), n, n))
-    for rng, slot in zip(rngs, g):
-        rng.standard_normal(out=slot)
-    q, r = np.linalg.qr(g)
+    q, r = np.linalg.qr(rng.standard_normal((count, n, n)))
     d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     d[d == 0] = 1.0
     q = q * d[:, None, :]
@@ -261,52 +258,56 @@ def random_rotations(n: int, rngs) -> np.ndarray:
     return q
 
 
-def sample_maximal_sets(n: int, seeds, translation_radius: float | None = None) -> np.ndarray:
-    """Seeded random maximal standard equilateral sets inside the unit ball.
+def sample_maximal_sets(n: int, count: int, rng,
+                        translation_radius: float | None = None) -> np.ndarray:
+    """Random maximal standard equilateral sets inside the unit ball, drawn
+    from the generator `rng`, as a (count, n+1, n) stack.
 
-    Returns a (k, n+1, n) stack, one set per seed.  Each set is a random
-    rotation of the canonical simplex translated by a point drawn uniformly
-    from the ball of radius beta(n+1) (or `translation_radius`),
-    rejection-resampled until every vertex lies in the ball.  Rejection runs
-    in rounds: each round draws the next translation of every still-rejected
-    set from that set's own generator and tests the whole round in one array
-    pass, so each set is the one its seed alone would give.
+    Each set is a random rotation of the canonical simplex translated by a
+    point drawn uniformly from the ball of radius beta(n+1) (or
+    `translation_radius`), rejection-resampled until every vertex lies in
+    the ball.  Rejection runs in rounds of about `count` proposals, split
+    evenly over the sets still pending; each takes its first in-ball
+    proposal, so it keeps the law of one-at-a-time resampling.  With
+    count == 1 every round is one proposal, drawn as the one-set loop drew
+    it: the direction, then the radial draw.
     """
     if n < 1:
         raise InputError(f"sample_maximal_sets requires n >= 1, got {n}")
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    base = _simplex_vertices(n) @ random_rotations(n, rngs).transpose(0, 2, 1)
+    base = _simplex_vertices(n) @ random_rotations(n, count, rng).transpose(0, 2, 1)
     radius = beta(n + 1) if translation_radius is None else float(translation_radius)
     power = 1.0 / n
     out = np.empty_like(base)
-    todo = np.arange(len(rngs))
+    todo = np.arange(count)
     for _ in range(MAX_SAMPLE_ATTEMPTS):
-        shift = np.zeros((todo.size, n))
-        if radius != 0.0:
-            scale = np.empty(todo.size)
-            # Per generator: the direction into its row, then the radial
-            # draw.  random() is uniform() on [0, 1), bit for bit, at a third
-            # of the call cost.  Each step rounds as the one-set loop did: the
-            # norm is the sqrt of one row's dot (np.linalg.norm of a vector),
-            # the power is the scalar pow of a Python float (array kernels may
-            # round it differently), and the product is grouped (d * radius) * s.
-            for j, i in enumerate(todo.tolist()):
-                rng = rngs[i]
-                rng.standard_normal(out=shift[j])
-                scale[j] = rng.random() ** power
-            shift /= np.sqrt(row_dot(shift, shift))[:, None]
-            shift = (shift * radius) * scale[:, None]
-        pts = base[todo] + shift[:, None, :]
-        inside = np.linalg.norm(pts, axis=-1).max(axis=-1) <= 1.0
-        out[todo[inside]] = pts[inside]
-        todo = todo[~inside]
         if todo.size == 0:
-            return out
-    raise ConstructionError(f"no in-ball sample after {MAX_SAMPLE_ATTEMPTS} attempts")
+            break
+        if radius == 0.0:
+            shift = np.zeros((todo.size, 1, n))
+        else:
+            shift = rng.standard_normal((todo.size, count // todo.size, n))
+            # random() is uniform() on [0, 1), bit for bit.  Each step rounds
+            # as the one-set loop did: the norm is the sqrt of one row's dot
+            # (np.linalg.norm of a vector), the power is the scalar pow of a
+            # Python float (array kernels may round it differently), and the
+            # product is grouped (d * radius) * s.
+            draws = rng.random(shift.shape[:2])
+            scale = np.array([u ** power for u in draws.ravel().tolist()]).reshape(draws.shape)
+            shift /= np.sqrt(row_dot(shift, shift))[..., None]
+            shift = (shift * radius) * scale[..., None]
+        pts = base[todo, None] + shift[:, :, None, :]
+        inside = np.linalg.norm(pts, axis=-1).max(axis=-1) <= 1.0
+        hit = inside.any(axis=1)
+        out[todo[hit]] = pts[hit, inside[hit].argmax(axis=1)]
+        todo = todo[~hit]
+    if todo.size:
+        raise ConstructionError(f"no in-ball sample after {MAX_SAMPLE_ATTEMPTS} attempts")
+    return out
 
 
 def sample_maximal_set(n: int, seed: int,
                        translation_radius: float | None = None) -> EquilateralSet:
     """Seeded random maximal standard equilateral set inside the unit ball;
-    the one-seed case of sample_maximal_sets."""
-    return EquilateralSet(sample_maximal_sets(n, [seed], translation_radius)[0])
+    sample_maximal_sets of one set from default_rng(seed)."""
+    return EquilateralSet(
+        sample_maximal_sets(n, 1, np.random.default_rng(seed), translation_radius)[0])

@@ -105,9 +105,8 @@ def suite_enlargement(n_values, per_n: int, seed: int) -> SuiteResult:
     worst_dist = worst_norm = 0.0
     successes = 0
     for n in n_values:
-        draws = [(int(rng.integers(2**63 - 1)), int(rng.integers(1, n + 1)))
-                 for _ in range(per_n)]
-        for base, (_, k) in zip(sample_maximal_sets(n, [seed for seed, _ in draws]), draws):
+        ks = rng.integers(1, n + 1, size=per_n).tolist()
+        for base, k in zip(sample_maximal_sets(n, per_n, rng), ks):
             out, _ = enlarge_to_maximal(EquilateralSet(base[:k].copy()))
             successes += int(out.k == n + 1)
             worst_dist = max(worst_dist, out.pairwise_distance_error())
@@ -127,9 +126,8 @@ def suite_center_bounds(n_values, per_n: int, seed: int) -> SuiteResult:
     worst = -1.0  # every bound is at most 1, so norm minus bound is at least -1
     violations = 0
     for n in n_values:
-        draws = [(int(rng.integers(2**63 - 1)), int(rng.integers(2, n + 1)))
-                 for _ in range(per_n)]
-        for pts, (_, k) in zip(sample_maximal_sets(n, [seed for seed, _ in draws]), draws):
+        ks = rng.integers(2, n + 1, size=per_n).tolist()
+        for pts, k in zip(sample_maximal_sets(n, per_n, rng), ks):
             for t in (EquilateralSet(pts), EquilateralSet(pts[:k].copy())):
                 norm_c, bound = center_norm_bound(t)
                 worst = max(worst, norm_c - bound)

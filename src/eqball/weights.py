@@ -41,6 +41,9 @@ from .simplex import (
 )
 
 DISPROOF_SPREAD = 1e-6
+# Most coordinates one falsify call samples, samples * (n+1) * n: 64 MiB of
+# floats per stack, and the sampler holds a few such stacks at once.
+MAX_FALSIFY_CELLS = 2**23
 
 
 def eta(n: int, rho: float, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -380,18 +383,18 @@ class FalsifyReport:
     threshold: float
 
 
-def sphere_basis_sets(n: int, seeds) -> np.ndarray:
+def sphere_basis_sets(n: int, count: int, rng) -> np.ndarray:
     """Random orthonormal bases rescaled onto the sphere of radius 1/sqrt(2),
-    one per seed, as a (k, n, n) stack of rows."""
-    rows = random_rotations(n, [np.random.default_rng(seed) for seed in seeds])
+    drawn from the generator `rng`, as a (count, n, n) stack of rows."""
+    rows = random_rotations(n, count, rng)
     norms = np.linalg.norm(rows, axis=-1)
     return rows / (norms[..., None] * math.sqrt(2.0))
 
 
 def sphere_basis_set(n: int, seed: int) -> np.ndarray:
     """Random orthonormal basis rescaled onto the sphere of radius 1/sqrt(2);
-    the one-seed case of sphere_basis_sets."""
-    return sphere_basis_sets(n, [seed])[0]
+    sphere_basis_sets of one basis from default_rng(seed)."""
+    return sphere_basis_sets(n, 1, np.random.default_rng(seed))[0]
 
 
 def frame_weight_sum(T, seed: int, tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:
@@ -414,10 +417,13 @@ def falsify(f: WeightFn, n: int, samples: int, seed: int,
 
     Spread up to `threshold` is consistent with f being an equilateral
     weight; spread above it is a disproof with an explicit witness pair.
-    One sub-seed per sample is drawn from `seed`; all the sets are sampled
-    in one batched pass.  An evaluator with a `rows` stack kernel (as
-    compile_weight_expression returns) then evaluates every point in one
-    call; any other callable is called once per point, in sample order.
+    All the sets are sampled in one batched pass from default_rng(seed), so
+    the report is fixed by (n, samples, seed, mode); a run with fewer
+    samples is not a prefix of one with more.  An evaluator with a `rows`
+    stack kernel (as compile_weight_expression returns) then evaluates
+    every point in one call; any other callable is called once per point,
+    in sample order.  samples * (n+1) * n above MAX_FALSIFY_CELLS is an
+    InputError, raised before anything is allocated.
     """
     if samples < 2:
         raise InputError("falsify needs at least 2 samples")
@@ -425,14 +431,14 @@ def falsify(f: WeightFn, n: int, samples: int, seed: int,
         raise InputError(f"threshold {threshold} must be finite and non-negative")
     if seed < 0:
         raise InputError(f"seed {seed} must be non-negative")
+    if int(samples) * (int(n) + 1) * int(n) > MAX_FALSIFY_CELLS:
+        raise InputError(f"{samples} samples at n={n} exceed the limit of "
+                         f"{MAX_FALSIFY_CELLS} coordinates (samples * (n+1) * n)")
     rng = np.random.default_rng(seed)
-    # A 64-bit range takes one unbuffered draw per value, so this equals
-    # `samples` scalar draws.
-    sub_seeds = rng.integers(0, 2**63 - 1, size=samples).tolist()
     if f.domain_mode == "sphere":
-        sets = sphere_basis_sets(n, sub_seeds)
+        sets = sphere_basis_sets(n, samples, rng)
     else:
-        sets = sample_maximal_sets(n, sub_seeds)
+        sets = sample_maximal_sets(n, samples, rng)
     points = sets.reshape(-1, n)
     rows = getattr(f.evaluator, "rows", None)
     if rows is None:

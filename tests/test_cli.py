@@ -307,9 +307,15 @@ def test_eps_only_where_it_is_used(command):
     (("falsify", "--expr", "x1", "--n", "3", "--samples", "10", "--seed", "-1"),
      "error: seed -1 must be non-negative"),
     (("verify-all", "--seed", "-1"), "error: verify-all requires --seed >= 0"),
+    (("falsify", "--expr", "x1", "--n", "3", "--samples", "100000000000"),
+     "error: 100000000000 samples at n=3 exceed the limit of 8388608 coordinates "
+     "(samples * (n+1) * n)"),
+    (("falsify", "--expr", "x1", "--n", "1000000", "--samples", "2"),
+     "error: 2 samples at n=1000000 exceed the limit of 8388608 coordinates "
+     "(samples * (n+1) * n)"),
 ], ids=["angle-inf", "angle-nan", "threshold-nan", "threshold-negative", "certify-n-0",
         "certify-json-strings", "certify-json-bool", "falsify-seed-negative",
-        "verify-all-seed-negative"])
+        "verify-all-seed-negative", "falsify-samples-past-limit", "falsify-n-past-limit"])
 def test_out_of_domain_numbers_exit2(capsys, command, message):
     code, out, err = run_cli(capsys, *command, "--no-timestamp")
     assert code == 2

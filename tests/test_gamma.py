@@ -82,7 +82,7 @@ def test_gamma_rotation_invariance():
     b = np.array([-0.3, 0.5, 0.1])
     base = gamma(a, b).value
     for _ in range(500):
-        rot = random_rotations(3, [rng])[0]
+        rot = random_rotations(3, 1, rng)[0]
         assert gamma(rot @ a, rot @ b).value == pytest.approx(base, abs=1e-9)
 
 

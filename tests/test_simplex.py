@@ -168,7 +168,7 @@ def test_rotated_simplices_independence_and_gram():
     for n in range(2, 9):
         base = canonical_simplex(n, n + 1)
         for _ in range(150):
-            rot = random_rotations(n, [rng])[0]
+            rot = random_rotations(n, 1, rng)[0]
             s = EquilateralSet(base.points @ rot.T)
             diffs = s.points[1:] - s.points[0]
             gram = diffs @ diffs.T
@@ -312,30 +312,90 @@ SEEDS = list(range(30)) + [2**63 - 2, 8_675_309_000_000_000_001]
 @pytest.mark.parametrize("n", range(2, 11))
 @pytest.mark.parametrize("radius", [None, 0.0, 0.3])
 def test_batched_sampler_equals_the_per_sample_reference(n, radius):
-    batch = sample_maximal_sets(n, SEEDS, translation_radius=radius)
+    """One set per seed is the per-sample reference bit for bit; every set
+    of a batch from one generator has norms at most 1 exactly, unit
+    distances and its centre within beta(n+1); the batch is deterministic
+    and may be empty."""
+    for seed in SEEDS:
+        assert np.array_equal(sample_maximal_set(n, seed, radius).points,
+                              reference_sample(n, seed, radius))
+    batch = sample_maximal_sets(n, len(SEEDS), np.random.default_rng(n), radius)
     assert batch.shape == (len(SEEDS), n + 1, n)
-    for seed, pts in zip(SEEDS, batch):
-        assert np.array_equal(pts, reference_sample(n, seed, radius))
-    assert np.array_equal(sample_maximal_set(n, SEEDS[-1], radius).points, batch[-1])
+    for pts in batch:
+        s = EquilateralSet(pts)
+        assert s.max_norm() <= 1.0
+        assert s.pairwise_distance_error() < 1e-9
+        assert float(np.linalg.norm(pts.mean(axis=0))) <= beta(n + 1) + 1e-9
+    again = sample_maximal_sets(n, len(SEEDS), np.random.default_rng(n), radius)
+    assert np.array_equal(batch, again)
+    empty = sample_maximal_sets(n, 0, np.random.default_rng(n), radius)
+    assert empty.shape == (0, n + 1, n)
 
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_batched_sphere_bases_equal_the_per_sample_reference(n):
-    batch = sphere_basis_sets(n, SEEDS)
+    """One basis per seed is the per-sample reference bit for bit; a batch
+    from one generator holds orthogonal rows of norm 1/sqrt(2), is
+    deterministic, and may be empty."""
+    for seed in SEEDS:
+        assert np.array_equal(sphere_basis_set(n, seed), reference_sphere_basis(n, seed))
+    batch = sphere_basis_sets(n, len(SEEDS), np.random.default_rng(n))
     assert batch.shape == (len(SEEDS), n, n)
-    for seed, rows in zip(SEEDS, batch):
-        assert np.array_equal(rows, reference_sphere_basis(n, seed))
-    assert np.array_equal(sphere_basis_set(n, SEEDS[0]), batch[0])
+    for rows in batch:
+        assert EquilateralSet(rows).pairwise_distance_error() < 1e-9
+        assert np.max(np.abs(rows @ rows.T - np.eye(n) / 2.0)) < 1e-12
+    assert np.array_equal(batch, sphere_basis_sets(n, len(SEEDS), np.random.default_rng(n)))
+    assert sphere_basis_sets(n, 0, np.random.default_rng(n)).shape == (0, n, n)
+
+
+def ks_statistic(a, b) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic: the largest gap between the
+    empirical distribution functions of `a` and `b`."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
+    gap = (np.searchsorted(a, grid, side="right") / a.size
+           - np.searchsorted(b, grid, side="right") / b.size)
+    return float(np.max(np.abs(gap)))
+
+
+def ks_critical(m: int, k: int, level: float = 1e-3) -> float:
+    """Asymptotic critical value of the two-sample statistic at `level`."""
+    return math.sqrt(-math.log(level / 2.0) / 2.0) * math.sqrt((m + k) / (m * k))
+
+
+def test_ks_statistic_on_known_samples():
+    assert ks_statistic([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
+    assert ks_statistic([1.0, 2.0], [3.0, 4.0]) == 1.0
+    assert ks_statistic([1.0, 2.0, 3.0, 4.0], [2.5, 10.0]) == 0.5
+    assert ks_critical(2000, 2000) == pytest.approx(0.0616, abs=1e-4)
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_batched_sampler_keeps_the_law_of_the_per_sample_reference(n):
+    """Shared rejection rounds leave the law of a sampled set as it was: the
+    centre norm and the first vertex's first coordinate of 2000 batched sets
+    and of 2000 per-seed reference sets pass a two-sample KS test at 0.1%."""
+    count = 2000
+    batch = sample_maximal_sets(n, count, np.random.default_rng(1000 + n))
+    ref = np.array([reference_sample(n, seed) for seed in range(count)])
+    critical = ks_critical(count, count)
+    for stat in (lambda sets: np.linalg.norm(sets.mean(axis=1), axis=-1),
+                 lambda sets: sets[:, 0, 0]):
+        assert ks_statistic(stat(batch), stat(ref)) < critical
 
 
 def test_sampling_failure_after_the_last_round(monkeypatch):
     monkeypatch.setattr(simplex, "MAX_SAMPLE_ATTEMPTS", 4)
     # a translation of length 1e9 * u**(1/3) lands only if u < 3e-29, i.e. u == 0.0
     with pytest.raises(ConstructionError, match="^no in-ball sample after "):
-        sample_maximal_sets(3, [1, 2, 3], translation_radius=1e9)
+        sample_maximal_sets(3, 3, np.random.default_rng(1), translation_radius=1e9)
     with pytest.raises(ConstructionError, match="^no in-ball sample after "):
         sample_maximal_set(3, 5, translation_radius=1e9)
-    assert sample_maximal_sets(3, [1, 2, 3]).shape == (3, 4, 3)
+    assert sample_maximal_sets(3, 3, np.random.default_rng(1)).shape == (3, 4, 3)
+    # a round that places the last pending set ends the sampling, also when
+    # it is the last round allowed: an untranslated simplex lands at once
+    monkeypatch.setattr(simplex, "MAX_SAMPLE_ATTEMPTS", 1)
+    assert sample_maximal_sets(3, 3, np.random.default_rng(1), 0.0).shape == (3, 4, 3)
 
 
 def test_simplex_on_spheres_matches_the_complement_construction():

@@ -4,14 +4,12 @@ import re
 import numpy as np
 import pytest
 
-from test_simplex import reference_sample, reference_sphere_basis
-
-from eqball import weights
+from eqball import simplex, weights
 from eqball.errors import ConstructionError, InputError
 from eqball.gamma import gamma
 from eqball.expr import compile_weight_expression
 from eqball.geometry import Frame
-from eqball.simplex import alpha, beta
+from eqball.simplex import alpha, beta, sample_maximal_sets
 from eqball.weights import (
     WeightFn,
     circle_circle_intersections,
@@ -27,6 +25,7 @@ from eqball.weights import (
     sin_corner_angle,
     sin_reference_angle,
     sphere_basis_set,
+    sphere_basis_sets,
 )
 
 
@@ -322,6 +321,29 @@ def test_falsify_rejects_a_negative_seed():
         falsify(WeightFn(evaluator=lambda p: 1.0), 2, 5, seed=-1)
 
 
+@pytest.mark.parametrize("mode", ["ball", "sphere"])
+@pytest.mark.parametrize("n, samples", [(3, 10**11), (10**6, 2)])
+def test_falsify_rejects_a_batch_past_the_resource_limit(monkeypatch, n, samples, mode):
+    """The limit is checked before anything is sampled, so inputs that
+    would need terabytes fail at once and allocate nothing."""
+    def never(*args):
+        raise AssertionError("sampled past the resource limit")
+
+    monkeypatch.setattr(weights, "sample_maximal_sets", never)
+    monkeypatch.setattr(weights, "sphere_basis_sets", never)
+    monkeypatch.setattr(simplex, "_simplex_vertices", never)
+    fn = WeightFn(evaluator=lambda p: 1.0, domain_mode=mode)
+    with pytest.raises(InputError, match=rf"^{samples} samples at n={n} exceed the limit of "):
+        falsify(fn, n, samples, seed=0)
+
+
+def test_falsify_resource_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr(weights, "MAX_FALSIFY_CELLS", 2 * 4 * 3)
+    assert falsify(WeightFn(evaluator=lambda p: 1.0), 3, 2, seed=0).verdict == "consistent"
+    with pytest.raises(InputError, match="^3 samples at n=3 exceed the limit of 24 "):
+        falsify(WeightFn(evaluator=lambda p: 1.0), 3, 3, seed=0)
+
+
 @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
 def test_shell_circuit_rejects_a_non_finite_angle(angle):
     with pytest.raises(InputError, match="^rotation angle "):
@@ -330,17 +352,14 @@ def test_shell_circuit_rejects_a_non_finite_angle(angle):
 
 def reference_falsify(evaluator, n, samples, seed, mode):
     """Sums, spread, witness indices and witness sets of the per-sample
-    falsify loop: draw a sub-seed, sample its set, evaluate it, repeat."""
+    falsify loop over the batch sampler's sets: evaluate each set point by
+    point, add its values with the builtin sum, repeat."""
     rng = np.random.default_rng(seed)
-    sums, sets = [], []
-    for _ in range(samples):
-        sub_seed = int(rng.integers(0, 2**63 - 1))
-        if mode == "sphere":
-            pts = reference_sphere_basis(n, sub_seed)
-        else:
-            pts = reference_sample(n, sub_seed)
-        sums.append(float(sum([float(evaluator(p)) for p in pts])))
-        sets.append(pts)
+    if mode == "sphere":
+        sets = sphere_basis_sets(n, samples, rng)
+    else:
+        sets = sample_maximal_sets(n, samples, rng)
+    sums = [float(sum([float(evaluator(p)) for p in pts])) for pts in sets]
     hi, lo = int(np.argmax(sums)), int(np.argmin(sums))
     return sums, float(sums[hi] - sums[lo]), (hi, lo), sets[hi], sets[lo]
 
