@@ -39,6 +39,14 @@ from .verify import run_verification_suites
 from .weights import WeightFn, eta, falsify, lambda_shell, nu, shell_circuit
 from . import __version__
 
+# Largest --n of constants and emit-circuit and --n-max of verify-all; past
+# it the command exits 2 before it allocates.  At these limits each ran in
+# under 4 s and 60 MB (2 vCPUs, Python 3.11); constants --n 10**6 took 7 s and
+# 450 MB, emit-circuit --n 10**5 250 MB and verify-all --n-max 24 12 s.
+MAX_CONSTANTS_N = 10**4
+MAX_CIRCUIT_N = 10**4
+MAX_VERIFY_N = 16
+
 
 def _tolerance(args) -> Tolerance:
     """DEFAULT_TOL, with eps_eq set by --eps when it is given."""
@@ -78,6 +86,8 @@ def cmd_constants(args) -> int:
         print("error: ball-geometry commands require n >= 2 (the unit-ball result "
               "starts at dimension 2)", file=sys.stderr)
         return 2
+    if n > MAX_CONSTANTS_N:
+        raise InputError(f"--n {n} exceeds the limit of {MAX_CONSTANTS_N}")
     betas = {str(k): beta(k) for k in range(1, n + 3)}
     alphas = {str(k): alpha(k) for k in range(2, n + 3)}
     bnext = beta(n + 1)
@@ -214,6 +224,8 @@ def cmd_emit_circuit(args) -> int:
     if args.n < 2:
         print("error: emit-circuit requires n >= 2", file=sys.stderr)
         return 2
+    if args.n > MAX_CIRCUIT_N:
+        raise InputError(f"--n {args.n} exceeds the limit of {MAX_CIRCUIT_N}")
     section = Frame(np.eye(2, args.n))
     plan = shell_circuit(args.n, section, args.angle)
     buf = io.StringIO()
@@ -242,6 +254,8 @@ def cmd_verify_all(args) -> int:
         print(f"error: empty range: --n-max {args.n_max} is below --n-min {args.n_min}",
               file=sys.stderr)
         return 2
+    if args.n_max > MAX_VERIFY_N:
+        raise InputError(f"--n-max {args.n_max} exceeds the limit of {MAX_VERIFY_N}")
     n_values = list(range(args.n_min, args.n_max + 1))
     results = run_verification_suites(n_values, seed=args.seed)
     payload = {

@@ -258,6 +258,42 @@ def random_rotations(n: int, count: int, rng) -> np.ndarray:
     return q
 
 
+def gram_slack(n: int, radius: float) -> float:
+    """Half-width delta of the band around 1 where _in_ball takes exact norms.
+
+    With u = 2**-53, the bound fl(|v|^2 + 2<v, t> + |t|^2) and the sum s of
+    squares that np.linalg.norm(fl(v + t)) takes the sqrt of differ by at
+    most (3n + 4) u (|v| + |t|)^2 to first order in nu, and |v| <= beta(n+1)
+    < 0.71, |t| <= |radius| up to rounding.  sqrt(s) <= 1 iff s <= 1 + 2**-52,
+    and delta exceeds the rounding bound plus 2**-52: so a bound <= 1 - delta
+    is in, and one >= 1 + delta is out.
+    """
+    return (n + 2) * 2.0**-51 * (1.0 + abs(radius)) ** 2
+
+
+def _gram_rows(vertices: np.ndarray) -> np.ndarray:
+    """[2v, |v|^2, 1] for each vertex v of a (P, n+1, n) stack, as the
+    (P, n+2, n+1) factor that a proposal's row [t, 1, |t|^2] multiplies."""
+    rows = [2.0 * vertices, row_dot(vertices, vertices)[..., None], np.ones_like(vertices[..., :1])]
+    return np.concatenate(rows, axis=-1).transpose(0, 2, 1).copy()
+
+
+def _in_ball(vertices: np.ndarray, rows: np.ndarray, shifts: np.ndarray,
+             slack: float) -> np.ndarray:
+    """The (P, k) mask np.linalg.norm(vertices[p] + shifts[p, j], axis=-1).max()
+    <= 1.0, bit for bit: one batched product of the rows [t, 1, |t|^2] with
+    _gram_rows(vertices) bounds each |v + t|^2, and only a proposal whose
+    bound lies within `slack` (gram_slack) of 1 takes the exact test."""
+    aug = [shifts, np.ones_like(shifts[..., :1]), row_dot(shifts, shifts)[..., None]]
+    bound = (np.concatenate(aug, axis=-1) @ rows).max(axis=-1)
+    inside = bound <= 1.0 - slack
+    near = np.nonzero(~(inside | (bound >= 1.0 + slack)))
+    if near[0].size:
+        pts = vertices[near[0]] + shifts[near][:, None, :]
+        inside[near] = np.linalg.norm(pts, axis=-1).max(axis=-1) <= 1.0
+    return inside
+
+
 def sample_maximal_sets(n: int, count: int, rng,
                         translation_radius: float | None = None) -> np.ndarray:
     """Random maximal standard equilateral sets inside the unit ball, drawn
@@ -266,11 +302,11 @@ def sample_maximal_sets(n: int, count: int, rng,
     Each set is a random rotation of the canonical simplex translated by a
     point drawn uniformly from the ball of radius beta(n+1) (or
     `translation_radius`), rejection-resampled until every vertex lies in
-    the ball.  Rejection runs in rounds of about `count` proposals, split
-    evenly over the sets still pending; each takes its first in-ball
-    proposal, so it keeps the law of one-at-a-time resampling.  With
-    count == 1 every round is one proposal, drawn as the one-set loop drew
-    it: the direction, then the radial draw.
+    the ball (as _in_ball tests it).  Rejection runs in rounds of about
+    `count` proposals, split evenly over the sets still pending; each takes
+    its first in-ball proposal, so it keeps the law of one-at-a-time
+    resampling.  With count == 1 every round is one proposal, drawn as the
+    one-set loop drew it: the direction, then the radial draw.
     """
     if n < 1:
         raise InputError(f"sample_maximal_sets requires n >= 1, got {n}")
@@ -278,7 +314,7 @@ def sample_maximal_sets(n: int, count: int, rng,
     radius = beta(n + 1) if translation_radius is None else float(translation_radius)
     power = 1.0 / n
     out = np.empty_like(base)
-    todo = np.arange(count)
+    todo, rows = np.arange(count), _gram_rows(base)
     for _ in range(MAX_SAMPLE_ATTEMPTS):
         if todo.size == 0:
             break
@@ -295,11 +331,11 @@ def sample_maximal_sets(n: int, count: int, rng,
             scale = np.array([u ** power for u in draws.ravel().tolist()]).reshape(draws.shape)
             shift /= np.sqrt(row_dot(shift, shift))[..., None]
             shift = (shift * radius) * scale[..., None]
-        pts = base[todo, None] + shift[:, :, None, :]
-        inside = np.linalg.norm(pts, axis=-1).max(axis=-1) <= 1.0
+        inside = _in_ball(base, rows, shift, gram_slack(n, radius))
         hit = inside.any(axis=1)
-        out[todo[hit]] = pts[hit, inside[hit].argmax(axis=1)]
-        todo = todo[~hit]
+        if hit.any():
+            out[todo[hit]] = base[hit] + shift[hit, inside[hit].argmax(axis=1)][:, None, :]
+            todo, base, rows = todo[~hit], base[~hit], rows[~hit]
     if todo.size:
         raise ConstructionError(f"no in-ball sample after {MAX_SAMPLE_ATTEMPTS} attempts")
     return out

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from eqball.certify import certificate_from_json
+from eqball import cli
 from eqball.cli import main
 
 
@@ -321,6 +322,34 @@ def test_out_of_domain_numbers_exit2(capsys, command, message):
     assert code == 2
     assert out == ""
     assert err.strip() == message
+
+
+@pytest.mark.parametrize("command, work", [
+    (("constants", "--n", "100000000"), "beta"),
+    (("emit-circuit", "--n", "100000000"), "Frame"),
+    (("verify-all", "--n-max", "1000"), "run_verification_suites"),
+], ids=["constants", "emit-circuit", "verify-all"])
+def test_inputs_past_a_resource_limit_exit2_before_any_work(capsys, monkeypatch, command, work):
+    monkeypatch.setattr(cli, work, lambda *args, **kwargs: pytest.fail(f"{work} was called"))
+    code, out, err = run_cli(capsys, *command, "--no-timestamp")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {command[1]} {command[2]} exceeds the limit of ")
+    assert len(err.splitlines()) == 1
+
+
+def test_resource_limits_admit_their_own_value(capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "run_verification_suites",
+                        lambda n_values, seed: ran.append(n_values) or [])
+    for command, flag, limit in (("constants", "--n", cli.MAX_CONSTANTS_N),
+                                 ("emit-circuit", "--n", cli.MAX_CIRCUIT_N),
+                                 ("verify-all", "--n-max", cli.MAX_VERIFY_N)):
+        assert run_cli(capsys, command, flag, str(limit), "--quiet")[0] == 0
+        code, _, err = run_cli(capsys, command, flag, str(limit + 1), "--quiet")
+        assert code == 2
+        assert err == f"error: {flag} {limit + 1} exceeds the limit of {limit}\n"
+    assert ran == [list(range(2, cli.MAX_VERIFY_N + 1))]
 
 
 @pytest.mark.parametrize("command", [

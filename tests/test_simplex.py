@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from eqball.geometry import Tolerance, orthonormal_complement
+from eqball.geometry import Tolerance, orthonormal_complement, row_dot
 
 from eqball import simplex
 from eqball.errors import ConstructionError, InputError
@@ -382,6 +382,88 @@ def test_batched_sampler_keeps_the_law_of_the_per_sample_reference(n):
     for stat in (lambda sets: np.linalg.norm(sets.mean(axis=1), axis=-1),
                  lambda sets: sets[:, 0, 0]):
         assert ks_statistic(stat(batch), stat(ref)) < critical
+
+
+def reference_batch(n, count, rng, translation_radius=None):
+    """The batch sampler with full per-proposal norms: every round forms all
+    vertices of every proposal and tests np.linalg.norm of each."""
+    base = canonical_simplex(n, n + 1).points @ random_rotations(n, count, rng).transpose(0, 2, 1)
+    radius = beta(n + 1) if translation_radius is None else float(translation_radius)
+    out = np.empty_like(base)
+    todo = np.arange(count)
+    while todo.size:
+        if radius == 0.0:
+            shift = np.zeros((todo.size, 1, n))
+        else:
+            shift = rng.standard_normal((todo.size, count // todo.size, n))
+            draws = rng.random(shift.shape[:2])
+            scale = np.array([u ** (1.0 / n) for u in draws.ravel().tolist()]).reshape(draws.shape)
+            shift /= np.sqrt(row_dot(shift, shift))[..., None]
+            shift = (shift * radius) * scale[..., None]
+        pts = base[todo, None] + shift[:, :, None, :]
+        inside = np.linalg.norm(pts, axis=-1).max(axis=-1) <= 1.0
+        hit = inside.any(axis=1)
+        out[todo[hit]] = pts[hit, inside[hit].argmax(axis=1)]
+        todo = todo[~hit]
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_batches_equal_the_full_norm_reference(n):
+    """The Gram test with exact norms near 1 accepts exactly the proposals
+    the full per-vertex norms accept, so every batch is the reference's bit
+    for bit, and every set has norms at most 1.0 exactly."""
+    for radius in (None, 0.0, 0.3, 0.6):
+        for count in (1, 5, 200):
+            for seed in range(10):
+                batch = sample_maximal_sets(n, count, np.random.default_rng(seed), radius)
+                assert np.array_equal(
+                    batch, reference_batch(n, count, np.random.default_rng(seed), radius))
+                assert np.linalg.norm(batch, axis=-1).max() <= 1.0
+
+
+def boundary_shifts(vertices, k, rng, ulps):
+    """k unit directions per set, each scaled to the length at which its
+    first vertex reaches the unit sphere, then moved by up to `ulps` ulps."""
+    d = rng.standard_normal((vertices.shape[0], k, vertices.shape[-1]))
+    d /= np.linalg.norm(d, axis=-1)[..., None]
+    vd = np.einsum("pin,pkn->pki", vertices, d)
+    vv = np.einsum("pin,pin->pi", vertices, vertices)[:, None, :]
+    reach = (np.sqrt(vd * vd + 1.0 - vv) - vd).min(axis=-1)
+    steps = rng.integers(-ulps, ulps + 1, size=reach.shape)
+    return d * (reach * (1.0 + steps * np.finfo(float).eps))[..., None]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 12, 16])
+def test_in_ball_decides_as_the_exact_norms_at_the_boundary(n):
+    """Shifts within a few ulps of the unit sphere and shifts of length up
+    to 1e9 get the verdict of np.linalg.norm(v + t, axis=-1).max() <= 1.0,
+    at the slack gram_slack derives; the Gram bound alone, at slack 0,
+    misjudges some of the boundary shifts."""
+    rng = np.random.default_rng(70 + n)
+    vertices = canonical_simplex(n, n + 1).points @ random_rotations(n, 40, rng).transpose(0, 2, 1)
+    rows = simplex._gram_rows(vertices)
+    near = boundary_shifts(vertices, 50, rng, 16)
+    far = rng.standard_normal(near.shape) * 1e9 * rng.random(near.shape[:2] + (1,)) ** 3
+    for shifts, radius in ((near, None), (near, 1e9), (np.concatenate([near, far], axis=1), 1e9)):
+        exact = np.linalg.norm(vertices[:, None] + shifts[:, :, None, :], axis=-1).max(axis=-1) <= 1.0
+        slack = simplex.gram_slack(n, beta(n + 1) if radius is None else radius)
+        assert np.array_equal(simplex._in_ball(vertices, rows, shifts, slack), exact)
+        assert exact.any() and not exact.all()
+    exact = np.linalg.norm(vertices[:, None] + near[:, :, None, :], axis=-1).max(axis=-1) <= 1.0
+    assert not np.array_equal(simplex._in_ball(vertices, rows, near, 0.0), exact)
+
+
+def test_a_slack_covering_every_proposal_gives_the_same_batches(monkeypatch):
+    """With every proposal sent to the exact norms the batches stay the same."""
+    grid = [(n, count, radius, seed) for n in (1, 3, 8) for count in (1, 200)
+            for radius in (None, 0.6) for seed in range(3)]
+    fast = [sample_maximal_sets(n, count, np.random.default_rng(seed), radius)
+            for n, count, radius, seed in grid]
+    monkeypatch.setattr(simplex, "gram_slack", lambda n, radius: math.inf)
+    for (n, count, radius, seed), batch in zip(grid, fast):
+        assert np.array_equal(sample_maximal_sets(n, count, np.random.default_rng(seed), radius),
+                              batch)
 
 
 def test_sampling_failure_after_the_last_round(monkeypatch):
