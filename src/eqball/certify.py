@@ -63,8 +63,8 @@ from .errors import (
     MalformedCertificate,
 )
 from .gamma import gamma, gamma1_link, gamma1_links
-from .geometry import (DEFAULT_TOL, GRID_STEP, Tolerance, as_point, clamp_to_range,
-                       json_number_array, section2d)
+from .geometry import (DEFAULT_TOL, GRID_STEP, RANK_RESIDUAL, Tolerance, _residual, as_point,
+                       clamp_to_range, first_orthogonal_axis, json_number_array)
 from .simplex import EquilateralSet, beta, cap_extension, check_sets, first_failure
 from .enlarge import enlarge_to_maximal
 from .weights import CircuitRouter, eta, lambda_shell, mu, mu_inverse, nu
@@ -103,7 +103,7 @@ def theorem_step_relation(u, rho0: float, n: int,
     rho0, so they live in the annulus already covered at this stage.
     """
     u = as_point(u, n)
-    s = float(np.linalg.norm(u))
+    s = math.sqrt(u @ u)
     rho_max = mu_inverse(n, min(lambda_shell(n), 1.0), tol)
     rho0 = clamp_to_range("rho0", rho0, beta(n), rho_max, tol)
     lo = mu(n, rho0, tol)
@@ -137,7 +137,7 @@ def constant_lemma_relation(z, rho0: float, n: int,
     already pinned, so the set's equation reads f(z) + n*delta = W.
     """
     z = as_point(z, n)
-    s = float(np.linalg.norm(z))
+    s = math.sqrt(z @ z)
     rho0 = clamp_to_range("rho0", rho0, beta(n), 1.0, tol)
     top = eta(n, rho0, tol)
     if s > top + tol.eps_eq:
@@ -220,9 +220,10 @@ def _row_template(conversion: str, width: int) -> str:
 
 def _rows_json(rows, conversion: str) -> _Json:
     """A list of rows, as _dumps prints it, with every entry formatted by the
-    % conversion ("%.17g" % v is format(v, ".17g"))."""
-    return _Json("[" + ", ".join([_row_template(conversion, len(row)) % tuple(row)
-                                  for row in rows]) + "]")
+    % conversion ("%.17g" % v is format(v, ".17g")), by one % over the
+    template of the whole table."""
+    template = "[" + ", ".join([_row_template(conversion, len(row)) for row in rows]) + "]"
+    return _Json(template % tuple(itertools.chain.from_iterable(rows)))
 
 
 def certificate_to_json(cert: Certificate, tol: Tolerance = DEFAULT_TOL) -> str:
@@ -268,9 +269,9 @@ def certificate_from_json(text: str) -> Certificate:
     if not (isinstance(claim, list) and len(claim) == 2 and all(map(_is_int, claim))):
         raise MalformedCertificate("claim must be a list of two point ids")
     sets = doc["sets"]
-    if not (isinstance(sets, list) and all(isinstance(s, list) for s in sets)):
+    if not (isinstance(sets, list) and set(map(type, sets)) <= {list}):
         raise MalformedCertificate("sets must be a list of point-id lists")
-    if not all(_is_int(i) for s in sets for i in s):
+    if not set(map(type, itertools.chain.from_iterable(sets))) <= {int}:
         raise MalformedCertificate("set ids must be integers")
     sets = [tuple(s) for s in sets]
     try:
@@ -485,8 +486,12 @@ class _Builder:
 
     def add_set(self, s: EquilateralSet, stage: str) -> int:
         """Slot of the set, which is added unless already present."""
-        return self._enqueue(
-            lambda links: [self._register([self.point_id(p) for p in s.points], stage)], 1)[0]
+        def register(links):
+            # Key every point of the set in one rounding pass.
+            keys = _key_coordinates(s.points)
+            return [self._register([self._id(key.tobytes(), p)
+                                    for key, p in zip(keys, s.points)], stage)]
+        return self._enqueue(register, 1)[0]
 
     def add_chain(self, waypoints: np.ndarray, stage: str) -> list[tuple[int, int]]:
         """The two sets of every hop between consecutive waypoints, in hop
@@ -547,14 +552,17 @@ class _Generator:
         self.n = n
         self.tol = tol
         self.builder = _Builder(n, tol)
-        self.router = CircuitRouter(n)
+        self.router = _router(n)
         self.lam, self.hop = self.router.lam, self.router.hop
         self.bridge_floor = self.hop - 1.0
         self.beta_next = beta(n + 1)
         self.epsilon = 0.5 * min(nu(n, self.lam, tol), self.beta_next - beta(n))
         self.schedule = self._build_schedule()
         self.anchor = np.zeros(n)
-        self.anchor[0] = (self.lam + 1.0) / 2.0
+        self.anchor[0] = self.router.anchor_local[0]
+        self.anchor_key = _point_key(self.anchor)
+        # The first row of every section through the anchor: its direction.
+        self.anchor_row = self.anchor[None, :] / math.sqrt(self.anchor @ self.anchor)
         # Value class and combination node of every point met so far.
         self.memo: dict[bytes, tuple[str, int | None]] = {}
         # Integer combinations, one node per resolved point: (set terms,
@@ -576,31 +584,42 @@ class _Generator:
 
     # -- linking mechanics ---------------------------------------------------
 
+    def _section(self, p: np.ndarray) -> np.ndarray:
+        """Basis rows of a 2-D section through the anchor and p, those of
+        section2d(anchor, p): the anchor's direction, then p's residual
+        direction, or the canonical-axis tie-break when p lies on the
+        anchor's axis (p at the anchor itself resolves by its key)."""
+        u = _residual(p, self.anchor_row)
+        norm = math.sqrt(u @ u)
+        if norm > RANK_RESIDUAL:
+            return np.array([self.anchor_row[0], u / norm])
+        return np.array([self.anchor_row[0], first_orthogonal_axis(self.anchor_row, self.n)])
+
     def _chain_to_anchor(self, p: np.ndarray) -> list[tuple[int, int]]:
         """Emit gamma1 pairs along a circuit chain from p to the anchor;
         returns their terms, which sum to e_p - e_anchor."""
-        frame = section2d(self.anchor, p, self.tol)
-        anchor_local = frame.basis @ self.anchor
-        p_local = frame.basis @ p
-        waypoints_local = self.router.plan(p_local, anchor_local)
-        waypoints = [(w[None, :] @ frame.basis)[0] for w in waypoints_local]
+        basis = self._section(p)
+        # Each waypoint is embedded by its own (1, 2) @ basis product: a 2-D
+        # (m, 2) @ basis product may round differently.
+        waypoints = (np.array(self.router.plan(basis @ p))[:, None, :] @ basis)[:, 0]
         waypoints[0] = p          # use the exact ambient inputs at the ends
         waypoints[-1] = self.anchor
         cleaned = [waypoints[0]]
         for w in waypoints[1:]:
-            if float(np.linalg.norm(w - cleaned[-1])) > 1e-12:
+            gap = w - cleaned[-1]
+            if math.sqrt(gap @ gap) > 1e-12:
                 cleaned.append(w)
         return self.builder.add_chain(np.array(cleaned), "shell-link")
 
     def _bridge_partner(self, p: np.ndarray) -> np.ndarray | None:
         """A shell point at hop distance from p with verified clearance."""
-        s = float(np.linalg.norm(p))
+        s = math.sqrt(p @ p)
         direction = p / s
         collinear = -(self.hop - s) * direction
-        if float(np.linalg.norm(collinear)) >= self.lam:
+        if math.sqrt(collinear @ collinear) >= self.lam:
             return collinear
-        frame = section2d(self.anchor, p, self.tol)
-        p_local = frame.basis @ p
+        basis = self._section(p)
+        p_local = basis @ p
         theta = math.atan2(p_local[1], p_local[0])
         lo = max(self.lam, self.hop - s)
         if lo > 1.0:
@@ -612,7 +631,7 @@ class _Generator:
                 continue
             omega = math.acos(c)
             r_local = rho_r * np.array([math.cos(theta + omega), math.sin(theta + omega)])
-            r = (r_local[None, :] @ frame.basis)[0]
+            r = (r_local[None, :] @ basis)[0]
             if gamma(p, r, self.tol).value >= beta(self.n) + 0.005:
                 return r
         return None
@@ -624,7 +643,7 @@ class _Generator:
         the slack stays inside the 2*eps_eq that theorem_step_relation admits
         below the edge, so that a small eps_eq still accepts the match.
         """
-        s = float(np.linalg.norm(u))
+        s = math.sqrt(u @ u)
         slack = min(BAND_EDGE_SLACK, 2 * self.tol.eps_eq)
         for m in range(len(self.schedule) - 1):
             if s >= self.schedule[m + 1] - slack:
@@ -648,8 +667,8 @@ class _Generator:
         if key in self.memo:
             return self.memo[key]
         self.memo[key] = OUTER, None  # breaks accidental cycles; overwritten below
-        s = float(np.linalg.norm(p))
-        if key == _point_key(self.anchor):
+        s = math.sqrt(p @ p)
+        if key == self.anchor_key:
             cls, node = OUTER, self._node([], [])
         elif s >= self.lam - 1e-12:
             cls, node = OUTER, self._node(self._chain_to_anchor(p), [])
@@ -760,6 +779,12 @@ class _Generator:
 
 
 @lru_cache(maxsize=None)
+def _router(n: int) -> CircuitRouter:
+    """The router of dimension n, built once: it plans as a new one would."""
+    return CircuitRouter(n)
+
+
+@lru_cache(maxsize=None)
 def _closing_fragment(n: int, tol: Tolerance) -> _Fragment | GenerationFailure:
     """The closing relation of (n, tol), built by _emit_closing in a fresh
     generator: its z, step schedule and anchor depend on nothing else.  A
@@ -792,7 +817,7 @@ def generate_equality_certificate(x, y, n: int,
     x = as_point(x, n)
     y = as_point(y, n)
     for p in (x, y):
-        if float(np.linalg.norm(p)) > 1.0 + tol.eps_eq:
+        if math.sqrt(p @ p) > 1.0 + tol.eps_eq:
             raise InputError("certificate endpoints must lie in the closed unit ball")
     gen = _Generator(n, tol)
     try:

@@ -7,6 +7,7 @@ orthogonal to the set's affine hull.  Iterating reaches size n+1.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +46,7 @@ def enlarge_step(s: EquilateralSet, tol: Tolerance = DEFAULT_TOL) -> tuple[Equil
     c = s.points.mean(axis=0)
     hull_dirs = orthonormalize(s.points - c, n)
     a = c - hull_dirs.T @ (hull_dirs @ c) if hull_dirs.size else c.copy()
-    norm_a = float(np.linalg.norm(a))
+    norm_a = math.sqrt(a @ a)
     if norm_a <= ZERO_DIRECTION_NORM:
         v = first_orthogonal_axis(hull_dirs, n)
     else:

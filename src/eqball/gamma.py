@@ -15,6 +15,7 @@ two maximal sets sharing n points.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,9 +80,10 @@ def gamma(a, b, tol: Tolerance = DEFAULT_TOL) -> GammaResult:
     """Closed-form clearance of the pair (a, b) inside the unit ball."""
     a, b = _validate_pair(a, b, tol)
     x0 = (a + b) / 2.0
-    d_hat = (b - a) / np.linalg.norm(b - a)
+    diff = b - a
+    d_hat = diff / math.sqrt(diff @ diff)
     value, perp = _clearance(x0, d_hat)
-    t = float(np.linalg.norm(perp))
+    t = math.sqrt(perp @ perp)
     u = perp / t if 2.0 * t > tol.eps_eq else first_orthogonal_axis(d_hat[None, :], a.size)
     return GammaResult(value=float(value), direction=u, midpoint=x0)
 

@@ -6,6 +6,7 @@ function on immutable values.
 """
 from __future__ import annotations
 
+import math
 from copy import copy
 from dataclasses import dataclass
 
@@ -52,7 +53,7 @@ DEFAULT_TOL = Tolerance()
 
 def as_point(x, n: int | None = None) -> np.ndarray:
     """Coerce x to a finite 1-D float64 vector, optionally of dimension n."""
-    p = np.asarray(x, dtype=float)
+    p = np.asarray(x, dtype=float, order="C")
     if p.ndim != 1 or p.size < 1:
         raise InputError(f"point must be a 1-D vector, got shape {p.shape}")
     if not np.all(np.isfinite(p)):
@@ -133,7 +134,7 @@ def orthonormalize(vectors, n: int) -> np.ndarray:
     rows = []
     for v in vectors:
         u = _residual(as_point(v, n), rows)
-        norm = float(np.linalg.norm(u))
+        norm = math.sqrt(u @ u)
         if norm > RANK_RESIDUAL:
             rows.append(u / norm)
     if not rows:
@@ -152,7 +153,7 @@ def first_orthogonal_axis(existing: np.ndarray, n: int) -> np.ndarray:
     """
     for e in np.eye(n):
         r = _residual(e, existing)
-        norm = float(np.linalg.norm(r))
+        norm = math.sqrt(r @ r)
         if norm >= TIE_BREAK_RESIDUAL:
             return r / norm
     raise ConstructionError("no canonical axis is independent of the span")
@@ -170,16 +171,19 @@ def complete_bases(spans: np.ndarray) -> np.ndarray:
     k, d, n = spans.shape
     rows = np.zeros((k, n, n))  # the span, then its complement
     rows[:, :d] = spans
+    # Views for the row_dot(r, w) products, r as rows and each w as columns.
+    views = [(rows[:, j], rows[:, j, :, None]) for j in range(n)]
+    r = np.zeros((k, n))
+    r_rows = r[:, None, :]
     count = np.full(k, d, dtype=np.intp)
     for i in range(n):
         if count.min() == n:
             break
-        r = np.zeros((k, n))
+        r[:] = 0.0
         r[:, i] = 1.0
         for _ in range(2):  # second pass restores orthogonality lost to cancellation
-            for j in range(int(count.max())):  # rows past count[.] are zero
-                w = rows[:, j]
-                r -= row_dot(r, w)[:, None] * w
+            for w, w_columns in views[:int(count.max())]:  # rows past count[.] are zero
+                r -= (r_rows @ w_columns)[:, 0] * w
         norm = np.sqrt(row_dot(r, r))
         keep = np.flatnonzero((norm > RANK_RESIDUAL) & (count < n))
         rows[keep, count[keep]] = r[keep] / norm[keep, None]

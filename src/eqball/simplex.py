@@ -226,7 +226,7 @@ def cap_extension(x, rho: float, tol: Tolerance = DEFAULT_TOL) -> EquilateralSet
     bn = beta(n)
     rho = clamp_to_range("rho", rho, bn, 1.0, tol)
     expected = height_above_base(n, rho)
-    nx = float(np.linalg.norm(x))
+    nx = math.sqrt(x @ x)
     # An apex off by eps_eq moves its distances by about alpha(n+1)*eps_eq < eps_eq.
     if abs(nx - expected) > tol.eps_eq:
         raise InputError(f"norm(x)={nx:.12e} but the height for rho={rho} is {expected:.12e}")

@@ -101,7 +101,8 @@ def circle_circle_intersections(c1: np.ndarray, r1: float,
     """Intersection points of two circles in the plane (0, 1, or 2 points)."""
     c1 = np.asarray(c1, dtype=float)
     c2 = np.asarray(c2, dtype=float)
-    d = float(np.linalg.norm(c2 - c1))
+    gap = c2 - c1
+    d = math.sqrt(gap @ gap)
     if d < 1e-15 or d > r1 + r2 or d < abs(r1 - r2):
         return []
     along = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
@@ -110,7 +111,7 @@ def circle_circle_intersections(c1: np.ndarray, r1: float,
         if perp_sq < -1e-12:
             return []
         perp_sq = 0.0
-    axis = (c2 - c1) / d
+    axis = gap / d
     normal = np.array([-axis[1], axis[0]])
     foot = c1 + along * axis
     h = math.sqrt(perp_sq)
@@ -153,7 +154,7 @@ class CircuitPlan:
 def _in_disc_arc(label: str, center: np.ndarray, radius: float) -> Arc:
     # The portion of circle(center, radius) inside the unit disc, for a center
     # with 0 < |center| < radius < |center| + 1.
-    oc = float(np.linalg.norm(center))
+    oc = math.sqrt(center @ center)
     cos_half = (oc * oc + radius * radius - 1.0) / (2.0 * oc * radius)
     half = math.acos(min(max(cos_half, -1.0), 1.0))
     mid = math.atan2(-center[1], -center[0])
@@ -270,29 +271,34 @@ def _fold(delta: float, period: float) -> float:
 
 
 class CircuitRouter:
-    """Plans hop chains from any annulus point of a 2-D section to the anchor."""
+    """Plans hop chains from any annulus point of a 2-D section to the anchor,
+    the point (lambda_shell(n) + 1)/2 on the section's first axis."""
 
     def __init__(self, n: int):
         self.n = n
         self.hop = 2.0 * alpha(n + 1)
         self.lam = lambda_shell(n)
         self.oa = self.hop - self.lam  # norm of a circuit corner
-        # circuit_geometry by rotation: every chain of one generator plans
-        # through the anchor's circuit and its pi/8 neighbour.
-        self._circuits: dict[float, tuple] = {}
+        self.anchor_local = np.array([(self.lam + 1.0) / 2.0, 0.0])
+        # Every chain plans through the anchor's circuit and its pi/8
+        # neighbour, built here with their crossing; a point's own circuit
+        # is built by its plan.
+        self.phi0 = self.circuit_angle_for(self.anchor_local)
+        self.circuit0 = circuit_geometry(n, self.phi0)
+        self.circuit_m = circuit_geometry(n, self.phi0 + math.pi / 8.0)
+        self.cross_m = self._cross(self.circuit_m, self.circuit0)
+        # plan() hands these arrays out to every certificate of this n.
+        shared = [self.anchor_local, *self.circuit0[0].values(), *self.circuit_m[0].values()]
+        for point in shared + ([self.cross_m[2]] if self.cross_m else []):
+            point.flags.writeable = False
 
     def circuit_angle_for(self, p_local: np.ndarray, branch: int = 1) -> float:
         """Rotation phi such that p lies on the corner arc C_a of circuit(phi)."""
-        s = float(np.linalg.norm(p_local))
+        s = math.sqrt(p_local @ p_local)
         theta = math.atan2(p_local[1], p_local[0])
         kappa = (s * s + self.oa * self.oa - self.hop * self.hop) / (2.0 * s * self.oa)
         kappa = min(max(kappa, -1.0), 1.0)
         return theta - CIRCUIT_ANGLES["a"] - branch * math.acos(kappa)
-
-    def _geometry(self, phi: float):
-        if phi not in self._circuits:
-            self._circuits[phi] = circuit_geometry(self.n, phi)
-        return self._circuits[phi]
 
     @staticmethod
     def _walk(start: str, end: str) -> list[str]:
@@ -304,15 +310,15 @@ class CircuitRouter:
             return [cycle[(i + t) % len(cycle)] for t in range(fwd + 1)]
         return [cycle[(i - t) % len(cycle)] for t in range(back + 1)]
 
-    def _cross(self, phi1: float, phi2: float):
+    def _cross(self, circuit1, circuit2):
         """A point on a corner arc of both circuits, with the two corners."""
-        points1, arcs1 = self._geometry(phi1)
-        points2, arcs2 = self._geometry(phi2)
+        points1, arcs1 = circuit1
+        points2, arcs2 = circuit2
         for i in CORNERS:
             for j in CORNERS:
                 for pt in circle_circle_intersections(points1[i], self.hop,
                                                       points2[j], self.hop):
-                    if float(np.linalg.norm(pt)) > 1.0 + 1e-9:
+                    if math.sqrt(pt @ pt) > 1.0 + 1e-9:
                         continue
                     t1 = math.atan2(pt[1] - points1[i][1], pt[0] - points1[i][0])
                     t2 = math.atan2(pt[1] - points2[j][1], pt[0] - points2[j][0])
@@ -320,9 +326,10 @@ class CircuitRouter:
                         return i, j, pt
         return None
 
-    def plan(self, p_local: np.ndarray, anchor_local: np.ndarray) -> list[np.ndarray]:
-        """Local waypoints [p, ..., anchor]; consecutive gaps are exactly one hop."""
-        phi0 = self.circuit_angle_for(anchor_local)
+    def plan(self, p_local: np.ndarray) -> list[np.ndarray]:
+        """Local waypoints [p, ..., anchor]; consecutive gaps are exactly one hop.
+        Waypoints on the anchor's circuits are the router's own read-only arrays."""
+        phi0 = self.phi0
         phi_p = self.circuit_angle_for(p_local)
         quarter = math.pi / 2.0
         k = round((phi_p - phi0) / quarter)
@@ -331,36 +338,34 @@ class CircuitRouter:
             # angle turned by k quarters.
             turn = CIRCUIT_ANGLES["a"] + k * quarter
             label = min(CORNERS, key=lambda c: _fold(CIRCUIT_ANGLES[c] - turn, 2.0 * math.pi))
-            return [p_local] + self._segment_rev(phi0, label, anchor_local)
+            return [p_local] + self._segment_rev(label)
         alt = self.circuit_angle_for(p_local, branch=-1)
         if _fold(phi_p - phi0, quarter) < 0.05 and _fold(alt - phi0, quarter) >= 0.05:
             phi_p = alt
+        circuit_p = circuit_geometry(self.n, phi_p)
         if _fold(phi_p - phi0, quarter) >= 0.05:
-            hit = self._cross(phi_p, phi0)
+            hit = self._cross(circuit_p, self.circuit0)
             if hit is not None:
                 i, j, q = hit
-                return (self._segment(p_local, phi_p, i) + [q]
-                        + self._segment_rev(phi0, j, anchor_local))
+                return self._segment(p_local, circuit_p, i) + [q] + self._segment_rev(j)
         # Nearly aligned circuits (or no crossing found): route via a middle circuit.
-        phi_m = phi0 + math.pi / 8.0
-        hit1 = self._cross(phi_p, phi_m)
-        hit2 = self._cross(phi_m, phi0)
+        hit1 = self._cross(circuit_p, self.circuit_m)
+        hit2 = self.cross_m
         if hit1 is None or hit2 is None:
             raise GenerationFailure("shell-link", "no circuit crossing found")
         i1, j1, q1 = hit1
         i2, j2, q2 = hit2
-        points_m = self._geometry(phi_m)[0]
-        return (self._segment(p_local, phi_p, i1) + [q1]
+        points_m = self.circuit_m[0]
+        return (self._segment(p_local, circuit_p, i1) + [q1]
                 + [points_m[nm] for nm in self._walk(j1, i2)]
-                + [q2] + self._segment_rev(phi0, j2, anchor_local))
+                + [q2] + self._segment_rev(j2))
 
-    def _segment(self, p_local, phi_p, end_label):
-        points = self._geometry(phi_p)[0]
-        return [p_local] + [points[nm] for nm in self._walk("a", end_label)]
+    def _segment(self, p_local, circuit_p, end_label):
+        return [p_local] + [circuit_p[0][nm] for nm in self._walk("a", end_label)]
 
-    def _segment_rev(self, phi0, start_label, anchor_local):
-        points = self._geometry(phi0)[0]
-        return [points[nm] for nm in self._walk(start_label, "a")] + [anchor_local]
+    def _segment_rev(self, start_label):
+        points = self.circuit0[0]
+        return [points[nm] for nm in self._walk(start_label, "a")] + [self.anchor_local]
 
 
 @dataclass

@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eqball import certify, verify
@@ -19,6 +19,8 @@ from eqball.certify import (
     _closing_fragment,
     _dumps,
     _point_key,
+    _router,
+    _rows_json,
     certificate_from_json,
     certificate_to_json,
     check_certificate,
@@ -28,10 +30,10 @@ from eqball.certify import (
 )
 from eqball.errors import GenerationFailure, InputError, MalformedCertificate
 from eqball.gamma import gamma1_link
-from eqball.geometry import DEFAULT_TOL, Tolerance
+from eqball.geometry import DEFAULT_TOL, Tolerance, section2d
 from eqball.simplex import EquilateralSet, alpha, beta
 from eqball.verify import _ball_point, _feasible_assignments
-from eqball.weights import eta, lambda_shell, mu, nu
+from eqball.weights import CircuitRouter, eta, lambda_shell, mu, nu
 
 
 # -- step relation ------------------------------------------------------------
@@ -355,6 +357,28 @@ def test_json_has_full_precision():
     assert "0.33333333333333331" in text
 
 
+def _rows_json_per_row(rows, conversion):
+    """Reference for _rows_json: every entry formatted on its own."""
+    return "[" + ", ".join("[" + ", ".join(conversion % v for v in row) + "]"
+                           for row in rows) + "]"
+
+
+@pytest.mark.parametrize("rows, conversion", [
+    (np.random.default_rng(4).standard_normal((40, 3)).tolist(), "%.17g"),
+    ([[1.0 / 3.0, -0.0, 5e-324], [1e300, -2.5, 0.0]], "%.17g"),
+    ([[0.5], [0.25, 0.125], [], [1.0 / 3.0, 2.0, -0.0]], "%.17g"),
+    ([(0, 3, 17), (2, 5, 4000)], "%d"),
+    ([(0, 1), (2, 3, 4), ()], "%d"),
+    ([], "%d"),
+    ([], "%.17g"),
+    ([[]], "%d"),
+])
+def test_rows_json_matches_per_row_formatting(rows, conversion):
+    """One % over the table's template prints what row-by-row formatting
+    does, for equal-width, ragged and empty tables."""
+    assert _rows_json(rows, conversion) == _rows_json_per_row(rows, conversion)
+
+
 # One small generated document; the property test replaces its fields.
 _BASE_DOC = json.loads(certificate_to_json(
     generate_equality_certificate(np.array([0.9, 0.0]), np.array([0.0, 0.9]), 2)))
@@ -595,6 +619,140 @@ def test_signed_zero_coordinates_share_one_point():
     assert cert.sets == [] and cert.claim == (0, 0)
     assert cert.points.shape == (1, 3)
     assert check_certificate(cert).accepted
+
+
+# -- near the input boundaries ----------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+@pytest.mark.parametrize("axis, offset", [(1, 1e-10), (0, 1e-10), (0, -1e-9), (1, 1e-12)])
+def test_endpoints_within_eps_of_the_anchor_certify(n, axis, offset):
+    """A point within eps_eq of the anchor has a dedup key of its own and
+    chains to the anchor like any shell point; its section's second axis is
+    its residual direction, or the tie-break axis below RANK_RESIDUAL."""
+    x = _Generator(n, DEFAULT_TOL).anchor.copy()
+    x[axis] += offset
+    y = np.zeros(n)
+    y[1] = 0.95
+    cert = generate_equality_certificate(x, y, n)
+    assert check_certificate(cert).accepted
+    assert cert.claim[0] != cert.claim[1]
+
+
+def _boundary_radii(n):
+    lam = lambda_shell(n)
+    radii = [0.0, 1e-13, 0.5, 1.0 - 1e-15, 1.0, (lam + 1.0) / 2.0]
+    for edge in (beta(n + 1), lam, 2.0 * alpha(n + 1) - 1.0):
+        radii += [edge - 1e-12, edge + 1e-12]
+    return radii
+
+
+@st.composite
+def _boundary_pairs(draw):
+    """An endpoint at a boundary radius along +-e1, e2 or a drawn direction;
+    its partner a drawn point or the endpoint moved by at most 1e-11."""
+    n = draw(st.integers(2, 4))
+
+    def direction():
+        kind = draw(st.sampled_from(["e1", "-e1", "e2", "drawn"]))
+        if kind != "drawn":
+            return {"e1": 1.0, "-e1": -1.0, "e2": 1.0}[kind] * np.eye(n)[kind == "e2"]
+        v = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+        norm = float(np.linalg.norm(v))
+        assume(norm > 0.1)
+        return v / norm
+
+    x = draw(st.sampled_from(_boundary_radii(n))) * direction()
+    if draw(st.booleans()):
+        y = draw(st.sampled_from(_boundary_radii(n)) | st.floats(0.0, 1.0)) * direction()
+    else:
+        y = x + np.array(draw(st.lists(st.floats(-1e-11, 1e-11), min_size=n, max_size=n)))
+    return n, x, y
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(_boundary_pairs())
+def test_boundary_pairs_certify_or_fail_cleanly(pair):
+    """A certificate the checker accepts, an InputError, or a GenerationFailure
+    of a named stage; never a construction error surfacing mid-stage."""
+    n, x, y = pair
+    try:
+        cert = generate_equality_certificate(x, y, n)
+    except InputError:
+        return
+    except GenerationFailure as exc:
+        assert exc.stage != "construction", exc.message
+        return
+    assert check_certificate(cert).accepted
+
+
+# -- fast paths, bit for bit -----------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_generator_section_matches_section2d(n):
+    """The generator's section rows are section2d(anchor, p)'s basis, on
+    random points, on the e1 axis and within 1e-11 of it."""
+    gen = _Generator(n, DEFAULT_TOL)
+    rng = np.random.default_rng(n)
+    e1, last = np.eye(n)[0], np.eye(n)[-1]
+    points = [_ball_point(rng, n) for _ in range(40)]
+    points += [0.9 * e1, -0.9 * e1, -1e-13 * e1, 0.97 * e1 + 1e-11 * last,
+               -0.5 * e1 - 5e-12 * last, 0.8 * e1 + 2e-10 * last]
+    for p in points:
+        assert gen._section(p).tobytes() == section2d(gen.anchor, p).basis.tobytes()
+
+
+def test_stacked_waypoint_embedding_matches_one_product_per_waypoint():
+    rng = np.random.default_rng(12)
+    for n in range(2, 9):
+        gen = _Generator(n, DEFAULT_TOL)
+        for _ in range(40):
+            basis = gen._section(_ball_point(rng, n))
+            local = rng.uniform(-1.0, 1.0, (int(rng.integers(2, 12)), 2))
+            one_by_one = np.array([(w[None, :] @ basis)[0] for w in local])
+            assert (local[:, None, :] @ basis)[:, 0].tobytes() == one_by_one.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_router_plans_match_a_fresh_router(n):
+    """The router shared by every generator of dimension n plans as a router
+    built for one plan.  Its anchor circuits are those of the anchor's local
+    coordinates in every section, exactly (||anchor||, 0)."""
+    gen = _Generator(n, DEFAULT_TOL)
+    shared = _router(n)
+    assert gen.router is shared
+    rng = np.random.default_rng(30 + n)
+    for _ in range(40):
+        p = _ball_point(rng, n)
+        p *= rng.uniform(gen.lam, 1.0) / np.linalg.norm(p)
+        basis = gen._section(p)
+        assert np.array_equal(basis @ gen.anchor, shared.anchor_local)
+        assert shared.circuit_angle_for(basis @ gen.anchor) == shared.phi0
+        got, fresh = shared.plan(basis @ p), CircuitRouter(n).plan(basis @ p)
+        assert len(got) == len(fresh)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, fresh))
+        assert not got[-1].flags.writeable
+    # What plan() hands out of the shared state cannot be changed in place.
+    for circuit in (shared.circuit0, shared.circuit_m):
+        assert not any(p.flags.writeable for p in circuit[0].values())
+    assert not shared.cross_m[2].flags.writeable
+
+
+def test_call_history_does_not_change_a_certificate():
+    """Certificates share the per-n routers and closing relations; a pair
+    certified from cold state, then again after pairs at other n and the
+    n = 7 cap failure, gives the same text."""
+    _router.cache_clear()
+    x, y = _in_plane(3, 0.62, 0.9), _in_plane(3, 0.1, 0.4)
+    first = certificate_to_json(generate_equality_certificate(x, y, 3))
+    for n in (2, 4, 5):
+        generate_equality_certificate(_in_plane(n, 0.97, -0.4), _in_plane(n, 0.3, 0.5), n)
+    y7 = np.zeros(7)
+    y7[0] = 0.95
+    with pytest.raises(GenerationFailure, match="exceeded 5000 sets"):
+        generate_equality_certificate(np.zeros(7), y7, 7)
+    assert certificate_to_json(generate_equality_certificate(x, y, 3)) == first
 
 
 # -- queued registration ---------------------------------------------------------

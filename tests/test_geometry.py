@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from eqball.geometry import (
     RANK_RESIDUAL,
     Tolerance,
     _residual,
+    as_point,
     clamp_to_range,
     complete_bases,
     json_number_array,
@@ -110,6 +113,19 @@ def test_complete_bases_matches_the_one_span_loop():
             out = complete_bases(np.array(spans).reshape(len(spans), d, n))
             for span, rows in zip(spans, out):
                 assert rows.tobytes() == _complement_one_axis_at_a_time(span, n).tobytes()
+
+
+def test_vector_norm_form_is_numpy_norm():
+    """math.sqrt(v @ v), the form of the library's 1-D norms, is bit for bit
+    np.linalg.norm(v) on contiguous vectors, which as_point returns."""
+    rng = np.random.default_rng(8)
+    for size in range(1, 41):
+        for scale in (1e-160, 1e-12, 1.0, 1e8):
+            v = rng.standard_normal(size) * scale
+            assert math.sqrt(v @ v) == float(np.linalg.norm(v))
+    strided = as_point(rng.standard_normal(80)[::2])
+    assert strided.flags.c_contiguous
+    assert math.sqrt(strided @ strided) == float(np.linalg.norm(strided))
 
 
 def test_section2d_planar_cases():
