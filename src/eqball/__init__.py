@@ -28,8 +28,6 @@ from .enlarge import (
     center_norm_bound,
     enlarge_step,
     enlarge_to_maximal,
-    is_maximal,
-    k_region_test,
 )
 from .gamma import GammaResult, gamma, gamma1_link, gamma1_links, gamma_bruteforce
 from .weights import (
@@ -76,9 +74,7 @@ __all__ = [
     "EnlargeTrace",
     "enlarge_step",
     "enlarge_to_maximal",
-    "is_maximal",
     "center_norm_bound",
-    "k_region_test",
     "GammaResult",
     "gamma",
     "gamma_bruteforce",

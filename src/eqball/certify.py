@@ -254,7 +254,7 @@ def certificate_from_json(text: str) -> Certificate:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise MalformedCertificate(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedCertificate("a certificate must be a JSON object")

@@ -33,7 +33,7 @@ from .certify import (
 from .enlarge import enlarge_to_maximal
 from .errors import EqBallError, ExpressionError, InputError
 from .expr import compile_weight_expression
-from .geometry import DEFAULT_TOL, GRID_STEP, Frame, Tolerance, json_number_array
+from .geometry import DEFAULT_TOL, GRID_STEP, Tolerance, json_number_array
 from .simplex import EquilateralSet, alpha, beta, distance_errors
 from .verify import run_verification_suites
 from .weights import WeightFn, eta, falsify, lambda_shell, nu, shell_circuit
@@ -42,7 +42,7 @@ from . import __version__
 # Largest --n of constants and emit-circuit and --n-max of verify-all; past
 # it the command exits 2 before it allocates.  At these limits each ran in
 # under 4 s and 60 MB (2 vCPUs, Python 3.11); constants --n 10**6 took 7 s and
-# 450 MB, emit-circuit --n 10**5 250 MB and verify-all --n-max 24 12 s.
+# 450 MB, verify-all --n-max 24 12 s.  The cost of emit-circuit does not grow with n.
 MAX_CONSTANTS_N = 10**4
 MAX_CIRCUIT_N = 10**4
 MAX_VERIFY_N = 16
@@ -76,7 +76,10 @@ def _emit(args, payload: dict, text: str | None = None) -> None:
 def _parse_point(text: str) -> np.ndarray:
     text = text.strip()
     if text.startswith("["):
-        return json_number_array(json.loads(text))
+        try:
+            return json_number_array(json.loads(text))
+        except RecursionError as exc:
+            raise InputError(f"invalid JSON: {exc}") from None
     return np.asarray([float(tok) for tok in text.split(",") if tok.strip()])
 
 
@@ -112,7 +115,7 @@ def cmd_enlarge(args) -> int:
         pts = json_number_array(coords)
         s = EquilateralSet(pts)
         s.validate(in_ball=True, tol=tol)
-    except (OSError, ValueError, json.JSONDecodeError, EqBallError) as exc:
+    except (OSError, ValueError, RecursionError, EqBallError) as exc:
         detail = _name_worst_violation(pts) if isinstance(pts, np.ndarray) and pts.ndim == 2 else ""
         print(f"error: invalid input set: {exc}{detail}", file=sys.stderr)
         return 2
@@ -226,8 +229,7 @@ def cmd_emit_circuit(args) -> int:
         return 2
     if args.n > MAX_CIRCUIT_N:
         raise InputError(f"--n {args.n} exceeds the limit of {MAX_CIRCUIT_N}")
-    section = Frame(np.eye(2, args.n))
-    plan = shell_circuit(args.n, section, args.angle)
+    plan = shell_circuit(args.n, args.angle)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["label", "cx", "cy", "radius", "theta_start", "theta_end"])

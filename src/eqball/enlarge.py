@@ -13,12 +13,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .geometry import DEFAULT_TOL, Tolerance, as_point, first_orthogonal_axis, orthonormalize
+from .geometry import DEFAULT_TOL, Tolerance, _residual, first_orthogonal_axis, orthonormalize
 from .simplex import EquilateralSet, alpha, beta
 
 # Below this, the out-of-hull component of the center counts as zero and the
 # tie-break direction is used instead of a/||a||.
 ZERO_DIRECTION_NORM = 1e-10
+# Between ZERO_DIRECTION_NORM and this share of ||c||, a is projected off the
+# hull again: one pass leaves ~1e-16 ||c|| along the hull, a large share of a.
+REPROJECT_SHARE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -47,6 +50,9 @@ def enlarge_step(s: EquilateralSet, tol: Tolerance = DEFAULT_TOL) -> tuple[Equil
     hull_dirs = orthonormalize(s.points - c, n)
     a = c - hull_dirs.T @ (hull_dirs @ c) if hull_dirs.size else c.copy()
     norm_a = math.sqrt(a @ a)
+    if ZERO_DIRECTION_NORM < norm_a < REPROJECT_SHARE * math.sqrt(c @ c):
+        a = _residual(a, hull_dirs)
+        norm_a = math.sqrt(a @ a)
     if norm_a <= ZERO_DIRECTION_NORM:
         v = first_orthogonal_axis(hull_dirs, n)
     else:
@@ -70,12 +76,6 @@ def enlarge_to_maximal(s: EquilateralSet, tol: Tolerance = DEFAULT_TOL) -> tuple
     return current, trace
 
 
-def is_maximal(s: EquilateralSet, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff the in-ball set cannot be enlarged, i.e. has size n+1."""
-    s.validate(in_ball=True, tol=tol)
-    return s.k == s.n + 1
-
-
 def center_norm_bound(s: EquilateralSet, tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:
     """Center norm together with its guaranteed bound.
 
@@ -86,24 +86,3 @@ def center_norm_bound(s: EquilateralSet, tol: Tolerance = DEFAULT_TOL) -> tuple[
     c = float(np.linalg.norm(s.points.mean(axis=0)))
     bound = beta(s.n + 1) if s.k == s.n + 1 else alpha(s.k + 1)
     return c, bound
-
-
-def k_region_test(x, s: EquilateralSet, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
-    """Membership test for the polytope cut out by a centered maximal set.
-
-    With v = p_2 + ... + p_{n+1}, membership means <x, v> <= 1/2 and
-    <x, p_i> >= 0 for i >= 2 (all within eps_eq).  Members have norm <= 1;
-    conversely norm >= 1 with the sign constraints forces <x, v> >= 1/2.
-    """
-    s.validate(tol=tol)
-    if s.k != s.n + 1:
-        raise InputError("k_region_test needs a maximal set")
-    c = s.points.mean(axis=0)
-    if float(np.linalg.norm(c)) > tol.eps_eq:
-        raise InputError(f"set center has norm {float(np.linalg.norm(c)):.3e}")
-    x = as_point(x, s.n)
-    v = s.points[1:].sum(axis=0)
-    inner = float(x @ v)
-    signs_ok = bool(np.all(s.points[1:] @ x >= -tol.eps_eq))
-    membership = signs_ok and inner <= 0.5 + tol.eps_eq
-    return membership, inner

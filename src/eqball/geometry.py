@@ -193,7 +193,7 @@ def complete_bases(spans: np.ndarray) -> np.ndarray:
     return rows[:, d:]
 
 
-def orthonormal_complement(vectors, n: int, tol: Tolerance = DEFAULT_TOL) -> Frame:
+def orthonormal_complement(vectors, n: int) -> Frame:
     """Orthonormal basis of the orthogonal complement of span(vectors) in R^n.
 
     Raises InputError when the input already spans R^n.

@@ -294,43 +294,39 @@ def _in_ball(vertices: np.ndarray, rows: np.ndarray, shifts: np.ndarray,
     return inside
 
 
-def sample_maximal_sets(n: int, count: int, rng,
-                        translation_radius: float | None = None) -> np.ndarray:
+def sample_maximal_sets(n: int, count: int, rng) -> np.ndarray:
     """Random maximal standard equilateral sets inside the unit ball, drawn
     from the generator `rng`, as a (count, n+1, n) stack.
 
     Each set is a random rotation of the canonical simplex translated by a
-    point drawn uniformly from the ball of radius beta(n+1) (or
-    `translation_radius`), rejection-resampled until every vertex lies in
-    the ball (as _in_ball tests it).  Rejection runs in rounds of about
-    `count` proposals, split evenly over the sets still pending; each takes
-    its first in-ball proposal, so it keeps the law of one-at-a-time
-    resampling.  With count == 1 every round is one proposal, drawn as the
-    one-set loop drew it: the direction, then the radial draw.
+    point drawn uniformly from the ball of radius beta(n+1),
+    rejection-resampled until every vertex lies in the ball (as _in_ball
+    tests it).  Rejection runs in rounds of about `count` proposals, split
+    evenly over the sets still pending; each takes its first in-ball
+    proposal, so it keeps the law of one-at-a-time resampling.  With
+    count == 1 every round is one proposal, drawn as the one-set loop drew
+    it: the direction, then the radial draw.
     """
     if n < 1:
         raise InputError(f"sample_maximal_sets requires n >= 1, got {n}")
     base = _simplex_vertices(n) @ random_rotations(n, count, rng).transpose(0, 2, 1)
-    radius = beta(n + 1) if translation_radius is None else float(translation_radius)
+    radius = beta(n + 1)
     power = 1.0 / n
     out = np.empty_like(base)
     todo, rows = np.arange(count), _gram_rows(base)
     for _ in range(MAX_SAMPLE_ATTEMPTS):
         if todo.size == 0:
             break
-        if radius == 0.0:
-            shift = np.zeros((todo.size, 1, n))
-        else:
-            shift = rng.standard_normal((todo.size, count // todo.size, n))
-            # random() is uniform() on [0, 1), bit for bit.  Each step rounds
-            # as the one-set loop did: the norm is the sqrt of one row's dot
-            # (np.linalg.norm of a vector), the power is the scalar pow of a
-            # Python float (array kernels may round it differently), and the
-            # product is grouped (d * radius) * s.
-            draws = rng.random(shift.shape[:2])
-            scale = np.array([u ** power for u in draws.ravel().tolist()]).reshape(draws.shape)
-            shift /= np.sqrt(row_dot(shift, shift))[..., None]
-            shift = (shift * radius) * scale[..., None]
+        shift = rng.standard_normal((todo.size, count // todo.size, n))
+        # random() is uniform() on [0, 1), bit for bit.  Each step rounds as
+        # the one-set loop did: the norm is the sqrt of one row's dot
+        # (np.linalg.norm of a vector), the power is the scalar pow of a
+        # Python float (array kernels may round it differently), and the
+        # product is grouped (d * radius) * s.
+        draws = rng.random(shift.shape[:2])
+        scale = np.array([u ** power for u in draws.ravel().tolist()]).reshape(draws.shape)
+        shift /= np.sqrt(row_dot(shift, shift))[..., None]
+        shift = (shift * radius) * scale[..., None]
         inside = _in_ball(base, rows, shift, gram_slack(n, radius))
         hit = inside.any(axis=1)
         if hit.any():
@@ -341,9 +337,7 @@ def sample_maximal_sets(n: int, count: int, rng,
     return out
 
 
-def sample_maximal_set(n: int, seed: int,
-                       translation_radius: float | None = None) -> EquilateralSet:
+def sample_maximal_set(n: int, seed: int) -> EquilateralSet:
     """Seeded random maximal standard equilateral set inside the unit ball;
     sample_maximal_sets of one set from default_rng(seed)."""
-    return EquilateralSet(
-        sample_maximal_sets(n, 1, np.random.default_rng(seed), translation_radius)[0])
+    return EquilateralSet(sample_maximal_sets(n, 1, np.random.default_rng(seed))[0])

@@ -221,7 +221,7 @@ def suite_shell_geometry(max_n: int) -> SuiteResult:
         corner = min(circle_circle_intersections(w, radius, x, radius), key=np.linalg.norm)
         h = max((p for p in circle_circle_intersections(g, 1.0, w, radius)
                  if np.linalg.norm(p) <= 1 + 1e-9), key=lambda p: p[1])
-        plan = shell_circuit(n, Frame(np.eye(2, n)), 0.0)
+        plan = shell_circuit(n, 0.0)
         for c, sin_owa, sin_owh in ((corner, _sin_at(w, corner), _sin_at(w, h)),
                                     (plan.corners_local["a"], plan.sin_owa, plan.sin_owh)):
             worst = max(worst, float(np.max(np.abs(c - t_closed))),

@@ -15,9 +15,10 @@ closed form, with beta(n)**2 + alpha(n+1)**2 = 1 giving mu_inverse(1) = 1:
 
 The circuit machinery links any two points of the annulus
 {lambda_shell(n) <= ||p|| <= 1} of a 2-D section by hops of length exactly
-2*alpha(n+1), each hop carrying clearance at least beta(n).  Its layout is
-one table, CIRCUIT_ANGLES, read through circuit_geometry by shell_circuit
-and by CircuitRouter, which plans the certificate generator's chains.
+2*alpha(n+1), each hop carrying clearance at least beta(n).  It is planar: n
+enters only through alpha(n+1) and beta(n).  Its layout is one table,
+CIRCUIT_ANGLES, read through circuit_geometry by shell_circuit and by
+CircuitRouter, which plans the certificate generator's chains.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import ConstructionError, GenerationFailure, InputError
 from .gamma import _clearance, _pair_checks
-from .geometry import DEFAULT_TOL, Frame, Tolerance, clamp_to_range
+from .geometry import DEFAULT_TOL, Tolerance, clamp_to_range
 from .simplex import (
     EquilateralSet,
     alpha,
@@ -41,6 +42,8 @@ from .simplex import (
 )
 
 DISPROOF_SPREAD = 1e-6
+# Angular slack of Arc.contains_angle, in radians.
+ARC_SLACK = 1e-7
 # Most coordinates one falsify call samples, samples * (n+1) * n: 64 MiB of
 # floats per stack, and the sampler holds a few such stacks at once.
 MAX_FALSIFY_CELLS = 2**23
@@ -130,10 +133,10 @@ class Arc:
     theta_start: float
     theta_end: float
 
-    def contains_angle(self, theta: float, slack: float = 1e-9) -> bool:
+    def contains_angle(self, theta: float) -> bool:
         width = self.theta_end - self.theta_start
         rel = (theta - self.theta_start) % (2.0 * math.pi)
-        return rel <= width + slack or rel >= 2.0 * math.pi - slack
+        return rel <= width + ARC_SLACK or rel >= 2.0 * math.pi - ARC_SLACK
 
     def point_at(self, theta: float) -> np.ndarray:
         return self.center + self.radius * np.array([math.cos(theta), math.sin(theta)])
@@ -141,9 +144,8 @@ class Arc:
 
 @dataclass
 class CircuitPlan:
-    """Quadruple, corners, arcs, and verified link moves of one boundary circuit."""
+    """Corners, arcs, and verified link moves, as plane pairs, of one boundary circuit."""
 
-    quadruple: dict
     corners_local: dict
     arcs: list
     link_moves: list
@@ -190,21 +192,18 @@ def circuit_geometry(n: int, rotation_angle: float) -> tuple[dict, dict]:
     return points, arcs
 
 
-def shell_circuit(n: int, section: Frame, rotation_angle: float,
-                  tol: Tolerance = DEFAULT_TOL) -> CircuitPlan:
-    """Build the rotated boundary circuit in a 2-D section and its link moves.
+def shell_circuit(n: int, rotation_angle: float, tol: Tolerance = DEFAULT_TOL) -> CircuitPlan:
+    """Build the rotated boundary circuit in the plane and its link moves.
 
     Link moves follow SKELETON_CYCLE, then join ARC_SAMPLES points of each
     corner arc to its corner; every emitted pair is at distance exactly
-    2*alpha(n+1) and is re-checked, in one array pass, to carry clearance
-    at least beta(n) (ConstructionError marks a bug, not an input
-    condition).  The plan records the sines of the two comparison angles at
-    the bottom cardinal.
+    2*alpha(n+1) and is re-checked on its plane points, in one array pass,
+    to carry clearance at least beta(n) (ConstructionError marks a bug, not
+    an input condition).  The plan records the sines of the two comparison
+    angles at the bottom cardinal.
     """
     if n < 2:
         raise InputError(f"shell_circuit requires n >= 2, got {n}")
-    if section.k != 2:
-        raise InputError("section must be a 2-D frame")
     if not math.isfinite(rotation_angle):
         raise InputError(f"rotation angle {rotation_angle} is not finite")
     # Offsets like pi/2 added to a huge angle would lose the hop length to
@@ -214,9 +213,6 @@ def shell_circuit(n: int, section: Frame, rotation_angle: float,
     radius = 2.0 * alpha(n + 1)
     bn = beta(n)
 
-    def embed(p_local):
-        return (p_local[None, :] @ section.basis)[0]
-
     cycle = SKELETON_CYCLE
     moves = [(points[name], points[nxt]) for name, nxt in zip(cycle, cycle[1:] + cycle[:1])]
     for name in CORNERS:
@@ -224,8 +220,7 @@ def shell_circuit(n: int, section: Frame, rotation_angle: float,
         for j in range(1, ARC_SAMPLES + 1):
             theta = arc.theta_start + (arc.theta_end - arc.theta_start) * j / (ARC_SAMPLES + 1)
             moves.append((arc.point_at(theta), points[name]))
-    P, Q, diff, dist, checks = _pair_checks([embed(p) for p, _ in moves],
-                                            [embed(q) for _, q in moves], tol)
+    P, Q, diff, dist, checks = _pair_checks(*zip(*moves), tol)
     with np.errstate(divide="ignore", invalid="ignore"):
         clearance = _clearance((P + Q) / 2.0, diff / dist[:, None])[0]
     failed = first_failure([
@@ -244,7 +239,7 @@ def shell_circuit(n: int, section: Frame, rotation_angle: float,
     h_candidates = [
         h for h in circle_circle_intersections(g_l, 1.0, w_l, radius)
         if float(np.linalg.norm(h)) <= 1.0 + 1e-9
-        and arcs["w"].contains_angle(math.atan2(h[1] - w_l[1], h[0] - w_l[0]), slack=1e-7)
+        and arcs["w"].contains_angle(math.atan2(h[1] - w_l[1], h[0] - w_l[0]))
     ]
     if not h_candidates:
         raise ConstructionError("reference intersection point not found on the bottom arc")
@@ -256,7 +251,6 @@ def shell_circuit(n: int, section: Frame, rotation_angle: float,
         raise ConstructionError("corner angle exceeds its reference bound")
 
     return CircuitPlan(
-        quadruple={k: embed(v) for k, v in points.items() if k not in CORNERS},
         corners_local={k: points[k] for k in CORNERS},
         arcs=list(arcs.values()),
         link_moves=list(zip(P, Q)),
@@ -322,7 +316,7 @@ class CircuitRouter:
                         continue
                     t1 = math.atan2(pt[1] - points1[i][1], pt[0] - points1[i][0])
                     t2 = math.atan2(pt[1] - points2[j][1], pt[0] - points2[j][0])
-                    if arcs1[i].contains_angle(t1, 1e-7) and arcs2[j].contains_angle(t2, 1e-7):
+                    if arcs1[i].contains_angle(t1) and arcs2[j].contains_angle(t2):
                         return i, j, pt
         return None
 

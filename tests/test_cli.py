@@ -59,12 +59,17 @@ def test_enlarge_maximal_input_unchanged(tmp_path, capsys):
     assert doc["final_size"] == 3 and doc["trace"] == []
 
 
+# An array nested past Python's recursion limit, which json.loads meets as RecursionError.
+DEEP_JSON = "[" * 3000 + "]" * 3000
+
+
 def test_enlarge_invalid_input_exit2(tmp_path, capsys):
     seed_file = tmp_path / "bad.json"
-    for points in ([[1.2, 0.0]],               # outside the ball
-                   [["1", 0], [0, False]],     # coordinates must be JSON numbers
-                   [[]]):                      # a point needs n >= 1 coordinates
-        seed_file.write_text(json.dumps(points))
+    for text in (json.dumps([[1.2, 0.0]]),               # outside the ball
+                 json.dumps([["1", 0], [0, False]]),     # coordinates must be JSON numbers
+                 json.dumps([[]]),                       # a point needs n >= 1 coordinates
+                 DEEP_JSON):
+        seed_file.write_text(text)
         code, out, err = run_cli(capsys, "enlarge", "--input", str(seed_file))
         assert code == 2 and out == ""
         assert err.startswith("error: invalid input set: ") and len(err.splitlines()) == 1
@@ -99,6 +104,13 @@ def test_falsify_too_deep_expression_is_an_input_error(capsys):
                              "--n", "2")
     assert (code, out) == (2, "")
     assert err == "error: cannot parse expression: expression is nested too deeply\n"
+
+
+@pytest.mark.parametrize("x, y", [(DEEP_JSON, "0.6,-0.3"), ("0.2,0.1", DEEP_JSON)], ids=["x", "y"])
+def test_certify_too_deep_point_is_an_input_error(capsys, x, y):
+    code, out, err = run_cli(capsys, "certify", "--x", x, "--y", y)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid JSON: ") and len(err.splitlines()) == 1
 
 
 def test_certify_check_roundtrip(tmp_path, capsys):
@@ -163,10 +175,12 @@ def test_valid_doc_parses():
     json.dumps({k: v for k, v in VALID_DOC.items() if k != "multipliers"}),
     json.dumps(dict(VALID_DOC, version=1)),
     json.dumps(dict(VALID_DOC, version=99)),
+    DEEP_JSON,                                                        # nested 3000 deep
+    json.dumps(VALID_DOC).replace("[[0, 1, 2]]", DEEP_JSON),
 ], ids=["sets-not-list", "ragged-points", "n-string", "short-claim", "n-1e400",
         "top-level-number", "version-string", "set-not-list", "set-id-float",
         "set-id-string", "set-id-bool", "point-strings", "point-bools",
-        "no-multipliers", "version-1", "version-99"])
+        "no-multipliers", "version-1", "version-99", "nested-3000", "sets-nested-3000"])
 def test_check_malformed_document_exit2(tmp_path, capsys, text):
     doc_file = tmp_path / "bad.json"
     doc_file.write_text(text)
@@ -326,7 +340,7 @@ def test_out_of_domain_numbers_exit2(capsys, command, message):
 
 @pytest.mark.parametrize("command, work", [
     (("constants", "--n", "100000000"), "beta"),
-    (("emit-circuit", "--n", "100000000"), "Frame"),
+    (("emit-circuit", "--n", "100000000"), "shell_circuit"),
     (("verify-all", "--n-max", "1000"), "run_verification_suites"),
 ], ids=["constants", "emit-circuit", "verify-all"])
 def test_inputs_past_a_resource_limit_exit2_before_any_work(capsys, monkeypatch, command, work):

@@ -2,17 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqball.enlarge import (
     center_norm_bound,
     enlarge_step,
     enlarge_to_maximal,
-    is_maximal,
-    k_region_test,
 )
 from eqball.errors import InputError
-from eqball.geometry import Tolerance
-from eqball.simplex import EquilateralSet, alpha, beta, canonical_simplex, sample_maximal_set
+from eqball.geometry import DEFAULT_TOL, Tolerance
+from eqball.simplex import (EquilateralSet, alpha, beta, canonical_simplex, random_rotations,
+                            sample_maximal_set)
+from eqball.weights import lambda_shell
 
 
 def test_step_from_singleton_on_boundary():
@@ -97,12 +99,6 @@ def test_enlargement_property_sweep():
             assert out.max_norm() <= 1.0 + 1e-9
 
 
-def test_is_maximal():
-    assert is_maximal(canonical_simplex(3, 4))
-    assert not is_maximal(canonical_simplex(3, 3))
-    assert is_maximal(sample_maximal_set(5, 77))
-
-
 def test_center_norm_bound_examples():
     norm_c, bound = center_norm_bound(canonical_simplex(4, 5))
     assert norm_c < 1e-12 and norm_c <= bound
@@ -120,17 +116,6 @@ def test_center_norm_bound_examples():
         assert norm_c <= bound + 1e-9
 
 
-def test_k_region_origin_and_edge_point():
-    s = canonical_simplex(3, 4)
-    member, inner = k_region_test(np.zeros(3), s)
-    assert member and inner == pytest.approx(0.0, abs=1e-12)
-    edge = s.points[1] - s.points[0]
-    member, inner = k_region_test(edge, s)
-    assert member
-    assert inner == pytest.approx(0.5, abs=1e-9)
-    assert np.linalg.norm(edge) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_k_region_convex_combinations_stay_in_ball():
     rng = np.random.default_rng(17)
     for n in (2, 3, 5):
@@ -140,12 +125,49 @@ def test_k_region_convex_combinations_stay_in_ball():
         combos = weights @ extremes
         norms = np.linalg.norm(combos, axis=1)
         assert float(norms.max()) <= 1.0 + 1e-9
-        for xi in combos[:50]:
-            member, _ = k_region_test(xi, s)
-            assert member
 
 
-def test_k_region_requires_centered_set():
-    shifted = EquilateralSet(canonical_simplex(2, 3).points + np.array([0.1, 0.0]))
-    with pytest.raises(InputError, match="^set center has norm "):
-        k_region_test(np.zeros(2), shifted)
+
+# Offsets from each boundary norm: within rounding, within eps_eq = 1e-9 and past it.
+EDGE_OFFSETS = (-2e-9, -1e-12, -1e-15, 0.0, 1e-15, 1e-12, 1e-9, 2e-9)
+
+
+@st.composite
+def boundary_sets(draw):
+    """A rotated canonical set of size k <= n, moved along a drawn direction
+    until its farthest point has norm 1, beta(n+1) or lambda_n, each moved by
+    an EDGE_OFFSETS step.  The direction is drawn, or lies in the set's
+    affine hull up to a part of 0 to 1e-6 across it, so that the centre
+    lies on or near the hull (the case of a zero out-of-hull component)."""
+    n = draw(st.integers(2, 5))
+    k = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    pts = canonical_simplex(n, k).points @ random_rotations(n, 1, rng)[0].T
+    u = rng.standard_normal(n)
+    if k > 1:
+        across = draw(st.sampled_from([None, 0.0, 1e-12, 1e-10, 1e-6]))
+        if across is not None:
+            u = pts[1] - pts[0] + across * u
+    u /= np.linalg.norm(u)
+    r = draw(st.sampled_from([1.0, beta(n + 1), lambda_shell(n)]))
+    r += draw(st.sampled_from(EDGE_OFFSETS))
+    # the shift at which each point reaches norm r; the first to reach it wins
+    vu = pts @ u
+    reach = np.sqrt(vu * vu + r * r - np.einsum("ij,ij->i", pts, pts)) - vu
+    return pts + reach.min() * u
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(boundary_sets())
+def test_boundary_sets_enlarge_or_fail_cleanly(pts):
+    """A maximal set that passes the in-ball re-check at the widened
+    tolerance of enlargement's output, or an InputError for a set that lies
+    more than eps_eq outside the ball; nothing else."""
+    s = EquilateralSet(pts)
+    try:
+        out, _ = enlarge_to_maximal(s)
+    except InputError:
+        assert s.max_norm() > 1.0 + DEFAULT_TOL.eps_eq
+        return
+    assert out.k == s.n + 1
+    out.validate(in_ball=True, tol=DEFAULT_TOL.widened())

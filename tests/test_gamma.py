@@ -3,11 +3,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqball.errors import InputError
 from eqball.gamma import gamma, gamma1_link, gamma1_links, gamma_bruteforce
 from eqball.geometry import Frame, orthonormal_complement, orthonormalize, section2d
 from eqball.simplex import alpha, beta, canonical_simplex, random_rotations
+from eqball.weights import lambda_shell
 
 
 # Messages of the two linking-move preconditions, hop length and clearance.
@@ -265,3 +268,60 @@ def test_gamma1_links_low_clearance_hop():
         gamma1_links(np.vstack([p, short[0]]), np.vstack([q, short[1]]))
     with pytest.raises(InputError, match=DISTANCE):
         gamma1_links(np.vstack([short[0], p]), np.vstack([short[1], q]))
+
+
+# -- boundary properties ----------------------------------------------------------
+
+# Offsets from each boundary norm: within rounding, within eps_eq = 1e-9 and past it.
+EDGE_OFFSETS = (-2e-9, -1e-12, -1e-15, 0.0, 1e-15, 1e-12, 1e-9, 2e-9)
+
+
+def hop_edge(n):
+    """Norm of two points that sit one hop 2*alpha(n+1) apart on one sphere
+    with clearance exactly beta(n): 1 - sqrt(r**2 - alpha**2) = beta(n)."""
+    return math.sqrt(alpha(n + 1) ** 2 + (1.0 - beta(n)) ** 2)
+
+
+@st.composite
+def boundary_pairs(draw):
+    """(n, a, b): a at the unit sphere, beta(n+1), lambda_n or hop_edge(n),
+    each moved by an EDGE_OFFSETS step, in a drawn plane; b one hop away on
+    a's sphere, within 2e-9 of a, or at a boundary norm of its own."""
+    n = draw(st.integers(2, 5))
+    e1, e2 = random_rotations(n, 1, np.random.default_rng(draw(st.integers(0, 2**32))))[0][:2]
+    edges = [1.0, beta(n + 1), lambda_shell(n), hop_edge(n)]
+    r = draw(st.sampled_from(edges)) + draw(st.sampled_from(EDGE_OFFSETS))
+    a = r * e1
+    kind = draw(st.sampled_from(["hop", "near", "free"]))
+    if kind == "hop" and r >= alpha(n + 1):
+        phi = 2.0 * math.asin(alpha(n + 1) / r)
+        return n, a, r * (math.cos(phi) * e1 + math.sin(phi) * e2)
+    if kind == "near":
+        step = draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 2e-9]))
+        return n, a, a + step * e2
+    r_b = draw(st.sampled_from(edges)) + draw(st.sampled_from(EDGE_OFFSETS))
+    turn = draw(st.floats(0.0, 2.0 * math.pi))
+    return n, a, r_b * (math.cos(turn) * e1 + math.sin(turn) * e2)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(boundary_pairs())
+def test_boundary_pairs_link_or_fail_cleanly(pair):
+    """gamma gives a finite clearance with a unit direction, and gamma1_link
+    two maximal sets that pass the in-ball set re-check; or either raises
+    InputError, and nothing else."""
+    n, a, b = pair
+    try:
+        res = gamma(a, b)
+    except InputError:
+        pass
+    else:
+        assert math.isfinite(res.value) and res.value <= 1.0
+        assert abs(float(np.linalg.norm(res.direction)) - 1.0) < 1e-12
+    try:
+        sets = gamma1_link(a, b)
+    except InputError:
+        return
+    for s in sets:
+        assert s.k == n + 1
+        s.validate(in_ball=True)

@@ -263,14 +263,10 @@ def test_sample_maximal_set_postconditions():
         assert float(np.linalg.norm(s.points.mean(axis=0))) <= beta(n + 1) + 1e-9
 
 
-def test_sample_maximal_set_deterministic_and_zero_translation():
+def test_sample_maximal_set_is_deterministic():
     a = sample_maximal_set(4, 123)
     b = sample_maximal_set(4, 123)
     assert np.array_equal(a.points, b.points)
-    centered = sample_maximal_set(4, 99, translation_radius=0.0)
-    # rotation preserves the origin-centered simplex: always accepted
-    assert np.linalg.norm(centered.points.mean(axis=0)) < 1e-12
-    assert centered.max_norm() <= beta(5) + 1e-12
 
 
 def reference_rotation(n, rng):
@@ -284,18 +280,15 @@ def reference_rotation(n, rng):
     return q
 
 
-def reference_sample(n, seed, translation_radius=None):
+def reference_sample(n, seed):
     """The per-sample sampler: one generator, one set, one attempt at a time."""
     rng = np.random.default_rng(seed)
     base = canonical_simplex(n, n + 1).points @ reference_rotation(n, rng).T
-    radius = beta(n + 1) if translation_radius is None else float(translation_radius)
+    radius = beta(n + 1)
     while True:
-        if radius == 0.0:
-            shift = np.zeros(n)
-        else:
-            direction = rng.standard_normal(n)
-            direction /= np.linalg.norm(direction)
-            shift = direction * radius * rng.uniform() ** (1.0 / n)
+        direction = rng.standard_normal(n)
+        direction /= np.linalg.norm(direction)
+        shift = direction * radius * rng.uniform() ** (1.0 / n)
         pts = base + shift
         if float(np.max(np.linalg.norm(pts, axis=1))) <= 1.0:
             return pts
@@ -310,25 +303,23 @@ SEEDS = list(range(30)) + [2**63 - 2, 8_675_309_000_000_000_001]
 
 
 @pytest.mark.parametrize("n", range(2, 11))
-@pytest.mark.parametrize("radius", [None, 0.0, 0.3])
-def test_batched_sampler_equals_the_per_sample_reference(n, radius):
+def test_batched_sampler_equals_the_per_sample_reference(n):
     """One set per seed is the per-sample reference bit for bit; every set
     of a batch from one generator has norms at most 1 exactly, unit
     distances and its centre within beta(n+1); the batch is deterministic
     and may be empty."""
     for seed in SEEDS:
-        assert np.array_equal(sample_maximal_set(n, seed, radius).points,
-                              reference_sample(n, seed, radius))
-    batch = sample_maximal_sets(n, len(SEEDS), np.random.default_rng(n), radius)
+        assert np.array_equal(sample_maximal_set(n, seed).points, reference_sample(n, seed))
+    batch = sample_maximal_sets(n, len(SEEDS), np.random.default_rng(n))
     assert batch.shape == (len(SEEDS), n + 1, n)
     for pts in batch:
         s = EquilateralSet(pts)
         assert s.max_norm() <= 1.0
         assert s.pairwise_distance_error() < 1e-9
         assert float(np.linalg.norm(pts.mean(axis=0))) <= beta(n + 1) + 1e-9
-    again = sample_maximal_sets(n, len(SEEDS), np.random.default_rng(n), radius)
+    again = sample_maximal_sets(n, len(SEEDS), np.random.default_rng(n))
     assert np.array_equal(batch, again)
-    empty = sample_maximal_sets(n, 0, np.random.default_rng(n), radius)
+    empty = sample_maximal_sets(n, 0, np.random.default_rng(n))
     assert empty.shape == (0, n + 1, n)
 
 
@@ -384,22 +375,19 @@ def test_batched_sampler_keeps_the_law_of_the_per_sample_reference(n):
         assert ks_statistic(stat(batch), stat(ref)) < critical
 
 
-def reference_batch(n, count, rng, translation_radius=None):
+def reference_batch(n, count, rng):
     """The batch sampler with full per-proposal norms: every round forms all
     vertices of every proposal and tests np.linalg.norm of each."""
     base = canonical_simplex(n, n + 1).points @ random_rotations(n, count, rng).transpose(0, 2, 1)
-    radius = beta(n + 1) if translation_radius is None else float(translation_radius)
+    radius = beta(n + 1)
     out = np.empty_like(base)
     todo = np.arange(count)
     while todo.size:
-        if radius == 0.0:
-            shift = np.zeros((todo.size, 1, n))
-        else:
-            shift = rng.standard_normal((todo.size, count // todo.size, n))
-            draws = rng.random(shift.shape[:2])
-            scale = np.array([u ** (1.0 / n) for u in draws.ravel().tolist()]).reshape(draws.shape)
-            shift /= np.sqrt(row_dot(shift, shift))[..., None]
-            shift = (shift * radius) * scale[..., None]
+        shift = rng.standard_normal((todo.size, count // todo.size, n))
+        draws = rng.random(shift.shape[:2])
+        scale = np.array([u ** (1.0 / n) for u in draws.ravel().tolist()]).reshape(draws.shape)
+        shift /= np.sqrt(row_dot(shift, shift))[..., None]
+        shift = (shift * radius) * scale[..., None]
         pts = base[todo, None] + shift[:, :, None, :]
         inside = np.linalg.norm(pts, axis=-1).max(axis=-1) <= 1.0
         hit = inside.any(axis=1)
@@ -413,13 +401,11 @@ def test_batches_equal_the_full_norm_reference(n):
     """The Gram test with exact norms near 1 accepts exactly the proposals
     the full per-vertex norms accept, so every batch is the reference's bit
     for bit, and every set has norms at most 1.0 exactly."""
-    for radius in (None, 0.0, 0.3, 0.6):
-        for count in (1, 5, 200):
-            for seed in range(10):
-                batch = sample_maximal_sets(n, count, np.random.default_rng(seed), radius)
-                assert np.array_equal(
-                    batch, reference_batch(n, count, np.random.default_rng(seed), radius))
-                assert np.linalg.norm(batch, axis=-1).max() <= 1.0
+    for count in (1, 5, 200):
+        for seed in range(10):
+            batch = sample_maximal_sets(n, count, np.random.default_rng(seed))
+            assert np.array_equal(batch, reference_batch(n, count, np.random.default_rng(seed)))
+            assert np.linalg.norm(batch, axis=-1).max() <= 1.0
 
 
 def boundary_shifts(vertices, k, rng, ulps):
@@ -456,28 +442,26 @@ def test_in_ball_decides_as_the_exact_norms_at_the_boundary(n):
 
 def test_a_slack_covering_every_proposal_gives_the_same_batches(monkeypatch):
     """With every proposal sent to the exact norms the batches stay the same."""
-    grid = [(n, count, radius, seed) for n in (1, 3, 8) for count in (1, 200)
-            for radius in (None, 0.6) for seed in range(3)]
-    fast = [sample_maximal_sets(n, count, np.random.default_rng(seed), radius)
-            for n, count, radius, seed in grid]
+    grid = [(n, count, seed) for n in (1, 3, 8) for count in (1, 200) for seed in range(6)]
+    fast = [sample_maximal_sets(n, count, np.random.default_rng(seed)) for n, count, seed in grid]
     monkeypatch.setattr(simplex, "gram_slack", lambda n, radius: math.inf)
-    for (n, count, radius, seed), batch in zip(grid, fast):
-        assert np.array_equal(sample_maximal_sets(n, count, np.random.default_rng(seed), radius),
-                              batch)
+    for (n, count, seed), batch in zip(grid, fast):
+        assert np.array_equal(sample_maximal_sets(n, count, np.random.default_rng(seed)), batch)
 
 
 def test_sampling_failure_after_the_last_round(monkeypatch):
-    monkeypatch.setattr(simplex, "MAX_SAMPLE_ATTEMPTS", 4)
-    # a translation of length 1e9 * u**(1/3) lands only if u < 3e-29, i.e. u == 0.0
-    with pytest.raises(ConstructionError, match="^no in-ball sample after "):
-        sample_maximal_sets(3, 3, np.random.default_rng(1), translation_radius=1e9)
-    with pytest.raises(ConstructionError, match="^no in-ball sample after "):
-        sample_maximal_set(3, 5, translation_radius=1e9)
-    assert sample_maximal_sets(3, 3, np.random.default_rng(1)).shape == (3, 4, 3)
+    monkeypatch.setattr(simplex, "MAX_SAMPLE_ATTEMPTS", 0)
+    with pytest.raises(ConstructionError, match="^no in-ball sample after 0 attempts"):
+        sample_maximal_sets(3, 3, np.random.default_rng(1))
+    with pytest.raises(ConstructionError, match="^no in-ball sample after 0 attempts"):
+        sample_maximal_set(3, 5)
+    assert sample_maximal_sets(3, 0, np.random.default_rng(1)).shape == (0, 4, 3)
     # a round that places the last pending set ends the sampling, also when
-    # it is the last round allowed: an untranslated simplex lands at once
+    # it is the last round allowed: at n = 1 the vertices sit at +-1/2 and a
+    # translation is at most beta(2) = 1/2 long, so every proposal lands
     monkeypatch.setattr(simplex, "MAX_SAMPLE_ATTEMPTS", 1)
-    assert sample_maximal_sets(3, 3, np.random.default_rng(1), 0.0).shape == (3, 4, 3)
+    assert sample_maximal_sets(1, 3, np.random.default_rng(1)).shape == (3, 2, 1)
+    assert sample_maximal_set(1, 5).k == 2
 
 
 def test_simplex_on_spheres_matches_the_complement_construction():

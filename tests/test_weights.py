@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from eqball import simplex, weights
 from eqball.errors import ConstructionError, InputError
 from eqball.gamma import gamma
 from eqball.expr import compile_weight_expression
-from eqball.geometry import Frame
 from eqball.simplex import alpha, beta, sample_maximal_sets
 from eqball.weights import (
     WeightFn,
@@ -27,10 +27,6 @@ from eqball.weights import (
     sphere_basis_set,
     sphere_basis_sets,
 )
-
-
-def _section(n):
-    return Frame(np.eye(2, n))
 
 
 # -- radius maps -------------------------------------------------------------
@@ -123,7 +119,7 @@ def test_lambda_matches_circuit_geometry():
 
 
 def test_circuit_corner_n2():
-    plan = shell_circuit(2, _section(2), 0.0)
+    plan = shell_circuit(2, 0.0)
     expected = (-1 + math.sqrt(5)) / 2
     assert np.allclose(plan.corners_local["a"], [expected, expected], atol=1e-12)
     # 8*alpha(3)^2 - 1 = 5 drives the closed form
@@ -132,7 +128,7 @@ def test_circuit_corner_n2():
 
 def test_circuit_sines_match_closed_forms():
     for n in (2, 3, 8, 32, 64):
-        plan = shell_circuit(n, _section(n), 0.0)
+        plan = shell_circuit(n, 0.0)
         assert plan.sin_owa == pytest.approx(sin_corner_angle(n), abs=1e-12)
         assert plan.sin_owh == pytest.approx(sin_reference_angle(n), abs=1e-12)
         assert plan.sin_owa <= plan.sin_owh + 1e-12
@@ -140,9 +136,10 @@ def test_circuit_sines_match_closed_forms():
 
 def test_circuit_moves_are_exact_hops_with_clearance():
     for n, angle in ((2, 0.0), (3, 0.7), (5, 1.9), (2, 1e8), (3, 1e16), (5, -1e17)):
-        plan = shell_circuit(n, _section(n), angle)
+        plan = shell_circuit(n, angle)
         hop = 2 * alpha(n + 1)
         for p, q in plan.link_moves:
+            assert p.shape == q.shape == (2,)
             assert abs(float(np.linalg.norm(p - q)) - hop) < 1e-9
             # independent clearance re-check
             assert gamma(p, q).value >= beta(n) - 1e-9
@@ -161,7 +158,7 @@ def test_circuit_reports_the_first_move_off_the_hop_length(monkeypatch):
     monkeypatch.setattr(weights, "circuit_geometry", moved)
     points, _ = moved(3, 0.0)
     with pytest.raises(ConstructionError, match="^move length ") as info:
-        shell_circuit(3, _section(3), 0.0)
+        shell_circuit(3, 0.0)
     length, hop = map(float, re.fullmatch(r"move length (\S+) differs from (\S+)",
                                           str(info.value)).groups())
     assert length == pytest.approx(float(np.linalg.norm(points["x"] - points["b"])), abs=1e-14)
@@ -170,23 +167,21 @@ def test_circuit_reports_the_first_move_off_the_hop_length(monkeypatch):
 
 
 def test_circuit_arcs_have_uniform_radius():
-    plan = shell_circuit(4, _section(4), 0.3)
+    plan = shell_circuit(4, 0.3)
     for arc in plan.arcs:
         assert arc.radius == pytest.approx(2 * alpha(5), abs=1e-15)
 
 
-def test_circuit_in_tilted_section():
-    from eqball.geometry import orthonormalize
-
-    rng = np.random.default_rng(77)
-    basis = orthonormalize(rng.standard_normal((2, 5)), 5)
-    plan = shell_circuit(5, Frame(basis), 0.4)
-    hop = 2 * alpha(6)
-    for p, q in plan.link_moves:
-        assert p.shape == (5,)
-        assert abs(float(np.linalg.norm(p - q)) - hop) < 1e-9
-    for name, pt in plan.quadruple.items():
-        assert float(np.linalg.norm(pt)) == pytest.approx(1.0, abs=1e-12)
+def test_circuit_memory_does_not_grow_with_n():
+    # The moves are checked on their plane points; one (36, n) stack of
+    # floats would take 2.9 MB at n = 10**4.
+    tracemalloc.start()
+    try:
+        shell_circuit(10**4, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_rotated_circuits_intersect():
@@ -207,7 +202,7 @@ def test_rotated_circuits_intersect():
                             continue
                         t1 = math.atan2(pt[1] - points1[i][1], pt[0] - points1[i][0])
                         t2 = math.atan2(pt[1] - points2[j][1], pt[0] - points2[j][0])
-                        if arcs1[i].contains_angle(t1, 1e-6) and arcs2[j].contains_angle(t2, 1e-6):
+                        if arcs1[i].contains_angle(t1) and arcs2[j].contains_angle(t2):
                             # common waypoint: hop distance to both corners
                             assert abs(np.linalg.norm(pt - points1[i]) - hop) < 1e-6
                             assert abs(np.linalg.norm(pt - points2[j]) - hop) < 1e-6
@@ -347,7 +342,7 @@ def test_falsify_resource_limit_is_inclusive(monkeypatch):
 @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
 def test_shell_circuit_rejects_a_non_finite_angle(angle):
     with pytest.raises(InputError, match="^rotation angle "):
-        shell_circuit(2, _section(2), angle)
+        shell_circuit(2, angle)
 
 
 def reference_falsify(evaluator, n, samples, seed, mode):
