@@ -7,14 +7,18 @@ f(x) = f(y) is implied exactly when e_x - e_y lies in the row space of the
 system.  The generator builds such systems constructively:
 
   * points of the outer annulus are chained to a fixed anchor by hops of
-    length 2*alpha(n+1) with clearance at least beta(n) that
-    weights.CircuitRouter plans, two sets per hop (the sets share n points,
-    so each hop's rows cancel to e_p - e_q);
+    length 2*alpha(n+1) that weights.CircuitRouter plans, two sets per hop
+    (the sets share n points, so each hop's rows cancel to e_p - e_q);
+  * every other point p with ||p|| >= 2*alpha(n+1) - 1 that is not inner
+    bridges: one hop to the partner at norm max(lambda_shell(n),
+    2*alpha(n+1) - ||p||) in the section through p and the anchor, which
+    chains.  Any pair of the ball at exact hop length is a hop
+    (gamma.gamma1_link), so the partner needs no further check;
   * inner points z get one set {z, c_1..c_n} with companions at the radius
     whose apex height equals ||z||, tying f(z) + n*(annulus value) = W;
-  * mid-radius points u pair with the antipodal v at norm 1 - ||u||,
-    enlarged to a maximal set whose extra vertices all land at norm at
-    least the step radius;
+  * the remaining mid-radius points u (n = 2, 3) pair with the antipodal v
+    at norm 1 - ||u||, enlarged to a maximal set whose extra vertices all
+    land at norm sqrt(1 - ||u|| + ||u||**2) >= ||u||;
   * one closing pair at the fixed-point radius beta(n+1) identifies the
     inner value with the annulus value, making W = (n+1) * anchor.  It is
     a constant of (n, tol), built once per process and merged into every
@@ -62,18 +66,16 @@ from .errors import (
     InputError,
     MalformedCertificate,
 )
-from .gamma import gamma, gamma1_link, gamma1_links
+from .gamma import gamma1_link, gamma1_links
 from .geometry import (DEFAULT_TOL, GRID_STEP, RANK_RESIDUAL, Tolerance, _residual, as_point,
                        clamp_to_range, first_orthogonal_axis, json_number_array)
 from .simplex import EquilateralSet, beta, cap_extension, check_sets, first_failure
 from .enlarge import enlarge_to_maximal
-from .weights import CircuitRouter, eta, lambda_shell, mu, mu_inverse, nu
+from .weights import CircuitRouter, eta, lambda_shell, mu, mu_inverse
 
 CERT_VERSION = 2
 MAX_CERT_SETS = 5000
 INT64_MAX = int(np.iinfo(np.int64).max)
-# Band-edge slack used when matching a norm against the step schedule.
-BAND_EDGE_SLACK = 5e-10
 INNER_EDGE = 1e-9
 
 
@@ -556,8 +558,6 @@ class _Generator:
         self.lam, self.hop = self.router.lam, self.router.hop
         self.bridge_floor = self.hop - 1.0
         self.beta_next = beta(n + 1)
-        self.epsilon = 0.5 * min(nu(n, self.lam, tol), self.beta_next - beta(n))
-        self.schedule = self._build_schedule()
         self.anchor = np.zeros(n)
         self.anchor[0] = self.router.anchor_local[0]
         self.anchor_key = _point_key(self.anchor)
@@ -570,17 +570,6 @@ class _Generator:
         # coefficient).  A node is made after every node it refers to, so the
         # list is in topological order.
         self.nodes: list[tuple[list, list]] = []
-
-    def _build_schedule(self) -> list[float]:
-        rho = mu_inverse(self.n, self.lam - self.epsilon, self.tol)
-        schedule = [rho]
-        for _ in range(10000):
-            if schedule[-1] <= self.beta_next:
-                break
-            schedule.append(mu(self.n, schedule[-1], self.tol))
-        else:
-            raise GenerationFailure("schedule", "inward iteration did not terminate")
-        return schedule
 
     # -- linking mechanics ---------------------------------------------------
 
@@ -611,44 +600,16 @@ class _Generator:
                 cleaned.append(w)
         return self.builder.add_chain(np.array(cleaned), "shell-link")
 
-    def _bridge_partner(self, p: np.ndarray) -> np.ndarray | None:
-        """A shell point at hop distance from p with verified clearance."""
+    def _bridge_partner(self, p: np.ndarray) -> np.ndarray:
+        """The point at norm max(lam, hop - ||p||), hop distance from p, in
+        the section through p and the anchor, for ||p|| in [hop - 1, 1]."""
         s = math.sqrt(p @ p)
-        direction = p / s
-        collinear = -(self.hop - s) * direction
-        if math.sqrt(collinear @ collinear) >= self.lam:
-            return collinear
         basis = self._section(p)
         p_local = basis @ p
-        theta = math.atan2(p_local[1], p_local[0])
-        lo = max(self.lam, self.hop - s)
-        if lo > 1.0:
-            return None
-        for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-            rho_r = lo + frac * (1.0 - lo)
-            c = (s * s + rho_r * rho_r - self.hop * self.hop) / (2.0 * s * rho_r)
-            if abs(c) > 1.0:
-                continue
-            omega = math.acos(c)
-            r_local = rho_r * np.array([math.cos(theta + omega), math.sin(theta + omega)])
-            r = (r_local[None, :] @ basis)[0]
-            if gamma(p, r, self.tol).value >= beta(self.n) + 0.005:
-                return r
-        return None
-
-    def _step_radius(self, u: np.ndarray) -> float:
-        """The schedule radius of the band that holds ||u||.
-
-        A norm within the slack below a band's lower edge joins that band;
-        the slack stays inside the 2*eps_eq that theorem_step_relation admits
-        below the edge, so that a small eps_eq still accepts the match.
-        """
-        s = math.sqrt(u @ u)
-        slack = min(BAND_EDGE_SLACK, 2 * self.tol.eps_eq)
-        for m in range(len(self.schedule) - 1):
-            if s >= self.schedule[m + 1] - slack:
-                return self.schedule[m]
-        return self.schedule[-2]
+        rho = max(self.lam, self.hop - s)
+        c = (s * s + rho * rho - self.hop * self.hop) / (2.0 * s * rho)
+        angle = math.atan2(p_local[1], p_local[0]) + math.acos(min(max(c, -1.0), 1.0))
+        return rho * (np.array([[math.cos(angle), math.sin(angle)]]) @ basis)[0]
 
     # -- resolution ----------------------------------------------------------
     #
@@ -674,9 +635,10 @@ class _Generator:
             cls, node = OUTER, self._node(self._chain_to_anchor(p), [])
         elif s < self.beta_next - INNER_EDGE:
             cls, node = INNER, self._lemma_node(p, "inner-lemma")
-        elif s >= self.bridge_floor and (partner := self._bridge_partner(p)) is not None:
+        elif s >= self.bridge_floor:
             # One gamma1_link call per bridge, as perfbench traces it: set_a
             # minus set_b is the hop, set_b minus the partner's node the rest.
+            partner = self._bridge_partner(p)
             set_a, set_b = gamma1_link(p, partner, self.tol)
             own = self.builder.add_set(set_a, "bridge")
             shared = self._set_node(set_b, "bridge", [(partner, OUTER)])
@@ -707,8 +669,9 @@ class _Generator:
         return self._set_node(full, stage, [(c, OUTER) for c in companions])
 
     def _step_node(self, u: np.ndarray, stage: str) -> int:
-        """The annulus step through u, at the schedule radius of its band."""
-        rel = theorem_step_relation(u, self._step_radius(u), self.n, self.tol)
+        """The annulus step through u at rho0 = ||u||: its companions sit at
+        sqrt(1 - ||u|| + ||u||**2) >= ||u||, and the set does not depend on rho0."""
+        rel = theorem_step_relation(u, math.sqrt(u @ u), self.n, self.tol)
         return self._set_node(rel.set, stage,
                               [(rel.v, INNER)] + [(c, OUTER) for c in rel.companions])
 
@@ -754,10 +717,9 @@ class _Generator:
     def run(self, x: np.ndarray, y: np.ndarray) -> Certificate:
         id_x = self.builder.point_id(x)
         id_y = self.builder.point_id(y)
-        params = {"epsilon": self.epsilon, "shell_rho_schedule": list(self.schedule)}
         if id_x == id_y:
             return Certificate(n=self.n, points=np.array([self.builder.points[id_x]]),
-                               sets=[], claim=(id_x, id_x), generator_params=params)
+                               sets=[], claim=(id_x, id_x))
         try:
             cls_x, node_x = self.resolve(x)
             cls_y, node_y = self.resolve(y)
@@ -773,7 +735,6 @@ class _Generator:
             points=np.array(self.builder.points),
             sets=list(self.builder.sets),
             claim=(id_x, id_y),
-            generator_params=params,
             multipliers=self._multipliers(claim),
         )
 
@@ -787,7 +748,7 @@ def _router(n: int) -> CircuitRouter:
 @lru_cache(maxsize=None)
 def _closing_fragment(n: int, tol: Tolerance) -> _Fragment | GenerationFailure:
     """The closing relation of (n, tol), built by _emit_closing in a fresh
-    generator: its z, step schedule and anchor depend on nothing else.  A
+    generator: its z and anchor depend on nothing else.  A
     GenerationFailure of the build is returned, so that it is kept too."""
     gen = _Generator(n, tol)
     try:

@@ -8,10 +8,19 @@ where perp = x0 - <x0, d> d is the part of x0 orthogonal to d = (b - a)/||b - a|
 When a, b and 0 are collinear (perp = 0) every unit u orthogonal to d gives
 that value; u is then first_orthogonal_axis(d), the same for (a, b) and (b, a).
 
-When ||b - a|| equals twice alpha(n+1) and the clearance is at least
-beta(n), the sphere of radius beta(n) around the midpoint carries a size-n
-equilateral set whose union with either endpoint is maximal in the ball:
-two maximal sets sharing n points.
+A hop is a pair of the ball with ||b - a|| = 2*alpha(n+1).  The sphere of
+radius beta(n) around x0 in the hyperplane orthogonal to b - a lies at
+distance 1 from a and b (alpha(n+1)**2 + beta(n)**2 = 1), and a regular
+n-point simplex on it completes either end to a maximal set.  With one
+vertex at x0 - beta(n)*u (simplex_on_spheres), every shared point has
+squared norm at most the hop bound ||x0||**2 + beta(n)**2 + 2*beta(n)*t/(n-1),
+t = ||perp||, which is at most (||a||**2 + ||b||**2)/2, as
+||x0||**2 = (||a||**2 + ||b||**2)/2 - alpha(n+1)**2, t <= ||x0|| <= beta(n)
+and alpha(n+1)**2 - beta(n)**2 = 2*beta(n)**2/(n-1) = 1/n: every pair of the
+ball at hop length is a hop.  The paper's condition gamma(a, b) >= beta(n)
+implies the bound, and is the bound at n = 2.  A simplex with
+t <= RANK_RESIDUAL keeps its canonical orientation, which adds at most
+2*beta(n)*t < 1.5e-10 to a bound below 1 - 1/n + 1.5e-10.
 """
 from __future__ import annotations
 
@@ -157,12 +166,13 @@ def gamma1_links(A, B, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     bn = beta(n)
     x0 = (A + B) / 2.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        value = _clearance(x0, diff / dist[:, None])[0]
+        perp = _clearance(x0, diff / dist[:, None])[1]
+    bound = row_dot(x0, x0) + bn * bn + 2.0 * bn * np.sqrt(row_dot(perp, perp)) / (n - 1)
     failed = first_failure(checks + [
         (np.abs(dist - target) > eps, lambda i: InputError(
             f"||b-a||={dist[i]:.12f}, need {target:.12f}")),
-        (value < bn - eps, lambda i: InputError(
-            f"clearance {value[i]:.12f} below beta_n={bn:.12f}")),
+        (bound > 1.0 + eps, lambda i: InputError(
+            f"hop bound {bound[i]:.12f} exceeds 1: a shared point would leave the ball")),
     ])
     # Hops before the first failing one go on to the checks of their sets.
     m = A.shape[0] if failed is None else failed[0]
@@ -170,7 +180,7 @@ def gamma1_links(A, B, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         shared = simplex_on_spheres(x0[:m], diff[:m], bn)
         shared_norm = np.sqrt(row_dot(shared, shared)).max(axis=1)
         checks = [(shared_norm > 1.0 + eps, lambda i: ConstructionError(
-            "a shared point left the ball; clearance check was too tight"))]
+            "a shared point left the ball; the hop bound was too tight"))]
         for ends in (A[:m], B[:m]):
             pts = np.concatenate([ends[:, None, :], shared], axis=1)
             checks += check_sets(pts, True, tol, ConstructionError)[2]
@@ -183,11 +193,11 @@ def gamma1_links(A, B, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 def gamma1_link(a, b, tol: Tolerance = DEFAULT_TOL) -> tuple[EquilateralSet, EquilateralSet]:
     """Two maximal in-ball sets sharing n points, differing only in a vs b.
 
-    Requires ||b - a|| = 2*alpha(n+1) and clearance >= beta(n).  The shared
-    points sit on the sphere of radius beta(n) around the midpoint, inside
-    the hyperplane orthogonal to b - a; each is at distance exactly 1 from
-    both a and b since alpha(n+1)**2 + beta(n)**2 = 1.  The one-hop case of
-    gamma1_links.
+    Requires ||b - a|| = 2*alpha(n+1) and the hop bound (module docstring)
+    at most 1 + eps_eq, which every such pair of the ball meets.  The shared
+    points sit on the sphere of radius beta(n) around the midpoint x0,
+    orthogonal to b - a, one at x0 - beta(n)*u; each is at distance 1 from
+    a and b.  The one-hop case of gamma1_links.
     """
     a = as_point(a)
     b = as_point(b, a.size)

@@ -197,7 +197,15 @@ def simplex_on_spheres(centers, normals, radius: float) -> np.ndarray:
     normal, the one orthonormal_complement builds.  The vertices of
     canonical_simplex(n-1, n), a regular n-point simplex of an
     (n-1)-dimensional complement, are carried into each complement and
-    rescaled to `radius`.
+    rescaled to `radius`.  Where the center's coordinates in the complement
+    basis have length t > RANK_RESIDUAL and direction u, an orthogonal map
+    of the complement first puts vertex 0 at center - radius*u: with v0 the
+    direction of vertex 0 and s = +-1 the sign of <v0, u>, s times the
+    reflection along w = v0 + s*u (||w|| >= sqrt(2)).  Each other vertex v
+    then has <center, v - center> = radius*t/(n-1).  Working in complement
+    coordinates keeps u off the normal; a projection of the center off the
+    normal would tilt u by about 2**-52 * ||center|| / t per pass.  A
+    center on the normal's line keeps the canonical orientation.
     """
     centers = np.asarray(centers, dtype=float)
     normals = np.asarray(normals, dtype=float)
@@ -206,7 +214,18 @@ def simplex_on_spheres(centers, normals, radius: float) -> np.ndarray:
     if not np.all(lengths > RANK_RESIDUAL):
         raise InputError("a normal vector is zero")
     complements = complete_bases((normals / lengths[:, None])[:, None, :])
-    offsets = _simplex_vertices(n - 1) @ complements
+    vertices = base = _simplex_vertices(n - 1)
+    local = (complements @ centers[:, :, None])[..., 0]
+    t = np.sqrt(row_dot(local, local))
+    turn = (t > RANK_RESIDUAL).nonzero()[0]
+    if turn.size:
+        u = local[turn] / t[turn, None]
+        sign = np.copysign(1.0, u @ base[0])[:, None]
+        w = base[0] / beta(n) + sign * u
+        along = (base @ w[..., None]) * (2.0 / row_dot(w, w))[:, None, None]
+        vertices = np.repeat(base[None], len(centers), axis=0)
+        vertices[turn] = sign[..., None] * (base - along * w[:, None, :])
+    offsets = vertices @ complements
     offsets *= (radius / np.linalg.norm(offsets, axis=-1))[..., None]
     return centers[:, None, :] + offsets
 

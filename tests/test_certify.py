@@ -33,7 +33,7 @@ from eqball.gamma import gamma1_link
 from eqball.geometry import DEFAULT_TOL, Tolerance, section2d
 from eqball.simplex import EquilateralSet, alpha, beta
 from eqball.verify import _ball_point, _feasible_assignments
-from eqball.weights import CircuitRouter, eta, lambda_shell, mu, nu
+from eqball.weights import CircuitRouter, eta, lambda_shell, mu
 
 
 # -- step relation ------------------------------------------------------------
@@ -50,8 +50,9 @@ def test_step_and_lemma_at_a_loose_tolerance():
 @pytest.mark.parametrize("x", [[0.7290110457871478, 0.0], [0.8713743979933785, 0.0, 0.0, 0.0, 0.0]],
                          ids=["n2", "n5"])
 def test_small_eps_matches_bands_inside_the_step_window(x):
-    """A norm 3e-10 below a schedule radius: at eps_eq = 1e-10 the band edge
-    slack must stay within the 2*eps_eq that theorem_step_relation admits."""
+    """Certificates at eps_eq = 1e-10: an annulus step at n = 2, whose
+    rho0 = ||u|| lies inside the window theorem_step_relation admits at any
+    eps_eq, and a bridge at n = 5."""
     tol = Tolerance(1e-10)
     x = np.array(x)
     y = np.zeros(x.size)
@@ -258,24 +259,7 @@ def test_generate_mixed_regions_all_stages():
     assert report.accepted
     assert report.residual < 1e-8
     assert len(cert.sets) <= 5000
-    assert "epsilon" in cert.generator_params
-    assert len(cert.generator_params["shell_rho_schedule"]) >= 2
-
-
-def test_generate_schedule_matches_contract():
-    for n in (2, 3, 4):
-        cert = generate_equality_certificate(np.zeros(n), np.full(n, 0.9 / math.sqrt(n)), n)
-        eps = cert.generator_params["epsilon"]
-        lam = lambda_shell(n)
-        assert eps < min(nu(n, lam), beta(n + 1) - beta(n))
-        schedule = cert.generator_params["shell_rho_schedule"]
-        assert schedule[-1] <= beta(n + 1)
-        assert all(r1 > r2 for r1, r2 in zip(schedule, schedule[1:]))
-        for r1, r2 in zip(schedule, schedule[1:]):
-            assert r1 - r2 >= nu(n, lam) - eps - 1e-12
-        assert schedule[0] == pytest.approx(
-            float(np.clip(schedule[0], lam, 1.0)), abs=1e-9)  # starts above lambda
-        assert mu(n, schedule[0]) == pytest.approx(lam - eps, abs=1e-9)
+    assert cert.generator_params == {}
 
 
 def test_generate_deterministic():
@@ -315,6 +299,27 @@ def test_generate_random_pairs_and_soundness():
             assignments = _feasible_assignments(cert, 20, np.random.default_rng(7))
             gap = np.abs(assignments[cert.claim[0]] - assignments[cert.claim[1]])
             assert float(np.max(gap)) < 1e-6
+
+
+def test_every_n_certifies_boundary_and_random_pairs():
+    """At n = 2..12 a point at each boundary radius, paired with a random
+    point of the ball, and three random pairs certify and check after the
+    JSON round trip; the closing relation stays under the cap at n = 16."""
+    rng = np.random.default_rng(2112)
+    for n in range(2, 13):
+        radii = (0.0, 1e-13, beta(n + 1), lambda_shell(n), 0.5, 2.0 * alpha(n + 1) - 1.0, 1.0)
+        directions = rng.standard_normal((len(radii), n))
+        directions /= np.linalg.norm(directions, axis=1)[:, None]
+        pairs = [(r * d, _ball_point(rng, n)) for r, d in zip(radii, directions)]
+        pairs += [(_ball_point(rng, n), _ball_point(rng, n)) for _ in range(3)]
+        for x, y in pairs:
+            start = time.perf_counter()
+            cert = generate_equality_certificate(x, y, n)
+            text = certificate_to_json(cert)
+            assert check_certificate(certificate_from_json(text)).accepted, (n, x, y)
+            assert len(cert.sets) <= 5000
+            assert time.perf_counter() - start < 10.0
+    assert len(_closing_fragment(16, DEFAULT_TOL).sets) < certify.MAX_CERT_SETS
 
 
 # -- serialization --------------------------------------------------------------
@@ -739,19 +744,34 @@ def test_router_plans_match_a_fresh_router(n):
     assert not shared.cross_m[2].flags.writeable
 
 
-def test_call_history_does_not_change_a_certificate():
+def _failing_closing(monkeypatch, request, built):
+    """Make every closing relation built from now on fail with [closing]
+    boom, recording its n in `built`; the kept failures are dropped after
+    the test."""
+    def fail(self):
+        built.append(self.n)
+        raise GenerationFailure("closing", "boom")
+
+    monkeypatch.setattr(_Generator, "_emit_closing", fail)
+    _closing_fragment.cache_clear()
+    request.addfinalizer(_closing_fragment.cache_clear)
+
+
+def test_call_history_does_not_change_a_certificate(monkeypatch, request):
     """Certificates share the per-n routers and closing relations; a pair
-    certified from cold state, then again after pairs at other n and the
-    n = 7 cap failure, gives the same text."""
+    certified from cold state, then again after pairs at other n and a
+    failed n = 7 closing relation, gives the same text."""
     _router.cache_clear()
     x, y = _in_plane(3, 0.62, 0.9), _in_plane(3, 0.1, 0.4)
     first = certificate_to_json(generate_equality_certificate(x, y, 3))
     for n in (2, 4, 5):
         generate_equality_certificate(_in_plane(n, 0.97, -0.4), _in_plane(n, 0.3, 0.5), n)
+    _failing_closing(monkeypatch, request, [])
     y7 = np.zeros(7)
     y7[0] = 0.95
-    with pytest.raises(GenerationFailure, match="exceeded 5000 sets"):
+    with pytest.raises(GenerationFailure, match=r"^\[closing\] boom$"):
         generate_equality_certificate(np.zeros(7), y7, 7)
+    monkeypatch.undo()
     assert certificate_to_json(generate_equality_certificate(x, y, 3)) == first
 
 
@@ -799,29 +819,23 @@ def test_set_cap_fails_at_the_same_request(monkeypatch, request, x, y, n, messag
     assert len(gen.memo) == entered
 
 
-def test_closing_relation_at_n7_still_exceeds_the_cap():
+def test_closing_relation_at_n7_fits_under_the_cap():
     y = np.zeros(7)
     y[0] = 0.95
-    with pytest.raises(GenerationFailure, match=r"^\[shell-link\] certificate exceeded 5000 sets$"):
-        generate_equality_certificate(np.zeros(7), y, 7)
+    cert = generate_equality_certificate(np.zeros(7), y, 7)
+    assert check_certificate(certificate_from_json(certificate_to_json(cert))).accepted
+    assert len(cert.sets) == 412
 
 
-def test_closing_failure_is_kept(monkeypatch):
+def test_closing_failure_is_kept(monkeypatch, request):
     """A closing relation that fails to build fails again, with the same
     stage and message, without being built a second time."""
     built = []
-    emit = _Generator._emit_closing
-
-    def spy(self):
-        built.append(self.n)
-        return emit(self)
-
-    monkeypatch.setattr(_Generator, "_emit_closing", spy)
-    _closing_fragment.cache_clear()
+    _failing_closing(monkeypatch, request, built)
     y = np.zeros(7)
     y[0] = 0.95
     for x in (np.zeros(7), _in_plane(7, 0.1, 0.3)):
-        with pytest.raises(GenerationFailure, match=r"^\[shell-link\] certificate exceeded 5000 sets$"):
+        with pytest.raises(GenerationFailure, match=r"^\[closing\] boom$"):
             generate_equality_certificate(x, y, 7)
     assert built == [7]
 
@@ -860,10 +874,10 @@ def test_stage_counts_of_the_closing_relation(n, stages):
 
 
 @pytest.mark.parametrize("x, y, n, sets, points, total", [
-    (_in_plane(5, 0.85, -0.3), _in_plane(5, 0.1875, 0.65), 5, 954, 2830, 964),
+    (_in_plane(5, 0.85, -0.3), _in_plane(5, 0.1875, 0.65), 5, 240, 712, 252),
     (np.array([0.35, 0.1]), np.array([0.88, 0.2]), 2, 436, 630, 444),
     (np.zeros(3), np.array([0.95, 0.0, 0.0]), 3, 292, 574, 262),
-    (_in_plane(4, 0.6, 0.2), _in_plane(4, 0.3, -0.7), 4, 118, 285, 118),
+    (_in_plane(4, 0.6, 0.2), _in_plane(4, 0.3, -0.7), 4, 118, 293, 118),
 ])
 def test_certificate_shape_is_pinned(x, y, n, sets, points, total):
     """Sets, points and sum of |multipliers| of fixed pairs; the first is the

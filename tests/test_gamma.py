@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 
 from eqball.errors import InputError
 from eqball.gamma import gamma, gamma1_link, gamma1_links, gamma_bruteforce
-from eqball.geometry import Frame, orthonormal_complement, orthonormalize, section2d
-from eqball.simplex import alpha, beta, canonical_simplex, random_rotations
+from eqball.geometry import DEFAULT_TOL, Frame, orthonormal_complement, orthonormalize, section2d
+from eqball.simplex import alpha, beta, canonical_simplex, distance_errors, random_rotations
 from eqball.weights import lambda_shell
 
 
-# Messages of the two linking-move preconditions, hop length and clearance.
+# Messages of the two linking-move preconditions, hop length and hop bound.
 DISTANCE = r"^\|\|b-a\|\|="
-CLEARANCE = r"^clearance .* below beta_n="
+BOUND = r"^hop bound .* exceeds 1: a shared point would leave the ball$"
 
 
 def _random_ball_point(rng, n):
@@ -183,17 +183,30 @@ def test_gamma1_link_centered_any_n():
         assert set_a.k == n + 1 and set_b.k == n + 1
 
 
+def _past_the_bound(n):
+    """Two points at norm 1 + 0.9*eps_eq, one hop apart: both lie in the ball
+    as gamma1_link admits it, and the hop bound is 1 + 1.8*eps_eq*n/(n-1)."""
+    r = 1.0 + 0.9 * DEFAULT_TOL.eps_eq
+    phi = 2.0 * math.asin(alpha(n + 1) / r)
+    a, b = np.zeros(n), np.zeros(n)
+    a[0], b[:2] = r, (r * math.cos(phi), r * math.sin(phi))
+    return a, b
+
+
 def test_gamma1_link_preconditions():
     with pytest.raises(InputError, match=DISTANCE):
         gamma1_link(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
     # Two boundary points of the 3-ball at hop distance: their midpoint has
-    # clearance 1 - beta(3) < beta(3), so the linking move must refuse.
+    # clearance 1 - beta(3) < beta(3), yet the hop bound is 1, so the
+    # linking move accepts them.
     p = np.array([1.0, 0.0, 0.0])
     q = np.array([-1.0 / 3.0, math.sqrt(8.0) / 3.0, 0.0])
     assert np.linalg.norm(p - q) == pytest.approx(2 * alpha(4), abs=1e-12)
     assert gamma(p, q).value == pytest.approx(1.0 - beta(3), abs=1e-12)
-    with pytest.raises(InputError, match=CLEARANCE):
-        gamma1_link(p, q)
+    for s in gamma1_link(p, q):
+        s.validate(in_ball=True)
+    with pytest.raises(InputError, match=BOUND):
+        gamma1_link(*_past_the_bound(3))
 
 
 def _random_chain(rng, n, hops):
@@ -212,21 +225,35 @@ def _random_chain(rng, n, hops):
 
 def test_gamma1_links_rows_are_the_paper_construction():
     """Each row rebuilt on its own: a regular simplex of radius beta(n) around
-    the hop's midpoint, in the hyperplane orthogonal to b - a."""
+    the hop's midpoint x0, in the hyperplane orthogonal to b - a, with its
+    first point at x0 - beta(n)*u; a hop on a line through the origin
+    keeps the orthonormal_complement + canonical_simplex orientation."""
     rng = np.random.default_rng(31)
     eps = np.finfo(float).eps
     for n in range(2, 7):
+        hop = 2.0 * alpha(n + 1)
+        plane = random_rotations(n, 1, np.random.default_rng(n))[0][:2]
+        on_line = np.array([[0.9, 0.0], [0.9 - hop, 0.0]]) @ plane
+        assert np.linalg.norm(on_line[1] - on_line[0]) == pytest.approx(hop, abs=1e-15)
+        shared = gamma1_links(on_line[:1], on_line[1:])[0]
+        basis = orthonormal_complement([on_line[1] - on_line[0]], n).basis
+        offsets = canonical_simplex(n - 1, n).points @ basis
+        offsets = offsets * (beta(n) / np.linalg.norm(offsets, axis=1))[:, None]
+        # a few ulp: the batched kernel may sum in another order
+        assert np.max(np.abs(shared - (on_line.mean(axis=0) + offsets))) <= 4 * eps
         for hops in (1, 3, 6):
             w = _random_chain(rng, n, hops)
             shared = gamma1_links(w[:-1], w[1:])
             assert shared.shape == (hops, n, n)
             for h in range(hops):
                 a, b = w[h], w[h + 1]
-                basis = orthonormal_complement([b - a], n).basis
-                offsets = canonical_simplex(n - 1, n).points @ basis
-                offsets = offsets * (beta(n) / np.linalg.norm(offsets, axis=1))[:, None]
-                # a few ulp: the batched kernel may sum in another order
-                assert np.max(np.abs(shared[h] - ((a + b) / 2.0 + offsets))) <= 4 * eps
+                x0, d = (a + b) / 2.0, (b - a) / np.linalg.norm(b - a)
+                perp = x0 - (x0 @ d) * d
+                u = perp / np.linalg.norm(perp)
+                assert np.max(np.abs(shared[h][0] - (x0 - beta(n) * u))) <= 1e-14
+                assert np.max(np.abs(np.linalg.norm(shared[h] - x0, axis=1) - beta(n))) <= 1e-14
+                assert np.max(np.abs((shared[h] - x0) @ d)) <= 1e-14
+                assert np.max(distance_errors(shared[h])) <= 1e-14
                 for end in (a, b):
                     assert np.max(np.abs(np.linalg.norm(shared[h] - end, axis=1) - 1.0)) < 1e-12
                 # the one-hop wrapper returns the same rows around its endpoints
@@ -258,13 +285,13 @@ def test_gamma1_link_checks_the_hop_length_at_eps_eq(n):
 
 def test_gamma1_links_low_clearance_hop():
     w = _random_chain(np.random.default_rng(33), 3, 2)
-    p = np.array([1.0, 0.0, 0.0])
-    q = np.array([-1.0 / 3.0, math.sqrt(8.0) / 3.0, 0.0])  # clearance 1 - beta(3)
-    with pytest.raises(InputError, match=CLEARANCE):
+    p, q = _past_the_bound(3)  # clearance below beta(3), hop bound past 1 + eps_eq
+    assert gamma(p, q).value < beta(3)
+    with pytest.raises(InputError, match=BOUND):
         gamma1_links(np.vstack([w[:-1], p]), np.vstack([w[1:], q]))
     # the error is that of the first failing hop, whatever later hops do
     short = np.array([0.0, 0.0, 0.0]), np.array([0.5, 0.0, 0.0])
-    with pytest.raises(InputError, match=CLEARANCE):
+    with pytest.raises(InputError, match=BOUND):
         gamma1_links(np.vstack([p, short[0]]), np.vstack([q, short[1]]))
     with pytest.raises(InputError, match=DISTANCE):
         gamma1_links(np.vstack([short[0], p]), np.vstack([short[1], q]))
@@ -325,3 +352,53 @@ def test_boundary_pairs_link_or_fail_cleanly(pair):
     for s in sets:
         assert s.k == n + 1
         s.validate(in_ball=True)
+
+
+@st.composite
+def exact_hops(draw):
+    """(n, a, b): two points of the closed ball one hop 2*alpha(n+1) apart,
+    n = 2..64, each end on the sphere, at the least norm that can still
+    hop, or anywhere between; b on the line through a and 0 when its norm
+    is the hop length minus a's."""
+    n = draw(st.integers(2, 64))
+    hop = 2.0 * alpha(n + 1)
+    e1, e2 = random_rotations(n, 1, np.random.default_rng(draw(st.integers(0, 2**32))))[0][:2]
+    r_a = draw(st.sampled_from([1.0, hop - 1.0]) | st.floats(hop - 1.0, 1.0))
+    r_b = draw(st.sampled_from([1.0, hop - r_a]) | st.floats(hop - r_a, 1.0))
+    cos = min(max((r_a * r_a + r_b * r_b - hop * hop) / (2.0 * r_a * r_b), -1.0), 1.0)
+    return n, r_a * e1, r_b * (cos * e1 + math.sqrt(1.0 - cos * cos) * e2)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(exact_hops())
+def test_hop_shared_points_stay_within_the_mean_squared_norm(pair):
+    """Every shared point of a hop has squared norm at most
+    (||a||**2 + ||b||**2)/2 + delta, delta = (8n + 16) * 2**-53.
+
+    With u = 2**-53 and every length at most 1, to first order in u: the
+    drawn pair is within 4u of exact hop length, which moves
+    ||x0||**2 = (||a||**2 + ||b||**2)/2 - ||b - a||**2/4 by at most 4u; the
+    rounded midpoint is within u of x0 (2u on its squared norm); the
+    complement basis (two Gram-Schmidt passes), the rescale to beta(n) and
+    the reflection leave each offset o within about 2nu of its exact
+    vertex, which moves 2<x0, o> + ||o||**2 by at most
+    2 * 2nu * (||x0|| + beta(n)) < 6nu; adding x0 rounds each coordinate
+    (2u), and the n-term sum of squares below adds nu: (7n + 8)u < delta.
+    The largest excess measured over 20000 random hops at n = 2..64 was
+    2n * 2**-52, at n = 2.
+
+    A midpoint whose part t orthogonal to b - a is at most RANK_RESIDUAL
+    keeps the canonical orientation: the points there reach at most
+    ||x0||**2 + beta(n)**2 + 2*beta(n)*t = mean - 1/n + 2*beta(n)*t, with
+    2*beta(n)*t < 1.5e-10, far below the mean; the collinear draws
+    (b on the line through a and 0) take that path."""
+    n, a, b = pair
+    shared = gamma1_links(a[None, :], b[None, :])[0]
+    mean = (a @ a + b @ b) / 2.0
+    delta = (8 * n + 16) * 2.0**-53
+    assert np.max(np.sum(shared * shared, axis=1)) <= mean + delta
+    x0, d = (a + b) / 2.0, (b - a) / np.linalg.norm(b - a)
+    t = np.linalg.norm(x0 - (x0 @ d) * d)
+    if t <= 1e-10:
+        reach = mean - 1.0 / n + 2.0 * beta(n) * t
+        assert np.max(np.sum(shared * shared, axis=1)) <= reach + delta

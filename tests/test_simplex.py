@@ -465,24 +465,50 @@ def test_sampling_failure_after_the_last_round(monkeypatch):
 
 
 def test_simplex_on_spheres_matches_the_complement_construction():
-    """The kernel against orthonormal_complement + canonical_simplex, one
-    normal at a time; normals along a canonical axis drop that axis."""
+    """Centers on the normal's line get the orthonormal_complement +
+    canonical_simplex simplex; other centers have vertex 0 at
+    center - radius*u, u the unit part of the center orthogonal to the
+    normal, and every other vertex v at <center, v - center> =
+    radius*t/(n-1), t that part's length.  Normals along a canonical axis
+    drop that axis; centers 1e-9 off the normal's line keep every vertex
+    in the hyperplane."""
     rng = np.random.default_rng(12)
     for n in range(2, 8):
         normals = [rng.standard_normal(n) for _ in range(6)]
         normals += [np.eye(n)[0], -np.eye(n)[n - 1], np.eye(n)[n // 2] + 1e-12 * np.eye(n)[0]]
         normals = np.array(normals)
-        centers = 0.3 * rng.standard_normal(normals.shape)
-        out = simplex_on_spheres(centers, normals, beta(n))
-        assert out.shape == (len(normals), n, n)
-        for c, v, pts in zip(centers, normals, out):
-            basis = orthonormal_complement([v], n).basis
-            offsets = canonical_simplex(n - 1, n).points @ basis
-            offsets = offsets * (beta(n) / np.linalg.norm(offsets, axis=1))[:, None]
-            # a few ulp: the kernel may sum its dot products in another order
-            assert np.max(np.abs(pts - (c + offsets))) <= 4 * np.finfo(float).eps
+        units = normals / np.linalg.norm(normals, axis=1)[:, None]
+        on_line = rng.standard_normal((len(normals), 1)) * normals
+        sideways = rng.standard_normal(normals.shape)
+        for _ in range(2):
+            sideways -= np.sum(sideways * units, axis=1)[:, None] * units
+        sideways /= np.linalg.norm(sideways, axis=1)[:, None]
+        off_line = 0.3 * rng.standard_normal(normals.shape)
+        centers = np.concatenate([on_line, on_line + 1e-9 * sideways, off_line])
+        out = simplex_on_spheres(centers, np.tile(normals, (3, 1)), beta(n))
+        assert out.shape == (3 * len(normals), n, n)
+        for i, (c, pts) in enumerate(zip(centers, out)):
+            v = normals[i % len(normals)]
             assert np.max(distance_errors(pts)) < 1e-12
             assert np.max(np.abs((pts - c) @ v)) < 1e-12 * np.linalg.norm(v)
+            assert np.max(np.abs(np.linalg.norm(pts - c, axis=1) - beta(n))) < 1e-14
+            if i < len(normals):
+                basis = orthonormal_complement([v], n).basis
+                offsets = canonical_simplex(n - 1, n).points @ basis
+                offsets = offsets * (beta(n) / np.linalg.norm(offsets, axis=1))[:, None]
+                # a few ulp: the kernel may sum its dot products in another order
+                assert np.max(np.abs(pts - (c + offsets))) <= 4 * np.finfo(float).eps
+                continue
+            unit = units[i % len(normals)]
+            perp = c - (c @ unit) * unit
+            perp -= (perp @ unit) * unit
+            t = np.linalg.norm(perp)
+            reach = (pts - c) @ perp
+            slack = 4e-15 * np.linalg.norm(c)
+            assert reach[0] == pytest.approx(-beta(n) * t, abs=slack)
+            assert np.max(np.abs(reach[1:] - beta(n) * t / (n - 1))) < slack
+            if i >= 2 * len(normals):
+                assert np.max(np.abs(pts[0] - (c - beta(n) * perp / t))) < 1e-14
 
 
 def test_simplex_on_spheres_rejects_a_zero_normal():
