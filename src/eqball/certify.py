@@ -6,9 +6,11 @@ linear equation per set (the point values sum to the weight W), so a claim
 f(x) = f(y) is implied exactly when e_x - e_y lies in the row space of the
 system.  The generator builds such systems constructively:
 
-  * points of the outer annulus are chained to a fixed anchor by hops of
-    length 2*alpha(n+1) that weights.CircuitRouter plans, two sets per hop
-    (the sets share n points, so each hop's rows cancel to e_p - e_q);
+  * points of the outer annulus are chained to a fixed anchor by two or
+    four hops of length 2*alpha(n+1) in the section through the point and
+    the anchor, through circle intersections and at most one fixed hub
+    (_Generator._plan), two sets per hop (the sets share n points, so each
+    hop's rows cancel to e_p - e_q);
   * every other point p with ||p|| >= 2*alpha(n+1) - 1 that is not inner
     bridges: one hop to the partner at norm max(lambda_shell(n),
     2*alpha(n+1) - ||p||) in the section through p and the anchor, which
@@ -69,9 +71,9 @@ from .errors import (
 from .gamma import gamma1_link, gamma1_links
 from .geometry import (DEFAULT_TOL, GRID_STEP, RANK_RESIDUAL, Tolerance, _residual, as_point,
                        clamp_to_range, first_orthogonal_axis, json_number_array)
-from .simplex import EquilateralSet, beta, cap_extension, check_sets, first_failure
+from .simplex import EquilateralSet, alpha, beta, cap_extension, check_sets, first_failure
 from .enlarge import enlarge_to_maximal
-from .weights import CircuitRouter, eta, lambda_shell, mu, mu_inverse
+from .weights import circle_circle_intersections, eta, lambda_shell, mu, mu_inverse
 
 CERT_VERSION = 2
 MAX_CERT_SETS = 5000
@@ -554,12 +556,13 @@ class _Generator:
         self.n = n
         self.tol = tol
         self.builder = _Builder(n, tol)
-        self.router = _router(n)
-        self.lam, self.hop = self.router.lam, self.router.hop
+        self.lam, self.hop = lambda_shell(n), 2.0 * alpha(n + 1)
         self.bridge_floor = self.hop - 1.0
         self.beta_next = beta(n + 1)
+        # The anchor's coordinates in every section through it.
+        self.anchor_local = np.array([(self.lam + 1.0) / 2.0, 0.0])
         self.anchor = np.zeros(n)
-        self.anchor[0] = self.router.anchor_local[0]
+        self.anchor[0] = self.anchor_local[0]
         self.anchor_key = _point_key(self.anchor)
         # The first row of every section through the anchor: its direction.
         self.anchor_row = self.anchor[None, :] / math.sqrt(self.anchor @ self.anchor)
@@ -584,13 +587,26 @@ class _Generator:
             return np.array([self.anchor_row[0], u / norm])
         return np.array([self.anchor_row[0], first_orthogonal_axis(self.anchor_row, self.n)])
 
+    def _plan(self, p_local: np.ndarray) -> list[np.ndarray]:
+        """Section waypoints [p, via(p, A), A], or [p, via(p, q), q, via(q, A),
+        A] through the first hub q that has a via from p, A the anchor:
+        consecutive waypoints are one hop apart and every via is in the disc."""
+        via = _via(p_local, self.anchor_local, self.hop)
+        if via is not None:
+            return [p_local, via, self.anchor_local]
+        for hub, hub_via in _hubs(self.hop, self.anchor_local[0]):
+            via = _via(p_local, hub, self.hop)
+            if via is not None:
+                return [p_local, via, hub, hub_via, self.anchor_local]
+        raise GenerationFailure("shell-link", "no hop plan")
+
     def _chain_to_anchor(self, p: np.ndarray) -> list[tuple[int, int]]:
-        """Emit gamma1 pairs along a circuit chain from p to the anchor;
+        """Emit gamma1 pairs along the planned chain from p to the anchor;
         returns their terms, which sum to e_p - e_anchor."""
         basis = self._section(p)
         # Each waypoint is embedded by its own (1, 2) @ basis product: a 2-D
         # (m, 2) @ basis product may round differently.
-        waypoints = (np.array(self.router.plan(basis @ p))[:, None, :] @ basis)[:, 0]
+        waypoints = (np.array(self._plan(basis @ p))[:, None, :] @ basis)[:, 0]
         waypoints[0] = p          # use the exact ambient inputs at the ends
         waypoints[-1] = self.anchor
         cleaned = [waypoints[0]]
@@ -739,10 +755,24 @@ class _Generator:
         )
 
 
+def _via(a: np.ndarray, b: np.ndarray, hop: float) -> np.ndarray | None:
+    """The smaller-norm point of the plane at distance hop from both a and
+    b, or None when there is none in the closed unit disc."""
+    points = circle_circle_intersections(a, hop, b, hop)
+    if not points:
+        return None
+    via = min(points, key=lambda w: w @ w)
+    return via if math.sqrt(via @ via) <= 1.0 else None
+
+
 @lru_cache(maxsize=None)
-def _router(n: int) -> CircuitRouter:
-    """The router of dimension n, built once: it plans as a new one would."""
-    return CircuitRouter(n)
+def _hubs(hop: float, anchor_norm: float) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The hubs q = (0, r), r = 1, 0.95, ..., 0.5, of section coordinates
+    that have a via to the anchor (anchor_norm, 0), each with that via; built
+    once per dimension."""
+    anchor = np.array([anchor_norm, 0.0])
+    hubs = [np.array([0.0, 1.0 - 0.05 * k]) for k in range(11)]
+    return tuple((q, via) for q in hubs if (via := _via(q, anchor, hop)) is not None)
 
 
 @lru_cache(maxsize=None)

@@ -159,50 +159,18 @@ def first_orthogonal_axis(existing: np.ndarray, n: int) -> np.ndarray:
     raise ConstructionError("no canonical axis is independent of the span")
 
 
-def complete_bases(spans: np.ndarray) -> np.ndarray:
-    """Orthonormal bases of the orthogonal complements of k spans, in one
-    array pass; `spans` is a (k, d, n) stack of orthonormal rows and the
-    result the (k, n - d, n) stack of complement rows.
-
-    Each span is completed by Gram-Schmidt over the canonical axes in index
-    order, two passes, dropping an axis whose residual is at most
-    RANK_RESIDUAL.
-    """
-    k, d, n = spans.shape
-    rows = np.zeros((k, n, n))  # the span, then its complement
-    rows[:, :d] = spans
-    # Views for the row_dot(r, w) products, r as rows and each w as columns.
-    views = [(rows[:, j], rows[:, j, :, None]) for j in range(n)]
-    r = np.zeros((k, n))
-    r_rows = r[:, None, :]
-    count = np.full(k, d, dtype=np.intp)
-    for i in range(n):
-        if count.min() == n:
-            break
-        r[:] = 0.0
-        r[:, i] = 1.0
-        for _ in range(2):  # second pass restores orthogonality lost to cancellation
-            for w, w_columns in views[:int(count.max())]:  # rows past count[.] are zero
-                r -= (r_rows @ w_columns)[:, 0] * w
-        norm = np.sqrt(row_dot(r, r))
-        keep = np.flatnonzero((norm > RANK_RESIDUAL) & (count < n))
-        rows[keep, count[keep]] = r[keep] / norm[keep, None]
-        count[keep] += 1
-    if count.min() < n:
-        raise ConstructionError("failed to complete the complement basis")
-    return rows[:, d:]
-
-
 def orthonormal_complement(vectors, n: int) -> Frame:
     """Orthonormal basis of the orthogonal complement of span(vectors) in R^n.
 
-    Raises InputError when the input already spans R^n.
+    The span is completed by Gram-Schmidt over the canonical axes in index
+    order (orthonormalize).  Raises InputError when the input already spans
+    R^n.
     """
     span = orthonormalize(vectors, n)
     d = span.shape[0]
     if d >= n:
         raise InputError(f"span has dimension {d} in R^{n}; complement is trivial")
-    return Frame(complete_bases(span[None])[0])
+    return Frame(orthonormalize([*span, *np.eye(n)], n)[d:])
 
 
 def section2d(a, b, tol: Tolerance = DEFAULT_TOL) -> Frame:

@@ -20,7 +20,6 @@ from .geometry import (
     Tolerance,
     as_point,
     clamp_to_range,
-    complete_bases,
     first_orthogonal_axis,
     row_dot,
 )
@@ -193,16 +192,18 @@ def simplex_on_spheres(centers, normals, radius: float) -> np.ndarray:
     `centers` (k, n), each in the hyperplane through its center orthogonal
     to the matching row of `normals`; returns a (k, n, n) array.
 
-    Each complement is the basis geometry.complete_bases builds for the unit
-    normal, the one orthonormal_complement builds.  The vertices of
-    canonical_simplex(n-1, n), a regular n-point simplex of an
-    (n-1)-dimensional complement, are carried into each complement and
-    rescaled to `radius`.  Where the center's coordinates in the complement
-    basis have length t > RANK_RESIDUAL and direction u, an orthogonal map
-    of the complement first puts vertex 0 at center - radius*u: with v0 the
-    direction of vertex 0 and s = +-1 the sign of <v0, u>, s times the
-    reflection along w = v0 + s*u (||w|| >= sqrt(2)).  Each other vertex v
-    then has <center, v - center> = radius*t/(n-1).  Working in complement
+    The complement of each unit normal v is rows 0..n-2 of the Householder
+    reflection I - 2*h*h^T/(h^T h), h = v + copysign(1, v[-1])*e[-1], which
+    maps v to -+e[-1]: ||h||**2 = 2 + 2*|v[-1]| >= 2, so nothing cancels
+    (Householder, J. ACM 5, 1958).  The vertices of canonical_simplex(n-1, n),
+    a regular n-point simplex of an (n-1)-dimensional complement, are
+    carried into each complement and rescaled to `radius`.  Where the
+    center's coordinates in the complement basis have length
+    t > RANK_RESIDUAL and direction u, an orthogonal map of the complement
+    first puts vertex 0 at center - radius*u: with v0 the direction of
+    vertex 0 and s = +-1 the sign of <v0, u>, s times the reflection along
+    w = v0 + s*u (||w|| >= sqrt(2)).  Each other vertex v then has
+    <center, v - center> = radius*t/(n-1).  Working in complement
     coordinates keeps u off the normal; a projection of the center off the
     normal would tilt u by about 2**-52 * ||center|| / t per pass.  A
     center on the normal's line keeps the canonical orientation.
@@ -213,7 +214,10 @@ def simplex_on_spheres(centers, normals, radius: float) -> np.ndarray:
     lengths = np.sqrt(row_dot(normals, normals))
     if not np.all(lengths > RANK_RESIDUAL):
         raise InputError("a normal vector is zero")
-    complements = complete_bases((normals / lengths[:, None])[:, None, :])
+    h = normals / lengths[:, None]
+    h[:, -1] += np.copysign(1.0, h[:, -1])
+    scale = 2.0 / row_dot(h, h)
+    complements = np.eye(n)[:-1] - (h[:, :-1] * scale[:, None])[:, :, None] * h[:, None, :]
     vertices = base = _simplex_vertices(n - 1)
     local = (complements @ centers[:, :, None])[..., 0]
     t = np.sqrt(row_dot(local, local))

@@ -15,10 +15,12 @@ closed form, with beta(n)**2 + alpha(n+1)**2 = 1 giving mu_inverse(1) = 1:
 
 The circuit machinery links any two points of the annulus
 {lambda_shell(n) <= ||p|| <= 1} of a 2-D section by hops of length exactly
-2*alpha(n+1), each hop carrying clearance at least beta(n).  It is planar: n
-enters only through alpha(n+1) and beta(n).  Its layout is one table,
-CIRCUIT_ANGLES, read through circuit_geometry by shell_circuit and by
-CircuitRouter, which plans the certificate generator's chains.
+2*alpha(n+1), each hop carrying clearance at least beta(n), the paper's
+construction.  It is planar: n enters only through alpha(n+1) and beta(n).
+Its layout is one table, CIRCUIT_ANGLES, read through circuit_geometry by
+shell_circuit and emit-circuit.  The certificate generator does not route
+through it: any pair of the ball at hop length is a hop (gamma.gamma1_link),
+so its chains take two or four hops through circle_circle_intersections.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .errors import ConstructionError, GenerationFailure, InputError
+from .errors import ConstructionError, InputError
 from .gamma import _clearance, _pair_checks
 from .geometry import DEFAULT_TOL, Tolerance, clamp_to_range
 from .simplex import (
@@ -257,109 +259,6 @@ def shell_circuit(n: int, rotation_angle: float, tol: Tolerance = DEFAULT_TOL) -
         sin_owa=sin_owa,
         sin_owh=sin_owh,
     )
-
-
-def _fold(delta: float, period: float) -> float:
-    r = delta % period
-    return min(r, period - r)
-
-
-class CircuitRouter:
-    """Plans hop chains from any annulus point of a 2-D section to the anchor,
-    the point (lambda_shell(n) + 1)/2 on the section's first axis."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.hop = 2.0 * alpha(n + 1)
-        self.lam = lambda_shell(n)
-        self.oa = self.hop - self.lam  # norm of a circuit corner
-        self.anchor_local = np.array([(self.lam + 1.0) / 2.0, 0.0])
-        # Every chain plans through the anchor's circuit and its pi/8
-        # neighbour, built here with their crossing; a point's own circuit
-        # is built by its plan.
-        self.phi0 = self.circuit_angle_for(self.anchor_local)
-        self.circuit0 = circuit_geometry(n, self.phi0)
-        self.circuit_m = circuit_geometry(n, self.phi0 + math.pi / 8.0)
-        self.cross_m = self._cross(self.circuit_m, self.circuit0)
-        # plan() hands these arrays out to every certificate of this n.
-        shared = [self.anchor_local, *self.circuit0[0].values(), *self.circuit_m[0].values()]
-        for point in shared + ([self.cross_m[2]] if self.cross_m else []):
-            point.flags.writeable = False
-
-    def circuit_angle_for(self, p_local: np.ndarray, branch: int = 1) -> float:
-        """Rotation phi such that p lies on the corner arc C_a of circuit(phi)."""
-        s = math.sqrt(p_local @ p_local)
-        theta = math.atan2(p_local[1], p_local[0])
-        kappa = (s * s + self.oa * self.oa - self.hop * self.hop) / (2.0 * s * self.oa)
-        kappa = min(max(kappa, -1.0), 1.0)
-        return theta - CIRCUIT_ANGLES["a"] - branch * math.acos(kappa)
-
-    @staticmethod
-    def _walk(start: str, end: str) -> list[str]:
-        cycle = SKELETON_CYCLE
-        i, j = cycle.index(start), cycle.index(end)
-        fwd = (j - i) % len(cycle)
-        back = (i - j) % len(cycle)
-        if fwd <= back:
-            return [cycle[(i + t) % len(cycle)] for t in range(fwd + 1)]
-        return [cycle[(i - t) % len(cycle)] for t in range(back + 1)]
-
-    def _cross(self, circuit1, circuit2):
-        """A point on a corner arc of both circuits, with the two corners."""
-        points1, arcs1 = circuit1
-        points2, arcs2 = circuit2
-        for i in CORNERS:
-            for j in CORNERS:
-                for pt in circle_circle_intersections(points1[i], self.hop,
-                                                      points2[j], self.hop):
-                    if math.sqrt(pt @ pt) > 1.0 + 1e-9:
-                        continue
-                    t1 = math.atan2(pt[1] - points1[i][1], pt[0] - points1[i][0])
-                    t2 = math.atan2(pt[1] - points2[j][1], pt[0] - points2[j][0])
-                    if arcs1[i].contains_angle(t1) and arcs2[j].contains_angle(t2):
-                        return i, j, pt
-        return None
-
-    def plan(self, p_local: np.ndarray) -> list[np.ndarray]:
-        """Local waypoints [p, ..., anchor]; consecutive gaps are exactly one hop.
-        Waypoints on the anchor's circuits are the router's own read-only arrays."""
-        phi0 = self.phi0
-        phi_p = self.circuit_angle_for(p_local)
-        quarter = math.pi / 2.0
-        k = round((phi_p - phi0) / quarter)
-        if abs(phi_p - phi0 - k * quarter) < 1e-9:
-            # Same circuit: p's corner a is the corner of circuit(phi0) at a's
-            # angle turned by k quarters.
-            turn = CIRCUIT_ANGLES["a"] + k * quarter
-            label = min(CORNERS, key=lambda c: _fold(CIRCUIT_ANGLES[c] - turn, 2.0 * math.pi))
-            return [p_local] + self._segment_rev(label)
-        alt = self.circuit_angle_for(p_local, branch=-1)
-        if _fold(phi_p - phi0, quarter) < 0.05 and _fold(alt - phi0, quarter) >= 0.05:
-            phi_p = alt
-        circuit_p = circuit_geometry(self.n, phi_p)
-        if _fold(phi_p - phi0, quarter) >= 0.05:
-            hit = self._cross(circuit_p, self.circuit0)
-            if hit is not None:
-                i, j, q = hit
-                return self._segment(p_local, circuit_p, i) + [q] + self._segment_rev(j)
-        # Nearly aligned circuits (or no crossing found): route via a middle circuit.
-        hit1 = self._cross(circuit_p, self.circuit_m)
-        hit2 = self.cross_m
-        if hit1 is None or hit2 is None:
-            raise GenerationFailure("shell-link", "no circuit crossing found")
-        i1, j1, q1 = hit1
-        i2, j2, q2 = hit2
-        points_m = self.circuit_m[0]
-        return (self._segment(p_local, circuit_p, i1) + [q1]
-                + [points_m[nm] for nm in self._walk(j1, i2)]
-                + [q2] + self._segment_rev(j2))
-
-    def _segment(self, p_local, circuit_p, end_label):
-        return [p_local] + [circuit_p[0][nm] for nm in self._walk("a", end_label)]
-
-    def _segment_rev(self, start_label):
-        points = self.circuit0[0]
-        return [points[nm] for nm in self._walk(start_label, "a")] + [self.anchor_local]
 
 
 @dataclass

@@ -19,7 +19,7 @@ from eqball.certify import (
     _closing_fragment,
     _dumps,
     _point_key,
-    _router,
+    _hubs,
     _rows_json,
     certificate_from_json,
     certificate_to_json,
@@ -33,7 +33,7 @@ from eqball.gamma import gamma1_link
 from eqball.geometry import DEFAULT_TOL, Tolerance, section2d
 from eqball.simplex import EquilateralSet, alpha, beta
 from eqball.verify import _ball_point, _feasible_assignments
-from eqball.weights import CircuitRouter, eta, lambda_shell, mu
+from eqball.weights import eta, lambda_shell, mu
 
 
 # -- step relation ------------------------------------------------------------
@@ -719,29 +719,36 @@ def test_stacked_waypoint_embedding_matches_one_product_per_waypoint():
             assert (local[:, None, :] @ basis)[:, 0].tobytes() == one_by_one.tobytes()
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 6])
-def test_router_plans_match_a_fresh_router(n):
-    """The router shared by every generator of dimension n plans as a router
-    built for one plan.  Its anchor circuits are those of the anchor's local
-    coordinates in every section, exactly (||anchor||, 0)."""
+@st.composite
+def _annulus_points(draw):
+    """A dimension n in 2..64 and a point of the outer annulus at a boundary
+    radius (lambda_shell(n), 1, the anchor's norm +-1e-12) or a drawn one,
+    at the angle 0, pi, that of the hub axis or a drawn one from the
+    anchor's axis toward e_n."""
+    n = draw(st.integers(2, 64))
+    lam, anchor = lambda_shell(n), (lambda_shell(n) + 1.0) / 2.0
+    radius = draw(st.sampled_from([lam, 1.0, anchor - 1e-12, anchor + 1e-12])
+                  | st.floats(lam, 1.0))
+    angle = draw(st.sampled_from([0.0, math.pi, math.pi / 2.0]) | st.floats(0.0, math.pi))
+    p = np.zeros(n)
+    p[0], p[-1] = radius * math.cos(angle), radius * math.sin(angle)
+    return n, p
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(_annulus_points())
+def test_hop_plans_take_two_or_four_hops_in_the_ball(case):
+    """Every annulus point plans to the anchor in 2 or 4 hops of its section,
+    each within eps_eq of 2*alpha(n+1), through waypoints in the ball."""
+    n, p = case
     gen = _Generator(n, DEFAULT_TOL)
-    shared = _router(n)
-    assert gen.router is shared
-    rng = np.random.default_rng(30 + n)
-    for _ in range(40):
-        p = _ball_point(rng, n)
-        p *= rng.uniform(gen.lam, 1.0) / np.linalg.norm(p)
-        basis = gen._section(p)
-        assert np.array_equal(basis @ gen.anchor, shared.anchor_local)
-        assert shared.circuit_angle_for(basis @ gen.anchor) == shared.phi0
-        got, fresh = shared.plan(basis @ p), CircuitRouter(n).plan(basis @ p)
-        assert len(got) == len(fresh)
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, fresh))
-        assert not got[-1].flags.writeable
-    # What plan() hands out of the shared state cannot be changed in place.
-    for circuit in (shared.circuit0, shared.circuit_m):
-        assert not any(p.flags.writeable for p in circuit[0].values())
-    assert not shared.cross_m[2].flags.writeable
+    p_local = gen._section(p) @ p
+    plan = gen._plan(p_local)
+    assert len(plan) - 1 in (2, 4)
+    assert plan[0] is p_local and np.array_equal(plan[-1], gen.anchor_local)
+    hops = np.linalg.norm(np.diff(plan, axis=0), axis=1)
+    assert np.max(np.abs(hops - 2.0 * alpha(n + 1))) <= DEFAULT_TOL.eps_eq
+    assert max(np.linalg.norm(plan[1:], axis=1)) <= 1.0
 
 
 def _failing_closing(monkeypatch, request, built):
@@ -758,10 +765,10 @@ def _failing_closing(monkeypatch, request, built):
 
 
 def test_call_history_does_not_change_a_certificate(monkeypatch, request):
-    """Certificates share the per-n routers and closing relations; a pair
+    """Certificates share the per-n hubs and closing relations; a pair
     certified from cold state, then again after pairs at other n and a
     failed n = 7 closing relation, gives the same text."""
-    _router.cache_clear()
+    _hubs.cache_clear()
     x, y = _in_plane(3, 0.62, 0.9), _in_plane(3, 0.1, 0.4)
     first = certificate_to_json(generate_equality_certificate(x, y, 3))
     for n in (2, 4, 5):
@@ -791,11 +798,11 @@ def _spy_on_links(monkeypatch):
 
 
 def test_one_gamma1_links_call_builds_every_chain(monkeypatch):
-    """Both endpoints chain to the anchor, four hops each; their hops share
-    one call."""
+    """Both endpoints chain to the anchor, two and four hops; their hops
+    share one call."""
     calls = _spy_on_links(monkeypatch)
     generate_equality_certificate(np.array([0.95, 0.0]), np.array([0.0, 0.9]), 2)
-    assert calls == [8]
+    assert calls == [6]
     _closing_fragment(3, DEFAULT_TOL)
     calls.clear()
     assert check_certificate(_mixed_certificate()).accepted
@@ -803,8 +810,8 @@ def test_one_gamma1_links_call_builds_every_chain(monkeypatch):
 
 
 @pytest.mark.parametrize("x, y, n, message, entered", [
-    (np.array([0.35, 0.1]), np.array([0.88, 0.2]), 2, "[bridge] certificate exceeded 40 sets", 11),
-    (np.zeros(3), np.array([0.95, 0.0, 0.0]), 3, "[shell-link] certificate exceeded 40 sets", 4),
+    (np.array([0.05, 0.1]), np.array([0.5, 0.2]), 2, "[bridge] certificate exceeded 40 sets", 16),
+    (np.zeros(3), np.array([0.95, 0.0, 0.0]), 3, "[shell-link] certificate exceeded 40 sets", 5),
 ])
 def test_set_cap_fails_at_the_same_request(monkeypatch, request, x, y, n, message, entered):
     """A certificate that outgrows the cap fails at the request that overflows
@@ -824,7 +831,7 @@ def test_closing_relation_at_n7_fits_under_the_cap():
     y[0] = 0.95
     cert = generate_equality_certificate(np.zeros(7), y, 7)
     assert check_certificate(certificate_from_json(certificate_to_json(cert))).accepted
-    assert len(cert.sets) == 412
+    assert len(cert.sets) == 208
 
 
 def test_closing_failure_is_kept(monkeypatch, request):
@@ -859,25 +866,25 @@ def test_stage_counts_of_a_five_stage_pair():
     """Sets per stage tag of a pair whose certificate runs every stage."""
     gen = _Generator(3, DEFAULT_TOL)
     gen.run(np.array([0.62, 0.3, 0.0]), np.array([0.1, 0.05, 0.0]))
-    assert Counter(gen.builder.stages) == {"shell-link": 264, "bridge": 26, "inner-lemma": 5,
+    assert Counter(gen.builder.stages) == {"shell-link": 116, "bridge": 26, "inner-lemma": 5,
                                            "annulus-step": 3, "closing": 2}
 
 
 @pytest.mark.parametrize("n, stages", [
-    (2, {"shell-link": 290, "bridge": 48, "inner-lemma": 21, "annulus-step": 20, "closing": 2}),
-    (3, {"shell-link": 202, "bridge": 24, "inner-lemma": 4, "annulus-step": 3, "closing": 2}),
-    (4, {"shell-link": 112, "bridge": 16, "inner-lemma": 1, "closing": 2}),
-    (5, {"shell-link": 142, "bridge": 20, "inner-lemma": 1, "closing": 2}),
+    (2, {"shell-link": 188, "bridge": 48, "inner-lemma": 21, "annulus-step": 20, "closing": 2}),
+    (3, {"shell-link": 92, "bridge": 24, "inner-lemma": 4, "annulus-step": 3, "closing": 2}),
+    (4, {"shell-link": 60, "bridge": 16, "inner-lemma": 1, "closing": 2}),
+    (5, {"shell-link": 76, "bridge": 20, "inner-lemma": 1, "closing": 2}),
 ])
 def test_stage_counts_of_the_closing_relation(n, stages):
     assert Counter(stage for _, stage in _closing_fragment(n, DEFAULT_TOL).sets) == stages
 
 
 @pytest.mark.parametrize("x, y, n, sets, points, total", [
-    (_in_plane(5, 0.85, -0.3), _in_plane(5, 0.1875, 0.65), 5, 240, 712, 252),
-    (np.array([0.35, 0.1]), np.array([0.88, 0.2]), 2, 436, 630, 444),
-    (np.zeros(3), np.array([0.95, 0.0, 0.0]), 3, 292, 574, 262),
-    (_in_plane(4, 0.6, 0.2), _in_plane(4, 0.3, -0.7), 4, 118, 293, 118),
+    (_in_plane(5, 0.85, -0.3), _in_plane(5, 0.1875, 0.65), 5, 140, 412, 140),
+    (np.array([0.35, 0.1]), np.array([0.88, 0.2]), 2, 320, 456, 336),
+    (np.zeros(3), np.array([0.95, 0.0, 0.0]), 3, 154, 298, 158),
+    (_in_plane(4, 0.6, 0.2), _in_plane(4, 0.3, -0.7), 4, 62, 153, 62),
 ])
 def test_certificate_shape_is_pinned(x, y, n, sets, points, total):
     """Sets, points and sum of |multipliers| of fixed pairs; the first is the

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from eqball.errors import InputError
 from eqball.gamma import gamma, gamma1_link, gamma1_links, gamma_bruteforce
-from eqball.geometry import DEFAULT_TOL, Frame, orthonormal_complement, orthonormalize, section2d
+from eqball.geometry import DEFAULT_TOL, Frame, orthonormalize, section2d
 from eqball.simplex import alpha, beta, canonical_simplex, distance_errors, random_rotations
 from eqball.weights import lambda_shell
 
@@ -223,24 +223,42 @@ def _random_chain(rng, n, hops):
     return np.array(points)
 
 
+def _householder_rows(v):
+    """Rows 0..n-2 of I - 2*h*h^T/(h^T h), h = v/||v|| + copysign(1, v[-1])*e[-1]:
+    an orthonormal basis of the complement of v."""
+    h = v / np.linalg.norm(v)
+    h[-1] += math.copysign(1.0, h[-1])
+    return np.eye(len(v))[:-1] - np.outer(h[:-1] * (2.0 / (h @ h)), h)
+
+
 def test_gamma1_links_rows_are_the_paper_construction():
     """Each row rebuilt on its own: a regular simplex of radius beta(n) around
     the hop's midpoint x0, in the hyperplane orthogonal to b - a, with its
     first point at x0 - beta(n)*u; a hop on a line through the origin
-    keeps the orthonormal_complement + canonical_simplex orientation."""
+    keeps canonical_simplex carried into the Householder rows of b - a,
+    which are orthonormal to 4 ulp.  The lines include +-e_n, one 1e-12
+    off e_n, and e_1 with b - a ending in -0.0."""
     rng = np.random.default_rng(31)
     eps = np.finfo(float).eps
     for n in range(2, 7):
         hop = 2.0 * alpha(n + 1)
-        plane = random_rotations(n, 1, np.random.default_rng(n))[0][:2]
-        on_line = np.array([[0.9, 0.0], [0.9 - hop, 0.0]]) @ plane
-        assert np.linalg.norm(on_line[1] - on_line[0]) == pytest.approx(hop, abs=1e-15)
-        shared = gamma1_links(on_line[:1], on_line[1:])[0]
-        basis = orthonormal_complement([on_line[1] - on_line[0]], n).basis
-        offsets = canonical_simplex(n - 1, n).points @ basis
-        offsets = offsets * (beta(n) / np.linalg.norm(offsets, axis=1))[:, None]
-        # a few ulp: the batched kernel may sum in another order
-        assert np.max(np.abs(shared - (on_line.mean(axis=0) + offsets))) <= 4 * eps
+        eye = np.eye(n)
+        tilted = eye[n - 1] + 1e-12 * eye[0]
+        lines = [random_rotations(n, 1, np.random.default_rng(n))[0][0], eye[n - 1], -eye[n - 1],
+                 tilted / np.linalg.norm(tilted), eye[0]]
+        # (0.9 - hop) * 0.0 is -0.0, so the hop along e_1 has b - a ending in -0.0
+        assert math.copysign(1.0, ((0.9 - hop) * eye[0] - 0.9 * eye[0])[-1]) == -1.0
+        for line in lines:
+            on_line = np.array([0.9 * line, (0.9 - hop) * line])
+            diff = on_line[1] - on_line[0]
+            assert np.linalg.norm(diff) == pytest.approx(hop, abs=1e-15)
+            shared = gamma1_links(on_line[:1], on_line[1:])[0]
+            basis = _householder_rows(diff)
+            assert np.max(np.abs(basis @ basis.T - np.eye(n - 1))) <= 4 * eps
+            offsets = canonical_simplex(n - 1, n).points @ basis
+            offsets = offsets * (beta(n) / np.linalg.norm(offsets, axis=1))[:, None]
+            # a few ulp: the batched kernel may sum in another order
+            assert np.max(np.abs(shared - (on_line.mean(axis=0) + offsets))) <= 4 * eps
         for hops in (1, 3, 6):
             w = _random_chain(rng, n, hops)
             shared = gamma1_links(w[:-1], w[1:])

@@ -11,7 +11,6 @@ from eqball.geometry import (
     _residual,
     as_point,
     clamp_to_range,
-    complete_bases,
     json_number_array,
     orthonormal_complement,
     orthonormalize,
@@ -88,7 +87,7 @@ def test_complement_plus_span_reconstructs_everything():
 
 
 def _complement_one_axis_at_a_time(span, n):
-    """Reference for complete_bases: one span, one canonical axis at a time."""
+    """Reference for orthonormal_complement: one canonical axis at a time."""
     rows, stacked = [], span
     for e in np.eye(n):
         if len(rows) == n - len(span):
@@ -101,18 +100,22 @@ def _complement_one_axis_at_a_time(span, n):
     return np.array(rows)
 
 
-def test_complete_bases_matches_the_one_span_loop():
-    """Bit for bit, on random spans and on spans of signed canonical axes,
-    which drop axes; a batch row's result does not depend on its neighbours."""
+def test_orthonormal_complement_matches_the_one_axis_loop():
+    """To an ulp or two, on random spans and on spans of signed canonical
+    axes, which drop axes: orthonormalize re-normalizes the span rows it
+    completes."""
     rng = np.random.default_rng(21)
     for n in range(2, 8):
         for d in range(n):
             spans = [orthonormalize(rng.standard_normal((d, n)), n) for _ in range(4)]
             spans += [np.eye(n)[rng.permutation(n)[:d]] * rng.choice([-1.0, 1.0], (d, 1))
                       for _ in range(4)]
-            out = complete_bases(np.array(spans).reshape(len(spans), d, n))
-            for span, rows in zip(spans, out):
-                assert rows.tobytes() == _complement_one_axis_at_a_time(span, n).tobytes()
+            for span in spans:
+                span = span.reshape(d, n)
+                rows = orthonormal_complement(list(span), n).basis
+                reference = _complement_one_axis_at_a_time(span, n)
+                assert rows.shape == reference.shape
+                assert np.max(np.abs(rows - reference), initial=0.0) <= 2 * np.finfo(float).eps
 
 
 def test_vector_norm_form_is_numpy_norm():

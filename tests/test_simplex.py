@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from eqball.geometry import Tolerance, orthonormal_complement, row_dot
+from eqball.geometry import Tolerance, row_dot
 
 from eqball import simplex
 from eqball.errors import ConstructionError, InputError
@@ -464,18 +464,30 @@ def test_sampling_failure_after_the_last_round(monkeypatch):
     assert sample_maximal_set(1, 5).k == 2
 
 
+def _householder_rows(v):
+    """Rows 0..n-2 of I - 2*h*h^T/(h^T h), h = v/||v|| + copysign(1, v[-1])*e[-1]:
+    an orthonormal basis of the complement of v."""
+    h = v / np.linalg.norm(v)
+    h[-1] += math.copysign(1.0, h[-1])
+    return np.eye(len(v))[:-1] - np.outer(h[:-1] * (2.0 / (h @ h)), h)
+
+
 def test_simplex_on_spheres_matches_the_complement_construction():
-    """Centers on the normal's line get the orthonormal_complement +
-    canonical_simplex simplex; other centers have vertex 0 at
-    center - radius*u, u the unit part of the center orthogonal to the
-    normal, and every other vertex v at <center, v - center> =
-    radius*t/(n-1), t that part's length.  Normals along a canonical axis
-    drop that axis; centers 1e-9 off the normal's line keep every vertex
-    in the hyperplane."""
+    """Centers on the normal's line get canonical_simplex carried into the
+    Householder rows of the normal, which are orthonormal to 4 ulp; other
+    centers have vertex 0 at center - radius*u, u the unit part of the
+    center orthogonal to the normal, and every other vertex v at
+    <center, v - center> = radius*t/(n-1), t that part's length.  Normals
+    include +-e_n, one with a -0.0 last coordinate and one 1e-12 off e_n;
+    centers 1e-9 off the normal's line keep every vertex in the
+    hyperplane."""
     rng = np.random.default_rng(12)
+    eps = np.finfo(float).eps
     for n in range(2, 8):
+        eye = np.eye(n)
         normals = [rng.standard_normal(n) for _ in range(6)]
-        normals += [np.eye(n)[0], -np.eye(n)[n - 1], np.eye(n)[n // 2] + 1e-12 * np.eye(n)[0]]
+        normals += [eye[0], -eye[n - 1], eye[n // 2] + 1e-12 * eye[0], eye[n - 1],
+                    eye[n - 1] + 1e-12 * eye[0], np.append(rng.standard_normal(n - 1), -0.0)]
         normals = np.array(normals)
         units = normals / np.linalg.norm(normals, axis=1)[:, None]
         on_line = rng.standard_normal((len(normals), 1)) * normals
@@ -493,11 +505,12 @@ def test_simplex_on_spheres_matches_the_complement_construction():
             assert np.max(np.abs((pts - c) @ v)) < 1e-12 * np.linalg.norm(v)
             assert np.max(np.abs(np.linalg.norm(pts - c, axis=1) - beta(n))) < 1e-14
             if i < len(normals):
-                basis = orthonormal_complement([v], n).basis
+                basis = _householder_rows(v)
+                assert np.max(np.abs(basis @ basis.T - np.eye(n - 1))) <= 4 * eps
                 offsets = canonical_simplex(n - 1, n).points @ basis
                 offsets = offsets * (beta(n) / np.linalg.norm(offsets, axis=1))[:, None]
                 # a few ulp: the kernel may sum its dot products in another order
-                assert np.max(np.abs(pts - (c + offsets))) <= 4 * np.finfo(float).eps
+                assert np.max(np.abs(pts - (c + offsets))) <= 4 * eps
                 continue
             unit = units[i % len(normals)]
             perp = c - (c @ unit) * unit
