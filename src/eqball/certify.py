@@ -38,6 +38,10 @@ minus the members' combinations.  The lemma and the step are one such set
 each, a bridge p -> q is {p} + S minus the node of {q} + S with member q,
 and the closing node, lemma minus step, supplies W = (n+1)*f(anchor).
 
+Two points are one point exactly when their float64 coordinates compare
+equal, -0.0 equal to 0.0 (_point_key).  No tolerance merges distinct points,
+so the claim names both endpoints, however close they are.
+
 Sets are not registered as the recursion meets them.  The builder queues
 each requested set, chain and merged closing relation and registers the
 queue in request order when it flushes: at the end of a run, before the
@@ -401,28 +405,23 @@ OUTER = "outer"  # value equals the anchor value
 INNER = "inner"  # value equals W - n * anchor value
 
 
-def _key_coordinates(points) -> np.ndarray:
-    """Coordinates rounded to 12 decimals, -0.0 folded into 0.0: the bytes
-    of one point's row are its dedup key."""
-    return np.round(np.asarray(points, dtype=float), 12) + 0.0
-
-
 def _point_key(p) -> bytes:
-    """Dedup key of a point; signed zeros share one key."""
-    return _key_coordinates(p).tobytes()
+    """Identity key of a point, or of a stack of rows: the bytes of p + 0.0.
+    Two points share a key exactly when their float64 coordinates compare
+    equal; adding 0.0 turns -0.0 into 0.0, so signed zeros share one key."""
+    return (np.asarray(p, dtype=float) + 0.0).tobytes()
 
 
 @dataclass(frozen=True)
 class _Fragment:
     """A relation built once in a fresh generator, merged into certificates.
 
-    `points` is read-only and `keys` holds each row's dedup key; `sets` are
-    (local point ids, stage tag) in registration order; `terms` are the
-    relation's (local set, coefficient) pairs.
+    `points` is read-only; `sets` are (local point ids, stage tag) in
+    registration order; `terms` are the relation's (local set, coefficient)
+    pairs.
     """
 
     points: np.ndarray
-    keys: tuple[bytes, ...]
     sets: tuple[tuple[tuple[int, ...], str], ...]
     terms: tuple[tuple[int, int], ...]
 
@@ -455,16 +454,18 @@ class _Builder:
         self.chains: list[np.ndarray] = []
         self.pending = 0
 
-    def _id(self, key: bytes, p: np.ndarray) -> int:
-        pid = self.index.get(key)
-        if pid is None:
-            pid = self.index[key] = len(self.points)
-            self.points.append(p)
-        return pid
-
-    def point_id(self, p: np.ndarray) -> int:
-        p = np.asarray(p, dtype=float)
-        return self._id(_point_key(p), p)
+    def ids(self, points: np.ndarray) -> list[int]:
+        """Point ids of a stack of rows, in row order, keyed in one pass;
+        a row whose key is new is added to the table."""
+        keys = _point_key(points)
+        width = len(keys) // len(points)
+        found = []
+        for i, p in enumerate(points):
+            pid = self.index.setdefault(keys[i * width:(i + 1) * width], len(self.points))
+            if pid == len(self.points):
+                self.points.append(p)
+            found.append(pid)
+        return found
 
     def _register(self, ids, stage: str) -> int:
         ids = tuple(sorted(ids))
@@ -491,10 +492,7 @@ class _Builder:
     def add_set(self, s: EquilateralSet, stage: str) -> int:
         """Slot of the set, which is added unless already present."""
         def register(links):
-            # Key every point of the set in one rounding pass.
-            keys = _key_coordinates(s.points)
-            return [self._register([self._id(key.tobytes(), p)
-                                    for key, p in zip(keys, s.points)], stage)]
+            return [self._register(self.ids(s.points), stage)]
         return self._enqueue(register, 1)[0]
 
     def add_chain(self, waypoints: np.ndarray, stage: str) -> list[tuple[int, int]]:
@@ -502,28 +500,22 @@ class _Builder:
         order, as slot terms summing to e_first - e_last; the flush builds
         their shared points."""
         hops = len(waypoints) - 1
-        if hops < 1:
-            return []
         self.chains.append(waypoints)
 
         def register(links):
-            # Key every point of the hops in one rounding pass.
-            shared = next(links)
-            end_keys, shared_keys = _key_coordinates(waypoints), _key_coordinates(shared)
-            indices = []
-            for h, (keys, points) in enumerate(zip(shared_keys, shared)):
-                a = self._id(end_keys[h].tobytes(), waypoints[h])
-                mid = [self._id(key.tobytes(), p) for key, p in zip(keys, points)]
-                b = self._id(end_keys[h + 1].tobytes(), waypoints[h + 1])
-                indices += [self._register([a] + mid, stage), self._register([b] + mid, stage)]
-            return indices
+            # Each hop's rows a, shared..., b, keyed in hop order in one pass;
+            # the hop's two sets are its first and its last n+1 rows.
+            rows = np.concatenate([waypoints[:-1, None], next(links), waypoints[1:, None]], axis=1)
+            ids = self.ids(rows.reshape(-1, self.n))
+            return [self._register(ids[start:start + self.n + 1], stage)
+                    for hop in range(0, len(ids), self.n + 2) for start in (hop, hop + 1)]
         return list(zip(self._enqueue(register, 2 * hops), [1, -1] * hops))
 
     def add_fragment(self, frag: _Fragment) -> range:
         """Slots of the fragment's sets, which are added with its points in its
         order and with its stage tags."""
         def register(links):
-            ids = [self._id(key, p) for key, p in zip(frag.keys, frag.points)]
+            ids = self.ids(frag.points)
             return [self._register([ids[i] for i in local], stage) for local, stage in frag.sets]
         return self._enqueue(register, len(frag.sets))
 
@@ -609,12 +601,7 @@ class _Generator:
         waypoints = (np.array(self._plan(basis @ p))[:, None, :] @ basis)[:, 0]
         waypoints[0] = p          # use the exact ambient inputs at the ends
         waypoints[-1] = self.anchor
-        cleaned = [waypoints[0]]
-        for w in waypoints[1:]:
-            gap = w - cleaned[-1]
-            if math.sqrt(gap @ gap) > 1e-12:
-                cleaned.append(w)
-        return self.builder.add_chain(np.array(cleaned), "shell-link")
+        return self.builder.add_chain(waypoints, "shell-link")
 
     def _bridge_partner(self, p: np.ndarray) -> np.ndarray:
         """The point at norm max(lam, hop - ||p||), hop distance from p, in
@@ -701,15 +688,12 @@ class _Generator:
         return self._node([], [(self._lemma_node(z, "closing"), 1), (step, -1)])
 
     def _merge_closing(self) -> int:
-        """The closing node, from the relation built once per (n, tol); a
-        failure to build it is raised again, with its stage and message.
+        """The closing node, from the relation built once per (n, tol).
 
         Resolving a point does not depend on what was resolved before it, so
         the merged sets and terms are those _emit_closing would add here.
         """
         frag = _closing_fragment(self.n, self.tol)
-        if isinstance(frag, GenerationFailure):
-            raise GenerationFailure(frag.stage, frag.message)
         where = self.builder.add_fragment(frag)
         return self._node([(where[i], coef) for i, coef in frag.terms], [])
 
@@ -731,8 +715,7 @@ class _Generator:
         return lam
 
     def run(self, x: np.ndarray, y: np.ndarray) -> Certificate:
-        id_x = self.builder.point_id(x)
-        id_y = self.builder.point_id(y)
+        id_x, id_y = self.builder.ids(np.array([x, y]))
         if id_x == id_y:
             return Certificate(n=self.n, points=np.array([self.builder.points[id_x]]),
                                sets=[], claim=(id_x, id_x))
@@ -776,25 +759,19 @@ def _hubs(hop: float, anchor_norm: float) -> tuple[tuple[np.ndarray, np.ndarray]
 
 
 @lru_cache(maxsize=None)
-def _closing_fragment(n: int, tol: Tolerance) -> _Fragment | GenerationFailure:
+def _closing_fragment(n: int, tol: Tolerance) -> _Fragment:
     """The closing relation of (n, tol), built by _emit_closing in a fresh
-    generator: its z and anchor depend on nothing else.  A
-    GenerationFailure of the build is returned, so that it is kept too."""
+    generator: its z and anchor depend on nothing else."""
     gen = _Generator(n, tol)
     try:
-        try:
-            root = gen._emit_closing()
-        finally:
-            gen.builder.flush()
-    except GenerationFailure as exc:
-        return GenerationFailure(exc.stage, exc.message)  # without the build's frames
+        root = gen._emit_closing()
+    finally:
+        gen.builder.flush()
     b = gen.builder
     points = np.array(b.points)
     points.flags.writeable = False
     terms = tuple((i, m) for i, m in enumerate(gen._multipliers(root)) if m)
-    # b.index gives point ids in insertion order, so its keys are in id order.
-    return _Fragment(points=points, keys=tuple(b.index),
-                     sets=tuple(zip(b.sets, b.stages)), terms=terms)
+    return _Fragment(points=points, sets=tuple(zip(b.sets, b.stages)), terms=terms)
 
 
 def generate_equality_certificate(x, y, n: int,

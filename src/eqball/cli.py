@@ -75,20 +75,21 @@ def _emit(args, payload: dict, text: str | None = None) -> None:
 
 def _parse_point(text: str) -> np.ndarray:
     text = text.strip()
-    if text.startswith("["):
-        try:
+    try:
+        if text.startswith("["):
             return json_number_array(json.loads(text))
-        except RecursionError as exc:
-            raise InputError(f"invalid JSON: {exc}") from None
-    return np.asarray([float(tok) for tok in text.split(",") if tok.strip()])
+        return np.asarray([float(tok) for tok in text.split(",") if tok.strip()])
+    except RecursionError as exc:
+        raise InputError(f"invalid JSON: {exc}") from None
+    except ValueError as exc:  # json.JSONDecodeError included
+        raise InputError(str(exc)) from None
 
 
 def cmd_constants(args) -> int:
     n = args.n
     if n < 2:
-        print("error: ball-geometry commands require n >= 2 (the unit-ball result "
-              "starts at dimension 2)", file=sys.stderr)
-        return 2
+        raise InputError("ball-geometry commands require n >= 2 (the unit-ball result "
+                         "starts at dimension 2)")
     if n > MAX_CONSTANTS_N:
         raise InputError(f"--n {n} exceeds the limit of {MAX_CONSTANTS_N}")
     betas = {str(k): beta(k) for k in range(1, n + 3)}
@@ -157,8 +158,7 @@ def _name_worst_violation(pts: np.ndarray) -> str:
 
 def cmd_falsify(args) -> int:
     if args.n < 2:
-        print("error: falsify requires n >= 2", file=sys.stderr)
-        return 2
+        raise InputError("falsify requires n >= 2")
     try:
         evaluator = compile_weight_expression(args.expr, args.n)
     except ExpressionError as exc:
@@ -185,14 +185,10 @@ def cmd_falsify(args) -> int:
 
 def cmd_certify(args) -> int:
     tol = _tolerance(args)
-    try:
-        x = _parse_point(args.x)
-        y = _parse_point(args.y)
-        n = x.size if args.n is None else args.n
-        cert = generate_equality_certificate(x, y, n, tol)
-    except (ValueError, json.JSONDecodeError, EqBallError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    x = _parse_point(args.x)
+    y = _parse_point(args.y)
+    n = x.size if args.n is None else args.n
+    cert = generate_equality_certificate(x, y, n, tol)
     text = certificate_to_json(cert, tol)
     _emit(args, {}, text=text)
     if not getattr(args, "quiet", False):
@@ -225,8 +221,7 @@ def cmd_check(args) -> int:
 
 def cmd_emit_circuit(args) -> int:
     if args.n < 2:
-        print("error: emit-circuit requires n >= 2", file=sys.stderr)
-        return 2
+        raise InputError("emit-circuit requires n >= 2")
     if args.n > MAX_CIRCUIT_N:
         raise InputError(f"--n {args.n} exceeds the limit of {MAX_CIRCUIT_N}")
     plan = shell_circuit(args.n, args.angle)
@@ -247,15 +242,11 @@ def cmd_emit_circuit(args) -> int:
 
 def cmd_verify_all(args) -> int:
     if args.n_min < 2:
-        print("error: verify-all requires --n-min >= 2", file=sys.stderr)
-        return 2
+        raise InputError("verify-all requires --n-min >= 2")
     if args.seed < 0:
-        print("error: verify-all requires --seed >= 0", file=sys.stderr)
-        return 2
+        raise InputError("verify-all requires --seed >= 0")
     if args.n_max < args.n_min:
-        print(f"error: empty range: --n-max {args.n_max} is below --n-min {args.n_min}",
-              file=sys.stderr)
-        return 2
+        raise InputError(f"empty range: --n-max {args.n_max} is below --n-min {args.n_min}")
     if args.n_max > MAX_VERIFY_N:
         raise InputError(f"--n-max {args.n_max} exceeds the limit of {MAX_VERIFY_N}")
     n_values = list(range(args.n_min, args.n_max + 1))

@@ -589,7 +589,6 @@ def test_closing_fragment_is_shared_and_leaves_certificates_unchanged():
     assert certificate_to_json(_mixed_certificate()) == cold
     frag = _closing_fragment(3, DEFAULT_TOL)
     assert not frag.points.flags.writeable
-    assert frag.keys == tuple(map(_point_key, frag.points))
     assert _closing_fragment.cache_info().misses == 1
 
 
@@ -624,6 +623,30 @@ def test_signed_zero_coordinates_share_one_point():
     assert cert.sets == [] and cert.claim == (0, 0)
     assert cert.points.shape == (1, 3)
     assert check_certificate(cert).accepted
+
+
+def test_endpoints_4e_13_apart_are_two_points():
+    """Points are one point only when their coordinates compare equal, so
+    endpoints 4e-13 apart get two claim ids holding exactly x and y, and the
+    certificate proves f(x) = f(y) after the JSON round trip."""
+    x, y = np.array([0.3, 0.2]), np.array([0.3 + 4e-13, 0.2])
+    parsed = certificate_from_json(certificate_to_json(generate_equality_certificate(x, y, 2)))
+    i, j = parsed.claim
+    assert i != j
+    assert parsed.points[i].tobytes() == x.tobytes()
+    assert parsed.points[j].tobytes() == y.tobytes()
+    assert check_certificate(parsed).accepted
+
+
+def test_point_ids_follow_exact_coordinate_equality():
+    """Rows 1e-16 apart that straddle a 12-decimal rounding boundary get two
+    ids; equal rows, and rows that differ only in a signed zero, get one."""
+    builder = _Builder(2, DEFAULT_TOL)
+    rows = np.array([[0.1234567890125, 0.5], [0.1234567890124999, 0.5],
+                     [0.1234567890125, 0.5], [0.0, -0.0], [-0.0, 0.0]])
+    assert builder.ids(rows) == [0, 1, 0, 2, 2]
+    assert builder.ids(rows[::-1]) == [2, 2, 0, 1, 0]
+    assert np.array(builder.points).tobytes() == rows[[0, 1, 3]].tobytes()
 
 
 # -- near the input boundaries ----------------------------------------------------
@@ -753,8 +776,8 @@ def test_hop_plans_take_two_or_four_hops_in_the_ball(case):
 
 def _failing_closing(monkeypatch, request, built):
     """Make every closing relation built from now on fail with [closing]
-    boom, recording its n in `built`; the kept failures are dropped after
-    the test."""
+    boom, recording its n in `built`; the cache is cleared so that the
+    patched build runs, and again after the test."""
     def fail(self):
         built.append(self.n)
         raise GenerationFailure("closing", "boom")
@@ -819,7 +842,7 @@ def test_set_cap_fails_at_the_same_request(monkeypatch, request, x, y, n, messag
     registered at once."""
     monkeypatch.setattr(certify, "MAX_CERT_SETS", 40)
     _closing_fragment.cache_clear()
-    request.addfinalizer(_closing_fragment.cache_clear)  # drop failures kept under the cap
+    request.addfinalizer(_closing_fragment.cache_clear)
     gen = _Generator(n, DEFAULT_TOL)
     with pytest.raises(GenerationFailure, match=f"^{re.escape(message)}$"):
         gen.run(x, y)
@@ -834,9 +857,10 @@ def test_closing_relation_at_n7_fits_under_the_cap():
     assert len(cert.sets) == 208
 
 
-def test_closing_failure_is_kept(monkeypatch, request):
-    """A closing relation that fails to build fails again, with the same
-    stage and message, without being built a second time."""
+def test_closing_failure_raises_on_each_pair(monkeypatch, request):
+    """A closing relation that fails to build raises its failure, stage and
+    message, on every cross-class pair, and is built once per pair: a
+    failure is not cached."""
     built = []
     _failing_closing(monkeypatch, request, built)
     y = np.zeros(7)
@@ -844,7 +868,7 @@ def test_closing_failure_is_kept(monkeypatch, request):
     for x in (np.zeros(7), _in_plane(7, 0.1, 0.3)):
         with pytest.raises(GenerationFailure, match=r"^\[closing\] boom$"):
             generate_equality_certificate(x, y, 7)
-    assert built == [7]
+    assert built == [7, 7]
 
 
 def test_flush_raises_the_first_error_in_request_order():
