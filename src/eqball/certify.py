@@ -50,11 +50,22 @@ and before an error propagates.  The certificate is the one registering
 each request at once would give, and one gamma1_links call per flush
 builds the shared points of every queued chain hop.
 
+Certificates are written as format version 3, whose `hops` field lists
+hops as [end id, end id] pairs (a, b).  The n shared points of a listed
+hop are not written: with E written points, those of hop h take the ids
+E + n*h .. E + n*h + n - 1, in order the rows of simplex_on_spheres((a +
+b)/2, b - a, beta(n)) with -0.0 read as 0.0 (gamma._shared_points), and
+the parser rebuilds every hop's points in that one call.  The generator keeps every hop it builds, chain hops (the
+closing relation's too) and bridges, and lists a hop unless one of its
+shared points lies in another set, is a claim point or is a hop's end;
+the other points keep their first-appearance order.  `sets` still names
+every set, hop sets included, and `multipliers` has one entry per set.
+
 The checker is generation-agnostic: it re-validates every set numerically
-in one vectorized pass, then accepts the claim when the integer
-accumulation of the multipliers equals e_x - e_y exactly.  That is its
-only claim test: a document without multipliers, or of a version other
-than CERT_VERSION, is malformed.
+in one vectorized pass, rebuilt hop sets included, then accepts the claim
+when the integer accumulation of the multipliers equals e_x - e_y
+exactly.  That is its only claim test: a document without multipliers,
+or of a version other than CERT_VERSION, is malformed.
 """
 from __future__ import annotations
 
@@ -72,15 +83,19 @@ from .errors import (
     InputError,
     MalformedCertificate,
 )
-from .gamma import gamma1_link, gamma1_links
+from .gamma import _shared_points, gamma1_link, gamma1_links
 from .geometry import (DEFAULT_TOL, GRID_STEP, RANK_RESIDUAL, Tolerance, _residual, as_point,
                        clamp_to_range, first_orthogonal_axis, json_number_array)
 from .simplex import EquilateralSet, alpha, beta, cap_extension, check_sets, first_failure
 from .enlarge import enlarge_to_maximal
 from .weights import circle_circle_intersections, eta, lambda_shell, mu, mu_inverse
 
-CERT_VERSION = 2
+CERT_VERSION = 3
 MAX_CERT_SETS = 5000
+# The most coordinates a document's hops may rebuild, n*n per hop: 2**23
+# (64 MB of float64) holds the 2500 hops of MAX_CERT_SETS hop sets at n = 32
+# three times over, and 2048 hops at n = 64.
+MAX_HOP_COORDINATES = 2**23
 INT64_MAX = int(np.iinfo(np.int64).max)
 INNER_EDGE = 1e-9
 
@@ -165,7 +180,12 @@ class Certificate:
 
     `multipliers` holds one integer per set whose combination of the set
     equations is the claim; the checker reports any other length as
-    MalformedCertificate.
+    MalformedCertificate.  `hops` lists (end id, end id) pairs (a, b).  With
+    E the number of points less n per hop, the n points that the two sets
+    of hop h share are points E + n*h .. E + n*h + n - 1, in order the
+    rows of simplex_on_spheres((a + b)/2, b - a, beta(n)) with -0.0 read as
+    0.0 in both arguments (gamma._shared_points).  The table lists every
+    point; only the JSON document leaves those n per hop out.
     """
 
     n: int
@@ -174,6 +194,7 @@ class Certificate:
     claim: tuple
     generator_params: dict = field(default_factory=dict)
     multipliers: list[int] = field(default_factory=list)
+    hops: list = field(default_factory=list)
 
 
 def _is_int(value) -> bool:
@@ -235,13 +256,17 @@ def _rows_json(rows, conversion: str) -> _Json:
 
 
 def certificate_to_json(cert: Certificate, tol: Tolerance = DEFAULT_TOL) -> str:
-    """The certificate as JSON text; the point table, sets and multipliers are
-    formatted row by row, byte-identical to _dumps of the plain document."""
+    """The certificate as JSON text, byte-identical to _dumps of the plain
+    document: the point table less the points that `hops` rebuilds, then
+    hops, sets and multipliers, formatted row by row."""
+    points = np.asarray(cert.points, dtype=float)
+    written = len(points) - cert.n * len(cert.hops)
     return _dumps({
         "version": CERT_VERSION,
         "n": cert.n,
         "tolerance": {"eps_eq": tol.eps_eq, "grid_step": GRID_STEP},
-        "points": _rows_json(np.asarray(cert.points, dtype=float).tolist(), "%.17g"),
+        "points": _rows_json(points[:written].tolist(), "%.17g"),
+        "hops": _rows_json(cert.hops, "%d"),
         "sets": _rows_json(cert.sets, "%d"),
         "claim": [int(cert.claim[0]), int(cert.claim[1])],
         "generator_params": cert.generator_params,
@@ -250,15 +275,19 @@ def certificate_to_json(cert: Certificate, tol: Tolerance = DEFAULT_TOL) -> str:
 
 
 def certificate_from_json(text: str) -> Certificate:
-    """Parse a certificate document.
+    """Parse a certificate document, rebuilding the shared points of its hops.
 
     Raises MalformedCertificate unless the document is a JSON object with
     integer `n`, `version` CERT_VERSION if present, a numeric `points` table
     of n columns, a list of integer-id lists as `sets`, two integer ids as
-    `claim` and one integer per set as `multipliers`.  Ids must be JSON
-    integers: 0.9, "2" and true are rejected.
-    Whether the ids are in range and the sets have size n+1 is left to the
-    checker, which reports the first bad set.
+    `claim`, one integer per set as `multipliers`, and as `hops` a list of
+    [end id, end id] pairs of two distinct finite points of that table.  Ids
+    must be JSON integers: 0.9, "2" and true are rejected.  One
+    _shared_points call rebuilds the n shared points of every hop and
+    appends them to the table, hop by hop (Certificate); at most
+    MAX_HOP_COORDINATES coordinates are rebuilt.  Whether the set ids are
+    in range and the sets have size n+1 is left to the checker, which
+    reports the first bad set.
     """
     try:
         doc = json.loads(text)
@@ -266,7 +295,7 @@ def certificate_from_json(text: str) -> Certificate:
         raise MalformedCertificate(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedCertificate("a certificate must be a JSON object")
-    for key in ("n", "points", "sets", "claim", "multipliers"):
+    for key in ("n", "points", "hops", "sets", "claim", "multipliers"):
         if key not in doc:
             raise MalformedCertificate(f"missing field {key!r}")
     n, version, claim = doc["n"], doc.get("version", CERT_VERSION), doc["claim"]
@@ -291,14 +320,52 @@ def certificate_from_json(text: str) -> Certificate:
     if points.shape[1] != n:
         raise MalformedCertificate(f"points must have n = {n} coordinates each, "
                                    f"got {points.shape[1]}")
+    hops = doc["hops"]
+    if not (isinstance(hops, list) and set(map(type, hops)) <= {list}
+            and all(len(h) == 2 for h in hops)
+            and set(map(type, itertools.chain.from_iterable(hops))) <= {int}):
+        raise MalformedCertificate("hops must be a list of [end id, end id] pairs")
+    multipliers = _checked_multipliers(doc["multipliers"], len(sets), n)
+    if hops:
+        points = np.concatenate([points, _hop_points(points, hops, n)])
     return Certificate(
         n=n,
         points=points,
         sets=sets,
         claim=(claim[0], claim[1]),
         generator_params=doc.get("generator_params", {}),
-        multipliers=_checked_multipliers(doc["multipliers"], len(sets), n),
+        multipliers=multipliers,
+        hops=[tuple(h) for h in hops],
     )
+
+
+def _hop_points(points: np.ndarray, hops: list, n: int) -> np.ndarray:
+    """The shared points of the hops, pairs of ids into the written points,
+    as an (n*len(hops), n) table; MalformedCertificate unless every hop
+    joins two distinct finite points and the table stays within
+    MAX_HOP_COORDINATES."""
+    if n < 2:
+        raise MalformedCertificate("hops need n >= 2")
+    if len(hops) * n * n > MAX_HOP_COORDINATES:
+        raise MalformedCertificate(f"hops would rebuild more than {MAX_HOP_COORDINATES} "
+                                   f"coordinates")
+    try:
+        ids = np.array(hops, dtype=np.int64)
+    except OverflowError:
+        ids = None
+    if ids is None or ((ids < 0) | (ids >= len(points))).any():
+        raise MalformedCertificate("hop ends must be ids of written points")
+    ends = points[ids]
+    if not np.isfinite(ends).all():
+        raise MalformedCertificate("hop ends must be finite points")
+    a, b = ends[:, 0], ends[:, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            shared = _shared_points((a + b) / 2.0, b - a)
+        except InputError as exc:
+            raise MalformedCertificate("hop ends coincide") from exc
+    # As in the generator's table, no coordinate is -0.0.
+    return shared.reshape(-1, n) + 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -418,25 +485,28 @@ class _Fragment:
 
     `points` is read-only; `sets` are (local point ids, stage tag) in
     registration order; `terms` are the relation's (local set, coefficient)
-    pairs.
+    pairs; `hops` are its hop rows (_Builder.hops) in local point ids.
     """
 
     points: np.ndarray
     sets: tuple[tuple[tuple[int, ...], str], ...]
     terms: tuple[tuple[int, int], ...]
+    hops: tuple[tuple[int, ...], ...]
 
 
 class _Builder:
     """Point table and deduplicated sets of one certificate.
 
-    add_set, add_chain and add_fragment queue a request and return
+    add_set, add_chain, add_link and add_fragment queue a request and return
     its slots, one per set it registers.  flush() registers the queue in
     request order, so point ids, set indices, dedup and stage tags are those
     of registering each request at once; `slots` then maps each slot to its
     set index.  One gamma1_links call per flush builds the shared points of
     every queued chain hop.  The queue is flushed early once its slots could
     take the certificate past MAX_CERT_SETS, so a certificate that is too
-    large fails at the request that overflows it.
+    large fails at the request that overflows it.  Every hop registered is
+    kept as one row of point ids, (a, shared points in vertex order, b), in
+    `hops`, in registration order and once.
     """
 
     def __init__(self, n: int, tol: Tolerance):
@@ -453,6 +523,7 @@ class _Builder:
         self.queue: list = []
         self.chains: list[np.ndarray] = []
         self.pending = 0
+        self.hops: dict[tuple[int, ...], None] = {}
 
     def ids(self, points: np.ndarray) -> list[int]:
         """Point ids of a stack of rows, in row order, keyed in one pass;
@@ -507,15 +578,29 @@ class _Builder:
             # the hop's two sets are its first and its last n+1 rows.
             rows = np.concatenate([waypoints[:-1, None], next(links), waypoints[1:, None]], axis=1)
             ids = self.ids(rows.reshape(-1, self.n))
-            return [self._register(ids[start:start + self.n + 1], stage)
-                    for hop in range(0, len(ids), self.n + 2) for start in (hop, hop + 1)]
+            return [slot for hop in range(0, len(ids), self.n + 2)
+                    for slot in self._register_hop(ids[hop:hop + self.n + 2], stage)]
         return list(zip(self._enqueue(register, 2 * hops), [1, -1] * hops))
+
+    def add_link(self, set_a: EquilateralSet, set_b: EquilateralSet, stage: str) -> range:
+        """Slots of gamma1_link's two sets, {a} + shared and {b} + shared."""
+        def register(links):
+            return self._register_hop(self.ids(np.vstack([set_a.points, set_b.points[:1]])), stage)
+        return self._enqueue(register, 2)
+
+    def _register_hop(self, ids: list[int], stage: str) -> list[int]:
+        """Register the two sets of the hop row ids, (a, shared..., b), and
+        keep the row."""
+        self.hops.setdefault(tuple(ids))
+        return [self._register(ids[:-1], stage), self._register(ids[1:], stage)]
 
     def add_fragment(self, frag: _Fragment) -> range:
         """Slots of the fragment's sets, which are added with its points in its
-        order and with its stage tags."""
+        order and with its stage tags, and its hops."""
         def register(links):
             ids = self.ids(frag.points)
+            for row in frag.hops:
+                self.hops.setdefault(tuple(ids[i] for i in row))
             return [self._register([ids[i] for i in local], stage) for local, stage in frag.sets]
         return self._enqueue(register, len(frag.sets))
 
@@ -539,6 +624,36 @@ class _Builder:
         links = self._links(chains)
         for register in queue:
             self.slots += register(links)
+
+    def certificate(self, claim: tuple[int, int], multipliers: list[int]) -> Certificate:
+        """The certificate of the registered sets, its points renumbered.
+
+        A hop is listed in `hops` when none of its shared points lies in a
+        set other than the hop's two, is a claim point or is a hop's end.
+        The other points keep their first-appearance order, ahead of the
+        shared points of the listed hops, hop by hop in vertex order.  The
+        table holds no -0.0, which JSON would read back as 0.0.
+        """
+        count = len(self.points)
+        sets = np.array(self.sets, dtype=np.int64).reshape(len(self.sets), self.n + 1)
+        rows = np.array(list(self.hops), dtype=np.int64).reshape(len(self.hops), self.n + 2)
+        pinned = np.bincount(sets.ravel(), minlength=count) != 2
+        pinned[rows[:, [0, -1]]] = True
+        pinned[list(claim)] = True
+        listed = rows[~pinned[rows[:, 1:-1]].any(axis=1)]
+        written = np.ones(count, dtype=bool)
+        written[listed[:, 1:-1]] = False
+        order = np.concatenate([np.flatnonzero(written), listed[:, 1:-1].ravel()])
+        new_id = np.empty(count, dtype=np.int64)
+        new_id[order] = np.arange(count)
+        return Certificate(
+            n=self.n,
+            points=np.array(self.points)[order] + 0.0,
+            sets=list(map(tuple, np.sort(new_id[sets], axis=1).tolist())),
+            claim=(int(new_id[claim[0]]), int(new_id[claim[1]])),
+            multipliers=multipliers,
+            hops=list(map(tuple, new_id[listed[:, [0, -1]]].tolist())),
+        )
 
 
 class _Generator:
@@ -642,20 +757,18 @@ class _Generator:
             # One gamma1_link call per bridge, as perfbench traces it: set_a
             # minus set_b is the hop, set_b minus the partner's node the rest.
             partner = self._bridge_partner(p)
-            set_a, set_b = gamma1_link(p, partner, self.tol)
-            own = self.builder.add_set(set_a, "bridge")
-            shared = self._set_node(set_b, "bridge", [(partner, OUTER)])
+            own, other = self.builder.add_link(*gamma1_link(p, partner, self.tol), "bridge")
+            shared = self._set_node(other, "bridge", [(partner, OUTER)])
             cls, node = OUTER, self._node([(own, 1)], [(shared, -1)])
         else:
             cls, node = OUTER, self._step_node(p, "annulus-step")
         self.memo[key] = cls, node
         return cls, node
 
-    def _set_node(self, s: EquilateralSet, stage: str, members) -> int:
-        """Queue the set s and resolve its other members, (point, value class)
-        pairs that the construction puts in that class; returns the node of s
-        minus every member's node."""
-        own = self.builder.add_set(s, stage)
+    def _set_node(self, own: int, stage: str, members) -> int:
+        """Resolve the other members of the set in slot `own`, (point, value
+        class) pairs that the construction puts in that class; returns the
+        node of the set minus every member's node."""
         subs = []
         for p, cls in members:
             got, node = self.resolve(p)
@@ -669,13 +782,14 @@ class _Generator:
     def _lemma_node(self, z: np.ndarray, stage: str) -> int:
         """The cap lemma's set {z, c_1..c_n}, its companions in the annulus."""
         full, companions = constant_lemma_relation(z, self.beta_next, self.n, self.tol)
-        return self._set_node(full, stage, [(c, OUTER) for c in companions])
+        return self._set_node(self.builder.add_set(full, stage), stage,
+                              [(c, OUTER) for c in companions])
 
     def _step_node(self, u: np.ndarray, stage: str) -> int:
         """The annulus step through u at rho0 = ||u||: its companions sit at
         sqrt(1 - ||u|| + ||u||**2) >= ||u||, and the set does not depend on rho0."""
         rel = theorem_step_relation(u, math.sqrt(u @ u), self.n, self.tol)
-        return self._set_node(rel.set, stage,
+        return self._set_node(self.builder.add_set(rel.set, stage), stage,
                               [(rel.v, INNER)] + [(c, OUTER) for c in rel.companions])
 
     def _emit_closing(self) -> int:
@@ -717,8 +831,7 @@ class _Generator:
     def run(self, x: np.ndarray, y: np.ndarray) -> Certificate:
         id_x, id_y = self.builder.ids(np.array([x, y]))
         if id_x == id_y:
-            return Certificate(n=self.n, points=np.array([self.builder.points[id_x]]),
-                               sets=[], claim=(id_x, id_x))
+            return self.builder.certificate((id_x, id_x), [])
         try:
             cls_x, node_x = self.resolve(x)
             cls_y, node_y = self.resolve(y)
@@ -729,13 +842,7 @@ class _Generator:
         finally:
             # Also on a failure: an error the queue meets came first.
             self.builder.flush()
-        return Certificate(
-            n=self.n,
-            points=np.array(self.builder.points),
-            sets=list(self.builder.sets),
-            claim=(id_x, id_y),
-            multipliers=self._multipliers(claim),
-        )
+        return self.builder.certificate((id_x, id_y), self._multipliers(claim))
 
 
 def _via(a: np.ndarray, b: np.ndarray, hop: float) -> np.ndarray | None:
@@ -771,7 +878,8 @@ def _closing_fragment(n: int, tol: Tolerance) -> _Fragment:
     points = np.array(b.points)
     points.flags.writeable = False
     terms = tuple((i, m) for i, m in enumerate(gen._multipliers(root)) if m)
-    return _Fragment(points=points, sets=tuple(zip(b.sets, b.stages)), terms=terms)
+    return _Fragment(points=points, sets=tuple(zip(b.sets, b.stages)), terms=terms,
+                     hops=tuple(b.hops))
 
 
 def generate_equality_certificate(x, y, n: int,

@@ -212,6 +212,7 @@ def cmd_check(args) -> int:
         "detail": report.detail,
         "sets": report.set_count,
         "points": report.point_count,
+        "hops": len(cert.hops),
     }
     _emit(args, payload)
     if report.accepted:

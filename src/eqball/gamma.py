@@ -21,6 +21,12 @@ ball at hop length is a hop.  The paper's condition gamma(a, b) >= beta(n)
 implies the bound, and is the bound at n = 2.  A simplex with
 t <= RANK_RESIDUAL keeps its canonical orientation, which adds at most
 2*beta(n)*t < 1.5e-10 to a bound below 1 - 1/n + 1.5e-10.
+
+The shared points are a function of the values of a and b alone
+(_shared_points): a -0.0 in x0 or b - a counts as 0.0, where
+simplex_on_spheres would take the other Householder reflection for a
+normal ending in -0.0.  So a certificate parser rebuilds them bit for bit
+from ends it reads back from JSON, which writes -0.0 as "-0", read as 0.
 """
 from __future__ import annotations
 
@@ -97,13 +103,17 @@ def gamma(a, b, tol: Tolerance = DEFAULT_TOL) -> GammaResult:
     return GammaResult(value=float(value), direction=u, midpoint=x0)
 
 
+def _perp(x0: np.ndarray, d_hat: np.ndarray) -> np.ndarray:
+    """perp, the component of midpoints x0 orthogonal to unit hop directions
+    d_hat (rows of equal shape); t = ||perp|| is <x0, u> for the u of the
+    module docstring."""
+    return x0 - row_dot(x0, d_hat)[..., None] * d_hat
+
+
 def _clearance(x0: np.ndarray, d_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form clearance of midpoints x0 for unit hop directions d_hat
-    (rows of equal shape), and perp, the component of x0 orthogonal to d_hat.
-
-    t = ||perp|| is <x0, u> for the u of the module docstring.
-    """
-    perp = x0 - row_dot(x0, d_hat)[..., None] * d_hat
+    (rows of equal shape), and their _perp."""
+    perp = _perp(x0, d_hat)
     t = np.sqrt(row_dot(perp, perp))
     return -t + np.sqrt(np.maximum(t * t + 1.0 - row_dot(x0, x0), 0.0)), perp
 
@@ -166,7 +176,7 @@ def gamma1_links(A, B, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     bn = beta(n)
     x0 = (A + B) / 2.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        perp = _clearance(x0, diff / dist[:, None])[1]
+        perp = _perp(x0, diff / dist[:, None])
     bound = row_dot(x0, x0) + bn * bn + 2.0 * bn * np.sqrt(row_dot(perp, perp)) / (n - 1)
     failed = first_failure(checks + [
         (np.abs(dist - target) > eps, lambda i: InputError(
@@ -177,17 +187,29 @@ def gamma1_links(A, B, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     # Hops before the first failing one go on to the checks of their sets.
     m = A.shape[0] if failed is None else failed[0]
     if m:
-        shared = simplex_on_spheres(x0[:m], diff[:m], bn)
+        shared = _shared_points(x0[:m], diff[:m])
         shared_norm = np.sqrt(row_dot(shared, shared)).max(axis=1)
         checks = [(shared_norm > 1.0 + eps, lambda i: ConstructionError(
             "a shared point left the ball; the hop bound was too tight"))]
-        for ends in (A[:m], B[:m]):
-            pts = np.concatenate([ends[:, None, :], shared], axis=1)
-            checks += check_sets(pts, True, tol, ConstructionError)[2]
+        # The sets {a} + shared of every hop, then {b} + shared, in one stack;
+        # each hop's checks keep the order a's set, then b's.
+        ends = np.concatenate([A[:m], B[:m]])[:, None, :]
+        stack = np.concatenate([ends, np.concatenate([shared, shared])], axis=1)
+        set_checks = check_sets(stack, True, tol, ConstructionError)[2]
+        for half in (0, m):
+            checks += [(mask[half:half + m], lambda i, error=error, half=half: error(half + i))
+                       for mask, error in set_checks]
         failed = first_failure(checks) or failed
     if failed is not None:
         raise failed[1]
     return shared
+
+
+def _shared_points(x0: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """The n shared points of the hops with midpoints x0 and vectors
+    diff = b - a (rows), as a (k, n, n) array, in simplex_on_spheres order;
+    both inputs plus 0.0, so that no -0.0 chooses the reflection."""
+    return simplex_on_spheres(x0 + 0.0, diff + 0.0, beta(x0.shape[1]))
 
 
 def gamma1_link(a, b, tol: Tolerance = DEFAULT_TOL) -> tuple[EquilateralSet, EquilateralSet]:

@@ -178,6 +178,14 @@ def _simplex_vertices(n: int) -> np.ndarray:
     return pts
 
 
+@lru_cache(maxsize=None)
+def _leading_axes(n: int) -> np.ndarray:
+    """Read-only rows 0..n-2 of the n x n identity, built once per n."""
+    axes = np.eye(n)[:-1]
+    axes.flags.writeable = False
+    return axes
+
+
 def height_above_base(n: int, rho: float) -> float:
     """Norm of the apex completing a maximal set whose base sits at norm rho.
 
@@ -212,12 +220,12 @@ def simplex_on_spheres(centers, normals, radius: float) -> np.ndarray:
     normals = np.asarray(normals, dtype=float)
     n = normals.shape[1]
     lengths = np.sqrt(row_dot(normals, normals))
-    if not np.all(lengths > RANK_RESIDUAL):
+    if not (lengths > RANK_RESIDUAL).all():
         raise InputError("a normal vector is zero")
     h = normals / lengths[:, None]
     h[:, -1] += np.copysign(1.0, h[:, -1])
     scale = 2.0 / row_dot(h, h)
-    complements = np.eye(n)[:-1] - (h[:, :-1] * scale[:, None])[:, :, None] * h[:, None, :]
+    complements = _leading_axes(n) - (h[:, :-1] * scale[:, None])[:, :, None] * h[:, None, :]
     vertices = base = _simplex_vertices(n - 1)
     local = (complements @ centers[:, :, None])[..., 0]
     t = np.sqrt(row_dot(local, local))

@@ -31,7 +31,7 @@ from eqball.certify import (
 from eqball.errors import GenerationFailure, InputError, MalformedCertificate
 from eqball.gamma import gamma1_link
 from eqball.geometry import DEFAULT_TOL, Tolerance, section2d
-from eqball.simplex import EquilateralSet, alpha, beta
+from eqball.simplex import EquilateralSet, alpha, beta, simplex_on_spheres
 from eqball.verify import _ball_point, _feasible_assignments
 from eqball.weights import eta, lambda_shell, mu
 
@@ -337,12 +337,15 @@ def test_json_round_trip_is_exact():
 
 
 def _plain_document(cert):
-    """The certificate document as nested lists, for the recursive _dumps."""
+    """The certificate document as nested lists, for the recursive _dumps:
+    the points that hops rebuild are left out."""
+    written = len(cert.points) - cert.n * len(cert.hops)
     return {
-        "version": 2,
+        "version": 3,
         "n": cert.n,
         "tolerance": {"eps_eq": DEFAULT_TOL.eps_eq, "grid_step": 1e-4},
-        "points": [[float(c) for c in p] for p in cert.points],
+        "points": [[float(c) for c in p] for p in cert.points[:written]],
+        "hops": [list(map(int, h)) for h in cert.hops],
         "sets": [list(map(int, s)) for s in cert.sets],
         "claim": [int(cert.claim[0]), int(cert.claim[1])],
         "generator_params": cert.generator_params,
@@ -352,6 +355,7 @@ def _plain_document(cert):
 
 def test_json_writer_matches_the_recursive_dump():
     cert = generate_equality_certificate(np.zeros(3), np.array([0.95, -0.0, 0.0]), 3)
+    assert cert.hops
     assert certificate_to_json(cert) == _dumps(_plain_document(cert))
 
 
@@ -416,6 +420,175 @@ def test_any_document_parses_or_is_malformed_and_checks(doc):
     assert report.accepted == (report.failure is None)
 
 
+# -- hop rows ---------------------------------------------------------------------
+
+
+def _document(cert):
+    return json.loads(certificate_to_json(cert))
+
+
+def _parse(doc):
+    return certificate_from_json(json.dumps(doc))
+
+
+def test_hop_points_are_rebuilt_after_the_written_points():
+    """The n shared points of hop h are ids E + n*h .. E + n*h + n - 1, the
+    rows of one simplex_on_spheres call on the hop's ends with -0.0 read as
+    0.0, bit for bit; the sets of a listed hop are its only sets that hold
+    them."""
+    cert = _mixed_certificate()
+    n, hops = cert.n, np.array(cert.hops)
+    written = len(cert.points) - n * len(hops)
+    assert len(_document(cert)["points"]) == written and len(hops) > 0
+    assert hops.max() < written
+    a, b = cert.points[hops[:, 0]], cert.points[hops[:, 1]]
+    shared = simplex_on_spheres((a + b) / 2.0 + 0.0, (b - a) + 0.0, beta(n)).reshape(-1, n) + 0.0
+    assert shared.tobytes() == cert.points[written:].tobytes()
+    holders = {}
+    for s in cert.sets:
+        for i in s:
+            holders.setdefault(i, []).append(set(s))
+    for h, (i, j) in enumerate(cert.hops):
+        ids = set(range(written + n * h, written + n * (h + 1)))
+        for k in ids:
+            assert sorted(map(sorted, holders[k])) == sorted([sorted(ids | {i}), sorted(ids | {j})])
+
+
+def test_a_hop_whose_shared_point_is_claimed_stays_written():
+    """A hop stays written when a shared point is a claim point: here y is a
+    shared point of the first hop of x's chain."""
+    n = 3
+    x, y = np.array([0.9, 0.2, 0.1]), np.array([0.0, 0.95, 0.0])
+    gen = _Generator(n, DEFAULT_TOL)
+    gen.run(x, y)
+    row = next(iter(gen.builder.hops))
+    claimed, via = gen.builder.points[row[1]], gen.builder.points[row[-1]]
+    gen = _Generator(n, DEFAULT_TOL)
+    cert = gen.run(x, claimed)
+    assert len(cert.hops) == len(gen.builder.hops) - 1
+    listed = {(cert.points[i].tobytes(), cert.points[j].tobytes()) for i, j in cert.hops}
+    assert (x.tobytes(), via.tobytes()) not in listed
+    assert len(listed) == len(cert.hops)
+    back = certificate_from_json(certificate_to_json(cert))
+    assert back.points.tobytes() == cert.points.tobytes()
+    assert back.points[back.claim[1]].tobytes() == claimed.tobytes()
+    assert check_certificate(back).accepted
+
+
+@pytest.mark.parametrize("tamper", ["moved-end", "multiplier"])
+def test_tampered_hop_documents_are_rejected(tamper):
+    """A hop end moved by 1e-3 moves the rebuilt points with it, so the hop's
+    sets fail their re-check; a changed multiplier leaves the claim
+    unproven."""
+    doc = _document(_mixed_certificate())
+    if tamper == "moved-end":
+        doc["points"][doc["hops"][0][0]][0] += 1e-3
+        expected = "SetInvalid"
+    else:
+        doc["multipliers"][0] += 1
+        expected = "ClaimNotImplied"
+    report = check_certificate(_parse(doc))
+    assert not report.accepted and report.failure == expected
+
+
+def _one_hop_document(a, b):
+    """A certificate of one hop a -> b and its two sets, proving f(a) = f(b)."""
+    n = len(a)
+    shared = list(range(2, n + 2))
+    return {"version": 3, "n": n, "points": [list(a), list(b)], "hops": [[0, 1]],
+            "sets": [[0] + shared, [1] + shared], "claim": [0, 1], "multipliers": [1, -1]}
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_one_hop_documents(n):
+    """Both ends in the ball at exact hop length: accepted.  A hop 1e-6 off
+    its length, or one whose ends at norm 1.01 put its rebuilt points out of
+    the ball (in-ball ends keep them in, gamma's hop bound), is SetInvalid."""
+    hop = 2.0 * alpha(n + 1)
+    e1, e2 = np.eye(n)[0], np.eye(n)[1]
+    a = 0.4 * e2 - hop / 2.0 * e1
+    assert check_certificate(_parse(_one_hop_document(a, a + hop * e1))).accepted
+    report = check_certificate(_parse(_one_hop_document(a, a + (hop + 1e-6) * e1)))
+    assert report.failure == "SetInvalid" and report.detail["worst_distance_error"] > 1e-7
+    r = 1.01
+    far = math.sqrt(r * r - hop * hop / 4.0) * e2
+    doc = _one_hop_document(far - hop / 2.0 * e1, far + hop / 2.0 * e1)
+    cert = _parse(doc)
+    assert np.linalg.norm(cert.points[2:], axis=1).max() > 1.0
+    report = check_certificate(cert)
+    assert report.failure == "SetInvalid" and report.detail["worst_norm_excess"] > 1e-3
+
+
+@pytest.mark.parametrize("rewrite, message", [
+    (lambda doc: doc["hops"][0].__setitem__(1, doc["hops"][0][0]), "^hop ends coincide$"),
+    (lambda doc: doc["points"].append(doc["points"][doc["hops"][0][0]])
+     or doc["hops"][0].__setitem__(1, len(doc["points"]) - 1), "^hop ends coincide$"),
+    (lambda doc: doc["hops"][0].__setitem__(0, len(doc["points"])),
+     "^hop ends must be ids of written points$"),
+    (lambda doc: doc["hops"][0].__setitem__(0, -1), "^hop ends must be ids of written points$"),
+    (lambda doc: doc["hops"][0].__setitem__(0, 2 ** 70), "^hop ends must be ids of written points$"),
+    (lambda doc: doc["hops"][0].__setitem__(0, float(doc["hops"][0][0])), "^hops must be a list"),
+    (lambda doc: doc["hops"][0].__setitem__(0, True), "^hops must be a list"),
+    (lambda doc: doc["hops"][0].append(0), "^hops must be a list"),
+    (lambda doc: doc["hops"].__setitem__(0, 0), "^hops must be a list"),
+    (lambda doc: doc.__setitem__("hops", {}), "^hops must be a list"),
+    (lambda doc: doc.pop("hops"), "^missing field 'hops'$"),
+    (lambda doc: doc["points"][doc["hops"][0][0]].__setitem__(0, math.inf),
+     "^hop ends must be finite points$"),
+    (lambda doc: doc.update(n=1, points=[[0.5], [-0.5]], hops=[[0, 1]]), "^hops need n >= 2$"),
+], ids=["same-id", "same-point", "end-past-written", "end-negative", "end-past-int64",
+        "float-id", "bool-id", "triple", "not-a-list", "hops-object", "no-hops", "end-inf", "n-1"])
+def test_malformed_hops(rewrite, message):
+    doc = _document(_mixed_certificate())
+    rewrite(doc)
+    with pytest.raises(MalformedCertificate, match=message):
+        _parse(doc)
+
+
+def test_too_many_hop_coordinates_is_malformed(monkeypatch):
+    """A document cannot make the parser rebuild more than
+    MAX_HOP_COORDINATES coordinates; the check runs before any is built."""
+    doc = _document(_mixed_certificate())
+    monkeypatch.setattr(certify, "MAX_HOP_COORDINATES", doc["n"] ** 2 * (len(doc["hops"]) - 1))
+    with pytest.raises(MalformedCertificate, match="^hops would rebuild more than"):
+        _parse(doc)
+    monkeypatch.undo()
+    assert check_certificate(_parse(doc)).accepted
+
+
+@st.composite
+def _certified_pairs(draw):
+    """A dimension n in 2..8 and two points of the ball, each at a boundary
+    radius or a drawn one, along a drawn direction."""
+    n = draw(st.integers(2, 8))
+    radii = st.sampled_from(_boundary_radii(n)) | st.floats(0.0, 1.0)
+
+    def point():
+        v = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+        norm = float(np.linalg.norm(v))
+        assume(norm > 0.1)
+        return draw(radii) * v / norm
+
+    return n, point(), point()
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(_certified_pairs())
+def test_certificates_round_trip_bit_for_bit(case):
+    """Parsing a written certificate rebuilds its points bit for bit, with
+    equal sets, claim, multipliers and hops, and writing it again gives the
+    same text."""
+    n, x, y = case
+    cert = generate_equality_certificate(x, y, n)
+    text = certificate_to_json(cert)
+    back = certificate_from_json(text)
+    assert back.points.tobytes() == cert.points.tobytes()
+    assert (back.sets, back.claim, back.multipliers, back.hops) == (
+        cert.sets, cert.claim, cert.multipliers, cert.hops)
+    assert certificate_to_json(back) == text
+    assert check_certificate(back).accepted
+
+
 # -- integer multipliers -------------------------------------------------------
 
 
@@ -436,7 +609,7 @@ def test_generated_multipliers_survive_json_round_trip():
     assert all(type(m) is int for m in cert.multipliers)
     text = certificate_to_json(cert)
     doc = json.loads(text)
-    assert doc["version"] == 2
+    assert doc["version"] == 3
     assert doc["multipliers"] == cert.multipliers
     back = certificate_from_json(text)
     assert back.multipliers == cert.multipliers
@@ -563,7 +736,7 @@ def test_certificate_without_multipliers_is_malformed():
     with pytest.raises(MalformedCertificate, match="^missing field 'multipliers'$"):
         certificate_from_json(json.dumps(doc))
     doc = json.loads(certificate_to_json(cert))
-    for version in (1, 99, 2.0, True):
+    for version in (1, 2, 99, 3.0, True):
         doc["version"] = version
         with pytest.raises(MalformedCertificate, match="^unsupported certificate version$"):
             certificate_from_json(json.dumps(doc))

@@ -123,6 +123,10 @@ def test_certify_check_roundtrip(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["accepted"] is True
     assert doc["residual"] < 1e-8
+    written = json.loads(cert_file.read_text())
+    assert doc["hops"] == len(written["hops"]) > 0
+    assert doc["points"] == len(written["points"]) + 2 * doc["hops"]
+    assert doc["sets"] == len(written["sets"])
 
 
 def test_certify_reflexive(tmp_path, capsys):
@@ -149,7 +153,7 @@ def test_check_tampered_exit4(tmp_path, capsys):
     assert json.loads(out)["failure"] == "SetInvalid"
 
 
-VALID_DOC = {"version": 2, "n": 2, "points": [[0.5, 0.0], [-0.5, 0.0], [0.0, 0.8]],
+VALID_DOC = {"version": 3, "n": 2, "points": [[0.5, 0.0], [-0.5, 0.0], [0.0, 0.8]], "hops": [],
              "sets": [[0, 1, 2]], "claim": [0, 1], "multipliers": [0]}
 
 
@@ -174,13 +178,23 @@ def test_valid_doc_parses():
     json.dumps(dict(VALID_DOC, points=VALID_DOC["points"] + [[True, False]])),
     json.dumps({k: v for k, v in VALID_DOC.items() if k != "multipliers"}),
     json.dumps(dict(VALID_DOC, version=1)),
+    json.dumps(dict(VALID_DOC, version=2)),
     json.dumps(dict(VALID_DOC, version=99)),
+    json.dumps({k: v for k, v in VALID_DOC.items() if k != "hops"}),
+    json.dumps(dict(VALID_DOC, hops=[0, 1])),                         # a hop that is no list
+    json.dumps(dict(VALID_DOC, hops=[[0, 1, 2]])),                    # a hop that is no pair
+    json.dumps(dict(VALID_DOC, hops=[[0.0, 1]])),                     # ids must be JSON integers
+    json.dumps(dict(VALID_DOC, hops=[[True, 1]])),
+    json.dumps(dict(VALID_DOC, hops=[[0, 3]])),                       # end past the written points
+    json.dumps(dict(VALID_DOC, hops=[[1, 1]])),                       # coincident ends
     DEEP_JSON,                                                        # nested 3000 deep
     json.dumps(VALID_DOC).replace("[[0, 1, 2]]", DEEP_JSON),
 ], ids=["sets-not-list", "ragged-points", "n-string", "short-claim", "n-1e400",
         "top-level-number", "version-string", "set-not-list", "set-id-float",
         "set-id-string", "set-id-bool", "point-strings", "point-bools",
-        "no-multipliers", "version-1", "version-99", "nested-3000", "sets-nested-3000"])
+        "no-multipliers", "version-1", "version-2", "version-99", "no-hops", "hop-not-list",
+        "hop-not-pair", "hop-id-float", "hop-id-bool", "hop-end-past-table", "hop-ends-coincide",
+        "nested-3000", "sets-nested-3000"])
 def test_check_malformed_document_exit2(tmp_path, capsys, text):
     doc_file = tmp_path / "bad.json"
     doc_file.write_text(text)
@@ -383,7 +397,8 @@ def test_unwritable_out_path_exit2(tmp_path, capsys, command):
 @pytest.mark.parametrize("text", [
     json.dumps(dict(VALID_DOC, sets=[[0, 1, 3]])),                    # set id past the table
     json.dumps(VALID_DOC).replace("0.8", "1e400"),                    # coordinate overflows to inf
-    json.dumps({"n": 0, "points": [[]], "sets": [], "claim": [0, 0], "multipliers": []}),
+    json.dumps({"n": 0, "points": [[]], "hops": [], "sets": [], "claim": [0, 0],
+                "multipliers": []}),
 ], ids=["set-id-past-table", "coordinate-1e400", "n-0"])
 def test_check_reported_malformed_document_exit2(tmp_path, capsys, text):
     """Documents that parse but that check_certificate reports as malformed
@@ -407,8 +422,8 @@ def test_check_non_utf8_file_exit2(tmp_path, capsys):
 
 def test_check_point_width_not_n_exit2(tmp_path, capsys):
     doc_file = tmp_path / "cert.json"
-    doc_file.write_text(json.dumps({"n": 10**26, "points": [[]], "sets": [], "claim": [0, 0],
-                                     "multipliers": []}))
+    doc_file.write_text(json.dumps({"n": 10**26, "points": [[]], "hops": [], "sets": [],
+                                     "claim": [0, 0], "multipliers": []}))
     code, out, err = run_cli(capsys, "check", "--input", str(doc_file))
     assert code == 2
     assert out == ""

@@ -1,3 +1,4 @@
+import importlib
 import math
 import re
 
@@ -6,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqball.errors import InputError
+from eqball.errors import ConstructionError, InputError
 from eqball.gamma import gamma, gamma1_link, gamma1_links, gamma_bruteforce
 from eqball.geometry import DEFAULT_TOL, Frame, orthonormalize, section2d
 from eqball.simplex import alpha, beta, canonical_simplex, distance_errors, random_rotations
 from eqball.weights import lambda_shell
+
+gamma_module = importlib.import_module("eqball.gamma")  # the package exports the function gamma
 
 
 # Messages of the two linking-move preconditions, hop length and hop bound.
@@ -224,10 +227,11 @@ def _random_chain(rng, n, hops):
 
 
 def _householder_rows(v):
-    """Rows 0..n-2 of I - 2*h*h^T/(h^T h), h = v/||v|| + copysign(1, v[-1])*e[-1]:
-    an orthonormal basis of the complement of v."""
+    """Rows 0..n-2 of I - 2*h*h^T/(h^T h), h = v/||v|| + s*e[-1] with s = -1
+    where v[-1] < 0 and 1 otherwise (gamma1_links reads a -0.0 as 0): an
+    orthonormal basis of the complement of v."""
     h = v / np.linalg.norm(v)
-    h[-1] += math.copysign(1.0, h[-1])
+    h[-1] += -1.0 if h[-1] < 0.0 else 1.0
     return np.eye(len(v))[:-1] - np.outer(h[:-1] * (2.0 / (h @ h)), h)
 
 
@@ -278,6 +282,51 @@ def test_gamma1_links_rows_are_the_paper_construction():
                 set_a, set_b = gamma1_link(a, b)
                 assert np.array_equal(set_a.points, np.vstack([a, shared[h]]))
                 assert np.array_equal(set_b.points, np.vstack([b, shared[h]]))
+
+
+@pytest.mark.parametrize("failing, message", [
+    ({"distance": [4], "norm": [1, 2]}, "norm 1"),      # hop 1: a's norm before b's distance
+    ({"distance": [4, 2], "norm": []}, "distance 4"),   # hop 1 (b's set) before hop 2
+    ({"distance": [5], "norm": [5]}, "distance 5"),     # hop 2, b's set: distance first
+    ({"distance": [], "norm": []}, None),
+])
+def test_gamma1_links_reports_the_first_failing_hop_then_check(monkeypatch, failing, message):
+    """One check_sets call re-checks a's set of every hop, then b's, as a
+    (2m, n+1, n) stack; the error raised is that of the first failing hop,
+    and of its first failing check in the order a's distances, a's norms,
+    b's distances, b's norms."""
+    def fake(points, in_ball, tol, error):
+        masks = {name: np.isin(np.arange(len(points)), rows) for name, rows in failing.items()}
+        return None, None, [(masks[name], lambda i, name=name: error(f"{name} {i}"))
+                            for name in ("distance", "norm")]
+
+    monkeypatch.setattr(gamma_module, "check_sets", fake)
+    w = _random_chain(np.random.default_rng(35), 3, 3)
+    if message is None:
+        assert gamma1_links(w[:-1], w[1:]).shape == (3, 3, 3)
+        return
+    with pytest.raises(ConstructionError, match=f"^{message}$"):
+        gamma1_links(w[:-1], w[1:])
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_gamma1_links_read_values_not_zero_signs(n):
+    """Ends whose zeros differ only in sign give the same shared points, bit
+    for bit, so a parser rebuilds a hop from ends read back from JSON, where
+    "-0" reads as 0.  Here b - a ends in -0.0 on one side and 0.0 on the
+    other, which would choose the other Householder reflection."""
+    hop = 2.0 * alpha(n + 1)
+    for shift in (-0.1, 0.0, 0.07):
+        a = np.zeros(n)
+        a[0] = shift - hop / 2.0
+        a[1:-1] = 0.1     # none at n = 2; the last coordinate stays 0
+        b = a.copy()
+        b[0] += hop
+        signed_b = b.copy()
+        signed_b[-1] = -0.0
+        assert np.signbit((signed_b - a)[-1]) and not np.signbit((b - a)[-1])
+        assert gamma1_links(a[None], signed_b[None]).tobytes() == \
+            gamma1_links(a[None], b[None]).tobytes()
 
 
 def test_gamma1_links_middle_hop_of_wrong_length():
