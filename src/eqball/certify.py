@@ -50,22 +50,27 @@ and before an error propagates.  The certificate is the one registering
 each request at once would give, and one gamma1_links call per flush
 builds the shared points of every queued chain hop.
 
-Certificates are written as format version 3, whose `hops` field lists
-hops as [end id, end id] pairs (a, b).  The n shared points of a listed
-hop are not written: with E written points, those of hop h take the ids
-E + n*h .. E + n*h + n - 1, in order the rows of simplex_on_spheres((a +
-b)/2, b - a, beta(n)) with -0.0 read as 0.0 (gamma._shared_points), and
-the parser rebuilds every hop's points in that one call.  The generator keeps every hop it builds, chain hops (the
-closing relation's too) and bridges, and lists a hop unless one of its
-shared points lies in another set, is a claim point or is a hop's end;
-the other points keep their first-appearance order.  `sets` still names
-every set, hop sets included, and `multipliers` has one entry per set.
+Certificates are written as format version 4, whose `hops` field lists
+hops as [end id, end id] pairs (a, b).  Neither the n shared points of a
+listed hop nor its two sets are written: with E written points, its
+points take the ids E + n*h .. E + n*h + n - 1, in order the rows of
+simplex_on_spheres((a + b)/2, b - a, beta(n)) with -0.0 read as 0.0
+(gamma._shared_points), which the parser rebuilds for every hop in that
+one call, and its sets {a} + S and {b} + S follow the written sets, hop
+by hop.  `multipliers` writes one entry per written set, then one per
+hop: lambda for {a} + S, whose negation {b} + S carries.  In memory the
+sets are one (S, n+1) int64 table holding every set, and the multipliers
+one list in its order.  The generator keeps every hop it builds, chain
+hops (the closing relation's too) and bridges, and lists a hop when its
+two sets carry opposite multipliers and none of its shared points lies in
+another set, is a claim point or is a hop's end; the other points and
+sets keep their first-appearance order.
 
 The checker is generation-agnostic: it re-validates every set numerically
-in one vectorized pass, rebuilt hop sets included, then accepts the claim
-when the integer accumulation of the multipliers equals e_x - e_y
-exactly.  That is its only claim test: a document without multipliers,
-or of a version other than CERT_VERSION, is malformed.
+in vectorized passes of bounded size, rebuilt hop sets included, then
+accepts the claim when the integer accumulation of the multipliers equals
+e_x - e_y exactly.  That is its only claim test: a document without
+multipliers, or of a version other than CERT_VERSION, is malformed.
 """
 from __future__ import annotations
 
@@ -90,13 +95,17 @@ from .simplex import EquilateralSet, alpha, beta, cap_extension, check_sets, fir
 from .enlarge import enlarge_to_maximal
 from .weights import circle_circle_intersections, eta, lambda_shell, mu, mu_inverse
 
-CERT_VERSION = 3
+CERT_VERSION = 4
 MAX_CERT_SETS = 5000
 # The most coordinates a document's hops may rebuild, n*n per hop: 2**23
 # (64 MB of float64) holds the 2500 hops of MAX_CERT_SETS hop sets at n = 32
 # three times over, and 2048 hops at n = 64.
 MAX_HOP_COORDINATES = 2**23
 INT64_MAX = int(np.iinfo(np.int64).max)
+# The most pairwise-difference coordinates, sets * (n+1)*n/2 pairs * n, one
+# pass of the checker's set re-check holds: 2**19 float64 (4 MB) per array.
+# The sets of a certificate at n <= 5 fit in one pass.
+CHECK_CHUNK_CELLS = 2**19
 INNER_EDGE = 1e-9
 
 
@@ -176,21 +185,26 @@ def constant_lemma_relation(z, rho0: float, n: int,
 
 @dataclass
 class Certificate:
-    """Point table, maximal-set index tuples, claim pair, generator metadata.
+    """Point table, maximal-set id table, claim pair, generator metadata.
 
+    `sets` is one (S, n+1) int64 array of point ids for generated and
+    parsed certificates (the checker also takes a list of id tuples), and
     `multipliers` holds one integer per set whose combination of the set
     equations is the claim; the checker reports any other length as
     MalformedCertificate.  `hops` lists (end id, end id) pairs (a, b).  With
     E the number of points less n per hop, the n points that the two sets
     of hop h share are points E + n*h .. E + n*h + n - 1, in order the
     rows of simplex_on_spheres((a + b)/2, b - a, beta(n)) with -0.0 read as
-    0.0 in both arguments (gamma._shared_points).  The table lists every
-    point; only the JSON document leaves those n per hop out.
+    0.0 in both arguments (gamma._shared_points).  With H hops, the last 2H
+    sets are the hops' own, in hop order: hop h's a-set [a, E + n*h, ..,
+    E + n*h + n - 1] at row S - 2H + 2h, its b-set (b in place of a) next,
+    with opposite multipliers.  The tables list every point and set; only
+    the JSON document leaves the n points and two sets per hop out.
     """
 
     n: int
     points: np.ndarray
-    sets: list
+    sets: np.ndarray | list
     claim: tuple
     generator_params: dict = field(default_factory=dict)
     multipliers: list[int] = field(default_factory=list)
@@ -203,15 +217,15 @@ def _is_int(value) -> bool:
     return type(value) is int or isinstance(value, np.integer)
 
 
-def _checked_multipliers(multipliers, set_count: int, n: int) -> list[int]:
+def _checked_multipliers(multipliers, length: int, set_count: int, n: int) -> list[int]:
     """The multipliers as Python ints, or MalformedCertificate.
 
-    Rejects a length other than one per set, entries that are not integers
+    Rejects a length other than `length`, entries that are not integers
     (booleans included), and magnitudes for which the checker's int64
     accumulation of set_count * (n+1) terms could overflow.
     """
-    if not isinstance(multipliers, (list, tuple)) or len(multipliers) != set_count:
-        raise MalformedCertificate(f"multipliers must be a list of {set_count} integers")
+    if not isinstance(multipliers, (list, tuple)) or len(multipliers) != length:
+        raise MalformedCertificate(f"multipliers must be a list of {length} integers")
     if not all(map(_is_int, multipliers)):
         raise MalformedCertificate("multipliers must be integers")
     values = [int(m) for m in multipliers]
@@ -258,36 +272,45 @@ def _rows_json(rows, conversion: str) -> _Json:
 def certificate_to_json(cert: Certificate, tol: Tolerance = DEFAULT_TOL) -> str:
     """The certificate as JSON text, byte-identical to _dumps of the plain
     document: the point table less the points that `hops` rebuilds, then
-    hops, sets and multipliers, formatted row by row."""
+    hops, the sets less the hops' own, and the multipliers of the written
+    sets followed by one per hop, that of its a-set (its b-set's is the
+    negation, Certificate), formatted row by row."""
     points = np.asarray(cert.points, dtype=float)
-    written = len(points) - cert.n * len(cert.hops)
+    hop_count = len(cert.hops)
+    written = len(points) - cert.n * hop_count
+    kept = len(cert.sets) - 2 * hop_count
+    sets = cert.sets[:kept]
+    lam = list(cert.multipliers)
     return _dumps({
         "version": CERT_VERSION,
         "n": cert.n,
         "tolerance": {"eps_eq": tol.eps_eq, "grid_step": GRID_STEP},
         "points": _rows_json(points[:written].tolist(), "%.17g"),
         "hops": _rows_json(cert.hops, "%d"),
-        "sets": _rows_json(cert.sets, "%d"),
+        "sets": _rows_json(sets.tolist() if isinstance(sets, np.ndarray) else sets, "%d"),
         "claim": [int(cert.claim[0]), int(cert.claim[1])],
         "generator_params": cert.generator_params,
-        "multipliers": _Json("[" + ", ".join([str(int(m)) for m in cert.multipliers]) + "]"),
+        "multipliers": _Json("[" + ", ".join([str(int(m)) for m in lam[:kept] + lam[kept::2]])
+                             + "]"),
     })
 
 
 def certificate_from_json(text: str) -> Certificate:
-    """Parse a certificate document, rebuilding the shared points of its hops.
+    """Parse a certificate document, rebuilding the shared points and the
+    two sets of each of its hops.
 
     Raises MalformedCertificate unless the document is a JSON object with
     integer `n`, `version` CERT_VERSION if present, a numeric `points` table
-    of n columns, a list of integer-id lists as `sets`, two integer ids as
-    `claim`, one integer per set as `multipliers`, and as `hops` a list of
-    [end id, end id] pairs of two distinct finite points of that table.  Ids
-    must be JSON integers: 0.9, "2" and true are rejected.  One
-    _shared_points call rebuilds the n shared points of every hop and
-    appends them to the table, hop by hop (Certificate); at most
+    of n columns, as `sets` a list of lists of n+1 integer ids, two integer
+    ids as `claim`, as `hops` a list of [end id, end id] pairs of two
+    distinct finite points of that table, and as `multipliers` one integer
+    per set, then one per hop.  Ids must be JSON integers: 0.9, "2" and true
+    are rejected.  One _shared_points call rebuilds the n shared points of
+    every hop and appends them to the table, hop by hop, and each hop's
+    a-set and b-set follow the written sets, with the hop's multiplier on
+    the a-set and its negation on the b-set (Certificate); at most
     MAX_HOP_COORDINATES coordinates are rebuilt.  Whether the set ids are
-    in range and the sets have size n+1 is left to the checker, which
-    reports the first bad set.
+    in range is left to the checker, which reports the first bad set.
     """
     try:
         doc = json.loads(text)
@@ -310,7 +333,6 @@ def certificate_from_json(text: str) -> Certificate:
         raise MalformedCertificate("sets must be a list of point-id lists")
     if not set(map(type, itertools.chain.from_iterable(sets))) <= {int}:
         raise MalformedCertificate("set ids must be integers")
-    sets = [tuple(s) for s in sets]
     try:
         points = json_number_array(doc["points"])
     except InputError as exc:
@@ -325,25 +347,35 @@ def certificate_from_json(text: str) -> Certificate:
             and all(len(h) == 2 for h in hops)
             and set(map(type, itertools.chain.from_iterable(hops))) <= {int}):
         raise MalformedCertificate("hops must be a list of [end id, end id] pairs")
-    multipliers = _checked_multipliers(doc["multipliers"], len(sets), n)
-    if hops:
-        points = np.concatenate([points, _hop_points(points, hops, n)])
+    shared, hop_sets = (_hop_tables(points, hops, n) if hops
+                        else (points[:0], np.empty((0, n + 1), dtype=np.int64)))
+    written = len(sets)
+    multipliers = _checked_multipliers(doc["multipliers"], written + len(hops),
+                                       written + 2 * len(hops), n)
+    try:
+        table = np.array(sets, dtype=np.int64).reshape(written, n + 1)
+    except OverflowError as exc:
+        raise MalformedCertificate("set ids must be ids of points") from exc
+    except ValueError as exc:
+        raise MalformedCertificate(f"sets must have n + 1 = {n + 1} ids each") from exc
     return Certificate(
         n=n,
-        points=points,
-        sets=sets,
+        points=np.concatenate([points, shared]),
+        sets=np.concatenate([table, hop_sets]),
         claim=(claim[0], claim[1]),
         generator_params=doc.get("generator_params", {}),
-        multipliers=multipliers,
+        multipliers=multipliers[:written] + [m for lam in multipliers[written:]
+                                             for m in (lam, -lam)],
         hops=[tuple(h) for h in hops],
     )
 
 
-def _hop_points(points: np.ndarray, hops: list, n: int) -> np.ndarray:
+def _hop_tables(points: np.ndarray, hops: list, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The shared points of the hops, pairs of ids into the written points,
-    as an (n*len(hops), n) table; MalformedCertificate unless every hop
-    joins two distinct finite points and the table stays within
-    MAX_HOP_COORDINATES."""
+    as an (n*len(hops), n) table, and the hops' sets as a (2*len(hops), n+1)
+    id table, hop h's a-set [a, E + n*h, .., E + n*h + n - 1] then its
+    b-set, E = len(points); MalformedCertificate unless every hop joins two
+    distinct finite points and the table stays within MAX_HOP_COORDINATES."""
     if n < 2:
         raise MalformedCertificate("hops need n >= 2")
     if len(hops) * n * n > MAX_HOP_COORDINATES:
@@ -364,8 +396,11 @@ def _hop_points(points: np.ndarray, hops: list, n: int) -> np.ndarray:
             shared = _shared_points((a + b) / 2.0, b - a)
         except InputError as exc:
             raise MalformedCertificate("hop ends coincide") from exc
+    sets = np.empty((len(hops), 2, n + 1), dtype=np.int64)
+    sets[:, :, 0] = ids
+    sets[:, :, 1:] = len(points) + np.arange(n * len(hops)).reshape(-1, 1, n)
     # As in the generator's table, no coordinate is -0.0.
-    return shared.reshape(-1, n) + 0.0
+    return shared.reshape(-1, n) + 0.0, sets.reshape(-1, n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -384,39 +419,63 @@ class CheckReport:
 
 def _set_table(sets, width: int, count: int) -> np.ndarray | int:
     """The sets as an (S, width) int64 array of ids in [0, count), or the
-    index of the first set that is not such a tuple of integer ids."""
-    def is_id_tuple(s) -> bool:
-        try:
-            return len(s) == width and all(_is_int(i) and 0 <= i < count for i in s)
-        except TypeError:
-            return False
+    index of the first set that is not such a tuple of integer ids.  An
+    (S, width) int64 array, as generated and parsed certificates hold, takes
+    only the range check."""
+    if not (isinstance(sets, np.ndarray) and sets.dtype == np.int64
+            and sets.shape == (len(sets), width)):
+        def is_id_tuple(s) -> bool:
+            try:
+                return len(s) == width and all(_is_int(i) and 0 <= i < count for i in s)
+            except TypeError:
+                return False
 
-    try:
-        # Python int ids only: int64 conversion reads 0.9 as 0 and True as 1.
-        plain = set(map(type, itertools.chain.from_iterable(sets))) <= {int}
-        ids = np.asarray(sets, dtype=np.int64) if plain else None
-    except (TypeError, ValueError, OverflowError):
-        ids = None
-    if ids is None or ids.shape != (len(sets), width):
-        bad = next((idx for idx, s in enumerate(sets) if not is_id_tuple(s)), None)
-        if bad is not None:
-            return bad
-        ids = np.array(sets, dtype=np.int64).reshape(len(sets), width)
-    bad = np.flatnonzero(((ids < 0) | (ids >= count)).any(axis=1))
-    return int(bad[0]) if bad.size else ids
+        try:
+            # Python int ids only: int64 conversion reads 0.9 as 0 and True as 1.
+            plain = set(map(type, itertools.chain.from_iterable(sets))) <= {int}
+            ids = np.asarray(sets, dtype=np.int64) if plain else None
+        except (TypeError, ValueError, OverflowError):
+            ids = None
+        if ids is None or ids.shape != (len(sets), width):
+            bad = next((idx for idx, s in enumerate(sets) if not is_id_tuple(s)), None)
+            if bad is not None:
+                return bad
+            ids = np.array(sets, dtype=np.int64).reshape(len(sets), width)
+        sets = ids
+    bad = np.flatnonzero(((sets < 0) | (sets >= count)).any(axis=1))
+    return int(bad[0]) if bad.size else sets
+
+
+def _recheck(pts: np.ndarray, ids: np.ndarray, tol: Tolerance) -> tuple[int | None, float, float]:
+    """Re-check the sets of an id table over the points, CHECK_CHUNK_CELLS
+    difference coordinates at a time: (first failing set or None, its worst
+    distance error and norm excess, or the worst over all sets when none
+    fails).  The chunks bound the checker's memory whatever S and n."""
+    k, n = ids.shape[1], pts.shape[1]
+    step = max(CHECK_CHUNK_CELLS // max(k * (k - 1) // 2 * n, 1), 1)
+    worst_err = worst_excess = 0.0
+    for start in range(0, len(ids), step):
+        err, top, checks = check_sets(pts[ids[start:start + step]], True, tol)
+        failed = first_failure(checks)
+        if failed is not None:
+            idx = failed[0]
+            return start + idx, float(err[idx]), max(float(top[idx]) - 1.0, 0.0)
+        worst_err = max(worst_err, float(err.max()))
+        worst_excess = max(worst_excess, float(top.max()) - 1.0)
+    return None, worst_err, worst_excess
 
 
 def check_certificate(cert: Certificate, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """Independently verify a certificate; never consults how it was generated.
 
-    Re-checks every set (pairwise distances 1, norms <= 1, size n+1) in one
-    vectorized pass and reports the first failing set as SetInvalid.
-    Accepts iff the int64 accumulation of the multipliers over the sum
-    equations equals e_x - e_y exactly (residual 0.0; otherwise the residual
-    is the norm of the integer difference).  Multipliers that are missing,
-    of the wrong length or not integers are MalformedCertificate.  Past the
-    shape checks, `detail` carries the worst distance error and norm excess:
-    of the failing set on SetInvalid, over all sets otherwise.
+    Re-checks every set (pairwise distances 1, norms <= 1, size n+1) in
+    vectorized passes of bounded size and reports the first failing set as
+    SetInvalid.  Accepts iff the int64 accumulation of the multipliers over
+    the sum equations equals e_x - e_y exactly (residual 0.0; otherwise the
+    residual is the norm of the integer difference).  Multipliers that are
+    missing, of the wrong length or not integers are MalformedCertificate.
+    Past the shape checks, `detail` carries the worst distance error and
+    norm excess: of the failing set on SetInvalid, over all sets otherwise.
     """
     n = cert.n
     pts = np.asarray(cert.points, dtype=float)
@@ -439,19 +498,13 @@ def check_certificate(cert: Certificate, tol: Tolerance = DEFAULT_TOL) -> CheckR
         return report("MalformedCertificate", None,
                       reason=f"set {ids} is not an (n+1)-tuple of valid ids")
     try:
-        multipliers = _checked_multipliers(cert.multipliers, set_count, n)
+        multipliers = _checked_multipliers(cert.multipliers, set_count, set_count, n)
     except MalformedCertificate as exc:
         return report("MalformedCertificate", None, reason=str(exc))
-    dist_err, top, checks = check_sets(pts[ids], True, tol)
-    norm_excess = top - 1.0
-    failed = first_failure(checks)
+    failed, dist_err, norm_excess = _recheck(pts, ids, tol)
+    margins = {"worst_distance_error": dist_err, "worst_norm_excess": norm_excess}
     if failed is not None:
-        idx = failed[0]
-        return report("SetInvalid", None, set_index=idx,
-                      worst_distance_error=float(dist_err[idx]),
-                      worst_norm_excess=max(float(norm_excess[idx]), 0.0))
-    margins = {"worst_distance_error": float(dist_err.max(initial=0.0)),
-               "worst_norm_excess": float(norm_excess.max(initial=0.0))}
+        return report("SetInvalid", None, set_index=failed, **margins)
     if int(claim[0]) == int(claim[1]):
         return report(None, 0.0, **margins)
     lam = np.array(multipliers, dtype=np.int64)
@@ -485,13 +538,14 @@ class _Fragment:
 
     `points` is read-only; `sets` are (local point ids, stage tag) in
     registration order; `terms` are the relation's (local set, coefficient)
-    pairs; `hops` are its hop rows (_Builder.hops) in local point ids.
+    pairs; `hops` are its (set pair, hop row) items (_Builder.hops) in local
+    set and point ids.
     """
 
     points: np.ndarray
     sets: tuple[tuple[tuple[int, ...], str], ...]
     terms: tuple[tuple[int, int], ...]
-    hops: tuple[tuple[int, ...], ...]
+    hops: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]
 
 
 class _Builder:
@@ -506,7 +560,10 @@ class _Builder:
     take the certificate past MAX_CERT_SETS, so a certificate that is too
     large fails at the request that overflows it.  Every hop registered is
     kept as one row of point ids, (a, shared points in vertex order, b), in
-    `hops`, in registration order and once.
+    `hops`, keyed by the indices of its a-set and b-set, in registration
+    order and once per pair of sets: the hop b -> a is a -> b with its ends
+    swapped, whose shared points are the same ones when b - a has a nonzero
+    last coordinate.
     """
 
     def __init__(self, n: int, tol: Tolerance):
@@ -523,7 +580,7 @@ class _Builder:
         self.queue: list = []
         self.chains: list[np.ndarray] = []
         self.pending = 0
-        self.hops: dict[tuple[int, ...], None] = {}
+        self.hops: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def ids(self, points: np.ndarray) -> list[int]:
         """Point ids of a stack of rows, in row order, keyed in one pass;
@@ -591,17 +648,23 @@ class _Builder:
     def _register_hop(self, ids: list[int], stage: str) -> list[int]:
         """Register the two sets of the hop row ids, (a, shared..., b), and
         keep the row."""
-        self.hops.setdefault(tuple(ids))
-        return [self._register(ids[:-1], stage), self._register(ids[1:], stage)]
+        pair = self._register(ids[:-1], stage), self._register(ids[1:], stage)
+        self._keep_hop(pair, tuple(ids))
+        return list(pair)
+
+    def _keep_hop(self, pair: tuple[int, int], row: tuple[int, ...]) -> None:
+        if pair[::-1] not in self.hops:
+            self.hops.setdefault(pair, row)
 
     def add_fragment(self, frag: _Fragment) -> range:
         """Slots of the fragment's sets, which are added with its points in its
         order and with its stage tags, and its hops."""
         def register(links):
             ids = self.ids(frag.points)
-            for row in frag.hops:
-                self.hops.setdefault(tuple(ids[i] for i in row))
-            return [self._register([ids[i] for i in local], stage) for local, stage in frag.sets]
+            where = [self._register([ids[i] for i in local], stage) for local, stage in frag.sets]
+            for (a, b), row in frag.hops:
+                self._keep_hop((where[a], where[b]), tuple(ids[i] for i in row))
+            return where
         return self._enqueue(register, len(frag.sets))
 
     def _links(self, chains: list[np.ndarray]):
@@ -626,33 +689,43 @@ class _Builder:
             self.slots += register(links)
 
     def certificate(self, claim: tuple[int, int], multipliers: list[int]) -> Certificate:
-        """The certificate of the registered sets, its points renumbered.
+        """The certificate of the registered sets, its points and sets
+        renumbered and its multipliers permuted with the sets.
 
-        A hop is listed in `hops` when none of its shared points lies in a
-        set other than the hop's two, is a claim point or is a hop's end.
-        The other points keep their first-appearance order, ahead of the
-        shared points of the listed hops, hop by hop in vertex order.  The
-        table holds no -0.0, which JSON would read back as 0.0.
+        A hop is listed in `hops` when its two sets carry opposite
+        multipliers and none of its shared points lies in a set other than
+        the hop's two, is a claim point or is a hop's end.  The other points
+        keep their first-appearance order, ahead of the shared points of the
+        listed hops, hop by hop in vertex order; the other sets keep their
+        registration order, ahead of each listed hop's a-set and b-set, in
+        hop order (Certificate).  The table holds no -0.0, which JSON would
+        read back as 0.0.
         """
-        count = len(self.points)
-        sets = np.array(self.sets, dtype=np.int64).reshape(len(self.sets), self.n + 1)
-        rows = np.array(list(self.hops), dtype=np.int64).reshape(len(self.hops), self.n + 2)
+        count, n = len(self.points), self.n
+        sets = np.array(self.sets, dtype=np.int64).reshape(len(self.sets), n + 1)
+        pairs = np.array(list(self.hops), dtype=np.int64).reshape(len(self.hops), 2)
+        rows = np.array(list(self.hops.values()), dtype=np.int64).reshape(len(self.hops), n + 2)
+        lam = np.array(multipliers)
         pinned = np.bincount(sets.ravel(), minlength=count) != 2
         pinned[rows[:, [0, -1]]] = True
         pinned[list(claim)] = True
-        listed = rows[~pinned[rows[:, 1:-1]].any(axis=1)]
+        listed = ~pinned[rows[:, 1:-1]].any(axis=1) & (lam[pairs[:, 0]] == -lam[pairs[:, 1]])
+        rows, pairs = rows[listed], pairs[listed]
         written = np.ones(count, dtype=bool)
-        written[listed[:, 1:-1]] = False
-        order = np.concatenate([np.flatnonzero(written), listed[:, 1:-1].ravel()])
+        written[rows[:, 1:-1]] = False
+        order = np.concatenate([np.flatnonzero(written), rows[:, 1:-1].ravel()])
         new_id = np.empty(count, dtype=np.int64)
         new_id[order] = np.arange(count)
+        kept = np.ones(len(sets), dtype=bool)
+        kept[pairs] = False
+        set_order = np.concatenate([np.flatnonzero(kept), pairs.ravel()])
         return Certificate(
-            n=self.n,
+            n=n,
             points=np.array(self.points)[order] + 0.0,
-            sets=list(map(tuple, np.sort(new_id[sets], axis=1).tolist())),
+            sets=np.sort(new_id[sets[set_order]], axis=1),
             claim=(int(new_id[claim[0]]), int(new_id[claim[1]])),
-            multipliers=multipliers,
-            hops=list(map(tuple, new_id[listed[:, [0, -1]]].tolist())),
+            multipliers=lam[set_order].tolist(),
+            hops=list(map(tuple, new_id[rows[:, [0, -1]]].tolist())),
         )
 
 
@@ -879,7 +952,7 @@ def _closing_fragment(n: int, tol: Tolerance) -> _Fragment:
     points.flags.writeable = False
     terms = tuple((i, m) for i, m in enumerate(gen._multipliers(root)) if m)
     return _Fragment(points=points, sets=tuple(zip(b.sets, b.stages)), terms=terms,
-                     hops=tuple(b.hops))
+                     hops=tuple(b.hops.items()))
 
 
 def generate_equality_certificate(x, y, n: int,

@@ -226,17 +226,18 @@ def simplex_on_spheres(centers, normals, radius: float) -> np.ndarray:
     h[:, -1] += np.copysign(1.0, h[:, -1])
     scale = 2.0 / row_dot(h, h)
     complements = _leading_axes(n) - (h[:, :-1] * scale[:, None])[:, :, None] * h[:, None, :]
-    vertices = base = _simplex_vertices(n - 1)
+    base = _simplex_vertices(n - 1)
     local = (complements @ centers[:, :, None])[..., 0]
     t = np.sqrt(row_dot(local, local))
-    turn = (t > RANK_RESIDUAL).nonzero()[0]
-    if turn.size:
-        u = local[turn] / t[turn, None]
+    # Every row is turned; rows with t <= RANK_RESIDUAL (u of 0/0 among
+    # them, whose arithmetic may warn) then keep the canonical vertices.
+    with np.errstate(all="ignore"):
+        u = local / t[:, None]
         sign = np.copysign(1.0, u @ base[0])[:, None]
         w = base[0] / beta(n) + sign * u
         along = (base @ w[..., None]) * (2.0 / row_dot(w, w))[:, None, None]
-        vertices = np.repeat(base[None], len(centers), axis=0)
-        vertices[turn] = sign[..., None] * (base - along * w[:, None, :])
+        turned = sign[..., None] * (base - along * w[:, None, :])
+    vertices = np.where((t > RANK_RESIDUAL)[:, None, None], turned, base)
     offsets = vertices @ complements
     offsets *= (radius / np.linalg.norm(offsets, axis=-1))[..., None]
     return centers[:, None, :] + offsets

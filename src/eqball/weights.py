@@ -49,6 +49,12 @@ ARC_SLACK = 1e-7
 # Most coordinates one falsify call samples, samples * (n+1) * n: 64 MiB of
 # floats per stack, and the sampler holds a few such stacks at once.
 MAX_FALSIFY_CELLS = 2**23
+# Largest n of a ball-mode falsify call.  Ball-mode proposals are accepted
+# less often as n grows: a 200-set batch took 0.11 s at n = 16, 0.42 s at
+# n = 20 and 1.3 s at n = 24, and the largest call admitted, n = 16 with
+# the 30840 samples MAX_FALSIFY_CELLS allows, 11 s and 400 MB (2 vCPUs, one
+# BLAS thread).  Sphere mode has no such limit.
+MAX_BALL_FALSIFY_N = 16
 
 
 def eta(n: int, rho: float, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -320,8 +326,9 @@ def falsify(f: WeightFn, n: int, samples: int, seed: int,
     samples is not a prefix of one with more.  An evaluator with a `rows`
     stack kernel (as compile_weight_expression returns) then evaluates
     every point in one call; any other callable is called once per point,
-    in sample order.  samples * (n+1) * n above MAX_FALSIFY_CELLS is an
-    InputError, raised before anything is allocated.
+    in sample order.  samples * (n+1) * n above MAX_FALSIFY_CELLS, and n
+    above MAX_BALL_FALSIFY_N in ball mode, are InputErrors, raised before
+    anything is allocated.
     """
     if samples < 2:
         raise InputError("falsify needs at least 2 samples")
@@ -332,6 +339,9 @@ def falsify(f: WeightFn, n: int, samples: int, seed: int,
     if int(samples) * (int(n) + 1) * int(n) > MAX_FALSIFY_CELLS:
         raise InputError(f"{samples} samples at n={n} exceed the limit of "
                          f"{MAX_FALSIFY_CELLS} coordinates (samples * (n+1) * n)")
+    if f.domain_mode != "sphere" and n > MAX_BALL_FALSIFY_N:
+        raise InputError(f"ball-mode falsify at n={n} exceeds the limit of "
+                         f"n <= {MAX_BALL_FALSIFY_N}")
     rng = np.random.default_rng(seed)
     if f.domain_mode == "sphere":
         sets = sphere_basis_sets(n, samples, rng)

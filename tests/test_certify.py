@@ -3,6 +3,7 @@ import json
 import math
 import re
 import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -31,7 +32,7 @@ from eqball.certify import (
 from eqball.errors import GenerationFailure, InputError, MalformedCertificate
 from eqball.gamma import gamma1_link
 from eqball.geometry import DEFAULT_TOL, Tolerance, section2d
-from eqball.simplex import EquilateralSet, alpha, beta, simplex_on_spheres
+from eqball.simplex import EquilateralSet, alpha, beta, canonical_simplex, simplex_on_spheres
 from eqball.verify import _ball_point, _feasible_assignments
 from eqball.weights import eta, lambda_shell, mu
 
@@ -225,6 +226,78 @@ def test_checker_is_permutation_invariant():
         multipliers=[cert.multipliers[j] for j in order],
     )
     assert check_certificate(shuffled).accepted
+    as_table = dataclasses.replace(shuffled, sets=np.array(shuffled.sets, dtype=np.int64))
+    assert check_certificate(as_table) == check_certificate(shuffled)
+
+
+def _hand_built_certificates():
+    """Certificates built without the generator, each with its sets as a
+    list of id tuples: accepted, SetInvalid at a later set, ClaimNotImplied,
+    an id past the table, and no sets."""
+    a3 = alpha(3)
+    set_a, set_b = gamma1_link(np.array([0.02, -a3]), np.array([0.02, a3]))
+    points = np.vstack([set_a.points[0], set_b.points[0], set_a.points[1:]])
+    link = Certificate(n=2, points=points, sets=[(0, 2, 3), (1, 2, 3)], claim=(0, 1),
+                       multipliers=[1, -1])
+    moved = points.copy()
+    moved[1, 0] += 1e-3
+    return [link,
+            dataclasses.replace(link, points=moved),
+            dataclasses.replace(link, multipliers=[1, 1]),
+            dataclasses.replace(link, sets=[(0, 2, 3), (1, 2, 4)]),
+            dataclasses.replace(link, sets=[], multipliers=[], claim=(0, 0))]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_int64_set_table_and_id_tuples_give_equal_reports(case):
+    cert = _hand_built_certificates()[case]
+    table = np.array(cert.sets, dtype=np.int64).reshape(len(cert.sets), cert.n + 1)
+    report = check_certificate(cert)
+    assert check_certificate(dataclasses.replace(cert, sets=table)) == report
+    assert report.failure == [None, "SetInvalid", "ClaimNotImplied", "MalformedCertificate",
+                              None][case]
+    if case == 1:
+        assert report.detail["set_index"] == 1
+
+
+@pytest.mark.parametrize("sets, index", [
+    ([[0, 1] * 20 + [0]] * 200, 0),
+    ([list(range(41))] * 199 + [[0] * 41], 199),
+], ids=["first-set-bad", "last-set-bad"])
+def test_checker_memory_is_bounded_at_n40(sets, index):
+    """A document of 200 sets at n = 40 is 0.03 MB, and one re-check pass
+    over it would hold (200, 820, 40) difference stacks, 157 MB more peak
+    RSS; chunks of CHECK_CHUNK_CELLS keep the checker's traced peak at a
+    few of them and still report the first failing set."""
+    n = 40
+    points = np.vstack([canonical_simplex(n, n + 1).points, [[0.5] + [0.0] * (n - 1)]])
+    doc = {"version": 4, "n": n, "points": points.tolist(), "hops": [], "sets": sets,
+           "claim": [0, 1], "multipliers": [0] * len(sets)}
+    text = json.dumps(doc)
+    assert len(text) < 100_000
+    cert = certificate_from_json(text)
+    tracemalloc.start()
+    try:
+        report = check_certificate(cert)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.failure == "SetInvalid" and report.detail["set_index"] == index
+    assert peak < 32e6
+
+
+def test_chunked_recheck_reports_equal_the_one_pass_report(monkeypatch):
+    """One set per chunk gives the report of one pass over all sets: the same
+    first failing set, and margins that are the maximum over all chunks."""
+    cert = _mixed_certificate()
+    points = cert.points.copy()
+    points[cert.sets[40][0], 0] += 1e-3
+    cases = [cert, dataclasses.replace(cert, points=points),
+             dataclasses.replace(cert, multipliers=[-m for m in cert.multipliers])]
+    reports = [check_certificate(c) for c in cases]
+    assert [r.failure for r in reports] == [None, "SetInvalid", "ClaimNotImplied"]
+    monkeypatch.setattr(certify, "CHECK_CHUNK_CELLS", 1)
+    assert [check_certificate(c) for c in cases] == reports
 
 
 # -- generator ----------------------------------------------------------------
@@ -233,7 +306,7 @@ def test_checker_is_permutation_invariant():
 def test_generate_reflexive():
     x = np.array([0.3, -0.2, 0.1])
     cert = generate_equality_certificate(x, x.copy(), 3)
-    assert cert.sets == []
+    assert cert.sets.tolist() == []
     assert cert.claim[0] == cert.claim[1]
     assert check_certificate(cert).accepted
 
@@ -331,25 +404,27 @@ def test_json_round_trip_is_exact():
     back = certificate_from_json(text)
     assert back.n == cert.n
     assert np.array_equal(back.points, cert.points)
-    assert back.sets == cert.sets
+    assert np.array_equal(back.sets, cert.sets)
     assert back.claim == cert.claim
     assert check_certificate(back).accepted
 
 
 def _plain_document(cert):
     """The certificate document as nested lists, for the recursive _dumps:
-    the points that hops rebuild are left out."""
+    the points and sets that hops rebuild are left out, and each hop keeps
+    the multiplier of its a-set."""
     written = len(cert.points) - cert.n * len(cert.hops)
+    kept = len(cert.sets) - 2 * len(cert.hops)
     return {
-        "version": 3,
+        "version": 4,
         "n": cert.n,
         "tolerance": {"eps_eq": DEFAULT_TOL.eps_eq, "grid_step": 1e-4},
         "points": [[float(c) for c in p] for p in cert.points[:written]],
         "hops": [list(map(int, h)) for h in cert.hops],
-        "sets": [list(map(int, s)) for s in cert.sets],
+        "sets": [list(map(int, s)) for s in cert.sets[:kept]],
         "claim": [int(cert.claim[0]), int(cert.claim[1])],
         "generator_params": cert.generator_params,
-        "multipliers": [int(m) for m in cert.multipliers],
+        "multipliers": [int(m) for m in cert.multipliers[:kept] + cert.multipliers[kept::2]],
     }
 
 
@@ -461,7 +536,7 @@ def test_a_hop_whose_shared_point_is_claimed_stays_written():
     x, y = np.array([0.9, 0.2, 0.1]), np.array([0.0, 0.95, 0.0])
     gen = _Generator(n, DEFAULT_TOL)
     gen.run(x, y)
-    row = next(iter(gen.builder.hops))
+    row = next(iter(gen.builder.hops.values()))
     claimed, via = gen.builder.points[row[1]], gen.builder.points[row[-1]]
     gen = _Generator(n, DEFAULT_TOL)
     cert = gen.run(x, claimed)
@@ -475,28 +550,68 @@ def test_a_hop_whose_shared_point_is_claimed_stays_written():
     assert check_certificate(back).accepted
 
 
-@pytest.mark.parametrize("tamper", ["moved-end", "multiplier"])
+def test_a_hop_whose_sets_do_not_carry_opposite_multipliers_stays_written():
+    """Only a hop whose a-set and b-set carry opposite multipliers is listed;
+    with one of them doctored, the hop keeps its points and sets written."""
+    gen = _Generator(3, DEFAULT_TOL)
+    cert = gen.run(np.zeros(3), np.array([0.95, 0.0, 0.0]))
+    lam = gen._multipliers(len(gen.nodes) - 1)  # the claim's node
+    (set_a, set_b), row = next(iter(gen.builder.hops.items()))
+    assert lam[set_a] == -lam[set_b] != 0
+    lam[set_b] += 1
+    doctored = gen.builder.certificate(cert.claim, lam)
+    assert len(doctored.hops) == len(cert.hops) - 1
+    assert (len(doctored.sets), len(doctored.points)) == (len(cert.sets), len(cert.points))
+    ends = {(doctored.points[i].tobytes(), doctored.points[j].tobytes()) for i, j in doctored.hops}
+    assert (gen.builder.points[row[0]].tobytes(), gen.builder.points[row[-1]].tobytes()) not in ends
+    assert len(_document(doctored)["sets"]) == len(_document(cert)["sets"]) + 2
+    back = certificate_from_json(certificate_to_json(doctored))
+    assert np.array_equal(back.sets, doctored.sets) and back.multipliers == doctored.multipliers
+    assert check_certificate(back).failure == "ClaimNotImplied"
+
+
+def test_a_hop_registered_both_ways_is_kept_once():
+    """The hop q -> p has the shared points of p -> q when q - p has a
+    nonzero last coordinate, so it registers the same two sets and is kept
+    once; the certificate lists it once and checks."""
+    n, hop = 3, 2.0 * alpha(4)
+    p, q = np.array([0.1, 0.2, -hop / 2.0]), np.array([0.1, 0.2, hop / 2.0])
+    builder = _Builder(n, DEFAULT_TOL)
+    builder.add_chain(np.array([p, q]), "shell-link")
+    builder.add_chain(np.array([q, p]), "shell-link")
+    builder.flush()
+    assert builder.slots == [0, 1, 1, 0] and len(builder.hops) == 1
+    cert = builder.certificate((0, n + 1), [1, -1])
+    assert len(cert.hops) == 1
+    assert check_certificate(certificate_from_json(certificate_to_json(cert))).accepted
+
+
+@pytest.mark.parametrize("tamper", ["moved-end", "multiplier", "hop-multiplier"])
 def test_tampered_hop_documents_are_rejected(tamper):
     """A hop end moved by 1e-3 moves the rebuilt points with it, so the hop's
-    sets fail their re-check; a changed multiplier leaves the claim
-    unproven."""
+    sets fail their re-check; a changed written-set multiplier, or a hop's
+    multiplier flipped, leaves the claim unproven."""
     doc = _document(_mixed_certificate())
     if tamper == "moved-end":
         doc["points"][doc["hops"][0][0]][0] += 1e-3
         expected = "SetInvalid"
-    else:
+    elif tamper == "multiplier":
         doc["multipliers"][0] += 1
+        expected = "ClaimNotImplied"
+    else:
+        hop = len(doc["sets"]) + next(h for h, m in enumerate(doc["multipliers"][len(doc["sets"]):])
+                                      if m)
+        doc["multipliers"][hop] = -doc["multipliers"][hop]
         expected = "ClaimNotImplied"
     report = check_certificate(_parse(doc))
     assert not report.accepted and report.failure == expected
 
 
 def _one_hop_document(a, b):
-    """A certificate of one hop a -> b and its two sets, proving f(a) = f(b)."""
+    """A certificate of one hop a -> b, whose two sets prove f(a) = f(b)."""
     n = len(a)
-    shared = list(range(2, n + 2))
-    return {"version": 3, "n": n, "points": [list(a), list(b)], "hops": [[0, 1]],
-            "sets": [[0] + shared, [1] + shared], "claim": [0, 1], "multipliers": [1, -1]}
+    return {"version": 4, "n": n, "points": [list(a), list(b)], "hops": [[0, 1]],
+            "sets": [], "claim": [0, 1], "multipliers": [1]}
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])
@@ -536,8 +651,18 @@ def test_one_hop_documents(n):
     (lambda doc: doc["points"][doc["hops"][0][0]].__setitem__(0, math.inf),
      "^hop ends must be finite points$"),
     (lambda doc: doc.update(n=1, points=[[0.5], [-0.5]], hops=[[0, 1]]), "^hops need n >= 2$"),
+    (lambda doc: doc["multipliers"].append(0), "^multipliers must be a list of"),
+    (lambda doc: doc["multipliers"].pop(), "^multipliers must be a list of"),
+    (lambda doc: doc["multipliers"].extend(doc["multipliers"][len(doc["sets"]):]),
+     "^multipliers must be a list of"),
+    (lambda doc: doc["multipliers"].__setitem__(-1, 1.0), "^multipliers must be integers$"),
+    (lambda doc: doc["multipliers"].__setitem__(-1, True), "^multipliers must be integers$"),
+    (lambda doc: doc["sets"].__setitem__(0, doc["sets"][0][:-1]), "^sets must have n \\+ 1 = 4"),
+    (lambda doc: doc["sets"][0].__setitem__(0, 2 ** 70), "^set ids must be ids of points$"),
 ], ids=["same-id", "same-point", "end-past-written", "end-negative", "end-past-int64",
-        "float-id", "bool-id", "triple", "not-a-list", "hops-object", "no-hops", "end-inf", "n-1"])
+        "float-id", "bool-id", "triple", "not-a-list", "hops-object", "no-hops", "end-inf", "n-1",
+        "one-multiplier-more", "one-multiplier-fewer", "one-multiplier-per-hop-set",
+        "hop-multiplier-float", "hop-multiplier-bool", "set-too-short", "set-id-past-int64"])
 def test_malformed_hops(rewrite, message):
     doc = _document(_mixed_certificate())
     rewrite(doc)
@@ -575,16 +700,20 @@ def _certified_pairs(draw):
 @settings(derandomize=True, deadline=None, database=None, max_examples=40)
 @given(_certified_pairs())
 def test_certificates_round_trip_bit_for_bit(case):
-    """Parsing a written certificate rebuilds its points bit for bit, with
-    equal sets, claim, multipliers and hops, and writing it again gives the
-    same text."""
+    """A written certificate leaves out two sets and one multiplier per hop;
+    parsing it rebuilds its points bit for bit, with equal sets, claim,
+    multipliers and hops, and writing it again gives the same text."""
     n, x, y = case
     cert = generate_equality_certificate(x, y, n)
     text = certificate_to_json(cert)
+    doc = json.loads(text)
+    assert len(doc["sets"]) + 2 * len(doc["hops"]) == len(cert.sets)
+    assert len(doc["multipliers"]) == len(doc["sets"]) + len(doc["hops"])
     back = certificate_from_json(text)
     assert back.points.tobytes() == cert.points.tobytes()
-    assert (back.sets, back.claim, back.multipliers, back.hops) == (
-        cert.sets, cert.claim, cert.multipliers, cert.hops)
+    assert back.sets.dtype == cert.sets.dtype == np.int64
+    assert np.array_equal(back.sets, cert.sets)
+    assert (back.claim, back.multipliers, back.hops) == (cert.claim, cert.multipliers, cert.hops)
     assert certificate_to_json(back) == text
     assert check_certificate(back).accepted
 
@@ -609,8 +738,10 @@ def test_generated_multipliers_survive_json_round_trip():
     assert all(type(m) is int for m in cert.multipliers)
     text = certificate_to_json(cert)
     doc = json.loads(text)
-    assert doc["version"] == 3
-    assert doc["multipliers"] == cert.multipliers
+    assert doc["version"] == 4
+    kept = len(doc["sets"])
+    assert kept + 2 * len(doc["hops"]) == len(cert.sets)
+    assert doc["multipliers"] == cert.multipliers[:kept] + cert.multipliers[kept::2]
     back = certificate_from_json(text)
     assert back.multipliers == cert.multipliers
     report = check_certificate(back)
@@ -664,7 +795,8 @@ def test_non_integer_set_ids_are_malformed(rewrite):
 
 
 @pytest.mark.parametrize("rewrite", [
-    lambda cert: {"sets": [(cert.sets[0][0] + 0.9,) + cert.sets[0][1:]] + cert.sets[1:]},
+    lambda cert: {"sets": [(cert.sets[0][0] + 0.9,) + tuple(cert.sets[0][1:])]
+                  + cert.sets[1:].tolist()},
     lambda cert: {"claim": (cert.claim[0] + 0.5, cert.claim[1])},
 ], ids=["set-id", "claim"])
 def test_checker_rejects_non_integer_ids(rewrite):
@@ -736,7 +868,7 @@ def test_certificate_without_multipliers_is_malformed():
     with pytest.raises(MalformedCertificate, match="^missing field 'multipliers'$"):
         certificate_from_json(json.dumps(doc))
     doc = json.loads(certificate_to_json(cert))
-    for version in (1, 2, 99, 3.0, True):
+    for version in (1, 2, 3, 99, 4.0, True):
         doc["version"] = version
         with pytest.raises(MalformedCertificate, match="^unsupported certificate version$"):
             certificate_from_json(json.dumps(doc))
@@ -793,7 +925,7 @@ def test_n5_slow_window_pair_is_fast():
 def test_signed_zero_coordinates_share_one_point():
     """-0.0 and 0.0 give one dedup key, so the claim is trivial."""
     cert = generate_equality_certificate(np.array([0.5, -0.0, 0.0]), np.array([0.5, 0.0, 0.0]), 3)
-    assert cert.sets == [] and cert.claim == (0, 0)
+    assert cert.sets.tolist() == [] and cert.claim == (0, 0)
     assert cert.points.shape == (1, 3)
     assert check_certificate(cert).accepted
 

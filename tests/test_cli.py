@@ -4,7 +4,7 @@ import math
 import pytest
 
 from eqball.certify import certificate_from_json
-from eqball import cli
+from eqball import cli, weights
 from eqball.cli import main
 
 
@@ -126,7 +126,7 @@ def test_certify_check_roundtrip(tmp_path, capsys):
     written = json.loads(cert_file.read_text())
     assert doc["hops"] == len(written["hops"]) > 0
     assert doc["points"] == len(written["points"]) + 2 * doc["hops"]
-    assert doc["sets"] == len(written["sets"])
+    assert doc["sets"] == len(written["sets"]) + 2 * doc["hops"]
 
 
 def test_certify_reflexive(tmp_path, capsys):
@@ -153,7 +153,7 @@ def test_check_tampered_exit4(tmp_path, capsys):
     assert json.loads(out)["failure"] == "SetInvalid"
 
 
-VALID_DOC = {"version": 3, "n": 2, "points": [[0.5, 0.0], [-0.5, 0.0], [0.0, 0.8]], "hops": [],
+VALID_DOC = {"version": 4, "n": 2, "points": [[0.5, 0.0], [-0.5, 0.0], [0.0, 0.8]], "hops": [],
              "sets": [[0, 1, 2]], "claim": [0, 1], "multipliers": [0]}
 
 
@@ -179,6 +179,7 @@ def test_valid_doc_parses():
     json.dumps({k: v for k, v in VALID_DOC.items() if k != "multipliers"}),
     json.dumps(dict(VALID_DOC, version=1)),
     json.dumps(dict(VALID_DOC, version=2)),
+    json.dumps(dict(VALID_DOC, version=3)),
     json.dumps(dict(VALID_DOC, version=99)),
     json.dumps({k: v for k, v in VALID_DOC.items() if k != "hops"}),
     json.dumps(dict(VALID_DOC, hops=[0, 1])),                         # a hop that is no list
@@ -187,13 +188,19 @@ def test_valid_doc_parses():
     json.dumps(dict(VALID_DOC, hops=[[True, 1]])),
     json.dumps(dict(VALID_DOC, hops=[[0, 3]])),                       # end past the written points
     json.dumps(dict(VALID_DOC, hops=[[1, 1]])),                       # coincident ends
+    json.dumps(dict(VALID_DOC, hops=[[0, 2]])),                       # no multiplier for the hop
+    json.dumps(dict(VALID_DOC, hops=[[0, 2]], multipliers=[0, True])),  # a boolean hop multiplier
+    json.dumps(dict(VALID_DOC, hops=[[0, 2]], multipliers=[0, 0.5])),   # a float hop multiplier
+    json.dumps(dict(VALID_DOC, sets=[[0, 1]])),                       # a set of n ids
     DEEP_JSON,                                                        # nested 3000 deep
     json.dumps(VALID_DOC).replace("[[0, 1, 2]]", DEEP_JSON),
 ], ids=["sets-not-list", "ragged-points", "n-string", "short-claim", "n-1e400",
         "top-level-number", "version-string", "set-not-list", "set-id-float",
         "set-id-string", "set-id-bool", "point-strings", "point-bools",
-        "no-multipliers", "version-1", "version-2", "version-99", "no-hops", "hop-not-list",
-        "hop-not-pair", "hop-id-float", "hop-id-bool", "hop-end-past-table", "hop-ends-coincide",
+        "no-multipliers", "version-1", "version-2", "version-3", "version-99", "no-hops",
+        "hop-not-list", "hop-not-pair", "hop-id-float", "hop-id-bool", "hop-end-past-table",
+        "hop-ends-coincide", "hop-without-multiplier", "hop-multiplier-bool",
+        "hop-multiplier-float", "set-of-n-ids",
         "nested-3000", "sets-nested-3000"])
 def test_check_malformed_document_exit2(tmp_path, capsys, text):
     doc_file = tmp_path / "bad.json"
@@ -364,6 +371,23 @@ def test_inputs_past_a_resource_limit_exit2_before_any_work(capsys, monkeypatch,
     assert out == ""
     assert err.startswith(f"error: {command[1]} {command[2]} exceeds the limit of ")
     assert len(err.splitlines()) == 1
+
+
+def test_ball_mode_falsify_past_its_dimension_limit_exit2_before_sampling(capsys, monkeypatch):
+    """Ball-mode falsify past MAX_BALL_FALSIFY_N exits 2 before anything is
+    sampled; the limit itself, and sphere mode past it, are admitted."""
+    limit = weights.MAX_BALL_FALSIFY_N
+    with monkeypatch.context() as patched:
+        patched.setattr(weights, "sample_maximal_sets",
+                        lambda *args: pytest.fail("sample_maximal_sets was called"))
+        code, out, err = run_cli(capsys, "falsify", "--expr", "x1", "--n", str(limit + 1),
+                                 "--samples", "200", "--no-timestamp")
+    assert (code, out) == (2, "")
+    assert err == f"error: ball-mode falsify at n={limit + 1} exceeds the limit of n <= {limit}\n"
+    for n, mode in ((limit, "ball"), (limit + 1, "sphere")):
+        code, _, err = run_cli(capsys, "falsify", "--expr", "x1", "--n", str(n), "--samples", "5",
+                               "--mode", mode, "--quiet")
+        assert code in (0, 3) and err == ""
 
 
 def test_resource_limits_admit_their_own_value(capsys, monkeypatch):

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from eqball.geometry import Tolerance, row_dot
+from eqball.geometry import RANK_RESIDUAL, Tolerance, row_dot
 
 from eqball import simplex
 from eqball.errors import ConstructionError, InputError
@@ -472,6 +472,54 @@ def _householder_rows(v):
     return np.eye(len(v))[:-1] - np.outer(h[:-1] * (2.0 / (h @ h)), h)
 
 
+def _turned_by_subset(centers, normals, radius):
+    """simplex_on_spheres with the orthogonal map applied to the rows with
+    t > RANK_RESIDUAL alone, gathered by index and scattered back into
+    canonical vertices: the reference the kernel equals bit for bit."""
+    n = normals.shape[1]
+    h = normals / np.sqrt(row_dot(normals, normals))[:, None]
+    h[:, -1] += np.copysign(1.0, h[:, -1])
+    complements = (np.eye(n)[:-1]
+                   - (h[:, :-1] * (2.0 / row_dot(h, h))[:, None])[:, :, None] * h[:, None, :])
+    vertices = base = canonical_simplex(n - 1, n).points
+    local = (complements @ centers[:, :, None])[..., 0]
+    t = np.sqrt(row_dot(local, local))
+    turn = (t > RANK_RESIDUAL).nonzero()[0]
+    if turn.size:
+        u = local[turn] / t[turn, None]
+        sign = np.copysign(1.0, u @ base[0])[:, None]
+        w = base[0] / beta(n) + sign * u
+        along = (base @ w[..., None]) * (2.0 / row_dot(w, w))[:, None, None]
+        vertices = np.repeat(base[None], len(centers), axis=0)
+        vertices[turn] = sign[..., None] * (base - along * w[:, None, :])
+    offsets = vertices @ complements
+    offsets *= (radius / np.linalg.norm(offsets, axis=-1))[..., None]
+    return centers[:, None, :] + offsets
+
+
+def test_simplex_on_spheres_turns_mixed_rows_as_the_subset_reference():
+    """Rows with t > RANK_RESIDUAL and rows without (centers at 0, on the
+    normal's line, or 1e-11 off it), interleaved in one call, in calls of one
+    kind and row by row, equal the reference bit for bit."""
+    rng = np.random.default_rng(25)
+    for n in range(2, 10):
+        normals = rng.standard_normal((24, n))
+        centers = 0.4 * rng.standard_normal((24, n))
+        kind = np.arange(24) % 4
+        centers[kind == 1] = 0.0
+        centers[kind == 2] = rng.standard_normal((6, 1)) * normals[kind == 2]
+        centers[kind == 3] = rng.standard_normal((6, 1)) * normals[kind == 3]
+        centers[kind == 3, 0] += 1e-11
+        turned = simplex_on_spheres(centers, normals, beta(n))
+        assert np.array_equal(turned, _turned_by_subset(centers, normals, beta(n)))
+        for rows in (kind == 0, kind != 0, slice(None, None, -1)):
+            assert np.array_equal(simplex_on_spheres(centers[rows], normals[rows], beta(n)),
+                                  turned[rows])
+        for i in range(24):
+            assert np.array_equal(simplex_on_spheres(centers[i:i + 1], normals[i:i + 1], beta(n)),
+                                  turned[i:i + 1])
+
+
 def test_simplex_on_spheres_matches_the_complement_construction():
     """Centers on the normal's line get canonical_simplex carried into the
     Householder rows of the normal, which are orthonormal to 4 ulp; other
@@ -499,6 +547,7 @@ def test_simplex_on_spheres_matches_the_complement_construction():
         centers = np.concatenate([on_line, on_line + 1e-9 * sideways, off_line])
         out = simplex_on_spheres(centers, np.tile(normals, (3, 1)), beta(n))
         assert out.shape == (3 * len(normals), n, n)
+        assert np.array_equal(out, _turned_by_subset(centers, np.tile(normals, (3, 1)), beta(n)))
         for i, (c, pts) in enumerate(zip(centers, out)):
             v = normals[i % len(normals)]
             assert np.max(distance_errors(pts)) < 1e-12
