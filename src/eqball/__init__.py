@@ -29,7 +29,7 @@ from .enlarge import (
     enlarge_step,
     enlarge_to_maximal,
 )
-from .gamma import GammaResult, gamma, gamma1_link, gamma1_links, gamma_bruteforce
+from .gamma import GammaResult, gamma, gamma1_link, gamma_bruteforce
 from .weights import (
     CircuitPlan,
     FalsifyReport,
@@ -79,7 +79,6 @@ __all__ = [
     "gamma",
     "gamma_bruteforce",
     "gamma1_link",
-    "gamma1_links",
     "eta",
     "mu",
     "nu",

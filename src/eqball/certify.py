@@ -47,8 +47,8 @@ each requested set, chain and merged closing relation and registers the
 queue in request order when it flushes: at the end of a run, before the
 closing relation is read, once the queued sets could pass MAX_CERT_SETS,
 and before an error propagates.  The certificate is the one registering
-each request at once would give, and one gamma1_links call per flush
-builds the shared points of every queued chain hop.
+each request at once would give, and one gamma1_link call per flush
+builds the shared points of every queued hop, chain and bridge alike.
 
 Certificates are written as format version 4, whose `hops` field lists
 hops as [end id, end id] pairs (a, b).  Neither the n shared points of a
@@ -88,7 +88,7 @@ from .errors import (
     InputError,
     MalformedCertificate,
 )
-from .gamma import _shared_points, gamma1_link, gamma1_links
+from .gamma import _shared_points, gamma1_link
 from .geometry import (DEFAULT_TOL, GRID_STEP, RANK_RESIDUAL, Tolerance, _residual, as_point,
                        clamp_to_range, first_orthogonal_axis, json_number_array)
 from .simplex import EquilateralSet, alpha, beta, cap_extension, check_sets, first_failure
@@ -102,10 +102,6 @@ MAX_CERT_SETS = 5000
 # three times over, and 2048 hops at n = 64.
 MAX_HOP_COORDINATES = 2**23
 INT64_MAX = int(np.iinfo(np.int64).max)
-# The most pairwise-difference coordinates, sets * (n+1)*n/2 pairs * n, one
-# pass of the checker's set re-check holds: 2**19 float64 (4 MB) per array.
-# The sets of a certificate at n <= 5 fit in one pass.
-CHECK_CHUNK_CELLS = 2**19
 INNER_EDGE = 1e-9
 
 
@@ -447,22 +443,15 @@ def _set_table(sets, width: int, count: int) -> np.ndarray | int:
 
 
 def _recheck(pts: np.ndarray, ids: np.ndarray, tol: Tolerance) -> tuple[int | None, float, float]:
-    """Re-check the sets of an id table over the points, CHECK_CHUNK_CELLS
-    difference coordinates at a time: (first failing set or None, its worst
-    distance error and norm excess, or the worst over all sets when none
-    fails).  The chunks bound the checker's memory whatever S and n."""
-    k, n = ids.shape[1], pts.shape[1]
-    step = max(CHECK_CHUNK_CELLS // max(k * (k - 1) // 2 * n, 1), 1)
-    worst_err = worst_excess = 0.0
-    for start in range(0, len(ids), step):
-        err, top, checks = check_sets(pts[ids[start:start + step]], True, tol)
-        failed = first_failure(checks)
-        if failed is not None:
-            idx = failed[0]
-            return start + idx, float(err[idx]), max(float(top[idx]) - 1.0, 0.0)
-        worst_err = max(worst_err, float(err.max()))
-        worst_excess = max(worst_excess, float(top.max()) - 1.0)
-    return None, worst_err, worst_excess
+    """Re-check the sets of an id table over the points, in check_sets'
+    bounded chunks: (first failing set or None, its worst distance error and
+    norm excess, or the worst over all sets when none fails)."""
+    err, top, checks = check_sets(pts, True, tol, ids=ids)
+    failed = first_failure(checks)
+    if failed is None:
+        return None, float(err.max(initial=0.0)), max(float(top.max(initial=1.0)) - 1.0, 0.0)
+    i = failed[0]
+    return i, float(err[i]), max(float(top[i]) - 1.0, 0.0)
 
 
 def check_certificate(cert: Certificate, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
@@ -551,12 +540,12 @@ class _Fragment:
 class _Builder:
     """Point table and deduplicated sets of one certificate.
 
-    add_set, add_chain, add_link and add_fragment queue a request and return
-    its slots, one per set it registers.  flush() registers the queue in
-    request order, so point ids, set indices, dedup and stage tags are those
-    of registering each request at once; `slots` then maps each slot to its
-    set index.  One gamma1_links call per flush builds the shared points of
-    every queued chain hop.  The queue is flushed early once its slots could
+    add_set, add_chain and add_fragment queue a request and return its
+    slots, one per set it registers.  flush() registers the queue in request
+    order, so point ids, set indices, dedup and stage tags are those of
+    registering each request at once; `slots` then maps each slot to its set
+    index.  One gamma1_link call per flush builds the shared points of every
+    queued hop.  The queue is flushed early once its slots could
     take the certificate past MAX_CERT_SETS, so a certificate that is too
     large fails at the request that overflows it.  Every hop registered is
     kept as one row of point ids, (a, shared points in vertex order, b), in
@@ -639,12 +628,6 @@ class _Builder:
                     for slot in self._register_hop(ids[hop:hop + self.n + 2], stage)]
         return list(zip(self._enqueue(register, 2 * hops), [1, -1] * hops))
 
-    def add_link(self, set_a: EquilateralSet, set_b: EquilateralSet, stage: str) -> range:
-        """Slots of gamma1_link's two sets, {a} + shared and {b} + shared."""
-        def register(links):
-            return self._register_hop(self.ids(np.vstack([set_a.points, set_b.points[:1]])), stage)
-        return self._enqueue(register, 2)
-
     def _register_hop(self, ids: list[int], stage: str) -> list[int]:
         """Register the two sets of the hop row ids, (a, shared..., b), and
         keep the row."""
@@ -668,16 +651,16 @@ class _Builder:
         return self._enqueue(register, len(frag.sets))
 
     def _links(self, chains: list[np.ndarray]):
-        """The shared points of each chain's hops, from one gamma1_links call."""
+        """The shared points of each chain's hops, from one gamma1_link call."""
         if not chains:
             return iter(())
         try:
-            shared = gamma1_links(np.concatenate([w[:-1] for w in chains]),
-                                  np.concatenate([w[1:] for w in chains]), self.tol)
+            shared = gamma1_link(np.concatenate([w[:-1] for w in chains]),
+                                 np.concatenate([w[1:] for w in chains]), self.tol)
         except (InputError, ConstructionError):
             # Rebuild chain by chain as the queue registers, so that the error
             # raised is the first one in request order.
-            return (gamma1_links(w[:-1], w[1:], self.tol) for w in chains)
+            return (gamma1_link(w[:-1], w[1:], self.tol) for w in chains)
         return iter(np.split(shared, np.cumsum([len(w) - 1 for w in chains[:-1]])))
 
     def flush(self) -> None:
@@ -827,12 +810,12 @@ class _Generator:
         elif s < self.beta_next - INNER_EDGE:
             cls, node = INNER, self._lemma_node(p, "inner-lemma")
         elif s >= self.bridge_floor:
-            # One gamma1_link call per bridge, as perfbench traces it: set_a
-            # minus set_b is the hop, set_b minus the partner's node the rest.
+            # The hop p -> partner: its a-set minus the node of its b-set,
+            # which is the b-set minus the partner's node.
             partner = self._bridge_partner(p)
-            own, other = self.builder.add_link(*gamma1_link(p, partner, self.tol), "bridge")
-            shared = self._set_node(other, "bridge", [(partner, OUTER)])
-            cls, node = OUTER, self._node([(own, 1)], [(shared, -1)])
+            a_term, (b_slot, _) = self.builder.add_chain(np.array([p, partner]), "bridge")
+            b_node = self._set_node(b_slot, "bridge", [(partner, OUTER)])
+            cls, node = OUTER, self._node([a_term], [(b_node, -1)])
         else:
             cls, node = OUTER, self._step_node(p, "annulus-step")
         self.memo[key] = cls, node

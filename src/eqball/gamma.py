@@ -38,7 +38,7 @@ import numpy as np
 from .errors import ConstructionError, InputError
 from .geometry import (DEFAULT_TOL, GRID_STEP, Frame, Tolerance, as_point, first_orthogonal_axis,
                        orthonormalize, row_dot)
-from .simplex import EquilateralSet, alpha, beta, check_sets, first_failure, simplex_on_spheres
+from .simplex import alpha, beta, check_sets, first_failure, simplex_on_spheres
 
 # Seed of the deterministic direction net used by the brute-force evaluator.
 NET_SEED = 0
@@ -161,15 +161,25 @@ def gamma_bruteforce(a, b, M: Frame, grid_step: float = GRID_STEP,
     return float(rs[np.count_nonzero(ok) - 1])
 
 
-def gamma1_links(A, B, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Shared points of k linking moves a_i -> b_i, as a (k, n, n) array.
+def gamma1_link(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Shared points of the hop a -> b, an (n, n) array, or of the k hops
+    a_i -> b_i, rows of two (k, n) stacks, a (k, n, n) array.
 
-    Row i holds the n points that complete both {a_i} and {b_i} to maximal
-    in-ball sets, the sets gamma1_link(a_i, b_i) returns.  Every check of
-    gamma1_link runs as an array mask over the hops; if any hop fails, the
-    error gamma1_link raises for the first failing hop is raised.
+    The n shared points of a hop complete both {a} and {b} to maximal
+    in-ball sets, which differ only in a vs b.  Requires ||b - a|| =
+    2*alpha(n+1) and the hop bound (module docstring) at most 1 + eps_eq,
+    which every such pair of the ball meets.  The shared points sit on the
+    sphere of radius beta(n) around the midpoint x0, orthogonal to b - a,
+    one at x0 - beta(n)*u; each is at distance 1 from a and b.  Every check
+    runs as an array mask over the hops, and the sets {a} + shared and
+    {b} + shared are re-checked in one check_sets call; if any hop fails,
+    the error of the first failing hop, and of its first failing check, is
+    raised.
     """
-    A, B, diff, dist, checks = _pair_checks(A, B, tol)
+    if np.ndim(a) != 2:
+        a = as_point(a)
+        return gamma1_link(a[None, :], as_point(b, a.size)[None, :], tol)[0]
+    A, B, diff, dist, checks = _pair_checks(a, b, tol)
     n = A.shape[1]
     eps = tol.eps_eq
     target = 2.0 * alpha(n + 1)
@@ -191,11 +201,14 @@ def gamma1_links(A, B, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         shared_norm = np.sqrt(row_dot(shared, shared)).max(axis=1)
         checks = [(shared_norm > 1.0 + eps, lambda i: ConstructionError(
             "a shared point left the ball; the hop bound was too tight"))]
-        # The sets {a} + shared of every hop, then {b} + shared, in one stack;
-        # each hop's checks keep the order a's set, then b's.
-        ends = np.concatenate([A[:m], B[:m]])[:, None, :]
-        stack = np.concatenate([ends, np.concatenate([shared, shared])], axis=1)
-        set_checks = check_sets(stack, True, tol, ConstructionError)[2]
+        # Each hop's rows a, shared..., b: its set {a} + shared is rows 0..n,
+        # {b} + shared rows 1..n+1.  The a-sets of every hop, then the
+        # b-sets, in one check_sets call; each hop's checks keep the order
+        # a's set, then b's.
+        rows = np.concatenate([A[:m, None], shared, B[:m, None]], axis=1).reshape(-1, n)
+        ids = (n + 2) * np.arange(m)[:, None] + np.arange(n + 1)
+        set_checks = check_sets(rows, True, tol, ConstructionError,
+                                ids=np.concatenate([ids, ids + 1]))[2]
         for half in (0, m):
             checks += [(mask[half:half + m], lambda i, error=error, half=half: error(half + i))
                        for mask, error in set_checks]
@@ -210,18 +223,3 @@ def _shared_points(x0: np.ndarray, diff: np.ndarray) -> np.ndarray:
     diff = b - a (rows), as a (k, n, n) array, in simplex_on_spheres order;
     both inputs plus 0.0, so that no -0.0 chooses the reflection."""
     return simplex_on_spheres(x0 + 0.0, diff + 0.0, beta(x0.shape[1]))
-
-
-def gamma1_link(a, b, tol: Tolerance = DEFAULT_TOL) -> tuple[EquilateralSet, EquilateralSet]:
-    """Two maximal in-ball sets sharing n points, differing only in a vs b.
-
-    Requires ||b - a|| = 2*alpha(n+1) and the hop bound (module docstring)
-    at most 1 + eps_eq, which every such pair of the ball meets.  The shared
-    points sit on the sphere of radius beta(n) around the midpoint x0,
-    orthogonal to b - a, one at x0 - beta(n)*u; each is at distance 1 from
-    a and b.  The one-hop case of gamma1_links.
-    """
-    a = as_point(a)
-    b = as_point(b, a.size)
-    shared = gamma1_links(a[None, :], b[None, :], tol)[0]
-    return EquilateralSet(np.vstack([a, shared])), EquilateralSet(np.vstack([b, shared]))

@@ -25,6 +25,10 @@ from .geometry import (
 )
 
 MAX_SAMPLE_ATTEMPTS = 10**6
+# The most pairwise-difference coordinates, sets * k(k-1)/2 pairs * n, that
+# one pass of check_sets holds: 2**19 float64 (4 MB) per array.  The sets of
+# a certificate at n <= 5 fit in one pass.
+CHECK_CHUNK_CELLS = 2**19
 
 
 def beta(k: int) -> float:
@@ -62,14 +66,23 @@ def distance_errors(points) -> np.ndarray:
     return np.abs(np.linalg.norm(pts[..., i, :] - pts[..., j, :], axis=-1) - 1.0)
 
 
-def check_sets(points, in_ball: bool, tol: Tolerance = DEFAULT_TOL, error=InputError):
-    """The re-check of an (S, k, n) stack of point sets, in one array pass:
-    each set's worst |‖p_i - p_j‖ - 1|, its largest point norm, and its checks
-    for first_failure, (failing mask, `error` for set i) on the distances and,
-    with `in_ball`, on the norms."""
+def check_sets(points, in_ball: bool, tol: Tolerance = DEFAULT_TOL, error=InputError,
+               ids=None):
+    """The re-check of a stack of point sets: the (S, k, n) array `points`,
+    or with `ids` the sets of row indices ids[s] into the (N, n) table
+    `points`.  Returns each set's worst |‖p_i - p_j‖ - 1|, its largest point
+    norm, and its checks for first_failure, (failing mask, `error` for set
+    i) on the distances and, with `in_ball`, on the norms.  The sets are
+    taken CHECK_CHUNK_CELLS difference coordinates at a time, which bounds
+    the memory whatever S and n."""
     pts = np.asarray(points, dtype=float)
-    err = distance_errors(pts).max(axis=-1, initial=0.0)
-    top = np.linalg.norm(pts, axis=-1).max(axis=-1)
+    count, k = ids.shape if ids is not None else pts.shape[:2]
+    step = max(CHECK_CHUNK_CELLS // max(k * (k - 1) // 2 * pts.shape[-1], 1), 1)
+    err, top = np.empty(count), np.empty(count)
+    for start in range(0, count, step):
+        chunk = pts[ids[start:start + step]] if ids is not None else pts[start:start + step]
+        err[start:start + step] = distance_errors(chunk).max(axis=-1, initial=0.0)
+        top[start:start + step] = np.linalg.norm(chunk, axis=-1).max(axis=-1)
     checks = [(err > tol.eps_eq,
                lambda i: error(f"pairwise distance deviates from 1 by {err[i]:.3e}"))]
     if in_ball:

@@ -344,8 +344,9 @@ def suite_negative_controls(seed: int) -> SuiteResult:
                                              generator_params=cert.generator_params,
                                              multipliers=cert.multipliers))
     a4 = alpha(4)
-    link, _ = gamma1_link(np.array([0.0, 0.0, -a4]), np.array([0.0, 0.0, a4]))
-    single_link = check_certificate(Certificate(n=3, points=link.points, sets=[(0, 1, 2, 3)],
+    a = np.array([0.0, 0.0, -a4])
+    link = np.vstack([a, gamma1_link(a, np.array([0.0, 0.0, a4]))])
+    single_link = check_certificate(Certificate(n=3, points=link, sets=[(0, 1, 2, 3)],
                                                 claim=(0, 1), multipliers=[1]))
     first = cert.sets[0]
     single_set = check_certificate(Certificate(n=3, points=cert.points, sets=[first],

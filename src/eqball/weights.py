@@ -19,8 +19,10 @@ The circuit machinery links any two points of the annulus
 construction.  It is planar: n enters only through alpha(n+1) and beta(n).
 Its layout is one table, CIRCUIT_ANGLES, read through circuit_geometry by
 shell_circuit and emit-circuit.  The certificate generator does not route
-through it: any pair of the ball at hop length is a hop (gamma.gamma1_link),
-so its chains take two or four hops through circle_circle_intersections.
+through it: any pair of the ball at hop length is a hop (gamma's module
+docstring), so its chains take two or four hops through
+circle_circle_intersections, and gamma.gamma1_link builds the shared points
+of every hop.
 """
 from __future__ import annotations
 

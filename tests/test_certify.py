@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from eqball import certify, verify
+from eqball import certify, simplex, verify
 from eqball.certify import (
     OUTER,
     Certificate,
@@ -165,8 +166,8 @@ def test_checker_accepts_gamma1_pair():
     a3 = alpha(3)
     a = np.array([0.02, -a3])
     b = np.array([0.02, a3])
-    set_a, set_b = gamma1_link(a, b)
-    points = np.vstack([a, b, set_a.points[1:]])
+    shared = gamma1_link(a, b)
+    points = np.vstack([a, b, shared])
     cert = Certificate(n=2, points=points, sets=[(0, 2, 3), (1, 2, 3)], claim=(0, 1),
                        multipliers=[1, -1])
     report = check_certificate(cert)
@@ -176,8 +177,8 @@ def test_checker_accepts_gamma1_pair():
 
 def test_checker_rejects_perturbed_point():
     a3 = alpha(3)
-    set_a, set_b = gamma1_link(np.array([0.02, -a3]), np.array([0.02, a3]))
-    points = np.vstack([set_a.points[0], set_b.points[0], set_a.points[1:]])
+    a, b = np.array([0.02, -a3]), np.array([0.02, a3])
+    points = np.vstack([a, b, gamma1_link(a, b)])
     points[2, 0] += 1e-3
     cert = Certificate(n=2, points=points, sets=[(0, 2, 3), (1, 2, 3)], claim=(0, 1),
                        multipliers=[1, -1])
@@ -189,8 +190,9 @@ def test_checker_rejects_perturbed_point():
 
 def test_checker_rejects_non_shared_claim():
     a3 = alpha(3)
-    set_a, _ = gamma1_link(np.array([0.02, -a3]), np.array([0.02, a3]))
-    cert = Certificate(n=2, points=set_a.points, sets=[(0, 1, 2)], claim=(0, 1),
+    a = np.array([0.02, -a3])
+    set_a = np.vstack([a, gamma1_link(a, np.array([0.02, a3]))])
+    cert = Certificate(n=2, points=set_a, sets=[(0, 1, 2)], claim=(0, 1),
                        multipliers=[1])
     report = check_certificate(cert)
     assert not report.accepted
@@ -235,8 +237,8 @@ def _hand_built_certificates():
     list of id tuples: accepted, SetInvalid at a later set, ClaimNotImplied,
     an id past the table, and no sets."""
     a3 = alpha(3)
-    set_a, set_b = gamma1_link(np.array([0.02, -a3]), np.array([0.02, a3]))
-    points = np.vstack([set_a.points[0], set_b.points[0], set_a.points[1:]])
+    a, b = np.array([0.02, -a3]), np.array([0.02, a3])
+    points = np.vstack([a, b, gamma1_link(a, b)])
     link = Certificate(n=2, points=points, sets=[(0, 2, 3), (1, 2, 3)], claim=(0, 1),
                        multipliers=[1, -1])
     moved = points.copy()
@@ -296,7 +298,7 @@ def test_chunked_recheck_reports_equal_the_one_pass_report(monkeypatch):
              dataclasses.replace(cert, multipliers=[-m for m in cert.multipliers])]
     reports = [check_certificate(c) for c in cases]
     assert [r.failure for r in reports] == [None, "SetInvalid", "ClaimNotImplied"]
-    monkeypatch.setattr(certify, "CHECK_CHUNK_CELLS", 1)
+    monkeypatch.setattr(simplex, "CHECK_CHUNK_CELLS", 1)
     assert [check_certificate(c) for c in cases] == reports
 
 
@@ -1114,27 +1116,85 @@ def test_call_history_does_not_change_a_certificate(monkeypatch, request):
 
 
 def _spy_on_links(monkeypatch):
+    """Every gamma1_link call of the builder, as its two (k, n) end stacks."""
     calls = []
-    real = certify.gamma1_links
+    real = certify.gamma1_link
 
     def spy(A, B, tol):
-        calls.append(len(A))
+        calls.append((A, B))
         return real(A, B, tol)
 
-    monkeypatch.setattr(certify, "gamma1_links", spy)
+    monkeypatch.setattr(certify, "gamma1_link", spy)
     return calls
 
 
 def test_one_gamma1_links_call_builds_every_chain(monkeypatch):
     """Both endpoints chain to the anchor, two and four hops; their hops
-    share one call."""
+    share one call.  At a pair with bridges, the flush's one call builds
+    every chain and bridge hop of the run, in request order."""
     calls = _spy_on_links(monkeypatch)
     generate_equality_certificate(np.array([0.95, 0.0]), np.array([0.0, 0.9]), 2)
-    assert calls == [6]
+    assert [len(A) for A, _ in calls] == [6]
+    _closing_fragment(2, DEFAULT_TOL)
+    chains, bridges = [], []
+    add_chain, bridge_partner = _Builder.add_chain, _Generator._bridge_partner
+
+    def chain_spy(self, waypoints, stage):
+        chains.append(waypoints)
+        return add_chain(self, waypoints, stage)
+
+    def partner_spy(self, p):
+        q = bridge_partner(self, p)
+        bridges.append(np.concatenate([p, q]))
+        return q
+
+    monkeypatch.setattr(_Builder, "add_chain", chain_spy)
+    monkeypatch.setattr(_Generator, "_bridge_partner", partner_spy)
+    calls.clear()
+    generate_equality_certificate(np.array([0.05, 0.1]), np.array([0.5, 0.2]), 2)
+    assert len(calls) == 1 and len(bridges) == 8
+    A, B = calls[0]
+    assert np.array_equal(A, np.concatenate([w[:-1] for w in chains]))
+    assert np.array_equal(B, np.concatenate([w[1:] for w in chains]))
+    rows = np.concatenate([A, B], axis=1)
+    for hop in bridges:
+        assert (rows == hop).all(axis=1).any()
     _closing_fragment(3, DEFAULT_TOL)
     calls.clear()
     assert check_certificate(_mixed_certificate()).accepted
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("x, y, message", [
+    ([0.05, 0.1], [0.5, 0.2], "||b-a||=1.722148357367, need 1.732050807569"),
+    ([-0.102, 0.013, 0.07, 0.052, 0.235], [-0.098, -0.128, 0.156, -0.117, 0.036],
+     "||b-a||=1.541073291683, need 1.549193338483"),
+], ids=["n2", "n5"])
+def test_bridge_partner_off_hop_length_fails_as_its_own_hop(monkeypatch, x, y, message):
+    """A bridge hop queued with the chains fails with its own hop-length
+    check, the stage and message it had when each bridge hop was built on
+    its own."""
+    bridge_partner = _Generator._bridge_partner
+    monkeypatch.setattr(_Generator, "_bridge_partner", lambda self, p: 0.99 * bridge_partner(self, p))
+    with pytest.raises(GenerationFailure) as info:
+        generate_equality_certificate(np.array(x), np.array(y), len(x))
+    assert (info.value.stage, info.value.message) == ("construction", message)
+
+
+@pytest.mark.parametrize("x, y, digest", [
+    ([0.437, -0.049], [-0.405, -0.169],
+     "21dcdbce5773b87f318d7684f8afd5c0fd5304d22fbbd23211981b7a552af5f6"),
+    ([-0.183, -0.052, -0.072], [-0.225, 0.17, 0.04],
+     "d5f5fc363ae98a6b791547342072739daa5471a3af28c17e9836bcb35a38ceb6"),
+    ([-0.102, 0.013, 0.07, 0.052, 0.235], [-0.098, -0.128, 0.156, -0.117, 0.036],
+     "fe7e75b73990f155490d2b487fad17eafe95dacc7775f0ee112e25e6bbe04bee"),
+], ids=["n2", "n3", "n5"])
+def test_bridge_heavy_certificates_keep_their_bytes(x, y, digest):
+    """Three pairs whose certificates hold many bridge sets (32 of 178, 12
+    of 58 and 20 of 94), pinned by the sha256 of their JSON text as built
+    when each bridge hop took its own gamma1_link call."""
+    cert = generate_equality_certificate(np.array(x), np.array(y), len(x))
+    assert hashlib.sha256(certificate_to_json(cert).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("x, y, n, message, entered", [

@@ -1,6 +1,7 @@
 import importlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqball.errors import ConstructionError, InputError
-from eqball.gamma import gamma, gamma1_link, gamma1_links, gamma_bruteforce
+from eqball.gamma import gamma, gamma1_link, gamma_bruteforce
 from eqball.geometry import DEFAULT_TOL, Frame, orthonormalize, section2d
-from eqball.simplex import alpha, beta, canonical_simplex, distance_errors, random_rotations
+from eqball.simplex import (EquilateralSet, alpha, beta, canonical_simplex, distance_errors,
+                            random_rotations)
 from eqball.weights import lambda_shell
 
 gamma_module = importlib.import_module("eqball.gamma")  # the package exports the function gamma
@@ -19,6 +21,13 @@ gamma_module = importlib.import_module("eqball.gamma")  # the package exports th
 # Messages of the two linking-move preconditions, hop length and hop bound.
 DISTANCE = r"^\|\|b-a\|\|="
 BOUND = r"^hop bound .* exceeds 1: a shared point would leave the ball$"
+
+
+def _link_sets(a, b):
+    """The two maximal sets of the linking move a -> b, {a} + shared and
+    {b} + shared."""
+    shared = gamma1_link(a, b)
+    return EquilateralSet(np.vstack([a, shared])), EquilateralSet(np.vstack([b, shared]))
 
 
 def _random_ball_point(rng, n):
@@ -161,7 +170,7 @@ def test_gamma1_link_shared_edge_triangles():
     a3 = alpha(3)
     a = np.array([0.05, -a3])
     b = np.array([0.05, a3])
-    set_a, set_b = gamma1_link(a, b)
+    set_a, set_b = _link_sets(a, b)
     for s in (set_a, set_b):
         assert s.k == 3
         assert s.pairwise_distance_error() < 1e-9
@@ -179,7 +188,7 @@ def test_gamma1_link_centered_any_n():
         direction /= np.linalg.norm(direction)
         a = alpha(n + 1) * direction
         b = -a
-        set_a, set_b = gamma1_link(a, b)
+        set_a, set_b = _link_sets(a, b)
         shared = set_a.points[1:]
         assert np.max(np.abs(np.linalg.norm(shared, axis=1) - beta(n))) < 1e-9
         assert np.max(np.abs(shared @ direction)) < 1e-9
@@ -206,11 +215,22 @@ def test_gamma1_link_preconditions():
     q = np.array([-1.0 / 3.0, math.sqrt(8.0) / 3.0, 0.0])
     assert np.linalg.norm(p - q) == pytest.approx(2 * alpha(4), abs=1e-12)
     assert gamma(p, q).value == pytest.approx(1.0 - beta(3), abs=1e-12)
-    for s in gamma1_link(p, q):
+    for s in _link_sets(p, q):
         s.validate(in_ball=True)
     with pytest.raises(InputError, match=BOUND):
         gamma1_link(*_past_the_bound(3))
 
+
+def test_gamma1_link_takes_one_hop_or_a_stack():
+    """Two (n,) points are one hop, with the point checks of as_point; two
+    (k, n) stacks are k hops, each row the one-hop result."""
+    w = _random_chain(np.random.default_rng(36), 3, 2)
+    assert gamma1_link(w[0], w[1]).shape == (3, 3)
+    assert np.array_equal(gamma1_link(w[:-1], w[1:])[1], gamma1_link(w[1], w[2]))
+    with pytest.raises(InputError, match=r"^point has dimension 2, expected 3$"):
+        gamma1_link(w[0], w[1][:2])
+    with pytest.raises(InputError, match=r"^endpoint arrays must share a \(k, n\) shape"):
+        gamma1_link(w[:-1], w[1])
 
 def _random_chain(rng, n, hops):
     """Waypoints of a chain of valid links: hop length 2*alpha(n+1),
@@ -228,7 +248,7 @@ def _random_chain(rng, n, hops):
 
 def _householder_rows(v):
     """Rows 0..n-2 of I - 2*h*h^T/(h^T h), h = v/||v|| + s*e[-1] with s = -1
-    where v[-1] < 0 and 1 otherwise (gamma1_links reads a -0.0 as 0): an
+    where v[-1] < 0 and 1 otherwise (gamma1_link reads a -0.0 as 0): an
     orthonormal basis of the complement of v."""
     h = v / np.linalg.norm(v)
     h[-1] += -1.0 if h[-1] < 0.0 else 1.0
@@ -256,7 +276,7 @@ def test_gamma1_links_rows_are_the_paper_construction():
             on_line = np.array([0.9 * line, (0.9 - hop) * line])
             diff = on_line[1] - on_line[0]
             assert np.linalg.norm(diff) == pytest.approx(hop, abs=1e-15)
-            shared = gamma1_links(on_line[:1], on_line[1:])[0]
+            shared = gamma1_link(on_line[:1], on_line[1:])[0]
             basis = _householder_rows(diff)
             assert np.max(np.abs(basis @ basis.T - np.eye(n - 1))) <= 4 * eps
             offsets = canonical_simplex(n - 1, n).points @ basis
@@ -265,7 +285,7 @@ def test_gamma1_links_rows_are_the_paper_construction():
             assert np.max(np.abs(shared - (on_line.mean(axis=0) + offsets))) <= 4 * eps
         for hops in (1, 3, 6):
             w = _random_chain(rng, n, hops)
-            shared = gamma1_links(w[:-1], w[1:])
+            shared = gamma1_link(w[:-1], w[1:])
             assert shared.shape == (hops, n, n)
             for h in range(hops):
                 a, b = w[h], w[h + 1]
@@ -278,8 +298,8 @@ def test_gamma1_links_rows_are_the_paper_construction():
                 assert np.max(distance_errors(shared[h])) <= 1e-14
                 for end in (a, b):
                     assert np.max(np.abs(np.linalg.norm(shared[h] - end, axis=1) - 1.0)) < 1e-12
-                # the one-hop wrapper returns the same rows around its endpoints
-                set_a, set_b = gamma1_link(a, b)
+                # one hop of (n,) points gives the same rows as its row of the stack
+                set_a, set_b = _link_sets(a, b)
                 assert np.array_equal(set_a.points, np.vstack([a, shared[h]]))
                 assert np.array_equal(set_b.points, np.vstack([b, shared[h]]))
 
@@ -291,23 +311,41 @@ def test_gamma1_links_rows_are_the_paper_construction():
     ({"distance": [], "norm": []}, None),
 ])
 def test_gamma1_links_reports_the_first_failing_hop_then_check(monkeypatch, failing, message):
-    """One check_sets call re-checks a's set of every hop, then b's, as a
-    (2m, n+1, n) stack; the error raised is that of the first failing hop,
-    and of its first failing check in the order a's distances, a's norms,
-    b's distances, b's norms."""
-    def fake(points, in_ball, tol, error):
-        masks = {name: np.isin(np.arange(len(points)), rows) for name, rows in failing.items()}
+    """One check_sets call re-checks a's set of every hop, then b's, as 2m
+    id rows over the hops' point rows; the error raised is that of the first
+    failing hop, and of its first failing check in the order a's distances,
+    a's norms, b's distances, b's norms."""
+    def fake(points, in_ball, tol, error, ids):
+        masks = {name: np.isin(np.arange(len(ids)), rows) for name, rows in failing.items()}
         return None, None, [(masks[name], lambda i, name=name: error(f"{name} {i}"))
                             for name in ("distance", "norm")]
 
     monkeypatch.setattr(gamma_module, "check_sets", fake)
     w = _random_chain(np.random.default_rng(35), 3, 3)
     if message is None:
-        assert gamma1_links(w[:-1], w[1:]).shape == (3, 3, 3)
+        assert gamma1_link(w[:-1], w[1:]).shape == (3, 3, 3)
         return
     with pytest.raises(ConstructionError, match=f"^{message}$"):
-        gamma1_links(w[:-1], w[1:])
+        gamma1_link(w[:-1], w[1:])
 
+
+
+def test_gamma1_link_memory_is_bounded_at_n40():
+    """200 hops at n = 40: one re-check pass over their 400 sets would hold
+    (400, 820, 40) difference stacks, 105 MB each; check_sets' chunks keep
+    the traced peak at a few of them."""
+    n = 40
+    a = np.zeros(n)
+    a[0] = alpha(n + 1)
+    A = np.tile(a, (200, 1))
+    tracemalloc.start()
+    try:
+        shared = gamma1_link(A, -A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert shared.shape == (200, n, n)
+    assert peak < 32e6
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_gamma1_links_read_values_not_zero_signs(n):
@@ -325,8 +363,8 @@ def test_gamma1_links_read_values_not_zero_signs(n):
         signed_b = b.copy()
         signed_b[-1] = -0.0
         assert np.signbit((signed_b - a)[-1]) and not np.signbit((b - a)[-1])
-        assert gamma1_links(a[None], signed_b[None]).tobytes() == \
-            gamma1_links(a[None], b[None]).tobytes()
+        assert gamma1_link(a[None], signed_b[None]).tobytes() == \
+            gamma1_link(a[None], b[None]).tobytes()
 
 
 def test_gamma1_links_middle_hop_of_wrong_length():
@@ -335,9 +373,9 @@ def test_gamma1_links_middle_hop_of_wrong_length():
     bent[2] = w[1] + 0.9 * (w[2] - w[1])
     middle = f"||b-a||={np.linalg.norm(bent[2] - bent[1]):.12f}"
     with pytest.raises(InputError, match=re.escape(middle)):
-        gamma1_links(bent[:-1], bent[1:])
+        gamma1_link(bent[:-1], bent[1:])
     # the same hop set with an intact middle hop is accepted
-    assert gamma1_links(w[:-1], w[1:]).shape == (3, 3, 3)
+    assert gamma1_link(w[:-1], w[1:]).shape == (3, 3, 3)
 
 
 @pytest.mark.parametrize("n", [2, 5])
@@ -355,13 +393,13 @@ def test_gamma1_links_low_clearance_hop():
     p, q = _past_the_bound(3)  # clearance below beta(3), hop bound past 1 + eps_eq
     assert gamma(p, q).value < beta(3)
     with pytest.raises(InputError, match=BOUND):
-        gamma1_links(np.vstack([w[:-1], p]), np.vstack([w[1:], q]))
+        gamma1_link(np.vstack([w[:-1], p]), np.vstack([w[1:], q]))
     # the error is that of the first failing hop, whatever later hops do
     short = np.array([0.0, 0.0, 0.0]), np.array([0.5, 0.0, 0.0])
     with pytest.raises(InputError, match=BOUND):
-        gamma1_links(np.vstack([p, short[0]]), np.vstack([q, short[1]]))
+        gamma1_link(np.vstack([p, short[0]]), np.vstack([q, short[1]]))
     with pytest.raises(InputError, match=DISTANCE):
-        gamma1_links(np.vstack([short[0], p]), np.vstack([short[1], q]))
+        gamma1_link(np.vstack([short[0], p]), np.vstack([short[1], q]))
 
 
 # -- boundary properties ----------------------------------------------------------
@@ -413,7 +451,7 @@ def test_boundary_pairs_link_or_fail_cleanly(pair):
         assert math.isfinite(res.value) and res.value <= 1.0
         assert abs(float(np.linalg.norm(res.direction)) - 1.0) < 1e-12
     try:
-        sets = gamma1_link(a, b)
+        sets = _link_sets(a, b)
     except InputError:
         return
     for s in sets:
@@ -460,7 +498,7 @@ def test_hop_shared_points_stay_within_the_mean_squared_norm(pair):
     2*beta(n)*t < 1.5e-10, far below the mean; the collinear draws
     (b on the line through a and 0) take that path."""
     n, a, b = pair
-    shared = gamma1_links(a[None, :], b[None, :])[0]
+    shared = gamma1_link(a[None, :], b[None, :])[0]
     mean = (a @ a + b @ b) / 2.0
     delta = (8 * n + 16) * 2.0**-53
     assert np.max(np.sum(shared * shared, axis=1)) <= mean + delta

@@ -157,6 +157,25 @@ def test_check_sets_reports_each_set_and_the_first_failure():
     assert first_failure(check_sets(stack[[0, 2]], False)[2]) is None
 
 
+
+def test_check_sets_by_ids_and_in_chunks_equals_one_pass(monkeypatch):
+    """Sets given as id rows over a point table, and sets taken one per
+    chunk, give the one-pass results: the same values and the same first
+    failure."""
+    good = canonical_simplex(2, 3).points
+    far = good.copy()
+    far[0, 0] += 0.01
+    table = np.vstack([good, far, good + [0.0, 0.9]])
+    ids = np.array([[0, 1, 2], [3, 4, 5], [6, 7, 8], [3, 4, 5], [0, 1, 2]])
+    err, top, checks = check_sets(table[ids], True)
+    expected = err, top, first_failure(checks)[0]
+    for chunk in (simplex.CHECK_CHUNK_CELLS, 1):
+        monkeypatch.setattr(simplex, "CHECK_CHUNK_CELLS", chunk)
+        for got_err, got_top, got_checks in (check_sets(table, True, ids=ids),
+                                             check_sets(table[ids], True)):
+            assert np.array_equal(got_err, expected[0]) and np.array_equal(got_top, expected[1])
+            assert first_failure(got_checks)[0] == expected[2] == 1
+
 def test_equilateral_set_needs_points_and_coordinates():
     for pts in (np.zeros((0, 2)), np.zeros((2, 0)), np.zeros(3)):
         with pytest.raises(InputError, match=r"^an equilateral set needs a 2-D \(k, n\) point array"):
