@@ -52,25 +52,29 @@ builds the shared points of every queued hop, chain and bridge alike.
 
 Certificates are written as format version 4, whose `hops` field lists
 hops as [end id, end id] pairs (a, b).  Neither the n shared points of a
-listed hop nor its two sets are written: with E written points, its
-points take the ids E + n*h .. E + n*h + n - 1, in order the rows of
-simplex_on_spheres((a + b)/2, b - a, beta(n)) with -0.0 read as 0.0
-(gamma._shared_points), which the parser rebuilds for every hop in that
-one call, and its sets {a} + S and {b} + S follow the written sets, hop
-by hop.  `multipliers` writes one entry per written set, then one per
-hop: lambda for {a} + S, whose negation {b} + S carries.  In memory the
-sets are one (S, n+1) int64 table holding every set, and the multipliers
-one list in its order.  The generator keeps every hop it builds, chain
-hops (the closing relation's too) and bridges, and lists a hop when its
-two sets carry opposite multipliers and none of its shared points lies in
-another set, is a claim point or is a hop's end; the other points and
-sets keep their first-appearance order.
+listed hop nor its two sets are written: with E written points, the ids
+E + n*h .. E + n*h + n - 1 name the shared points of hop h, and its sets
+{a} + S and {b} + S follow the written sets, hop by hop.  `multipliers`
+writes one entry per written set, then one per hop: lambda for {a} + S,
+whose negation {b} + S carries.  In memory the point table holds the E
+written points, the sets are one (S, n+1) int64 table holding every set,
+and the multipliers one list in its order.  The generator keeps every hop
+it builds, chain hops (the closing relation's too) and bridges, and lists
+a hop when its two sets carry opposite multipliers and none of its shared
+points lies in another set, is a claim point or is a hop's end; the other
+points and sets keep their first-appearance order.
 
-The checker is generation-agnostic: it re-validates every set numerically
-in vectorized passes of bounded size, rebuilt hop sets included, then
-accepts the claim when the integer accumulation of the multipliers equals
-e_x - e_y exactly.  That is its only claim test: a document without
-multipliers, or of a version other than CERT_VERSION, is malformed.
+The checker is generation-agnostic: it re-validates every written set
+numerically in vectorized passes of bounded size, and every listed hop by
+the hop rule (gamma.hop_checks): a != b, both ends in the ball,
+||b - a|| = 2*alpha(n+1) and the hop bound at most 1, within eps_eq.  The
+gamma module docstring proves that such a pair has n shared points that
+complete {a} and {b} to maximal sets of the ball, so the checker needs to
+know that they exist, not where they are: it never builds them, and calls
+none of the generator's kernels.  It then accepts the claim when the
+integer accumulation of the multipliers equals e_x - e_y exactly.  That is
+its only claim test: a document without multipliers, or of a version
+other than CERT_VERSION, is malformed.
 """
 from __future__ import annotations
 
@@ -88,7 +92,7 @@ from .errors import (
     InputError,
     MalformedCertificate,
 )
-from .gamma import _shared_points, gamma1_link
+from .gamma import gamma1_link, hop_checks
 from .geometry import (DEFAULT_TOL, GRID_STEP, RANK_RESIDUAL, Tolerance, _residual, as_point,
                        clamp_to_range, first_orthogonal_axis, json_number_array)
 from .simplex import EquilateralSet, alpha, beta, cap_extension, check_sets, first_failure
@@ -97,10 +101,11 @@ from .weights import circle_circle_intersections, eta, lambda_shell, mu, mu_inve
 
 CERT_VERSION = 4
 MAX_CERT_SETS = 5000
-# The most coordinates a document's hops may rebuild, n*n per hop: 2**23
-# (64 MB of float64) holds the 2500 hops of MAX_CERT_SETS hop sets at n = 32
-# three times over, and 2048 hops at n = 64.
-MAX_HOP_COORDINATES = 2**23
+# The most cells, 2*(n+1) per hop, of the hop-set id table that the parser
+# builds: 2**23 int64 (64 MB).  A certificate the generator emits has at most
+# MAX_CERT_SETS sets, so at most 5000*(n+1) hop-set cells, and parses up to
+# n = 1676.
+MAX_HOP_SET_CELLS = 2**23
 INT64_MAX = int(np.iinfo(np.int64).max)
 INNER_EDGE = 1e-9
 
@@ -181,21 +186,20 @@ def constant_lemma_relation(z, rho0: float, n: int,
 
 @dataclass
 class Certificate:
-    """Point table, maximal-set id table, claim pair, generator metadata.
+    """Written points, maximal-set id table, claim pair, generator metadata.
 
-    `sets` is one (S, n+1) int64 array of point ids for generated and
-    parsed certificates (the checker also takes a list of id tuples), and
-    `multipliers` holds one integer per set whose combination of the set
-    equations is the claim; the checker reports any other length as
-    MalformedCertificate.  `hops` lists (end id, end id) pairs (a, b).  With
-    E the number of points less n per hop, the n points that the two sets
-    of hop h share are points E + n*h .. E + n*h + n - 1, in order the
-    rows of simplex_on_spheres((a + b)/2, b - a, beta(n)) with -0.0 read as
-    0.0 in both arguments (gamma._shared_points).  With H hops, the last 2H
-    sets are the hops' own, in hop order: hop h's a-set [a, E + n*h, ..,
-    E + n*h + n - 1] at row S - 2H + 2h, its b-set (b in place of a) next,
-    with opposite multipliers.  The tables list every point and set; only
-    the JSON document leaves the n points and two sets per hop out.
+    `points` holds the E written points.  `hops` lists (end id, end id)
+    pairs (a, b) of written points; the ids E + n*h .. E + n*h + n - 1 name
+    the n points that the two sets of hop h share, which no table holds:
+    the hop rule (check_certificate) shows that they exist.  `sets` is one
+    (S, n+1) int64 array of point ids for generated and parsed certificates
+    (the checker also takes a list of id tuples), and `multipliers` holds
+    one integer per set whose combination of the set equations is the
+    claim; the checker reports any other length as MalformedCertificate.
+    With H hops, the last 2H sets are the hops' own, in hop order: hop h's
+    a-set [a, E + n*h, .., E + n*h + n - 1] at row S - 2H + 2h, its b-set (b
+    in place of a) next, with opposite multipliers.  The other sets are the
+    written ones, and they name written points only.
     """
 
     n: int
@@ -206,11 +210,22 @@ class Certificate:
     multipliers: list[int] = field(default_factory=list)
     hops: list = field(default_factory=list)
 
+    @property
+    def point_count(self) -> int:
+        """The number of named points: E written, and n per hop."""
+        return len(self.points) + self.n * len(self.hops)
+
 
 def _is_int(value) -> bool:
     """Whether a value is an integer id or multiplier: an int or a numpy
     integer, never a boolean."""
     return type(value) is int or isinstance(value, np.integer)
+
+
+def _all_ints(values) -> bool:
+    """Whether every value is an integer id or multiplier (_is_int), tested
+    once per type that occurs."""
+    return all(t is int or issubclass(t, np.integer) for t in set(map(type, values)))
 
 
 def _checked_multipliers(multipliers, length: int, set_count: int, n: int) -> list[int]:
@@ -222,7 +237,7 @@ def _checked_multipliers(multipliers, length: int, set_count: int, n: int) -> li
     """
     if not isinstance(multipliers, (list, tuple)) or len(multipliers) != length:
         raise MalformedCertificate(f"multipliers must be a list of {length} integers")
-    if not all(map(_is_int, multipliers)):
+    if not _all_ints(multipliers):
         raise MalformedCertificate("multipliers must be integers")
     values = [int(m) for m in multipliers]
     if values and set_count * (n + 1) * max(map(abs, values)) >= INT64_MAX:
@@ -267,21 +282,17 @@ def _rows_json(rows, conversion: str) -> _Json:
 
 def certificate_to_json(cert: Certificate, tol: Tolerance = DEFAULT_TOL) -> str:
     """The certificate as JSON text, byte-identical to _dumps of the plain
-    document: the point table less the points that `hops` rebuilds, then
-    hops, the sets less the hops' own, and the multipliers of the written
-    sets followed by one per hop, that of its a-set (its b-set's is the
-    negation, Certificate), formatted row by row."""
-    points = np.asarray(cert.points, dtype=float)
-    hop_count = len(cert.hops)
-    written = len(points) - cert.n * hop_count
-    kept = len(cert.sets) - 2 * hop_count
+    document: the written points, hops, the sets less the hops' own, and the
+    multipliers of the written sets followed by one per hop, that of its
+    a-set (its b-set's is the negation, Certificate), formatted row by row."""
+    kept = len(cert.sets) - 2 * len(cert.hops)
     sets = cert.sets[:kept]
     lam = list(cert.multipliers)
     return _dumps({
         "version": CERT_VERSION,
         "n": cert.n,
         "tolerance": {"eps_eq": tol.eps_eq, "grid_step": GRID_STEP},
-        "points": _rows_json(points[:written].tolist(), "%.17g"),
+        "points": _rows_json(np.asarray(cert.points, dtype=float).tolist(), "%.17g"),
         "hops": _rows_json(cert.hops, "%d"),
         "sets": _rows_json(sets.tolist() if isinstance(sets, np.ndarray) else sets, "%d"),
         "claim": [int(cert.claim[0]), int(cert.claim[1])],
@@ -292,21 +303,20 @@ def certificate_to_json(cert: Certificate, tol: Tolerance = DEFAULT_TOL) -> str:
 
 
 def certificate_from_json(text: str) -> Certificate:
-    """Parse a certificate document, rebuilding the shared points and the
-    two sets of each of its hops.
+    """Parse a certificate document into the written points and the id table
+    of every set, the two sets of each hop appended.
 
     Raises MalformedCertificate unless the document is a JSON object with
     integer `n`, `version` CERT_VERSION if present, a numeric `points` table
     of n columns, as `sets` a list of lists of n+1 integer ids, two integer
     ids as `claim`, as `hops` a list of [end id, end id] pairs of two
-    distinct finite points of that table, and as `multipliers` one integer
-    per set, then one per hop.  Ids must be JSON integers: 0.9, "2" and true
-    are rejected.  One _shared_points call rebuilds the n shared points of
-    every hop and appends them to the table, hop by hop, and each hop's
-    a-set and b-set follow the written sets, with the hop's multiplier on
-    the a-set and its negation on the b-set (Certificate); at most
-    MAX_HOP_COORDINATES coordinates are rebuilt.  Whether the set ids are
-    in range is left to the checker, which reports the first bad set.
+    finite points of that table that do not compare equal, and as
+    `multipliers` one integer per set, then one per hop.  Ids must be JSON
+    integers: 0.9, "2" and true are rejected.  Each hop's a-set and b-set
+    follow the written sets, with the hop's multiplier on the a-set and its
+    negation on the b-set (Certificate); the hop-set table has at most
+    MAX_HOP_SET_CELLS cells.  No shared point is built.  Whether the set ids
+    are in range is left to the checker, which reports the first bad set.
     """
     try:
         doc = json.loads(text)
@@ -343,8 +353,7 @@ def certificate_from_json(text: str) -> Certificate:
             and all(len(h) == 2 for h in hops)
             and set(map(type, itertools.chain.from_iterable(hops))) <= {int}):
         raise MalformedCertificate("hops must be a list of [end id, end id] pairs")
-    shared, hop_sets = (_hop_tables(points, hops, n) if hops
-                        else (points[:0], np.empty((0, n + 1), dtype=np.int64)))
+    ends = _parsed_hops(points, hops, n)
     written = len(sets)
     multipliers = _checked_multipliers(doc["multipliers"], written + len(hops),
                                        written + 2 * len(hops), n)
@@ -356,8 +365,8 @@ def certificate_from_json(text: str) -> Certificate:
         raise MalformedCertificate(f"sets must have n + 1 = {n + 1} ids each") from exc
     return Certificate(
         n=n,
-        points=np.concatenate([points, shared]),
-        sets=np.concatenate([table, hop_sets]),
+        points=points,
+        sets=np.concatenate([table, _hop_rows(ends, len(points), n)]),
         claim=(claim[0], claim[1]),
         generator_params=doc.get("generator_params", {}),
         multipliers=multipliers[:written] + [m for lam in multipliers[written:]
@@ -366,37 +375,51 @@ def certificate_from_json(text: str) -> Certificate:
     )
 
 
-def _hop_tables(points: np.ndarray, hops: list, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The shared points of the hops, pairs of ids into the written points,
-    as an (n*len(hops), n) table, and the hops' sets as a (2*len(hops), n+1)
-    id table, hop h's a-set [a, E + n*h, .., E + n*h + n - 1] then its
-    b-set, E = len(points); MalformedCertificate unless every hop joins two
-    distinct finite points and the table stays within MAX_HOP_COORDINATES."""
-    if n < 2:
-        raise MalformedCertificate("hops need n >= 2")
-    if len(hops) * n * n > MAX_HOP_COORDINATES:
-        raise MalformedCertificate(f"hops would rebuild more than {MAX_HOP_COORDINATES} "
-                                   f"coordinates")
+def _hop_table(hops, written: int) -> np.ndarray | None:
+    """The hops as an (H, 2) int64 table of ids in [0, written), or None
+    unless every hop is a pair (tuple, list or array) of integer ids of
+    written points."""
     try:
-        ids = np.array(hops, dtype=np.int64)
-    except OverflowError:
-        ids = None
-    if ids is None or ((ids < 0) | (ids >= len(points))).any():
+        ids = list(itertools.chain.from_iterable(hops))
+        if not (set(map(type, hops)) <= {tuple, list, np.ndarray} and set(map(len, hops)) <= {2}
+                and _all_ints(ids)):
+            return None
+    except TypeError:
+        return None
+    if ids and not (min(ids) >= 0 and max(ids) < written):
+        return None
+    return np.array(ids, dtype=np.int64).reshape(-1, 2)
+
+
+def _parsed_hops(points: np.ndarray, hops: list, n: int) -> np.ndarray:
+    """The document's hops, lists of two JSON integers, as an (H, 2) int64
+    table of ids into the written points; MalformedCertificate unless every
+    hop joins two finite points that do not compare equal, and the hop-set
+    table stays within MAX_HOP_SET_CELLS."""
+    if hops and n < 2:
+        raise MalformedCertificate("hops need n >= 2")
+    if 2 * len(hops) * (n + 1) > MAX_HOP_SET_CELLS:
+        raise MalformedCertificate(f"hops would make more than {MAX_HOP_SET_CELLS} "
+                                   f"hop-set cells")
+    ends = _hop_table(hops, len(points))
+    if ends is None:
         raise MalformedCertificate("hop ends must be ids of written points")
-    ends = points[ids]
-    if not np.isfinite(ends).all():
+    pairs = points[ends]
+    if not np.isfinite(pairs).all():
         raise MalformedCertificate("hop ends must be finite points")
-    a, b = ends[:, 0], ends[:, 1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            shared = _shared_points((a + b) / 2.0, b - a)
-        except InputError as exc:
-            raise MalformedCertificate("hop ends coincide") from exc
-    sets = np.empty((len(hops), 2, n + 1), dtype=np.int64)
-    sets[:, :, 0] = ids
-    sets[:, :, 1:] = len(points) + np.arange(n * len(hops)).reshape(-1, 1, n)
-    # As in the generator's table, no coordinate is -0.0.
-    return shared.reshape(-1, n) + 0.0, sets.reshape(-1, n + 1)
+    if (pairs[:, 0] == pairs[:, 1]).all(axis=1).any():
+        raise MalformedCertificate("hop ends coincide")
+    return ends
+
+
+def _hop_rows(ends: np.ndarray, written: int, n: int) -> np.ndarray:
+    """The sets of the hops with (H, 2) end ids `ends`, E = `written`, as a
+    (2H, n+1) id table: hop h's a-set [a, E + n*h, .., E + n*h + n - 1],
+    then its b-set."""
+    sets = np.empty((len(ends), 2, n + 1), dtype=np.int64)
+    sets[:, :, 0] = ends
+    sets[:, :, 1:] = written + np.arange(n * len(ends)).reshape(len(ends), 1, n)
+    return sets.reshape(-1, n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +469,8 @@ def _recheck(pts: np.ndarray, ids: np.ndarray, tol: Tolerance) -> tuple[int | No
     """Re-check the sets of an id table over the points, in check_sets'
     bounded chunks: (first failing set or None, its worst distance error and
     norm excess, or the worst over all sets when none fails)."""
+    if not len(ids):
+        return None, 0.0, 0.0
     err, top, checks = check_sets(pts, True, tol, ids=ids)
     failed = first_failure(checks)
     if failed is None:
@@ -454,28 +479,68 @@ def _recheck(pts: np.ndarray, ids: np.ndarray, tol: Tolerance) -> tuple[int | No
     return i, float(err[i]), max(float(top[i]) - 1.0, 0.0)
 
 
+def _check_hops(pts: np.ndarray, ends: np.ndarray,
+                tol: Tolerance) -> tuple[int | None, float, float]:
+    """The hop rule (gamma.hop_checks) on the hops with (H, 2) end ids into
+    the points, in one O(H*n) pass: (first failing hop or None, its distance
+    error and norm excess, or the worst over all hops when none fails).  A
+    hop's distance error is that of its sets, |sqrt(beta(n)**2 +
+    ||b - a||**2/4) - 1| from an end to the shared points, which lie one
+    apart; its norm excess is that of its ends."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist, norms, checks = hop_checks(pts[ends[:, 0]], pts[ends[:, 1]], tol)[3:]
+        bn = beta(pts.shape[1])
+        err = np.abs(np.sqrt(bn * bn + dist * dist / 4.0) - 1.0)
+    top = np.maximum(*norms)
+    failed = first_failure(checks)
+    if failed is None:
+        return None, float(err.max()), max(float(top.max()) - 1.0, 0.0)
+    h = failed[0]
+    return h, float(err[h]), max(float(top[h]) - 1.0, 0.0)
+
+
 def check_certificate(cert: Certificate, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """Independently verify a certificate; never consults how it was generated.
 
-    Re-checks every set (pairwise distances 1, norms <= 1, size n+1) in
-    vectorized passes of bounded size and reports the first failing set as
-    SetInvalid.  Accepts iff the int64 accumulation of the multipliers over
-    the sum equations equals e_x - e_y exactly (residual 0.0; otherwise the
-    residual is the norm of the integer difference).  Multipliers that are
-    missing, of the wrong length or not integers are MalformedCertificate.
-    Past the shape checks, `detail` carries the worst distance error and
-    norm excess: of the failing set on SetInvalid, over all sets otherwise.
+    Re-checks every written set (pairwise distances 1, norms <= 1, size n+1)
+    in vectorized passes of bounded size, then every listed hop [a, b] by
+    the hop rule, in one pass of O(n) per hop: a != b, ||a|| and ||b|| at
+    most 1, ||b - a|| = 2*alpha(n+1) and the hop bound at most 1, all within
+    eps_eq (gamma.hop_checks, whose module docstring proves that the hop's
+    two sets then exist in the ball).  Reports the first failing written
+    set, or else the first failing hop, by the row of its a-set, as
+    SetInvalid.  The hops' shared points are never built: the checker calls
+    none of the generator's kernels.  Accepts iff the int64 accumulation of
+    the multipliers over the sum equations of all sets, those of the hops
+    included, equals e_x - e_y exactly (residual 0.0; otherwise the residual
+    is the norm of the integer difference).  MalformedCertificate covers
+    multipliers that are missing, of the wrong length or not integers, hops
+    that are not pairs of written point ids, last 2H set rows other than the
+    hop rows (Certificate), and a written set or claim naming an id past the
+    written points.  Past the shape checks, `detail` carries the worst
+    distance error and norm excess: of the failing set or hop on SetInvalid,
+    over all written sets and hops otherwise.  A hop's distance error is
+    |sqrt(beta(n)**2 + ||b - a||**2/4) - 1|, that of its sets, and its norm
+    excess that of its ends.  `point_count` counts the named points,
+    written and shared.
     """
     n = cert.n
     pts = np.asarray(cert.points, dtype=float)
     if n < 1 or pts.ndim != 2 or pts.shape[1] != n or not np.all(np.isfinite(pts)):
         return CheckReport(accepted=False, failure="MalformedCertificate",
                            detail={"reason": "bad point table"})
-    count = pts.shape[0]
+    written = pts.shape[0]
     claim = cert.claim
-    if len(claim) != 2 or not all(_is_int(i) and 0 <= i < max(count, 1) for i in claim):
+    if len(claim) != 2 or not all(_is_int(i) and 0 <= i < max(written, 1) for i in claim):
         return CheckReport(accepted=False, failure="MalformedCertificate",
                            detail={"reason": "claim indices out of range"})
+    ends = _hop_table(cert.hops, written)
+    if ends is None or (len(ends) and n < 2):
+        reason = ("hops must be pairs of written point ids" if ends is None
+                  else "hops need n >= 2")
+        return CheckReport(accepted=False, failure="MalformedCertificate",
+                           detail={"reason": reason})
+    count = written + n * len(ends)
     set_count = len(cert.sets)
 
     def report(failure: str | None, residual: float | None, **detail) -> CheckReport:
@@ -486,11 +551,25 @@ def check_certificate(cert: Certificate, tol: Tolerance = DEFAULT_TOL) -> CheckR
     if isinstance(ids, int):
         return report("MalformedCertificate", None,
                       reason=f"set {ids} is not an (n+1)-tuple of valid ids")
+    kept = set_count - 2 * len(ends)
+    if kept < 0 or not np.array_equal(ids[kept:], _hop_rows(ends, written, n)):
+        return report("MalformedCertificate", None,
+                      reason="the last 2H sets must be the hops' own, in hop order")
+    if ids[:kept].max(initial=-1) >= written:
+        shared = np.flatnonzero((ids[:kept] >= written).any(axis=1))[0]
+        return report("MalformedCertificate", None,
+                      reason=f"written set {shared} names a hop's shared point")
     try:
         multipliers = _checked_multipliers(cert.multipliers, set_count, set_count, n)
     except MalformedCertificate as exc:
         return report("MalformedCertificate", None, reason=str(exc))
-    failed, dist_err, norm_excess = _recheck(pts, ids, tol)
+    failed, dist_err, norm_excess = _recheck(pts, ids[:kept], tol)
+    if failed is None and len(ends):
+        hop, hop_err, hop_excess = _check_hops(pts, ends, tol)
+        if hop is None:
+            dist_err, norm_excess = max(dist_err, hop_err), max(norm_excess, hop_excess)
+        else:
+            failed, dist_err, norm_excess = kept + 2 * hop, hop_err, hop_excess
     margins = {"worst_distance_error": dist_err, "worst_norm_excess": norm_excess}
     if failed is not None:
         return report("SetInvalid", None, set_index=failed, **margins)
@@ -525,16 +604,21 @@ def _point_key(p) -> bytes:
 class _Fragment:
     """A relation built once in a fresh generator, merged into certificates.
 
-    `points` is read-only; `sets` are (local point ids, stage tag) in
-    registration order; `terms` are the relation's (local set, coefficient)
-    pairs; `hops` are its (set pair, hop row) items (_Builder.hops) in local
-    set and point ids.
+    Every array is read-only.  `points` are its point rows and `keys` their
+    _point_key bytes; `sets` is its (F, n+1) table of local point ids, in
+    registration order, with `stages` their stage tags; `terms` are the
+    relation's (local set, coefficient) pairs; its kept hops (_Builder.hops)
+    are `hop_pairs`, their (K, 2) local a-set and b-set indices, and
+    `hop_rows`, their (K, n+2) local point ids.
     """
 
     points: np.ndarray
-    sets: tuple[tuple[tuple[int, ...], str], ...]
+    keys: bytes
+    sets: np.ndarray
+    stages: tuple[str, ...]
     terms: tuple[tuple[int, int], ...]
-    hops: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]
+    hop_pairs: np.ndarray
+    hop_rows: np.ndarray
 
 
 class _Builder:
@@ -571,10 +655,12 @@ class _Builder:
         self.pending = 0
         self.hops: dict[tuple[int, int], tuple[int, ...]] = {}
 
-    def ids(self, points: np.ndarray) -> list[int]:
-        """Point ids of a stack of rows, in row order, keyed in one pass;
-        a row whose key is new is added to the table."""
-        keys = _point_key(points)
+    def ids(self, points: np.ndarray, keys: bytes | None = None) -> list[int]:
+        """Point ids of a stack of rows, in row order, keyed in one pass (or
+        by `keys`, their _point_key); a row whose key is new is added to the
+        table."""
+        if keys is None:
+            keys = _point_key(points)
         width = len(keys) // len(points)
         found = []
         for i, p in enumerate(points):
@@ -584,8 +670,9 @@ class _Builder:
             found.append(pid)
         return found
 
-    def _register(self, ids, stage: str) -> int:
-        ids = tuple(sorted(ids))
+    def _register(self, ids: tuple[int, ...], stage: str) -> int:
+        """Index of the set of the sorted point ids, which is added unless
+        already present."""
         if len(set(ids)) != self.n + 1:
             raise GenerationFailure(stage, "set collapsed under point deduplication")
         if ids in self.set_index:
@@ -609,7 +696,7 @@ class _Builder:
     def add_set(self, s: EquilateralSet, stage: str) -> int:
         """Slot of the set, which is added unless already present."""
         def register(links):
-            return [self._register(self.ids(s.points), stage)]
+            return [self._register(tuple(sorted(self.ids(s.points))), stage)]
         return self._enqueue(register, 1)[0]
 
     def add_chain(self, waypoints: np.ndarray, stage: str) -> list[tuple[int, int]]:
@@ -631,7 +718,8 @@ class _Builder:
     def _register_hop(self, ids: list[int], stage: str) -> list[int]:
         """Register the two sets of the hop row ids, (a, shared..., b), and
         keep the row."""
-        pair = self._register(ids[:-1], stage), self._register(ids[1:], stage)
+        pair = (self._register(tuple(sorted(ids[:-1])), stage),
+                self._register(tuple(sorted(ids[1:])), stage))
         self._keep_hop(pair, tuple(ids))
         return list(pair)
 
@@ -641,12 +729,15 @@ class _Builder:
 
     def add_fragment(self, frag: _Fragment) -> range:
         """Slots of the fragment's sets, which are added with its points in its
-        order and with its stage tags, and its hops."""
+        order and with its stage tags, and its hops: the points are keyed in
+        one pass, and the sets and hop rows remapped by one gather each."""
         def register(links):
-            ids = self.ids(frag.points)
-            where = [self._register([ids[i] for i in local], stage) for local, stage in frag.sets]
-            for (a, b), row in frag.hops:
-                self._keep_hop((where[a], where[b]), tuple(ids[i] for i in row))
+            ids = np.array(self.ids(frag.points, frag.keys), dtype=np.int64)
+            rows = map(tuple, np.sort(ids[frag.sets], axis=1).tolist())
+            where = [self._register(row, stage) for row, stage in zip(rows, frag.stages)]
+            pairs = np.array(where, dtype=np.int64)[frag.hop_pairs].tolist()
+            for pair, row in zip(pairs, ids[frag.hop_rows].tolist()):
+                self._keep_hop(tuple(pair), tuple(row))
             return where
         return self._enqueue(register, len(frag.sets))
 
@@ -671,6 +762,14 @@ class _Builder:
         for register in queue:
             self.slots += register(links)
 
+    def tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The registered sets as an (S, n+1) int64 table, and the kept hops
+        as their (K, 2) set pairs and (K, n+2) point-id rows."""
+        hops = len(self.hops)
+        return (np.array(self.sets, dtype=np.int64).reshape(len(self.sets), self.n + 1),
+                np.array(list(self.hops), dtype=np.int64).reshape(hops, 2),
+                np.array(list(self.hops.values()), dtype=np.int64).reshape(hops, self.n + 2))
+
     def certificate(self, claim: tuple[int, int], multipliers: list[int]) -> Certificate:
         """The certificate of the registered sets, its points and sets
         renumbered and its multipliers permuted with the sets.
@@ -678,25 +777,25 @@ class _Builder:
         A hop is listed in `hops` when its two sets carry opposite
         multipliers and none of its shared points lies in a set other than
         the hop's two, is a claim point or is a hop's end.  The other points
-        keep their first-appearance order, ahead of the shared points of the
-        listed hops, hop by hop in vertex order; the other sets keep their
-        registration order, ahead of each listed hop's a-set and b-set, in
-        hop order (Certificate).  The table holds no -0.0, which JSON would
-        read back as 0.0.
+        are the written ones, in first-appearance order; the shared points
+        of the listed hops take the ids after them, hop by hop in vertex
+        order, and leave the table.  The other sets keep their registration
+        order, ahead of each listed hop's a-set and b-set, in hop order
+        (Certificate).  The table holds no -0.0, which JSON would read back
+        as 0.0.
         """
         count, n = len(self.points), self.n
-        sets = np.array(self.sets, dtype=np.int64).reshape(len(self.sets), n + 1)
-        pairs = np.array(list(self.hops), dtype=np.int64).reshape(len(self.hops), 2)
-        rows = np.array(list(self.hops.values()), dtype=np.int64).reshape(len(self.hops), n + 2)
+        sets, pairs, rows = self.tables()
         lam = np.array(multipliers)
         pinned = np.bincount(sets.ravel(), minlength=count) != 2
         pinned[rows[:, [0, -1]]] = True
         pinned[list(claim)] = True
         listed = ~pinned[rows[:, 1:-1]].any(axis=1) & (lam[pairs[:, 0]] == -lam[pairs[:, 1]])
         rows, pairs = rows[listed], pairs[listed]
-        written = np.ones(count, dtype=bool)
-        written[rows[:, 1:-1]] = False
-        order = np.concatenate([np.flatnonzero(written), rows[:, 1:-1].ravel()])
+        is_written = np.ones(count, dtype=bool)
+        is_written[rows[:, 1:-1]] = False
+        written = np.flatnonzero(is_written)
+        order = np.concatenate([written, rows[:, 1:-1].ravel()])
         new_id = np.empty(count, dtype=np.int64)
         new_id[order] = np.arange(count)
         kept = np.ones(len(sets), dtype=bool)
@@ -704,7 +803,7 @@ class _Builder:
         set_order = np.concatenate([np.flatnonzero(kept), pairs.ravel()])
         return Certificate(
             n=n,
-            points=np.array(self.points)[order] + 0.0,
+            points=np.array([self.points[i] for i in written.tolist()]).reshape(-1, n) + 0.0,
             sets=np.sort(new_id[sets[set_order]], axis=1),
             claim=(int(new_id[claim[0]]), int(new_id[claim[1]])),
             multipliers=lam[set_order].tolist(),
@@ -930,12 +1029,15 @@ def _closing_fragment(n: int, tol: Tolerance) -> _Fragment:
         root = gen._emit_closing()
     finally:
         gen.builder.flush()
-    b = gen.builder
-    points = np.array(b.points)
-    points.flags.writeable = False
+    points = np.array(gen.builder.points)
+    sets, hop_pairs, hop_rows = gen.builder.tables()
     terms = tuple((i, m) for i, m in enumerate(gen._multipliers(root)) if m)
-    return _Fragment(points=points, sets=tuple(zip(b.sets, b.stages)), terms=terms,
-                     hops=tuple(b.hops.items()))
+    frag = _Fragment(points=points, keys=_point_key(points), sets=sets,
+                     stages=tuple(gen.builder.stages), terms=terms, hop_pairs=hop_pairs,
+                     hop_rows=hop_rows)
+    for table in (frag.points, frag.sets, frag.hop_pairs, frag.hop_rows):
+        table.flags.writeable = False
+    return frag
 
 
 def generate_equality_certificate(x, y, n: int,

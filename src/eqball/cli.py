@@ -192,7 +192,7 @@ def cmd_certify(args) -> int:
     text = certificate_to_json(cert, tol)
     _emit(args, {}, text=text)
     if not getattr(args, "quiet", False):
-        print(f"sets={len(cert.sets)} points={cert.points.shape[0]}", file=sys.stderr)
+        print(f"sets={len(cert.sets)} points={cert.point_count}", file=sys.stderr)
     return 0
 
 

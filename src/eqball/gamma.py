@@ -25,8 +25,17 @@ t <= RANK_RESIDUAL keeps its canonical orientation, which adds at most
 The shared points are a function of the values of a and b alone
 (_shared_points): a -0.0 in x0 or b - a counts as 0.0, where
 simplex_on_spheres would take the other Householder reflection for a
-normal ending in -0.0.  So a certificate parser rebuilds them bit for bit
-from ends it reads back from JSON, which writes -0.0 as "-0", read as 0.
+normal ending in -0.0, as point identity counts -0.0 equal to 0.0.
+
+hop_checks is the hop rule: a != b, both ends in the ball, the length and
+the hop bound, each within eps_eq, in O(n) per pair.  A pair that passes it
+has shared points whose two sets pass the re-check at eps_eq: each shared
+point has norm at most sqrt(1 + eps_eq) < 1 + eps_eq, and a length off by
+at most eps_eq moves the distance sqrt(beta(n)**2 + ||b - a||**2/4) from an
+end to the shared points by at most about alpha(n+1)*eps_eq/2 < eps_eq.  So
+a certificate checker applies the rule and needs no shared point;
+gamma1_link applies it, then builds the shared points and re-checks both
+sets.
 """
 from __future__ import annotations
 
@@ -56,13 +65,14 @@ class GammaResult:
 
 def _pair_checks(A, B, tol: Tolerance):
     """Argument checks of every clearance entry point on the pairs (rows of
-    A, B): A and B as floats, the hops B - A, their lengths, and the
-    first_failure checks that a != b, then a and b lie in the ball."""
+    A, B): A and B as floats, the hops B - A, their lengths, the norms of A
+    and B, and the first_failure checks that a != b, then a and b lie in
+    the ball."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.ndim != 2 or A.shape != B.shape or A.shape[0] < 1:
         raise InputError(f"endpoint arrays must share a (k, n) shape, got {A.shape} and {B.shape}")
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise InputError("point has non-finite components")
     if A.shape[1] < 2:
         raise InputError("clearance needs ambient dimension >= 2")
@@ -78,7 +88,7 @@ def _pair_checks(A, B, tol: Tolerance):
         (norm_b > 1.0 + eps, lambda i: InputError(
             f"point with norm {norm_b[i]:.12f} is outside the ball")),
     ]
-    return A, B, diff, dist, checks
+    return A, B, diff, dist, (norm_a, norm_b), checks
 
 
 def _validate_pair(a, b, tol: Tolerance):
@@ -161,43 +171,57 @@ def gamma_bruteforce(a, b, M: Frame, grid_step: float = GRID_STEP,
     return float(rs[np.count_nonzero(ok) - 1])
 
 
-def gamma1_link(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Shared points of the hop a -> b, an (n, n) array, or of the k hops
-    a_i -> b_i, rows of two (k, n) stacks, a (k, n, n) array.
-
-    The n shared points of a hop complete both {a} and {b} to maximal
-    in-ball sets, which differ only in a vs b.  Requires ||b - a|| =
-    2*alpha(n+1) and the hop bound (module docstring) at most 1 + eps_eq,
-    which every such pair of the ball meets.  The shared points sit on the
-    sphere of radius beta(n) around the midpoint x0, orthogonal to b - a,
-    one at x0 - beta(n)*u; each is at distance 1 from a and b.  Every check
-    runs as an array mask over the hops, and the sets {a} + shared and
-    {b} + shared are re-checked in one check_sets call; if any hop fails,
-    the error of the first failing hop, and of its first failing check, is
-    raised.
-    """
-    if np.ndim(a) != 2:
-        a = as_point(a)
-        return gamma1_link(a[None, :], as_point(b, a.size)[None, :], tol)[0]
-    A, B, diff, dist, checks = _pair_checks(a, b, tol)
+def hop_checks(A, B, tol: Tolerance = DEFAULT_TOL):
+    """The hop rule on the pairs (rows of A, B): _pair_checks' results, its
+    checks followed by ||b - a|| within eps_eq of 2*alpha(n+1) and the hop
+    bound (module docstring) at most 1 + eps_eq.  These checks are O(n) per
+    pair, and a pair that passes them is a hop: its n shared points exist
+    and complete {a} and {b} to maximal sets of the ball, so a checker need
+    not build them."""
+    A, B, diff, dist, norms, checks = _pair_checks(A, B, tol)
     n = A.shape[1]
     eps = tol.eps_eq
     target = 2.0 * alpha(n + 1)
     bn = beta(n)
     x0 = (A + B) / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         perp = _perp(x0, diff / dist[:, None])
-    bound = row_dot(x0, x0) + bn * bn + 2.0 * bn * np.sqrt(row_dot(perp, perp)) / (n - 1)
-    failed = first_failure(checks + [
+        bound = row_dot(x0, x0) + bn * bn + 2.0 * bn * np.sqrt(row_dot(perp, perp)) / (n - 1)
+    checks += [
         (np.abs(dist - target) > eps, lambda i: InputError(
             f"||b-a||={dist[i]:.12f}, need {target:.12f}")),
         (bound > 1.0 + eps, lambda i: InputError(
             f"hop bound {bound[i]:.12f} exceeds 1: a shared point would leave the ball")),
-    ])
+    ]
+    return A, B, diff, dist, norms, checks
+
+
+def gamma1_link(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Shared points of the hop a -> b, an (n, n) array, or of the k hops
+    a_i -> b_i, rows of two (k, n) stacks, a (k, n, n) array.
+
+    The n shared points of a hop complete both {a} and {b} to maximal
+    in-ball sets, which differ only in a vs b.  Requires the hop rule
+    (hop_checks): ||b - a|| = 2*alpha(n+1) and the hop bound at most
+    1 + eps_eq, which every such pair of the ball meets.  The shared points
+    sit on the sphere of radius beta(n) around the midpoint x0, orthogonal
+    to b - a, one at x0 - beta(n)*u; each is at distance 1 from a and b.
+    Every check runs as an array mask over the hops, and the sets
+    {a} + shared and {b} + shared are re-checked in one check_sets call; if
+    any hop fails, the error of the first failing hop, and of its first
+    failing check, is raised.
+    """
+    if np.ndim(a) != 2:
+        a = as_point(a)
+        return gamma1_link(a[None, :], as_point(b, a.size)[None, :], tol)[0]
+    A, B, diff, dist, _, checks = hop_checks(a, b, tol)
+    n = A.shape[1]
+    eps = tol.eps_eq
+    failed = first_failure(checks)
     # Hops before the first failing one go on to the checks of their sets.
     m = A.shape[0] if failed is None else failed[0]
     if m:
-        shared = _shared_points(x0[:m], diff[:m])
+        shared = _shared_points((A[:m] + B[:m]) / 2.0, diff[:m])
         shared_norm = np.sqrt(row_dot(shared, shared)).max(axis=1)
         checks = [(shared_norm > 1.0 + eps, lambda i: ConstructionError(
             "a shared point left the ball; the hop bound was too tight"))]

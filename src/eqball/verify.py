@@ -264,9 +264,10 @@ def _sum_rows(ids: np.ndarray, count: int) -> np.ndarray:
 
 
 def _feasible_assignments(cert: Certificate, count: int, rng) -> np.ndarray:
-    """`count` random weights (columns over the points and the constant)
-    that satisfy every sum equation of the certificate."""
-    p = cert.points.shape[0]
+    """`count` random weights (columns over the named points, written and
+    shared, and the constant) that satisfy every sum equation of the
+    certificate."""
+    p = cert.point_count
     rows = _sum_rows(np.asarray(cert.sets, dtype=np.int64).reshape(-1, cert.n + 1), p)
     g = rng.standard_normal((p + 1, count))
     row_part, *_ = np.linalg.lstsq(rows, rows @ g, rcond=None)
@@ -333,8 +334,9 @@ def suite_falsifier(samples: int, frames_per_n: int, seed: int) -> SuiteResult:
 def suite_negative_controls(seed: int) -> SuiteResult:
     """The checker rejects a generated certificate with one coordinate moved
     by 1e-3, and a claim on two points of one set: a gamma-1 link set and the
-    certificate's first set, each with its own equation as the combination
-    (no multiplier proves such a claim: its W entry must be 0)."""
+    certificate's first set, each as a one-set certificate of its own points
+    with its own equation as the combination (no multiplier proves such a
+    claim: its W entry must be 0)."""
     rng = np.random.default_rng(seed)
     x, y = _ball_point(rng, 3), _ball_point(rng, 3)
     cert = generate_equality_certificate(x, y, 3)
@@ -342,15 +344,19 @@ def suite_negative_controls(seed: int) -> SuiteResult:
     points[cert.sets[0][0]][0] += 1e-3
     tampered = check_certificate(Certificate(n=3, points=points, sets=cert.sets, claim=cert.claim,
                                              generator_params=cert.generator_params,
-                                             multipliers=cert.multipliers))
+                                             multipliers=cert.multipliers, hops=cert.hops))
     a4 = alpha(4)
     a = np.array([0.0, 0.0, -a4])
     link = np.vstack([a, gamma1_link(a, np.array([0.0, 0.0, a4]))])
     single_link = check_certificate(Certificate(n=3, points=link, sets=[(0, 1, 2, 3)],
                                                 claim=(0, 1), multipliers=[1]))
-    first = cert.sets[0]
-    single_set = check_certificate(Certificate(n=3, points=cert.points, sets=[first],
-                                               claim=(first[0], first[1]), multipliers=[1]))
+    if len(cert.sets) > 2 * len(cert.hops):  # a written set
+        first = cert.points[cert.sets[0]]
+    else:  # hop 0's a-set: its end a, then the shared points, which no table holds
+        end_a, end_b = cert.points[list(cert.hops[0])]
+        first = np.vstack([end_a, gamma1_link(end_a, end_b)])
+    single_set = check_certificate(Certificate(n=3, points=first, sets=[(0, 1, 2, 3)],
+                                               claim=(0, 1), multipliers=[1]))
     failures = {"tampered": tampered.failure, "single_link": single_link.failure,
                 "single_set": single_set.failure}
     passed = failures == {"tampered": "SetInvalid", "single_link": "ClaimNotImplied",

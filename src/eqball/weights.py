@@ -230,7 +230,7 @@ def shell_circuit(n: int, rotation_angle: float, tol: Tolerance = DEFAULT_TOL) -
         for j in range(1, ARC_SAMPLES + 1):
             theta = arc.theta_start + (arc.theta_end - arc.theta_start) * j / (ARC_SAMPLES + 1)
             moves.append((arc.point_at(theta), points[name]))
-    P, Q, diff, dist, checks = _pair_checks(*zip(*moves), tol)
+    P, Q, diff, dist, _, checks = _pair_checks(*zip(*moves), tol)
     with np.errstate(divide="ignore", invalid="ignore"):
         clearance = _clearance((P + Q) / 2.0, diff / dist[:, None])[0]
     failed = first_failure([

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib
 import json
 import math
 import re
@@ -30,7 +31,7 @@ from eqball.certify import (
     generate_equality_certificate,
     theorem_step_relation,
 )
-from eqball.errors import GenerationFailure, InputError, MalformedCertificate
+from eqball.errors import ConstructionError, GenerationFailure, InputError, MalformedCertificate
 from eqball.gamma import gamma1_link
 from eqball.geometry import DEFAULT_TOL, Tolerance, section2d
 from eqball.simplex import EquilateralSet, alpha, beta, canonical_simplex, simplex_on_spheres
@@ -214,18 +215,25 @@ def test_checker_reflexive_claim():
 
 
 def test_checker_is_permutation_invariant():
+    """Relabelling the written points and reordering the written sets, with
+    their multipliers, keeps the verdict; the hop rows stay last, in hop
+    order, their ends relabelled."""
     rng = np.random.default_rng(33)
     cert = generate_equality_certificate(np.array([0.2, 0.3]), np.array([0.7, -0.4]), 2)
-    relabel = rng.permutation(cert.points.shape[0])  # old id -> new id
+    written, kept = len(cert.points), len(cert.sets) - 2 * len(cert.hops)
+    assert kept > 1 and cert.hops
+    # old id -> new id: the written points permuted, the shared ids kept
+    relabel = np.concatenate([rng.permutation(written), np.arange(written, cert.point_count)])
     new_points = np.empty_like(cert.points)
-    new_points[relabel] = cert.points
-    order = rng.permutation(len(cert.sets))  # the sets, with their multipliers
+    new_points[relabel[:written]] = cert.points
+    order = np.concatenate([rng.permutation(kept), np.arange(kept, len(cert.sets))])
     shuffled = Certificate(
         n=2,
         points=new_points,
         sets=[tuple(int(relabel[i]) for i in cert.sets[j]) for j in order],
         claim=(int(relabel[cert.claim[0]]), int(relabel[cert.claim[1]])),
         multipliers=[cert.multipliers[j] for j in order],
+        hops=[tuple(int(relabel[i]) for i in hop) for hop in cert.hops],
     )
     assert check_certificate(shuffled).accepted
     as_table = dataclasses.replace(shuffled, sets=np.array(shuffled.sets, dtype=np.int64))
@@ -413,15 +421,14 @@ def test_json_round_trip_is_exact():
 
 def _plain_document(cert):
     """The certificate document as nested lists, for the recursive _dumps:
-    the points and sets that hops rebuild are left out, and each hop keeps
-    the multiplier of its a-set."""
-    written = len(cert.points) - cert.n * len(cert.hops)
+    the written points, the sets less the hops' own, and each hop keeps the
+    multiplier of its a-set."""
     kept = len(cert.sets) - 2 * len(cert.hops)
     return {
         "version": 4,
         "n": cert.n,
         "tolerance": {"eps_eq": DEFAULT_TOL.eps_eq, "grid_step": 1e-4},
-        "points": [[float(c) for c in p] for p in cert.points[:written]],
+        "points": [[float(c) for c in p] for p in cert.points],
         "hops": [list(map(int, h)) for h in cert.hops],
         "sets": [list(map(int, s)) for s in cert.sets[:kept]],
         "claim": [int(cert.claim[0]), int(cert.claim[1])],
@@ -509,18 +516,26 @@ def _parse(doc):
 
 
 def test_hop_points_are_rebuilt_after_the_written_points():
-    """The n shared points of hop h are ids E + n*h .. E + n*h + n - 1, the
-    rows of one simplex_on_spheres call on the hop's ends with -0.0 read as
-    0.0, bit for bit; the sets of a listed hop are its only sets that hold
-    them."""
-    cert = _mixed_certificate()
+    """The ids E + n*h .. E + n*h + n - 1 name the n shared points of hop h,
+    after the E written points, and no table holds them; the generator
+    built them as the rows of one simplex_on_spheres call on the hop's ends
+    with -0.0 read as 0.0, bit for bit; the sets of a listed hop are its
+    only sets that hold them."""
+    gen = _Generator(3, DEFAULT_TOL)
+    cert = gen.run(np.zeros(3), np.array([0.95, 0.0, 0.0]))
+    assert certificate_to_json(cert) == certificate_to_json(_mixed_certificate())
     n, hops = cert.n, np.array(cert.hops)
-    written = len(cert.points) - n * len(hops)
+    written = len(cert.points)
     assert len(_document(cert)["points"]) == written and len(hops) > 0
     assert hops.max() < written
+    assert cert.point_count == written + n * len(hops) == cert.sets.max() + 1
     a, b = cert.points[hops[:, 0]], cert.points[hops[:, 1]]
     shared = simplex_on_spheres((a + b) / 2.0 + 0.0, (b - a) + 0.0, beta(n)).reshape(-1, n) + 0.0
-    assert shared.tobytes() == cert.points[written:].tobytes()
+    # The generator's own rows of the listed hops, found by their ends.
+    rows = {(row[0], row[-1]): row[1:-1] for row in gen.builder.hops.values()}
+    ends = [tuple(gen.builder.index[_point_key(cert.points[i])] for i in hop) for hop in hops]
+    built = np.array([gen.builder.points[i] for end in ends for i in rows[end]]) + 0.0
+    assert shared.tobytes() == built.tobytes()
     holders = {}
     for s in cert.sets:
         for i in s:
@@ -563,7 +578,8 @@ def test_a_hop_whose_sets_do_not_carry_opposite_multipliers_stays_written():
     lam[set_b] += 1
     doctored = gen.builder.certificate(cert.claim, lam)
     assert len(doctored.hops) == len(cert.hops) - 1
-    assert (len(doctored.sets), len(doctored.points)) == (len(cert.sets), len(cert.points))
+    assert (len(doctored.sets), doctored.point_count) == (len(cert.sets), cert.point_count)
+    assert len(doctored.points) == len(cert.points) + cert.n
     ends = {(doctored.points[i].tobytes(), doctored.points[j].tobytes()) for i, j in doctored.hops}
     assert (gen.builder.points[row[0]].tobytes(), gen.builder.points[row[-1]].tobytes()) not in ends
     assert len(_document(doctored)["sets"]) == len(_document(cert)["sets"]) + 2
@@ -590,9 +606,9 @@ def test_a_hop_registered_both_ways_is_kept_once():
 
 @pytest.mark.parametrize("tamper", ["moved-end", "multiplier", "hop-multiplier"])
 def test_tampered_hop_documents_are_rejected(tamper):
-    """A hop end moved by 1e-3 moves the rebuilt points with it, so the hop's
-    sets fail their re-check; a changed written-set multiplier, or a hop's
-    multiplier flipped, leaves the claim unproven."""
+    """A hop end moved by 1e-3 takes the hop off its length, so it fails the
+    hop rule; a changed written-set multiplier, or a hop's multiplier
+    flipped, leaves the claim unproven."""
     doc = _document(_mixed_certificate())
     if tamper == "moved-end":
         doc["points"][doc["hops"][0][0]][0] += 1e-3
@@ -619,21 +635,26 @@ def _one_hop_document(a, b):
 @pytest.mark.parametrize("n", [2, 3, 6])
 def test_one_hop_documents(n):
     """Both ends in the ball at exact hop length: accepted.  A hop 1e-6 off
-    its length, or one whose ends at norm 1.01 put its rebuilt points out of
-    the ball (in-ball ends keep them in, gamma's hop bound), is SetInvalid."""
+    its length, or one whose ends lie at norm 1.01, so that its shared
+    points would leave the ball (in-ball ends keep them in, gamma's hop
+    bound), is SetInvalid at its a-set."""
     hop = 2.0 * alpha(n + 1)
     e1, e2 = np.eye(n)[0], np.eye(n)[1]
     a = 0.4 * e2 - hop / 2.0 * e1
     assert check_certificate(_parse(_one_hop_document(a, a + hop * e1))).accepted
     report = check_certificate(_parse(_one_hop_document(a, a + (hop + 1e-6) * e1)))
     assert report.failure == "SetInvalid" and report.detail["worst_distance_error"] > 1e-7
+    assert report.detail["set_index"] == 0
     r = 1.01
     far = math.sqrt(r * r - hop * hop / 4.0) * e2
     doc = _one_hop_document(far - hop / 2.0 * e1, far + hop / 2.0 * e1)
     cert = _parse(doc)
-    assert np.linalg.norm(cert.points[2:], axis=1).max() > 1.0
+    assert np.linalg.norm(cert.points, axis=1).min() > 1.0
+    with pytest.raises(InputError, match="outside the ball"):
+        gamma1_link(*cert.points)
     report = check_certificate(cert)
     assert report.failure == "SetInvalid" and report.detail["worst_norm_excess"] > 1e-3
+    assert report.detail["set_index"] == 0
 
 
 @pytest.mark.parametrize("rewrite, message", [
@@ -673,14 +694,189 @@ def test_malformed_hops(rewrite, message):
 
 
 def test_too_many_hop_coordinates_is_malformed(monkeypatch):
-    """A document cannot make the parser rebuild more than
-    MAX_HOP_COORDINATES coordinates; the check runs before any is built."""
+    """A document cannot make the parser build a hop-set id table of more
+    than MAX_HOP_SET_CELLS cells, 2*(n+1) per hop; the check runs before the
+    table is built, and a table of exactly the bound parses."""
     doc = _document(_mixed_certificate())
-    monkeypatch.setattr(certify, "MAX_HOP_COORDINATES", doc["n"] ** 2 * (len(doc["hops"]) - 1))
-    with pytest.raises(MalformedCertificate, match="^hops would rebuild more than"):
+    cells = 2 * len(doc["hops"]) * (doc["n"] + 1)
+    monkeypatch.setattr(certify, "MAX_HOP_SET_CELLS", cells - 1)
+    with pytest.raises(MalformedCertificate, match="^hops would make more than"):
         _parse(doc)
+    monkeypatch.setattr(certify, "MAX_HOP_SET_CELLS", cells)
+    assert check_certificate(_parse(doc)).accepted
     monkeypatch.undo()
     assert check_certificate(_parse(doc)).accepted
+
+
+
+def test_one_hop_document_at_n512_parses_and_checks_in_bounded_memory():
+    """A one-hop document at n = 512, two written points, parses and checks
+    in O(n) memory: a traced peak of at most 16 MB, where building its 512
+    shared points and re-checking its two 513-point sets would hold 0.5 GB
+    difference stacks.  With one end moved by 1e-3 it is SetInvalid at the
+    hop's a-set."""
+    n = 512
+    hop = 2.0 * alpha(n + 1)
+    e1, e2 = np.eye(n)[0], np.eye(n)[1]
+    a = 0.4 * e2 - hop / 2.0 * e1
+    doc = _one_hop_document(a, a + hop * e1)
+    text = json.dumps(doc)
+    tracemalloc.start()
+    try:
+        report = check_certificate(certificate_from_json(text))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.accepted and report.point_count == 2 + n
+    assert peak <= 16e6
+    doc["points"][1][0] += 1e-3
+    report = check_certificate(_parse(doc))
+    assert report.failure == "SetInvalid" and report.detail["set_index"] == 0
+
+
+def test_parse_and_check_build_no_shared_point(monkeypatch):
+    """Neither the parser nor the checker builds a hop's shared points: with
+    the generator's kernels refusing every call, a certificate still parses
+    and checks."""
+    text = certificate_to_json(_mixed_certificate())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a shared point was built")
+
+    gamma = importlib.import_module("eqball.gamma")  # the package's `gamma` is the function
+    for module, name in [(gamma, "_shared_points"), (gamma, "simplex_on_spheres"),
+                         (gamma, "gamma1_link"), (certify, "gamma1_link"),
+                         (simplex, "simplex_on_spheres")]:
+        monkeypatch.setattr(module, name, refuse)
+    assert not hasattr(certify, "_shared_points")
+    assert check_certificate(certificate_from_json(text)).accepted
+
+
+def test_hop_margins_are_those_of_its_sets():
+    """An accepted hop reports the distance error of its sets as
+    |sqrt(beta(n)**2 + ||b - a||**2/4) - 1|, which the re-check of the sets
+    gamma1_link builds measures to rounding, and the norm excess of its
+    ends."""
+    n = 4
+    hop = 2.0 * alpha(n + 1) + 4e-10
+    e1, e2 = np.eye(n)[0], np.eye(n)[1]
+    far = math.sqrt((1.0 + 3e-10) ** 2 - hop * hop / 4.0) * e2
+    a, b = far - hop / 2.0 * e1, far + hop / 2.0 * e1
+    report = check_certificate(_parse(_one_hop_document(a, b)))
+    assert report.accepted
+    expected = abs(math.sqrt(beta(n) ** 2 + float(np.linalg.norm(b - a)) ** 2 / 4.0) - 1.0)
+    assert report.detail["worst_distance_error"] == pytest.approx(expected, abs=1e-16)
+    rows = np.vstack([a, gamma1_link(a, b), b])
+    err = simplex.check_sets(rows, True, ids=np.array([np.arange(n + 1), np.arange(1, n + 2)]))[0]
+    assert abs(err.max() - expected) < 1e-15
+    excess = report.detail["worst_norm_excess"]
+    assert excess == pytest.approx(max(np.linalg.norm(a), np.linalg.norm(b)) - 1.0, abs=1e-16)
+    assert 2e-10 < excess < 4e-10
+
+
+@pytest.mark.parametrize("rewrite, reason", [
+    (lambda c: {"sets": c.sets[:-1], "multipliers": c.multipliers[:-1]}, "^the last 2H sets"),
+    (lambda c: {"sets": np.concatenate([c.sets[:-2], c.sets[-1:], c.sets[-2:-1]])},
+     "^the last 2H sets"),
+    (lambda c: {"hops": c.hops[::-1]}, "^the last 2H sets"),
+    (lambda c: {"hops": c.hops[:-1]}, "^set .* is not an \\(n\\+1\\)-tuple of valid ids$"),
+    (lambda c: {"sets": np.concatenate([[[0, 1, 2, len(c.points)]], c.sets[1:]])},
+     "^written set 0 names a hop's shared point$"),
+    (lambda c: {"claim": (c.claim[0], len(c.points))}, "^claim indices out of range$"),
+    (lambda c: {"hops": [(c.hops[0][0], len(c.points))] + c.hops[1:]},
+     "^hops must be pairs of written point ids$"),
+    (lambda c: {"hops": [(0.0, 1)] + c.hops[1:]}, "^hops must be pairs of written point ids$"),
+    (lambda c: {"hops": None}, "^hops must be pairs of written point ids$"),
+], ids=["b-set-missing", "b-set-first", "hops-reordered", "hop-missing", "written-set-shared-id",
+        "claim-shared-id", "hop-end-shared-id", "hop-end-float", "hops-none"])
+def test_checker_rejects_hop_tables_out_of_shape(rewrite, reason):
+    """The last 2H set rows must be exactly the hop rows, and written sets,
+    claims and hop ends name written points only."""
+    cert = _mixed_certificate()
+    report = check_certificate(dataclasses.replace(cert, **rewrite(cert)))
+    assert report.failure == "MalformedCertificate"
+    assert re.search(reason, report.detail["reason"])
+
+
+def test_failing_hops_are_reported_in_table_order_after_the_written_sets():
+    """A moved point fails the first written set that holds it, or else the
+    first hop in table order that has it as an end, reported at the row of
+    that hop's a-set."""
+    cert = _mixed_certificate()
+    kept = len(cert.sets) - 2 * len(cert.hops)
+    in_written = set(cert.sets[:kept].ravel().tolist())
+    ends = [i for hop in cert.hops for i in hop]
+    cases = [next(i for i in ends if i in in_written), next(i for i in ends if i not in in_written),
+             ends[-1]]
+    for victim in cases:
+        points = cert.points.copy()
+        points[victim, 0] += 1e-3
+        report = check_certificate(dataclasses.replace(cert, points=points))
+        rows = [i for i in range(kept) if victim in cert.sets[i]]
+        rows += [kept + 2 * h for h, hop in enumerate(cert.hops) if victim in hop]
+        assert report.failure == "SetInvalid" and report.detail["set_index"] == rows[0]
+        assert (rows[0] < kept) == (victim in in_written)
+
+
+_HOP_NS = [2, 3, 4, 5, 6, 7, 8, 16, 33, 64]
+
+
+@st.composite
+def _near_hops(draw):
+    """A dimension n and a pair a, b of a drawn plane at distance
+    2*alpha(n+1) + delta, |delta| <= 3*eps_eq, each end on the unit sphere,
+    inside the ball or up to 3*eps_eq outside it."""
+    n = draw(st.sampled_from(_HOP_NS))
+    eps = DEFAULT_TOL.eps_eq
+    d = 2.0 * alpha(n + 1) + eps * draw(st.sampled_from([-3.0, -1.0, 0.0, 1.0, 3.0])
+                                        | st.floats(-3.0, 3.0))
+    radii = (st.sampled_from([d / 2.0, 1.0 - eps, 1.0, 1.0 + eps / 2.0, 1.0 + eps, 1.0 + 3.0 * eps])
+             | st.floats(d / 2.0, 1.0 + 3.0 * eps))
+    ra, rb = draw(radii), draw(radii)
+    assume(abs(ra - rb) <= d <= ra + rb)
+    cos = min(max((ra * ra + rb * rb - d * d) / (2.0 * ra * rb), -1.0), 1.0)
+    if draw(st.booleans()):
+        u, v = np.eye(n)[0], np.eye(n)[-1]
+    else:
+        u, v = np.linalg.qr(np.random.default_rng(draw(st.integers(0, 2**32))).standard_normal(
+            (n, 2)))[0].T
+    return n, ra * u, rb * (cos * u + math.sqrt(1.0 - cos * cos) * v)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(_near_hops())
+def test_hop_rule_accepts_only_pairs_gamma1_link_builds(case):
+    """Soundness of the hop rule near its tolerances: the checker accepts a
+    one-hop certificate exactly when gamma1_link builds the hop's shared
+    points and re-checks both of its sets without error, and rejects every
+    pair whose argument checks fail as SetInvalid."""
+    n, a, b = case
+    try:
+        gamma1_link(a, b)
+        error = None
+    except (InputError, ConstructionError) as exc:
+        error = exc
+    report = check_certificate(_parse(_one_hop_document(a, b)))
+    assert report.accepted == (error is None), (report, error)
+    if error is not None:
+        assert isinstance(error, InputError) and report.failure == "SetInvalid"
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_merged_closing_relation_registers_what_emitting_it_would(n):
+    """The precompiled closing fragment merges into a generator the points,
+    sets, stage tags and hops that building the closing relation in that
+    generator registers."""
+    merged, emitted = _Generator(n, DEFAULT_TOL), _Generator(n, DEFAULT_TOL)
+    for gen in (merged, emitted):
+        gen.resolve(_in_plane(n, 0.97, -0.4))
+    merged._merge_closing()
+    emitted._emit_closing()
+    for gen in (merged, emitted):
+        gen.builder.flush()
+    one, other = merged.builder, emitted.builder
+    assert np.array(one.points).tobytes() == np.array(other.points).tobytes()
+    assert (one.sets, one.stages, one.hops) == (other.sets, other.stages, other.hops)
 
 
 @st.composite
@@ -703,7 +899,7 @@ def _certified_pairs(draw):
 @given(_certified_pairs())
 def test_certificates_round_trip_bit_for_bit(case):
     """A written certificate leaves out two sets and one multiplier per hop;
-    parsing it rebuilds its points bit for bit, with equal sets, claim,
+    parsing it gives its written points bit for bit, with equal sets, claim,
     multipliers and hops, and writing it again gives the same text."""
     n, x, y = case
     cert = generate_equality_certificate(x, y, n)
@@ -1266,17 +1462,21 @@ def test_stage_counts_of_a_five_stage_pair():
     (5, {"shell-link": 76, "bridge": 20, "inner-lemma": 1, "closing": 2}),
 ])
 def test_stage_counts_of_the_closing_relation(n, stages):
-    assert Counter(stage for _, stage in _closing_fragment(n, DEFAULT_TOL).sets) == stages
+    frag = _closing_fragment(n, DEFAULT_TOL)
+    assert len(frag.sets) == len(frag.stages)
+    assert Counter(frag.stages) == stages
 
 
-@pytest.mark.parametrize("x, y, n, sets, points, total", [
-    (_in_plane(5, 0.85, -0.3), _in_plane(5, 0.1875, 0.65), 5, 140, 412, 140),
-    (np.array([0.35, 0.1]), np.array([0.88, 0.2]), 2, 320, 456, 336),
-    (np.zeros(3), np.array([0.95, 0.0, 0.0]), 3, 154, 298, 158),
-    (_in_plane(4, 0.6, 0.2), _in_plane(4, 0.3, -0.7), 4, 62, 153, 62),
+@pytest.mark.parametrize("x, y, n, sets, points, named, total", [
+    (_in_plane(5, 0.85, -0.3), _in_plane(5, 0.1875, 0.65), 5, 140, 72, 412, 140),
+    (np.array([0.35, 0.1]), np.array([0.88, 0.2]), 2, 320, 184, 456, 336),
+    (np.zeros(3), np.array([0.95, 0.0, 0.0]), 3, 154, 82, 298, 158),
+    (_in_plane(4, 0.6, 0.2), _in_plane(4, 0.3, -0.7), 4, 62, 33, 153, 62),
 ])
-def test_certificate_shape_is_pinned(x, y, n, sets, points, total):
-    """Sets, points and sum of |multipliers| of fixed pairs; the first is the
-    fixed pair of the certify-deep benchmark workload."""
+def test_certificate_shape_is_pinned(x, y, n, sets, points, named, total):
+    """Sets, written points, named points (written, and n per hop) and sum
+    of |multipliers| of fixed pairs; the first is the fixed pair of the
+    certify-deep benchmark workload."""
     cert = generate_equality_certificate(x, y, n)
-    assert (len(cert.sets), len(cert.points), sum(map(abs, cert.multipliers))) == (sets, points, total)
+    assert (len(cert.sets), len(cert.points), cert.point_count,
+            sum(map(abs, cert.multipliers))) == (sets, points, named, total)

@@ -350,9 +350,9 @@ def test_gamma1_link_memory_is_bounded_at_n40():
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_gamma1_links_read_values_not_zero_signs(n):
     """Ends whose zeros differ only in sign give the same shared points, bit
-    for bit, so a parser rebuilds a hop from ends read back from JSON, where
-    "-0" reads as 0.  Here b - a ends in -0.0 on one side and 0.0 on the
-    other, which would choose the other Householder reflection."""
+    for bit, as they are one point (JSON reads "-0" back as 0).  Here b - a
+    ends in -0.0 on one side and 0.0 on the other, which would choose the
+    other Householder reflection."""
     hop = 2.0 * alpha(n + 1)
     for shift in (-0.1, 0.0, 0.07):
         a = np.zeros(n)
