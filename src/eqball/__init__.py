@@ -44,15 +44,14 @@ from .weights import (
     shell_circuit,
     sphere_basis_sets,
 )
+from .annulus import constant_lemma_relation, theorem_step_relation
 from .certify import (
     Certificate,
     CheckReport,
     certificate_from_json,
     certificate_to_json,
     check_certificate,
-    constant_lemma_relation,
     generate_equality_certificate,
-    theorem_step_relation,
 )
 
 __all__ = [

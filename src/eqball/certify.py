@@ -49,6 +49,10 @@ closing relation is read, once the queued sets could pass MAX_CERT_SETS,
 and before an error propagates.  The certificate is the one registering
 each request at once would give, and one gamma1_link call per flush
 builds the shared points of every queued hop, chain and bridge alike.
+The builder keeps its points and sets as tables (_Builder), so a flush
+keys all its rows in one pass and the certificate is gathered from the
+tables; the closing relation keeps its points' keys and merges as one
+block.
 
 Certificates are written as format version 4, whose `hops` field lists
 hops as [end id, end id] pairs (a, b).  Neither the n shared points of a
@@ -92,12 +96,12 @@ from .errors import (
     InputError,
     MalformedCertificate,
 )
+from .annulus import constant_lemma_relation, theorem_step_relation
 from .gamma import gamma1_link, hop_checks
 from .geometry import (DEFAULT_TOL, GRID_STEP, RANK_RESIDUAL, Tolerance, _residual, as_point,
-                       clamp_to_range, first_orthogonal_axis, json_number_array)
-from .simplex import EquilateralSet, alpha, beta, cap_extension, check_sets, first_failure
-from .enlarge import enlarge_to_maximal
-from .weights import circle_circle_intersections, eta, lambda_shell, mu, mu_inverse
+                       first_orthogonal_axis, json_number_array)
+from .simplex import EquilateralSet, alpha, beta, check_sets, first_failure
+from .weights import circle_circle_intersections, lambda_shell
 
 CERT_VERSION = 4
 MAX_CERT_SETS = 5000
@@ -111,76 +115,6 @@ INNER_EDGE = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# The two annulus relations.
-
-
-@dataclass(frozen=True)
-class StepRelation:
-    """Maximal set {u, v, x_1..x_{n-1}} with v antipodal to u at norm 1-||u||."""
-
-    set: EquilateralSet
-    u: np.ndarray
-    v: np.ndarray
-    companions: np.ndarray
-    rho0: float
-
-
-def theorem_step_relation(u, rho0: float, n: int,
-                          tol: Tolerance = DEFAULT_TOL) -> StepRelation:
-    """One inward annulus step at radius rho0 through the point u.
-
-    Requires mu(rho0) <= ||u|| <= rho0.  The antipodal partner
-    v = -((1-||u||)/||u||) u satisfies ||u - v|| = ||u|| + ||v|| = 1 and
-    1 - rho0 <= ||v|| <= eta(rho0); enlarging {u, v} to a maximal set adds
-    n-1 vertices whose common norm sqrt(3/4 + (||u|| - 1/2)**2) is at least
-    rho0, so they live in the annulus already covered at this stage.
-    """
-    u = as_point(u, n)
-    s = math.sqrt(u @ u)
-    rho_max = mu_inverse(n, min(lambda_shell(n), 1.0), tol)
-    rho0 = clamp_to_range("rho0", rho0, beta(n), rho_max, tol)
-    lo = mu(n, rho0, tol)
-    if s < lo - 2 * tol.eps_eq or s > rho0 + 2 * tol.eps_eq:
-        raise InputError(
-            f"||u||={s:.12f} outside the step window [{lo:.12f}, {rho0:.12f}]")
-    v = -((1.0 - s) / s) * u
-    pair = EquilateralSet(np.vstack([u, v]))
-    maximal, _ = enlarge_to_maximal(pair, tol)
-    companions = maximal.points[2:]
-    w = (u + v) / 2.0
-    mid_sq = np.linalg.norm(companions - w, axis=1) ** 2
-    if float(np.max(np.abs(mid_sq - 0.75))) > 1e-9:
-        raise ConstructionError("companion distance to the pair midpoint is not sqrt(3)/2")
-    norm_sq = np.linalg.norm(companions, axis=1) ** 2
-    predicted = 0.75 + (s - 0.5) ** 2
-    if float(np.max(np.abs(norm_sq - predicted))) > 1e-9:
-        raise ConstructionError("companion norm identity 3/4 + (||u||-1/2)^2 failed")
-    if float(np.min(np.linalg.norm(companions, axis=1))) < rho0 - 1e-7:
-        raise ConstructionError("a companion fell below the step radius")
-    return StepRelation(set=maximal, u=u, v=v, companions=companions, rho0=rho0)
-
-
-def constant_lemma_relation(z, rho0: float, n: int,
-                            tol: Tolerance = DEFAULT_TOL) -> tuple[EquilateralSet, np.ndarray]:
-    """Maximal set {z, c_1..c_n} with all companions at one norm >= rho0.
-
-    Takes rho = max(rho0, mu_inverse(1 - ||z||)), the radius in [rho0, 1]
-    whose apex height eta(rho) is ||z||, and extends z by the cap at that
-    radius; the companions land in the annulus where the weight value is
-    already pinned, so the set's equation reads f(z) + n*delta = W.
-    """
-    z = as_point(z, n)
-    s = math.sqrt(z @ z)
-    rho0 = clamp_to_range("rho0", rho0, beta(n), 1.0, tol)
-    top = eta(n, rho0, tol)
-    if s > top + tol.eps_eq:
-        raise InputError(f"||z||={s:.12f} exceeds eta(rho0)={top:.12f}")
-    rho = max(rho0, mu_inverse(n, 1.0 - s, tol))
-    companions = cap_extension(z, rho, tol)
-    return EquilateralSet(np.vstack([z, companions.points])), companions.points
-
-
-# ---------------------------------------------------------------------------
 # Certificate container and serialization.
 
 
@@ -188,12 +122,14 @@ def constant_lemma_relation(z, rho0: float, n: int,
 class Certificate:
     """Written points, maximal-set id table, claim pair, generator metadata.
 
-    `points` holds the E written points.  `hops` lists (end id, end id)
-    pairs (a, b) of written points; the ids E + n*h .. E + n*h + n - 1 name
-    the n points that the two sets of hop h share, which no table holds:
-    the hop rule (check_certificate) shows that they exist.  `sets` is one
-    (S, n+1) int64 array of point ids for generated and parsed certificates
-    (the checker also takes a list of id tuples), and `multipliers` holds
+    `points` holds the E written points.  `hops` holds (end id, end id)
+    pairs (a, b) of written points, as one (H, 2) int64 array for generated
+    and parsed certificates (the checker also takes a list of pairs); the
+    ids E + n*h .. E + n*h + n - 1 name the n points that the two sets of
+    hop h share, which no table holds: the hop rule (check_certificate)
+    shows that they exist.  `sets` is one (S, n+1) int64 array of point ids
+    for generated and parsed certificates (the checker also takes a list of
+    id tuples), and `multipliers` holds
     one integer per set whose combination of the set equations is the
     claim; the checker reports any other length as MalformedCertificate.
     With H hops, the last 2H sets are the hops' own, in hop order: hop h's
@@ -208,7 +144,7 @@ class Certificate:
     claim: tuple
     generator_params: dict = field(default_factory=dict)
     multipliers: list[int] = field(default_factory=list)
-    hops: list = field(default_factory=list)
+    hops: np.ndarray | list = field(default_factory=list)
 
     @property
     def point_count(self) -> int:
@@ -280,6 +216,11 @@ def _rows_json(rows, conversion: str) -> _Json:
     return _Json(template % tuple(itertools.chain.from_iterable(rows)))
 
 
+def _plain(rows):
+    """An id table as lists of Python ints, or a list of id tuples as it is."""
+    return rows.tolist() if isinstance(rows, np.ndarray) else rows
+
+
 def certificate_to_json(cert: Certificate, tol: Tolerance = DEFAULT_TOL) -> str:
     """The certificate as JSON text, byte-identical to _dumps of the plain
     document: the written points, hops, the sets less the hops' own, and the
@@ -293,8 +234,8 @@ def certificate_to_json(cert: Certificate, tol: Tolerance = DEFAULT_TOL) -> str:
         "n": cert.n,
         "tolerance": {"eps_eq": tol.eps_eq, "grid_step": GRID_STEP},
         "points": _rows_json(np.asarray(cert.points, dtype=float).tolist(), "%.17g"),
-        "hops": _rows_json(cert.hops, "%d"),
-        "sets": _rows_json(sets.tolist() if isinstance(sets, np.ndarray) else sets, "%d"),
+        "hops": _rows_json(_plain(cert.hops), "%d"),
+        "sets": _rows_json(_plain(sets), "%d"),
         "claim": [int(cert.claim[0]), int(cert.claim[1])],
         "generator_params": cert.generator_params,
         "multipliers": _Json("[" + ", ".join([str(int(m)) for m in lam[:kept] + lam[kept::2]])
@@ -310,7 +251,8 @@ def certificate_from_json(text: str) -> Certificate:
     integer `n`, `version` CERT_VERSION if present, a numeric `points` table
     of n columns, as `sets` a list of lists of n+1 integer ids, two integer
     ids as `claim`, as `hops` a list of [end id, end id] pairs of two
-    finite points of that table that do not compare equal, and as
+    finite points of that table that do not compare equal (parsed into an
+    (H, 2) int64 table), and as
     `multipliers` one integer per set, then one per hop.  Ids must be JSON
     integers: 0.9, "2" and true are rejected.  Each hop's a-set and b-set
     follow the written sets, with the hop's multiplier on the a-set and its
@@ -371,24 +313,30 @@ def certificate_from_json(text: str) -> Certificate:
         generator_params=doc.get("generator_params", {}),
         multipliers=multipliers[:written] + [m for lam in multipliers[written:]
                                              for m in (lam, -lam)],
-        hops=[tuple(h) for h in hops],
+        hops=ends,
     )
 
 
 def _hop_table(hops, written: int) -> np.ndarray | None:
     """The hops as an (H, 2) int64 table of ids in [0, written), or None
     unless every hop is a pair (tuple, list or array) of integer ids of
-    written points."""
-    try:
-        ids = list(itertools.chain.from_iterable(hops))
-        if not (set(map(type, hops)) <= {tuple, list, np.ndarray} and set(map(len, hops)) <= {2}
-                and _all_ints(ids)):
+    written points.  An (H, 2) int64 array, as generated and parsed
+    certificates hold, takes only the range check."""
+    if not (isinstance(hops, np.ndarray) and hops.dtype == np.int64
+            and hops.shape == (len(hops), 2)):
+        try:
+            ids = list(itertools.chain.from_iterable(hops))
+            if not (set(map(type, hops)) <= {tuple, list, np.ndarray}
+                    and set(map(len, hops)) <= {2} and _all_ints(ids)):
+                return None
+        except TypeError:
             return None
-    except TypeError:
+        if ids and not (min(ids) >= 0 and max(ids) < written):
+            return None
+        return np.array(ids, dtype=np.int64).reshape(-1, 2)
+    if len(hops) and not (hops.min() >= 0 and hops.max() < written):
         return None
-    if ids and not (min(ids) >= 0 and max(ids) < written):
-        return None
-    return np.array(ids, dtype=np.int64).reshape(-1, 2)
+    return hops
 
 
 def _parsed_hops(points: np.ndarray, hops: list, n: int) -> np.ndarray:
@@ -605,20 +553,26 @@ class _Fragment:
     """A relation built once in a fresh generator, merged into certificates.
 
     Every array is read-only.  `points` are its point rows and `keys` their
-    _point_key bytes; `sets` is its (F, n+1) table of local point ids, in
-    registration order, with `stages` their stage tags; `terms` are the
-    relation's (local set, coefficient) pairs; its kept hops (_Builder.hops)
-    are `hop_pairs`, their (K, 2) local a-set and b-set indices, and
-    `hop_rows`, their (K, n+2) local point ids.
+    _point_key bytes, kept from the builder that built it; `sets` is its
+    (F, n+1) table of local point ids, in registration order, with `stages`
+    their stage tags; `terms` are the relation's (local set, coefficient)
+    pairs; its kept hops (_Builder.hops) are `hop_pairs`, their (K, 2) local
+    a-set and b-set indices, and `hop_rows`, their (K, n+2) local point ids.
     """
 
     points: np.ndarray
-    keys: bytes
+    keys: tuple[bytes, ...]
     sets: np.ndarray
     stages: tuple[str, ...]
     terms: tuple[tuple[int, int], ...]
     hop_pairs: np.ndarray
     hop_rows: np.ndarray
+
+
+def _first_appearances(ids: np.ndarray, base: int, count: int) -> np.ndarray:
+    """Where each of the ids base .. count - 1 first appears in `ids`, ids
+    that were numbered in order of first appearance."""
+    return np.searchsorted(np.maximum.accumulate(ids), np.arange(base, count))
 
 
 class _Builder:
@@ -628,151 +582,204 @@ class _Builder:
     slots, one per set it registers.  flush() registers the queue in request
     order, so point ids, set indices, dedup and stage tags are those of
     registering each request at once; `slots` then maps each slot to its set
-    index.  One gamma1_link call per flush builds the shared points of every
-    queued hop.  The queue is flushed early once its slots could
-    take the certificate past MAX_CERT_SETS, so a certificate that is too
-    large fails at the request that overflows it.  Every hop registered is
-    kept as one row of point ids, (a, shared points in vertex order, b), in
-    `hops`, keyed by the indices of its a-set and b-set, in registration
-    order and once per pair of sets: the hop b -> a is a -> b with its ends
-    swapped, whose shared points are the same ones when b - a has a nonzero
-    last coordinate.
+    index.  The queue is flushed early once its slots could take the
+    certificate past MAX_CERT_SETS, so a certificate that is too large fails
+    at the request that overflows it.
+
+    The builder keeps tables: `points`, an (N, n) float64 table in id order,
+    with `index` mapping each point's _point_key to its id, and `sets`, an
+    (S, n+1) int64 table of sorted point ids, with `set_index` mapping each
+    row's bytes to its index and `stages` holding its stage tag.  A flush
+    lays out the rows of its set and chain requests as one array, in request
+    order: each set's n+1 points, and each hop's rows (a, shared points in
+    vertex order, b) from the flush's one gamma1_link call.  One dict
+    comprehension over that array's key buffer numbers the rows in order of
+    first appearance, and the new rows are appended to the table; one more
+    over the sorted id rows of the sets, n+1 consecutive rows each (a hop's
+    first and last n+1), registers them.  A fragment merges as a block.
+
+    Every hop registered is kept as one row of point ids, (a, shared points
+    in vertex order, b), in `hop_table` after its a-set and b-set indices,
+    in registration order and once per pair of sets (`hops`): the hop b -> a
+    is a -> b with its ends swapped, whose shared points are the same ones
+    when b - a has a nonzero last coordinate.  A builder that raised is not
+    used again.
     """
 
     def __init__(self, n: int, tol: Tolerance):
         self.n = n
         self.tol = tol
-        self.points: list[np.ndarray] = []
         self.index: dict[bytes, int] = {}
-        self.sets: list[tuple] = []
+        self.points = np.empty((0, n))
+        self.set_index: dict[bytes, int] = {}
+        self.sets = np.empty((0, n + 1), dtype=np.int64)
         self.stages: list[str] = []
-        self.set_index: dict[tuple, int] = {}
         self.slots: list[int] = []
-        # Queued requests, each a function of the chain links iterator that
-        # registers the request's sets and returns their indices.
-        self.queue: list = []
-        self.chains: list[np.ndarray] = []
+        # Queued requests (stage, points, hops): a set's points with hops 0,
+        # a chain's waypoints with its hop count, or (None, fragment, 0).
+        self.queue: list[tuple] = []
         self.pending = 0
-        self.hops: dict[tuple[int, int], tuple[int, ...]] = {}
+        self.hops: dict[tuple[int, int], None] = {}
+        self.hop_table = np.empty((0, n + 4), dtype=np.int64)
 
-    def ids(self, points: np.ndarray, keys: bytes | None = None) -> list[int]:
-        """Point ids of a stack of rows, in row order, keyed in one pass (or
-        by `keys`, their _point_key); a row whose key is new is added to the
-        table."""
-        if keys is None:
-            keys = _point_key(points)
-        width = len(keys) // len(points)
-        found = []
-        for i, p in enumerate(points):
-            pid = self.index.setdefault(keys[i * width:(i + 1) * width], len(self.points))
-            if pid == len(self.points):
-                self.points.append(p)
-            found.append(pid)
-        return found
+    def ids(self, rows: np.ndarray) -> np.ndarray:
+        """Point ids of a stack of rows, in row order, by one dict
+        comprehension over their _point_key buffer; the rows whose key is new
+        are added to the table in order of first appearance."""
+        keys, width = _point_key(rows), 8 * self.n
+        index, base = self.index, len(self.index)
+        return self._added(rows, base, [index.setdefault(keys[i:i + width], len(index))
+                                        for i in range(0, len(keys), width)])
 
-    def _register(self, ids: tuple[int, ...], stage: str) -> int:
-        """Index of the set of the sorted point ids, which is added unless
-        already present."""
-        if len(set(ids)) != self.n + 1:
-            raise GenerationFailure(stage, "set collapsed under point deduplication")
-        if ids in self.set_index:
-            return self.set_index[ids]
-        if len(self.sets) >= MAX_CERT_SETS:
-            raise GenerationFailure(stage, f"certificate exceeded {MAX_CERT_SETS} sets")
-        self.set_index[ids] = len(self.sets)
-        self.sets.append(ids)
-        self.stages.append(stage)
-        return self.set_index[ids]
+    def _added(self, rows: np.ndarray, base: int, ids: list[int]) -> np.ndarray:
+        """The ids of the rows, after appending those first numbered from
+        `base` to the point table."""
+        ids = np.array(ids, dtype=np.int64)
+        new = rows[_first_appearances(ids, base, len(self.index))]
+        self.points = np.concatenate([self.points, new])
+        return ids
 
-    def _enqueue(self, register, count: int) -> range:
+    def _enqueue(self, request: tuple, count: int) -> range:
         """Queue a request of `count` sets; returns its slots."""
         first = len(self.slots) + self.pending
-        self.queue.append(register)
+        self.queue.append(request)
         self.pending += count
         if len(self.sets) + self.pending > MAX_CERT_SETS:
             self.flush()
         return range(first, first + count)
 
     def add_set(self, s: EquilateralSet, stage: str) -> int:
-        """Slot of the set, which is added unless already present."""
-        def register(links):
-            return [self._register(tuple(sorted(self.ids(s.points))), stage)]
-        return self._enqueue(register, 1)[0]
+        """Slot of the maximal set, which is added unless already present."""
+        return self._enqueue((stage, s.points, 0), 1)[0]
 
     def add_chain(self, waypoints: np.ndarray, stage: str) -> list[tuple[int, int]]:
         """The two sets of every hop between consecutive waypoints, in hop
         order, as slot terms summing to e_first - e_last; the flush builds
         their shared points."""
         hops = len(waypoints) - 1
-        self.chains.append(waypoints)
-
-        def register(links):
-            # Each hop's rows a, shared..., b, keyed in hop order in one pass;
-            # the hop's two sets are its first and its last n+1 rows.
-            rows = np.concatenate([waypoints[:-1, None], next(links), waypoints[1:, None]], axis=1)
-            ids = self.ids(rows.reshape(-1, self.n))
-            return [slot for hop in range(0, len(ids), self.n + 2)
-                    for slot in self._register_hop(ids[hop:hop + self.n + 2], stage)]
-        return list(zip(self._enqueue(register, 2 * hops), [1, -1] * hops))
-
-    def _register_hop(self, ids: list[int], stage: str) -> list[int]:
-        """Register the two sets of the hop row ids, (a, shared..., b), and
-        keep the row."""
-        pair = (self._register(tuple(sorted(ids[:-1])), stage),
-                self._register(tuple(sorted(ids[1:])), stage))
-        self._keep_hop(pair, tuple(ids))
-        return list(pair)
-
-    def _keep_hop(self, pair: tuple[int, int], row: tuple[int, ...]) -> None:
-        if pair[::-1] not in self.hops:
-            self.hops.setdefault(pair, row)
+        return list(zip(self._enqueue((stage, waypoints, hops), 2 * hops), [1, -1] * hops))
 
     def add_fragment(self, frag: _Fragment) -> range:
         """Slots of the fragment's sets, which are added with its points in its
-        order and with its stage tags, and its hops: the points are keyed in
-        one pass, and the sets and hop rows remapped by one gather each."""
-        def register(links):
-            ids = np.array(self.ids(frag.points, frag.keys), dtype=np.int64)
-            rows = map(tuple, np.sort(ids[frag.sets], axis=1).tolist())
-            where = [self._register(row, stage) for row, stage in zip(rows, frag.stages)]
-            pairs = np.array(where, dtype=np.int64)[frag.hop_pairs].tolist()
-            for pair, row in zip(pairs, ids[frag.hop_rows].tolist()):
-                self._keep_hop(tuple(pair), tuple(row))
-            return where
-        return self._enqueue(register, len(frag.sets))
-
-    def _links(self, chains: list[np.ndarray]):
-        """The shared points of each chain's hops, from one gamma1_link call."""
-        if not chains:
-            return iter(())
-        try:
-            shared = gamma1_link(np.concatenate([w[:-1] for w in chains]),
-                                 np.concatenate([w[1:] for w in chains]), self.tol)
-        except (InputError, ConstructionError):
-            # Rebuild chain by chain as the queue registers, so that the error
-            # raised is the first one in request order.
-            return (gamma1_link(w[:-1], w[1:], self.tol) for w in chains)
-        return iter(np.split(shared, np.cumsum([len(w) - 1 for w in chains[:-1]])))
+        order and with its stage tags, and its hops (_merge)."""
+        return self._enqueue((None, frag, 0), len(frag.sets))
 
     def flush(self) -> None:
         """Register the queued requests in request order."""
-        queue, chains = self.queue, self.chains
-        self.queue, self.chains, self.pending = [], [], 0
-        links = self._links(chains)
-        for register in queue:
-            self.slots += register(links)
+        queue, self.queue, self.pending = self.queue, [], 0
+        try:
+            rows = self._hop_rows(queue)
+        except (InputError, ConstructionError):
+            # Rebuild chain by chain as the queue registers, so that the error
+            # raised is the first one in request order.
+            for request in queue:
+                self._register([request], self._hop_rows([request]))
+            return
+        self._register(queue, rows)
+
+    def _hop_rows(self, requests: list[tuple]) -> np.ndarray:
+        """The rows a, shared points..., b of every hop of the chain requests,
+        as one (H, n+2, n) array, from one gamma1_link call."""
+        chains = [w for _, w, hops in requests if hops]
+        if not chains:
+            return np.empty((0, self.n + 2, self.n))
+        a = np.concatenate([w[:-1] for w in chains])
+        b = np.concatenate([w[1:] for w in chains])
+        return np.concatenate([a[:, None], gamma1_link(a, b, self.tol), b[:, None]], axis=1)
+
+    def _register(self, requests: list[tuple], rows: np.ndarray) -> None:
+        """Register requests in order, `rows` the hop rows of their chains:
+        each run of set and chain requests as one block, and each fragment
+        by _merge."""
+        start = 0
+        for merged, run in itertools.groupby(requests, lambda r: isinstance(r[1], _Fragment)):
+            run = list(run)
+            if merged:
+                for _, frag, _ in run:
+                    self._merge(frag)
+            else:
+                hops = sum(h for _, _, h in run)
+                self._add_rows(run, rows[start:start + hops])
+                start += hops
+
+    def _add_rows(self, requests: list[tuple], hop_rows: np.ndarray) -> None:
+        """Register set and chain requests as one block of rows in request
+        order, `hop_rows` the (H, n+2, n) rows of their hops."""
+        n = self.n
+        offset, set_at, hop_at, stages = 0, [], [], []
+        for stage, points, hops in requests:
+            if hops:
+                hop_at += range(offset, offset + hops * (n + 2), n + 2)
+                stages += [stage] * (2 * hops)
+            else:
+                set_at.append(offset)
+                stages.append(stage)
+            offset += hops * (n + 2) or n + 1
+        hop_at, set_at = np.array(hop_at, dtype=np.int64), np.array(set_at, dtype=np.int64)
+        rows = hop_rows.reshape(-1, n)
+        if len(set_at):
+            rows = np.empty((offset, n))
+            rows[hop_at[:, None] + np.arange(n + 2)] = hop_rows
+            rows[set_at[:, None] + np.arange(n + 1)] = [p for _, p, h in requests if not h]
+        ids = self.ids(rows)
+        starts = np.sort(np.concatenate([set_at, hop_at, hop_at + 1]))
+        where = self._add_sets(np.sort(ids[starts[:, None] + np.arange(n + 1)], axis=1), stages)
+        self._keep_hops(where[np.searchsorted(starts, hop_at)[:, None] + np.arange(2)],
+                        ids[hop_at[:, None] + np.arange(n + 2)])
+
+    def _add_sets(self, sets: np.ndarray, stages) -> np.ndarray:
+        """Register the sets, sorted (k, n+1) id rows with their stage tags,
+        in row order, each unless already present; returns their indices,
+        which also extend `slots`.  The first set in row order that has a
+        repeated id (it collapsed under point deduplication), or that would
+        be set MAX_CERT_SETS + 1, raises GenerationFailure."""
+        keys, width = sets.tobytes(), 8 * (self.n + 1)
+        index, base = self.set_index, len(self.sets)
+        where = np.array([index.setdefault(keys[i:i + width], len(index))
+                          for i in range(0, len(keys), width)], dtype=np.int64)
+        new = _first_appearances(where, base, len(index))
+        collapsed = np.flatnonzero((sets[:, 1:] == sets[:, :-1]).any(axis=1))[:1].tolist()
+        over = new[MAX_CERT_SETS - base:][:1].tolist()
+        if collapsed and (not over or collapsed <= over):
+            raise GenerationFailure(stages[collapsed[0]], "set collapsed under point deduplication")
+        if over:
+            raise GenerationFailure(stages[over[0]], f"certificate exceeded {MAX_CERT_SETS} sets")
+        self.sets = np.concatenate([self.sets, sets[new]])
+        self.stages += [stages[i] for i in new.tolist()]
+        self.slots += where.tolist()
+        return where
+
+    def _keep_hops(self, pairs: np.ndarray, rows: np.ndarray) -> None:
+        """Keep each hop, (K, 2) set pairs and (K, n+2) point-id rows, unless
+        its pair is kept already either way round."""
+        hops, kept = self.hops, []
+        for h, pair in enumerate(map(tuple, pairs.tolist())):
+            if pair not in hops and pair[::-1] not in hops:
+                hops[pair] = None
+                kept.append(h)
+        self.hop_table = np.concatenate([self.hop_table,
+                                         np.concatenate([pairs, rows], axis=1)[kept]])
+
+    def _merge(self, frag: _Fragment) -> None:
+        """Register the fragment as one block, as registering its sets one by
+        one would: one dict comprehension over its stored keys numbers its
+        points in its order, and its sets and hops are registered with their
+        ids mapped."""
+        index, base = self.index, len(self.index)
+        ids = self._added(frag.points, base, [index.setdefault(key, len(index))
+                                              for key in frag.keys])
+        where = self._add_sets(np.sort(ids[frag.sets], axis=1), frag.stages)
+        self._keep_hops(where[frag.hop_pairs], ids[frag.hop_rows])
 
     def tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The registered sets as an (S, n+1) int64 table, and the kept hops
         as their (K, 2) set pairs and (K, n+2) point-id rows."""
-        hops = len(self.hops)
-        return (np.array(self.sets, dtype=np.int64).reshape(len(self.sets), self.n + 1),
-                np.array(list(self.hops), dtype=np.int64).reshape(hops, 2),
-                np.array(list(self.hops.values()), dtype=np.int64).reshape(hops, self.n + 2))
+        return self.sets, self.hop_table[:, :2], self.hop_table[:, 2:]
 
     def certificate(self, claim: tuple[int, int], multipliers: list[int]) -> Certificate:
         """The certificate of the registered sets, its points and sets
-        renumbered and its multipliers permuted with the sets.
+        renumbered and its multipliers permuted with the sets, by gathers
+        from the tables.
 
         A hop is listed in `hops` when its two sets carry opposite
         multipliers and none of its shared points lies in a set other than
@@ -803,11 +810,11 @@ class _Builder:
         set_order = np.concatenate([np.flatnonzero(kept), pairs.ravel()])
         return Certificate(
             n=n,
-            points=np.array([self.points[i] for i in written.tolist()]).reshape(-1, n) + 0.0,
+            points=self.points[written] + 0.0,
             sets=np.sort(new_id[sets[set_order]], axis=1),
             claim=(int(new_id[claim[0]]), int(new_id[claim[1]])),
             multipliers=lam[set_order].tolist(),
-            hops=list(map(tuple, new_id[rows[:, [0, -1]]].tolist())),
+            hops=new_id[rows[:, [0, -1]]],
         )
 
 
@@ -984,7 +991,7 @@ class _Generator:
         return lam
 
     def run(self, x: np.ndarray, y: np.ndarray) -> Certificate:
-        id_x, id_y = self.builder.ids(np.array([x, y]))
+        id_x, id_y = self.builder.ids(np.array([x, y])).tolist()
         if id_x == id_y:
             return self.builder.certificate((id_x, id_x), [])
         try:
@@ -1029,11 +1036,11 @@ def _closing_fragment(n: int, tol: Tolerance) -> _Fragment:
         root = gen._emit_closing()
     finally:
         gen.builder.flush()
-    points = np.array(gen.builder.points)
-    sets, hop_pairs, hop_rows = gen.builder.tables()
+    builder = gen.builder
+    sets, hop_pairs, hop_rows = builder.tables()
     terms = tuple((i, m) for i, m in enumerate(gen._multipliers(root)) if m)
-    frag = _Fragment(points=points, keys=_point_key(points), sets=sets,
-                     stages=tuple(gen.builder.stages), terms=terms, hop_pairs=hop_pairs,
+    frag = _Fragment(points=builder.points, keys=tuple(builder.index), sets=sets,
+                     stages=tuple(builder.stages), terms=terms, hop_pairs=hop_pairs,
                      hop_rows=hop_rows)
     for table in (frag.points, frag.sets, frag.hop_pairs, frag.hop_rows):
         table.flags.writeable = False
@@ -1050,9 +1057,10 @@ def generate_equality_certificate(x, y, n: int,
     """
     x = as_point(x, n)
     y = as_point(y, n)
-    for p in (x, y):
-        if math.sqrt(p @ p) > 1.0 + tol.eps_eq:
-            raise InputError("certificate endpoints must lie in the closed unit ball")
+    with np.errstate(over="ignore"):  # a finite but huge coordinate gives inf
+        outside = any(math.sqrt(p @ p) > 1.0 + tol.eps_eq for p in (x, y))
+    if outside:
+        raise InputError("certificate endpoints must lie in the closed unit ball")
     gen = _Generator(n, tol)
     try:
         cert = gen.run(x, y)

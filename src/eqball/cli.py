@@ -144,13 +144,14 @@ def cmd_enlarge(args) -> int:
 
 def _name_worst_violation(pts: np.ndarray) -> str:
     worst = ""
-    errs = np.nan_to_num(distance_errors(pts), nan=0.0, posinf=np.inf)
+    with np.errstate(over="ignore"):  # a finite but huge coordinate gives inf
+        errs = np.nan_to_num(distance_errors(pts), nan=0.0, posinf=np.inf)
+        norms = np.linalg.norm(pts, axis=1)
     worst_err = float(errs.max(initial=0.0))
     if worst_err > 0.0:
         pair = int(errs.argmax())
         i, j = np.triu_indices(pts.shape[0], 1)
         worst = f" (worst pair ({i[pair]}, {j[pair]}) distance error {worst_err:.3e})"
-    norms = np.linalg.norm(pts, axis=1)
     if norms.size and float(norms.max()) - 1.0 > worst_err:
         worst = f" (worst norm: point {int(norms.argmax())} has norm {float(norms.max()):.12f})"
     return worst

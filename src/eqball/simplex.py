@@ -79,10 +79,11 @@ def check_sets(points, in_ball: bool, tol: Tolerance = DEFAULT_TOL, error=InputE
     count, k = ids.shape if ids is not None else pts.shape[:2]
     step = max(CHECK_CHUNK_CELLS // max(k * (k - 1) // 2 * pts.shape[-1], 1), 1)
     err, top = np.empty(count), np.empty(count)
-    for start in range(0, count, step):
-        chunk = pts[ids[start:start + step]] if ids is not None else pts[start:start + step]
-        err[start:start + step] = distance_errors(chunk).max(axis=-1, initial=0.0)
-        top[start:start + step] = np.linalg.norm(chunk, axis=-1).max(axis=-1)
+    with np.errstate(over="ignore"):  # a finite but huge coordinate gives inf
+        for start in range(0, count, step):
+            chunk = pts[ids[start:start + step]] if ids is not None else pts[start:start + step]
+            err[start:start + step] = distance_errors(chunk).max(axis=-1, initial=0.0)
+            top[start:start + step] = np.linalg.norm(chunk, axis=-1).max(axis=-1)
     checks = [(err > tol.eps_eq,
                lambda i: error(f"pairwise distance deviates from 1 by {err[i]:.3e}"))]
     if in_ball:

@@ -49,7 +49,9 @@ DISPROOF_SPREAD = 1e-6
 # Angular slack of Arc.contains_angle, in radians.
 ARC_SLACK = 1e-7
 # Most coordinates one falsify call samples, samples * (n+1) * n: 64 MiB of
-# floats per stack, and the sampler holds a few such stacks at once.
+# floats per stack.  The sampler holds several such stacks at once: the
+# largest ball-mode call admitted (n = 16, 30840 samples) reached 388-398 MB
+# max RSS in two runs, about six stacks.
 MAX_FALSIFY_CELLS = 2**23
 # Largest n of a ball-mode falsify call.  Ball-mode proposals are accepted
 # less often as n grows: a 200-set batch took 0.11 s at n = 16, 0.42 s at

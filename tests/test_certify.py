@@ -3,9 +3,14 @@ import hashlib
 import importlib
 import json
 import math
+import os
 import re
+import resource
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 from collections import Counter
 
 import numpy as np
@@ -221,7 +226,7 @@ def test_checker_is_permutation_invariant():
     rng = np.random.default_rng(33)
     cert = generate_equality_certificate(np.array([0.2, 0.3]), np.array([0.7, -0.4]), 2)
     written, kept = len(cert.points), len(cert.sets) - 2 * len(cert.hops)
-    assert kept > 1 and cert.hops
+    assert kept > 1 and len(cert.hops)
     # old id -> new id: the written points permuted, the shared ids kept
     relabel = np.concatenate([rng.permutation(written), np.arange(written, cert.point_count)])
     new_points = np.empty_like(cert.points)
@@ -439,7 +444,7 @@ def _plain_document(cert):
 
 def test_json_writer_matches_the_recursive_dump():
     cert = generate_equality_certificate(np.zeros(3), np.array([0.95, -0.0, 0.0]), 3)
-    assert cert.hops
+    assert len(cert.hops)
     assert certificate_to_json(cert) == _dumps(_plain_document(cert))
 
 
@@ -532,7 +537,7 @@ def test_hop_points_are_rebuilt_after_the_written_points():
     a, b = cert.points[hops[:, 0]], cert.points[hops[:, 1]]
     shared = simplex_on_spheres((a + b) / 2.0 + 0.0, (b - a) + 0.0, beta(n)).reshape(-1, n) + 0.0
     # The generator's own rows of the listed hops, found by their ends.
-    rows = {(row[0], row[-1]): row[1:-1] for row in gen.builder.hops.values()}
+    rows = {(row[0], row[-1]): row[1:-1] for row in gen.builder.tables()[2].tolist()}
     ends = [tuple(gen.builder.index[_point_key(cert.points[i])] for i in hop) for hop in hops]
     built = np.array([gen.builder.points[i] for end in ends for i in rows[end]]) + 0.0
     assert shared.tobytes() == built.tobytes()
@@ -553,7 +558,7 @@ def test_a_hop_whose_shared_point_is_claimed_stays_written():
     x, y = np.array([0.9, 0.2, 0.1]), np.array([0.0, 0.95, 0.0])
     gen = _Generator(n, DEFAULT_TOL)
     gen.run(x, y)
-    row = next(iter(gen.builder.hops.values()))
+    row = gen.builder.tables()[2][0]
     claimed, via = gen.builder.points[row[1]], gen.builder.points[row[-1]]
     gen = _Generator(n, DEFAULT_TOL)
     cert = gen.run(x, claimed)
@@ -573,7 +578,8 @@ def test_a_hop_whose_sets_do_not_carry_opposite_multipliers_stays_written():
     gen = _Generator(3, DEFAULT_TOL)
     cert = gen.run(np.zeros(3), np.array([0.95, 0.0, 0.0]))
     lam = gen._multipliers(len(gen.nodes) - 1)  # the claim's node
-    (set_a, set_b), row = next(iter(gen.builder.hops.items()))
+    _, pairs, rows = gen.builder.tables()
+    (set_a, set_b), row = pairs[0], rows[0]
     assert lam[set_a] == -lam[set_b] != 0
     lam[set_b] += 1
     doctored = gen.builder.certificate(cert.claim, lam)
@@ -709,6 +715,40 @@ def test_too_many_hop_coordinates_is_malformed(monkeypatch):
 
 
 
+_LARGE_PAIR = """
+import resource
+import numpy as np
+from eqball.certify import (certificate_from_json, certificate_to_json, check_certificate,
+                            generate_equality_certificate)
+n = 64
+y = np.zeros(n)
+y[0] = 0.95
+text = certificate_to_json(generate_equality_certificate(np.zeros(n), y, n))
+assert check_certificate(certificate_from_json(text)).accepted
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_large_pair_at_n64_certifies_and_checks_in_bounded_memory():
+    """(0, 0.95*e1) at n = 64 certifies, round-trips and checks in a child
+    process limited to 1 GB of address space, so that a memory regression
+    fails here instead of waking the OOM killer, with a peak RSS under
+    300 MB (207 MB when this test was written).  The child reports its own
+    getrusage peak, which other children of the test process cannot
+    raise."""
+    limit = 2**30
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(certify.__file__).resolve().parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", _LARGE_PAIR], capture_output=True, text=True,
+                          env=env, preexec_fn=cap_address_space, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) * 1024 < 300e6
+
+
 def test_one_hop_document_at_n512_parses_and_checks_in_bounded_memory():
     """A one-hop document at n = 512, two written points, parses and checks
     in O(n) memory: a traced peak of at most 16 MB, where building its 512
@@ -783,12 +823,18 @@ def test_hop_margins_are_those_of_its_sets():
     (lambda c: {"sets": np.concatenate([[[0, 1, 2, len(c.points)]], c.sets[1:]])},
      "^written set 0 names a hop's shared point$"),
     (lambda c: {"claim": (c.claim[0], len(c.points))}, "^claim indices out of range$"),
-    (lambda c: {"hops": [(c.hops[0][0], len(c.points))] + c.hops[1:]},
+    (lambda c: {"hops": [(c.hops[0][0], len(c.points))] + c.hops[1:].tolist()},
      "^hops must be pairs of written point ids$"),
-    (lambda c: {"hops": [(0.0, 1)] + c.hops[1:]}, "^hops must be pairs of written point ids$"),
+    (lambda c: {"hops": np.concatenate([[[c.hops[0][0], len(c.points)]], c.hops[1:]])},
+     "^hops must be pairs of written point ids$"),
+    (lambda c: {"hops": np.concatenate([[[-1, c.hops[0][1]]], c.hops[1:]])},
+     "^hops must be pairs of written point ids$"),
+    (lambda c: {"hops": [(0.0, 1)] + c.hops[1:].tolist()},
+     "^hops must be pairs of written point ids$"),
     (lambda c: {"hops": None}, "^hops must be pairs of written point ids$"),
 ], ids=["b-set-missing", "b-set-first", "hops-reordered", "hop-missing", "written-set-shared-id",
-        "claim-shared-id", "hop-end-shared-id", "hop-end-float", "hops-none"])
+        "claim-shared-id", "hop-end-shared-id", "hop-table-end-shared-id", "hop-table-end-negative",
+        "hop-end-float", "hops-none"])
 def test_checker_rejects_hop_tables_out_of_shape(rewrite, reason):
     """The last 2H set rows must be exactly the hop rows, and written sets,
     claims and hop ends name written points only."""
@@ -862,21 +908,77 @@ def test_hop_rule_accepts_only_pairs_gamma1_link_builds(case):
         assert isinstance(error, InputError) and report.failure == "SetInvalid"
 
 
+def _chained_fragment_point(n):
+    """An outer point that the closing relation of n chains to the anchor,
+    through a hub where it has such a chain (not at n = 5): the first end of
+    a kept hop that is no hop's second end, at a norm that chains."""
+    gen, frag = _Generator(n, DEFAULT_TOL), _closing_fragment(n, DEFAULT_TOL)
+    starts = sorted(set(frag.hop_rows[:, 0].tolist()) - set(frag.hop_rows[:, -1].tolist()))
+    chained = [p for p in frag.points[starts] if np.linalg.norm(p) >= gen.lam]
+    return next((p for p in chained if len(gen._plan(gen._section(p) @ p)) == 5), chained[0])
+
+
+def _holding(n, points):
+    """A generator whose builder holds the registered chains of the points."""
+    gen = _Generator(n, DEFAULT_TOL)
+    for p in points:
+        gen.resolve(p)
+    gen.builder.flush()
+    return gen
+
+
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_merged_closing_relation_registers_what_emitting_it_would(n):
     """The precompiled closing fragment merges into a generator the points,
     sets, stage tags and hops that building the closing relation in that
-    generator registers."""
-    merged, emitted = _Generator(n, DEFAULT_TOL), _Generator(n, DEFAULT_TOL)
-    for gen in (merged, emitted):
-        gen.resolve(_in_plane(n, 0.97, -0.4))
-    merged._merge_closing()
-    emitted._emit_closing()
-    for gen in (merged, emitted):
-        gen.builder.flush()
-    one, other = merged.builder, emitted.builder
-    assert np.array(one.points).tobytes() == np.array(other.points).tobytes()
-    assert (one.sets, one.stages, one.hops) == (other.sets, other.stages, other.hops)
+    generator registers: into a fresh builder, one holding the chain of an
+    outer point, and one that already holds some of the fragment's points,
+    sets and hops (the anchor and the chain of a point of the fragment,
+    _chained_fragment_point)."""
+    frag = _closing_fragment(n, DEFAULT_TOL)
+    for held in ([], [_in_plane(n, 0.97, -0.4)], [_chained_fragment_point(n)]):
+        merged, emitted = _holding(n, held), _holding(n, held)
+        before = len(merged.builder.sets)
+        assert bool(held) == bool(set(frag.keys) & set(merged.builder.index))
+        merged._merge_closing()
+        emitted._emit_closing()
+        for gen in (merged, emitted):
+            gen.builder.flush()
+        one, other = merged.builder, emitted.builder
+        assert one.points.tobytes() == other.points.tobytes()
+        assert list(one.index.items()) == list(other.index.items())
+        assert np.array_equal(one.sets, other.sets) and one.stages == other.stages
+        assert list(one.hops) == list(other.hops)
+        for mine, theirs in zip(one.tables(), other.tables()):
+            assert np.array_equal(mine, theirs)
+    # The fragment point's chain was registered before the merge.
+    assert len(one.sets) < before + len(frag.sets)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_a_cap_inside_the_merged_closing_relation_fails_as_emitting_it_would(monkeypatch, n):
+    """A set cap that falls inside the merged fragment, at its first, middle
+    or last new set, fails with the stage and message of building the
+    closing relation set by set in that generator."""
+    frag = _closing_fragment(n, DEFAULT_TOL)
+    held = [_chained_fragment_point(n)]
+    gen = _holding(n, held)
+    base = len(gen.builder.sets)
+    gen._merge_closing()
+    gen.builder.flush()
+    added = len(gen.builder.sets) - base
+    assert 0 < added < len(frag.sets)
+    for cap in (base, base + added // 2, base + added - 1):
+        monkeypatch.setattr(certify, "MAX_CERT_SETS", cap)
+        errors = []
+        for build in (_Generator._merge_closing, _Generator._emit_closing):
+            gen = _holding(n, held)
+            with pytest.raises(GenerationFailure) as info:
+                build(gen)
+                gen.builder.flush()
+            errors.append((info.value.stage, info.value.message))
+        assert errors[0] == errors[1]
+        assert errors[0][1] == f"certificate exceeded {cap} sets"
 
 
 @st.composite
@@ -911,7 +1013,9 @@ def test_certificates_round_trip_bit_for_bit(case):
     assert back.points.tobytes() == cert.points.tobytes()
     assert back.sets.dtype == cert.sets.dtype == np.int64
     assert np.array_equal(back.sets, cert.sets)
-    assert (back.claim, back.multipliers, back.hops) == (cert.claim, cert.multipliers, cert.hops)
+    assert (back.claim, back.multipliers) == (cert.claim, cert.multipliers)
+    assert back.hops.dtype == cert.hops.dtype == np.int64
+    assert np.array_equal(back.hops, cert.hops)
     assert certificate_to_json(back) == text
     assert check_certificate(back).accepted
 
@@ -1147,9 +1251,9 @@ def test_point_ids_follow_exact_coordinate_equality():
     builder = _Builder(2, DEFAULT_TOL)
     rows = np.array([[0.1234567890125, 0.5], [0.1234567890124999, 0.5],
                      [0.1234567890125, 0.5], [0.0, -0.0], [-0.0, 0.0]])
-    assert builder.ids(rows) == [0, 1, 0, 2, 2]
-    assert builder.ids(rows[::-1]) == [2, 2, 0, 1, 0]
-    assert np.array(builder.points).tobytes() == rows[[0, 1, 3]].tobytes()
+    assert builder.ids(rows).tolist() == [0, 1, 0, 2, 2]
+    assert builder.ids(rows[::-1]).tolist() == [2, 2, 0, 1, 0]
+    assert builder.points.tobytes() == rows[[0, 1, 3]].tobytes()
 
 
 # -- near the input boundaries ----------------------------------------------------
@@ -1389,6 +1493,43 @@ def test_bridge_heavy_certificates_keep_their_bytes(x, y, digest):
     """Three pairs whose certificates hold many bridge sets (32 of 178, 12
     of 58 and 20 of 94), pinned by the sha256 of their JSON text as built
     when each bridge hop took its own gamma1_link call."""
+    cert = generate_equality_certificate(np.array(x), np.array(y), len(x))
+    assert hashlib.sha256(certificate_to_json(cert).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("x, y, digest", [
+    ([-0.287, -0.885], [0.797, -0.057],
+     "830aa2495e18417556821929291edc964f4052e2249cf93654df220682fb6d17"),
+    ([-0.587, 0.505], [0.22, 0.119],
+     "10f43fbaef98df3458a98238a258c4916ca615ac115c04a7c4d130bab0181b9c"),
+    ([-0.242, 0.652], [-0.66, 0.255],
+     "0717da3c6702324bcf7a5d78466bc4e889178d66bd1cef449727248af94307a3"),
+    ([0.126, 0.111, -0.846], [0.531, -0.126, 0.278],
+     "2f58c3150663b48991f27c6a4329ecbfbc01d5062a6c096f7cc27fbf14ac12ce"),
+    ([0.622, 0.081, -0.351], [-0.585, -0.093, -0.103],
+     "89434707c8991fd9b4038b932ea9f4444e368d3dfc86d33f60b5a579e7497615"),
+    ([-0.417, -0.162, -0.315], [-0.613, -0.244, -0.258],
+     "e806852c893ae2742b0d75045649dcd3fb3beeab9730e10008587da4bf995346"),
+    ([0.117, 0.595, -0.266, -0.687], [0.011, -0.256, 0.685, 0.652],
+     "f0b6e7d0a7115be69f003a15d25fd5eb5db84e93bc6dfeb70a21bbb0863caa47"),
+    ([0.025, -0.014, -0.098, -0.061], [0.258, 0.112, -0.277, 0.719],
+     "b803077a693093c5c36506cb5c3d24f709a0e9b35a89cff43d3f6c13f5d3c2b8"),
+    ([0.337, -0.427, -0.512, -0.272], [-0.125, 0.288, 0.037, 0.138],
+     "7efb1d0a1b468d073d9960f7e9144e4ae46753767782647ac99d2b14838df90b"),
+    ([-0.776, 0.136, -0.533, -0.1, -0.112], [0.003, -0.006, -0.184, 0.883, -0.176],
+     "4f25566fbf38ee9ca84b12087a8b0c8b2e3a1ef9e38e2fcad5cc418ea83f4ab2"),
+    ([-0.28, -0.155, 0.325, -0.225, -0.183], [-0.448, -0.073, -0.232, 0.008, -0.264],
+     "6ece383358269a7b03f578d28d4d064d245e8e53fb436321e4cb6cbddb0815d4"),
+    ([0.422, -0.525, -0.071, 0.603, -0.183], [0.211, -0.298, 0.009, 0.062, 0.419],
+     "1bae22200cae5c628e6b97ae0158f7c502b4e25be4a1fa398c59e2080ae9eee7"),
+], ids=["n2-same", "n2-cross", "n2-bridge-same", "n3-same", "n3-cross", "n3-bridge-cross",
+        "n4-same", "n4-cross", "n4-bridge-cross", "n5-same", "n5-bridge-same",
+        "n5-bridge-cross"])
+def test_builder_certificates_keep_their_bytes(x, y, digest):
+    """Same-class pairs, cross-class pairs, which merge the closing relation
+    into a builder that holds some of its points, and pairs with many bridge
+    sets (at least a fifth), pinned by the sha256 of their JSON text as
+    built when the builder registered row by row."""
     cert = generate_equality_certificate(np.array(x), np.array(y), len(x))
     assert hashlib.sha256(certificate_to_json(cert).encode()).hexdigest() == digest
 

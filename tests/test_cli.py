@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import eqball
 from eqball.certify import certificate_from_json
 from eqball import cli, weights
 from eqball.cli import main
@@ -452,3 +457,43 @@ def test_check_point_width_not_n_exit2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: points must have n = ") and len(err.splitlines()) == 1
+
+
+def run_module(tmp_path, *argv):
+    """`python -m eqball` in a child process, with warnings shown: exit code,
+    stdout and stderr as the user sees them."""
+    env = dict(os.environ, PYTHONPATH=str(Path(eqball.__file__).resolve().parents[1]),
+               PYTHONWARNINGS="default")
+    done = subprocess.run([sys.executable, "-m", "eqball", *argv], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("victim", ["written-set point", "hop end"])
+def test_check_of_a_huge_coordinate_leaves_stderr_empty(tmp_path, capsys, victim):
+    """A certificate point moved to the finite coordinate 1e308 fails its
+    check (exit 4) with nothing on stderr: no overflow warning."""
+    run_cli(capsys, "certify", "--x", "0.2,0.1", "--y", "0.6,-0.3",
+            "--out", str(tmp_path / "cert.json"), "--quiet")
+    doc = json.loads((tmp_path / "cert.json").read_text())
+    assert doc["sets"] and doc["hops"]
+    point = doc["sets"][0][0] if victim == "written-set point" else doc["hops"][0][1]
+    doc["points"][point][0] = 1e308
+    (tmp_path / "huge.json").write_text(json.dumps(doc))
+    code, out, err = run_module(tmp_path, "check", "--input", "huge.json", "--no-timestamp")
+    assert (code, err) == (4, "")
+    assert '"failure": "SetInvalid"' in out
+
+
+@pytest.mark.parametrize("command, message", [
+    (["certify", "--x", "1e308,0", "--y", "0.1,0"],
+     "error: certificate endpoints must lie in the closed unit ball\n"),
+    (["enlarge", "--input", "seed.json"],
+     "error: invalid input set: a point has norm inf > 1 (worst norm: point 0 has norm inf)\n"),
+], ids=["certify", "enlarge"])
+def test_huge_coordinates_are_input_errors_with_one_stderr_line(tmp_path, command, message):
+    """An endpoint or enlarge seed point at the finite coordinate 1e308 exits
+    2 with the error line alone on stderr: no overflow warning before it."""
+    (tmp_path / "seed.json").write_text(json.dumps([[1e308, 0.0]]))
+    code, out, err = run_module(tmp_path, *command)
+    assert (code, out, err) == (2, "", message)
